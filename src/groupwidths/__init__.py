@@ -58,7 +58,6 @@ from .pal_width import (
     ReachablePairs,
     WidthReport,
     palindrome_elements,
-    palindromic_length,
     palindromic_width,
     reachable_pairs,
 )

@@ -1,23 +1,37 @@
 """Finite groups as multiplication tables with labeled symmetric generating sets.
 
-Elements are dense integer ids 0..order-1.  Every constructed group is
-verified: two-sided identity, two-sided inverses, associativity (full
-O(order^3) check up to a size threshold, random spot checks above), a
-symmetric generating set, and generation of the whole group by closure.
+Elements are dense integer ids 0..order-1.  ``table`` is one C-contiguous,
+read-only ``np.int32`` array with ``table[a, b] = a*b`` and ``inverse`` a
+read-only ``np.int32`` vector; every scalar the API returns (identity,
+generator ids, products, evaluations) is a Python int.
+
+Every constructed group is verified exactly, at every order: entries in
+range, a unique two-sided identity, unique two-sided inverses, a symmetric
+generating set that generates the whole group, and associativity by
+Light's test (Clifford & Preston, *The Algebraic Theory of Semigroups* I,
+1961, section 1.2).  Light's test checks (x*a)*y == x*(a*y) for all x, y
+but only for each generator a, at O(order^2) cost per generator.  It is
+exact: the elements a that pass it are closed under products, since
+
+    (x*(ab))*y = ((x*a)*b)*y = (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y),
+
+the identity passes, and the generation check reaches every element as a
+product of generators, so every element passes and the table is
+associative.
+
 Generator labels are the letters that words over the group are written in,
 so they round-trip through the text formats bit-exactly.
 """
 
 from __future__ import annotations
 
-import random
 import string
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .free_words import Alphabet, MonoidWord
+from .free_words import MonoidWord
 
 __all__ = [
     "FiniteGroup",
@@ -29,41 +43,50 @@ __all__ = [
     "direct_product",
     "abelian_group",
     "evaluate",
+    "product_layers",
     "commutator_set",
     "commutator_subgroup",
     "commutator_width",
+    "find_isomorphism",
+    "are_isomorphic",
     "group_from_spec",
     "group_to_spec",
 ]
 
 DEFAULT_CAP = 512
-# full O(order^3) associativity verification below this size, spot checks above
-_FULL_VERIFY_LIMIT = 512
-_SPOT_CHECK_TRIPLES = 2000
 
 
 class CapExceeded(RuntimeError):
     """A construction or search exceeded its configured resource cap."""
 
 
-@dataclass
+def _frozen(values) -> np.ndarray:
+    """A C-contiguous read-only int32 copy."""
+    out = np.array(values, dtype=np.int32, order="C")
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(eq=False)
 class FiniteGroup:
     """Multiplication-table group with a distinguished symmetric generating set.
 
-    ``gens`` is an ordered list of (label, element id); for every generator
-    the inverse element is also present, labeled either the same (for
-    involutions) or with a ``^-1`` suffix.  Treat instances as immutable.
+    ``table`` may be given as any square integer array-like; it is stored
+    as a read-only int32 copy.  ``gens`` is an ordered list of (label,
+    element id); for every generator the inverse element is also present,
+    labeled either the same (for involutions) or with a ``^-1`` suffix.
+    ``gen_ids`` holds the distinct generator ids in ascending order.
     """
 
-    table: list[list[int]]
+    table: np.ndarray
     gens: list[tuple[str, int]]
     name: str = "group"
     identity: int = field(init=False)
-    inverse: list[int] = field(init=False)
+    inverse: np.ndarray = field(init=False)
     labels: dict[str, int] = field(init=False)
+    gen_ids: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        self.order = len(self.table)
         self._verify_table()
         self.labels = {}
         for label, g in self.gens:
@@ -72,92 +95,69 @@ class FiniteGroup:
             if not 0 <= g < self.order:
                 raise ValueError(f"generator id {g} out of range")
             self.labels[label] = g
+        self.gen_ids = _frozen(sorted(set(self.labels.values())))
         self._verify_gens()
 
     # -- verification -------------------------------------------------
 
     def _verify_table(self) -> None:
-        n = self.order
-        if n == 0:
+        T = np.asarray(self.table)
+        if T.size == 0:
             raise ValueError("empty multiplication table")
-        for i, row in enumerate(self.table):
-            if len(row) != n:
-                raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-            for x in row:
-                if not 0 <= x < n:
-                    raise ValueError(f"table entry {x} out of range")
-        ids = [e for e in range(n) if all(self.table[e][g] == g == self.table[g][e] for g in range(n))]
-        if len(ids) != 1:
+        if T.ndim != 2 or T.shape[0] != T.shape[1]:
+            raise ValueError(f"multiplication table must be square, got shape {T.shape}")
+        if T.dtype.kind not in "iu":
+            raise ValueError(f"table entries must be integers, got {T.dtype}")
+        n = self.order = T.shape[0]
+        outside = (T < 0) | (T >= n)
+        if outside.any():
+            raise ValueError(f"table entry {T[outside][0]} out of range")
+        T = self.table = _frozen(T)
+        ids = np.arange(n)
+        ones = np.flatnonzero((T == ids).all(axis=1) & (T == ids[:, None]).all(axis=0))
+        if len(ones) != 1:
             raise ValueError("table has no unique two-sided identity")
-        self.identity = ids[0]
-        inverse = [-1] * n
-        for g in range(n):
-            hs = [h for h in range(n) if self.table[g][h] == self.identity == self.table[h][g]]
-            if len(hs) != 1:
-                raise ValueError(f"element {g} lacks a unique two-sided inverse")
-            inverse[g] = hs[0]
-        self.inverse = inverse
-        arr = np.asarray(self.table, dtype=np.int64)
-        if n <= _FULL_VERIFY_LIMIT:
-            for a in range(n):
-                if not np.array_equal(arr[arr[a], :], arr[a][arr]):
-                    raise ValueError(f"table is not associative (witness a={a})")
-        else:
-            rng = random.Random(0xA550C)
-            for _ in range(_SPOT_CHECK_TRIPLES):
-                a, b, c = (rng.randrange(n) for _ in range(3))
-                if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                    raise ValueError(f"table is not associative (witness {(a, b, c)})")
+        self.identity = int(ones[0])
+        hits = T == self.identity
+        hits = hits & hits.T
+        lacking = np.flatnonzero(hits.sum(axis=1) != 1)
+        if len(lacking):
+            raise ValueError(f"element {lacking[0]} lacks a unique two-sided inverse")
+        self.inverse = _frozen(hits.argmax(axis=1))
 
     def _verify_gens(self) -> None:
-        ids = {g for _, g in self.gens}
-        for g in ids:
-            if self.inverse[g] not in ids:
-                raise ValueError(f"generating set not symmetric: inverse of {g} missing")
-        reached = {self.identity}
-        queue = deque([self.identity])
-        while queue:
-            g = queue.popleft()
-            for _, a in self.gens:
-                h = self.table[g][a]
-                if h not in reached:
-                    reached.add(h)
-                    queue.append(h)
-        if len(reached) != self.order:
+        T, ids = self.table, self.gen_ids
+        lacking = ids[~np.isin(self.inverse[ids], ids)]
+        if len(lacking):
+            raise ValueError(f"generating set not symmetric: inverse of {lacking[0]} missing")
+        if sum(map(len, product_layers(self, ids))) != self.order:
             raise ValueError("generators do not generate the group")
+        # Light's test: (x*a)*y == x*(a*y), rows T[x*a] against columns
+        # T[:, a*y] (np.take gathers columns far faster than T[:, idx])
+        for a in ids:
+            if not np.array_equal(T[T[:, a]], np.take(T, T[a], axis=1)):
+                raise ValueError(f"table is not associative (witness a={a})")
 
     # -- arithmetic ----------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+        return int(self.table[a, b])
 
     def inv(self, a: int) -> int:
-        return self.inverse[a]
+        return int(self.inverse[a])
 
     def elements(self) -> range:
         return range(self.order)
 
     def is_abelian(self) -> bool:
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
+        return np.array_equal(self.table, self.table.T)
 
     def element_order(self, g: int) -> int:
         n, x = 1, g
         while x != self.identity:
-            x = self.table[x][g]
+            x = self.table[x, g]
             n += 1
         return n
-
-    def alphabet(self) -> Alphabet:
-        letters = tuple(label for label, _ in self.gens)
-        involution = {}
-        id_to_label = {g: label for label, g in reversed(self.gens)}
-        for label, g in self.gens:
-            involution[label] = id_to_label[self.inverse[g]]
-        return Alphabet(letters, involution)
 
     def shortest_label_word(self, g: int) -> str:
         """Canonical product expression for g: '*'-joined generator labels
@@ -169,8 +169,9 @@ class FiniteGroup:
         queue = deque([self.identity])
         while queue:
             h = queue.popleft()
+            row = self.table[h]
             for label, a in self.gens:
-                nxt = self.table[h][a]
+                nxt = int(row[a])
                 if nxt not in parent:
                     parent[nxt] = (h, label)
                     if nxt == g:
@@ -190,12 +191,7 @@ class FiniteGroup:
         text = text.strip()
         if text in ("", "1"):
             return self.identity
-        g = self.identity
-        for label in text.split("*"):
-            if label not in self.labels:
-                raise ValueError(f"unknown generator label {label!r}")
-            g = self.table[g][self.labels[label]]
-        return g
+        return evaluate(self, MonoidWord(tuple(text.split("*"))))
 
 
 def evaluate(G: FiniteGroup, w: MonoidWord) -> int:
@@ -204,8 +200,31 @@ def evaluate(G: FiniteGroup, w: MonoidWord) -> int:
     for letter in w.letters:
         if letter not in G.labels:
             raise ValueError(f"unknown generator label {letter!r}")
-        g = G.table[g][G.labels[letter]]
-    return g
+        g = G.table[g, G.labels[letter]]
+    return int(g)
+
+
+def product_layers(G: FiniteGroup, factors) -> list[np.ndarray]:
+    """Breadth-first layers of {1} under right multiplication by ``factors``.
+
+    L_0 = [1] and L_{k+1} = L_k * factors minus every element seen so far.
+    With S_k = L_0 | ... | L_k this is exactly S_k * factors minus S_k, so
+    each element is multiplied out once, not once per layer.  Layers are
+    ascending id arrays; their union is the submonoid the factors generate.
+    """
+    T = G.table
+    factors = np.asarray(factors, dtype=np.intp)
+    seen = np.zeros(G.order, dtype=bool)
+    seen[G.identity] = True
+    layers = [np.array([G.identity])]
+    while True:
+        hit = np.zeros(G.order, dtype=bool)
+        hit[T[np.ix_(layers[-1], factors)]] = True
+        new = np.flatnonzero(hit & ~seen)
+        if not len(new):
+            return layers
+        seen[new] = True
+        layers.append(new)
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +237,14 @@ def _check_cap(order: int, cap: int, what: str) -> None:
         raise CapExceeded(f"{what}: order {order} exceeds cap {cap}")
 
 
-def _paired_gens(elems: list[tuple[str, int]], inverse: list[int]) -> list[tuple[str, int]]:
-    # append ^-1 partners for non-involutions
+def _paired_gens(elems: list[tuple[str, int]], table: np.ndarray) -> list[tuple[str, int]]:
+    # append ^-1 partners for non-involutions; the identity is id 0
     out: list[tuple[str, int]] = []
     for label, g in elems:
         out.append((label, g))
-        if inverse[g] != g:
-            out.append((label + "^-1", inverse[g]))
+        ginv = int(np.flatnonzero(table[g] == 0)[0])
+        if ginv != g:
+            out.append((label + "^-1", ginv))
     return out
 
 
@@ -233,9 +253,9 @@ def cyclic(m: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     if m < 1:
         raise ValueError("order must be positive")
     _check_cap(m, cap, "cyclic")
-    table = [[(i + j) % m for j in range(m)] for i in range(m)]
-    inverse = [(-i) % m for i in range(m)]
-    gens = _paired_gens([("a", 1)], inverse) if m > 1 else []
+    ids = np.arange(m, dtype=np.int32)
+    table = (ids[:, None] + ids) % m
+    gens = _paired_gens([("a", 1)], table) if m > 1 else []
     return FiniteGroup(table, gens, name=f"C{m}")
 
 
@@ -245,37 +265,25 @@ def dihedral(m: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     if m < 1:
         raise ValueError("m must be positive")
     _check_cap(2 * m, cap, "dihedral")
-
-    def eid(i: int, j: int) -> int:
-        return (j % 2) * m + (i % m)
-
-    table = [[0] * (2 * m) for _ in range(2 * m)]
-    for i in range(m):
-        for j in range(2):
-            for k in range(m):
-                for l in range(2):
-                    # r^i s^j r^k s^l = r^(i + (-1)^j k) s^(j+l)
-                    table[eid(i, j)][eid(k, l)] = eid(i + (k if j == 0 else -k), j + l)
-    inverse = [next(h for h in range(2 * m) if table[g][h] == 0) for g in range(2 * m)]
-    seed = ([("r", eid(1, 0))] if m >= 2 else []) + [("s", eid(0, 1))]
-    return FiniteGroup(table, _paired_gens(seed, inverse), name=f"D{m}")
+    i = np.arange(m, dtype=np.int32)
+    plus, minus = (i[:, None] + i) % m, (i[:, None] - i) % m
+    # r^i s^j r^k s^l = r^(i + (-1)^j k) s^(j+l), one block per (j, l)
+    table = np.block([[plus, plus + m], [minus + m, minus]])
+    seed = ([("r", 1)] if m >= 2 else []) + [("s", m)]
+    return FiniteGroup(table, _paired_gens(seed, table), name=f"D{m}")
 
 
 def sym3_fink(cap: int = DEFAULT_CAP) -> FiniteGroup:
     """The symmetric group on three points with generating set
     {s1, s2, c, c^-1} where c = s1*s2 in the table."""
     _check_cap(6, cap, "sym3_fink")
-    # permutations of (0,1,2); product p*q acts as p after q on points
-    def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(q[p[i]] for i in range(3))
-
-    e = (0, 1, 2)
-    s1 = (1, 0, 2)
-    s2 = (0, 2, 1)
-    c = compose(s1, s2)
-    elems = [e, s1, s2, c, compose(s2, s1), compose(s1, compose(s2, s1))]
-    index = {p: i for i, p in enumerate(elems)}
-    table = [[index[compose(p, q)] for q in elems] for p in elems]
+    # permutations of (0,1,2) as rows; the product p*q acts as p after q,
+    # (p*q)[i] = q[p[i]]
+    s1, s2 = [1, 0, 2], [0, 2, 1]
+    c = [s2[k] for k in s1]
+    perms = np.array([[0, 1, 2], s1, s2, c, [s1[k] for k in s2], [s1[k] for k in c]])
+    products = perms[np.arange(6)[:, None], perms[:, None, :]]  # [p, q, i] = q[p[i]]
+    table = (products[:, :, None, :] == perms).all(axis=3).argmax(axis=2)
     gens = [("s1", 1), ("s2", 2), ("c", 3), ("c^-1", 4)]
     return FiniteGroup(table, gens, name="S3")
 
@@ -288,20 +296,12 @@ def _base_label(label: str) -> str:
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CAP) -> FiniteGroup:
-    """Direct product; the generating set is the union of the embedded
-    factor generating sets, with H's labels relabeled to fresh letters on
-    collision."""
+    """Direct product; element (a, b) has id a*|H| + b.  The generating set
+    is the union of the embedded factor generating sets, with H's labels
+    relabeled to fresh letters on collision."""
     order = G.order * H.order
     _check_cap(order, cap, "direct_product")
-
-    def eid(a: int, b: int) -> int:
-        return a * H.order + b
-
-    table = [
-        [eid(G.table[a1][a2], H.table[b1][b2]) for a2 in range(G.order) for b2 in range(H.order)]
-        for a1 in range(G.order)
-        for b1 in range(H.order)
-    ]
+    table = (G.table[:, None, :, None] * H.order + H.table[None, :, None, :]).reshape(order, order)
     used = {_base_label(label) for label, _ in G.gens}
     fresh = iter(l for l in _FRESH_LETTERS if l not in used)
     rename: dict[str, str] = {}
@@ -310,9 +310,10 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CAP) -> Fi
         if base not in rename:
             rename[base] = next(fresh) if base in used else base
             used.add(rename[base])
-    gens = [(label, eid(g, H.identity)) for label, g in G.gens]
+    gens = [(label, g * H.order + H.identity) for label, g in G.gens]
     gens += [
-        (rename[_base_label(label)] + ("^-1" if label.endswith("^-1") else ""), eid(G.identity, h))
+        (rename[_base_label(label)] + ("^-1" if label.endswith("^-1") else ""),
+         G.identity * H.order + h)
         for label, h in H.gens
     ]
     return FiniteGroup(table, gens, name=f"{G.name}x{H.name}")
@@ -335,40 +336,21 @@ def abelian_group(moduli: list[int], cap: int = DEFAULT_CAP) -> FiniteGroup:
 
 def commutator_set(G: FiniteGroup) -> set[int]:
     """{[g, h] : g, h in G} with [g, h] = g^-1 h^-1 g h."""
-    out = set()
-    for g in range(G.order):
-        gi = G.inverse[g]
-        for h in range(G.order):
-            out.add(G.table[G.table[G.table[gi][G.inverse[h]]][g]][h])
-    return out
+    T, inv, ids = G.table, G.inverse, np.arange(G.order)
+    comms = T[T[T[inv[:, None], inv], ids[:, None]], ids]
+    return set(np.unique(comms).tolist())
 
 
 def commutator_subgroup(G: FiniteGroup) -> set[int]:
     """Subgroup generated by all commutators (closure under products)."""
-    comms = commutator_set(G)
-    sub = {G.identity}
-    queue = deque([G.identity])
-    while queue:
-        g = queue.popleft()
-        for c in comms:
-            h = G.table[g][c]
-            if h not in sub:
-                sub.add(h)
-                queue.append(h)
-    return sub
+    layers = product_layers(G, sorted(commutator_set(G)))
+    return set(np.concatenate(layers).tolist())
 
 
 def commutator_width(G: FiniteGroup) -> int:
     """Exact commutator width by product-set covering of the derived
     subgroup; 0 when the derived subgroup is trivial."""
-    comms = commutator_set(G)
-    derived = commutator_subgroup(G)
-    covered = {G.identity}
-    width = 0
-    while covered != derived:
-        covered = {G.table[g][c] for g in covered for c in comms}
-        width += 1
-    return width
+    return len(product_layers(G, sorted(commutator_set(G)))) - 1
 
 
 def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> list[int] | None:
@@ -398,7 +380,7 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> list[int] | None:
         while queue:
             x = queue.popleft()
             for g, h in assign.items():
-                xg, yh = G.table[x][g], H.table[phi[x]][h]
+                xg, yh = G.mul(x, g), H.mul(phi[x], h)
                 if xg in phi:
                     if phi[xg] != yh:
                         return None
@@ -417,13 +399,9 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> list[int] | None:
         if k == len(gen_ids):
             if len(phi) < G.order:
                 return None
-            perm = [phi[g] for g in range(G.order)]
-            ok = all(
-                H.table[perm[a]][perm[b]] == perm[G.table[a][b]]
-                for a in range(G.order)
-                for b in range(G.order)
-            )
-            return perm if ok else None
+            perm = np.array([phi[g] for g in range(G.order)])
+            ok = np.array_equal(H.table[perm[:, None], perm], perm[G.table])
+            return perm.tolist() if ok else None
         g = gen_ids[k]
         if g in phi:
             # image already forced by earlier assignments
@@ -451,20 +429,28 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _json_int(value, what: str) -> int:
+    # bool is an int subclass and JSON true/false must not pass as 1/0
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def group_from_spec(spec: dict, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """Build a group from its JSON spec.
 
     Kinds: {"kind": "cyclic", "n": m}, {"kind": "dihedral", "n": m},
     {"kind": "sym3_fink"}, {"kind": "direct_product", "factors": [...]},
     {"kind": "table", "table": [[...]], "gens": [["a", 1], ...]}.
+    Every size, table entry and generator id must be a JSON integer.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("group spec must be an object with a 'kind' field")
     kind = spec["kind"]
     if kind == "cyclic":
-        return cyclic(int(spec["n"]), cap=cap)
+        return cyclic(_json_int(spec["n"], "n"), cap=cap)
     if kind == "dihedral":
-        return dihedral(int(spec["n"]), cap=cap)
+        return dihedral(_json_int(spec["n"], "n"), cap=cap)
     if kind == "sym3_fink":
         return sym3_fink(cap=cap)
     if kind == "direct_product":
@@ -476,10 +462,25 @@ def group_from_spec(spec: dict, cap: int = DEFAULT_CAP) -> FiniteGroup:
             G = direct_product(G, group_from_spec(f, cap=cap), cap=cap)
         return G
     if kind == "table":
-        table = [[int(x) for x in row] for row in spec["table"]]
-        _check_cap(len(table), cap, "table group")
-        gens = [(str(label), int(g)) for label, g in spec["gens"]]
-        return FiniteGroup(table, gens, name=str(spec.get("name", "table")))
+        rows = spec["table"]
+        if not isinstance(rows, list):
+            raise ValueError("table must be a list of rows")
+        _check_cap(len(rows), cap, "table group")
+        for i, row in enumerate(rows):
+            if not isinstance(row, list):
+                raise ValueError(f"row {i} is not a list")
+            if len(row) != len(rows):
+                raise ValueError(f"row {i} has length {len(row)}, expected {len(rows)}")
+            if not all(type(x) is int for x in row):
+                raise ValueError(f"row {i} has an entry that is not an integer")
+        if not isinstance(spec["gens"], list):
+            raise ValueError("gens must be a list of [label, id] pairs")
+        gens = []
+        for entry in spec["gens"]:
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise ValueError(f"generator {entry!r} must be a [label, id] pair")
+            gens.append((str(entry[0]), _json_int(entry[1], "generator id")))
+        return FiniteGroup(rows, gens, name=str(spec.get("name", "table")))
     raise ValueError(f"unknown group kind {kind!r}")
 
 
@@ -488,6 +489,6 @@ def group_to_spec(G: FiniteGroup) -> dict:
     return {
         "kind": "table",
         "name": G.name,
-        "table": [list(row) for row in G.table],
+        "table": G.table.tolist(),
         "gens": [[label, g] for label, g in G.gens],
     }

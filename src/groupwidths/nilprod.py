@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 from itertools import product as iter_product
 from math import gcd, lcm, prod
 
+import numpy as np
+
 from .finite_groups import DEFAULT_CAP, CapExceeded, FiniteGroup
 from .pal_width import DEFAULT_STATE_CAP, palindromic_width
 
@@ -129,14 +131,6 @@ class NilProdGroup:
     def factor_elements(self, i: int) -> list[tuple[int, ...]]:
         return [tuple(v) for v in iter_product(*(range(m) for m in self.factor_moduli[i]))]
 
-    def _mul_coords(self, g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
-        out = [(a + b) % m for a, b, m in zip(g, h, self.radix)]
-        for (i, j, u, v), pos in self.tensor_index.items():
-            tpos = self._tensor_offset + pos
-            correction = h[self._offsets[i] + u] * g[self._offsets[j] + v]
-            out[tpos] = (out[tpos] - correction) % self.tensor_moduli[pos]
-        return tuple(out)
-
     # -- export ----------------------------------------------------------
 
     def _gen_labels(self) -> list[tuple[str, int]]:
@@ -156,8 +150,16 @@ class NilProdGroup:
         return gens
 
     def _build_group(self) -> FiniteGroup:
-        elems = [self.decode(e) for e in range(self.order)]
-        table = [[self.encode(self._mul_coords(g, h)) for h in elems] for g in elems]
+        # decode every element once; g indexes rows and h columns of the
+        # coordinate arrays, which add mod the radix before the tensor
+        # coordinates take their correction -h_i (x) g_j
+        coords = np.unravel_index(np.arange(self.order), self.radix)
+        out = [(c[:, None] + c) % m for c, m in zip(coords, self.radix)]
+        for (i, j, u, v), pos in self.tensor_index.items():
+            correction = coords[self._offsets[i] + u] * coords[self._offsets[j] + v][:, None]
+            t = self._tensor_offset + pos
+            out[t] = (out[t] - correction) % self.tensor_moduli[pos]
+        table = np.ravel_multi_index(out, self.radix)
         name = "(2){" + ",".join("x".join(map(str, m)) for m in self.factor_moduli) + "}"
         return FiniteGroup(table, self._gen_labels(), name=name)
 

@@ -4,27 +4,33 @@ A word palindrome is a word equal to its own letter reversal; an element
 is a word palindrome if some representative word is one.  An element is a
 group palindrome if some representative word's reversal evaluates to the
 same element.  Both element sets fall out of one reachability computation:
-the set of pairs (value of w, value of reversed w) over all words w, which
-is the least set containing (1, 1) closed under (g, h) -> (g*a, a*h).
+the set R of pairs (value of w, value of reversed w) over all words w,
+which is the least set containing (1, 1) closed under (g, h) -> (g*a, a*h).
+``reachable_pairs`` finds R by a frontier BFS over a flat boolean
+order*order array and returns it as an (|R|, 2) int array of (g, h) rows;
+the palindrome sets are gathers from the table at those rows.
 
-Widths are then computed by product-set layering: S_0 = {1} and
-S_{k+1} = S_k * P, where P is the palindrome element set.  Every generator
-is a one-letter palindrome, so P generates the group and the layering
-terminates with all palindromic lengths and the width in one pass.
+Widths are then computed by product-set covering: S_0 = {1} and
+S_{k+1} = S_k | S_k * P, where P is the palindrome element set.  Since
+S_k = S_{k-1} | L_k for the newest layer L_k, S_{k+1} = S_k | L_k * P, so
+only the newest layer is multiplied by P and each element is multiplied
+out once.  Every generator is a one-letter palindrome, so P generates the
+group and the covering ends with all palindromic lengths and the width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .finite_groups import CapExceeded, FiniteGroup
+import numpy as np
+
+from .finite_groups import CapExceeded, FiniteGroup, product_layers
 
 __all__ = [
     "ReachablePairs",
     "WidthReport",
     "reachable_pairs",
     "palindrome_elements",
-    "palindromic_length",
     "palindromic_width",
     "DEFAULT_STATE_CAP",
     "NOTIONS",
@@ -39,13 +45,13 @@ def _check_notion(notion: str) -> None:
         raise ValueError(f"notion must be one of {NOTIONS}, got {notion!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class ReachablePairs:
     """All pairs (value of w, value of reversed w) over words w in the
-    generator letters."""
+    generator letters, as the rows of an (|R|, 2) int array."""
 
     group: FiniteGroup
-    pairs: set[tuple[int, int]]
+    pairs: np.ndarray
 
 
 def reachable_pairs(G: FiniteGroup, state_cap: int = DEFAULT_STATE_CAP) -> ReachablePairs:
@@ -56,25 +62,16 @@ def reachable_pairs(G: FiniteGroup, state_cap: int = DEFAULT_STATE_CAP) -> Reach
             f"pair reachability needs order^2 = {n * n} states, cap is {state_cap}; "
             f"raise the cap to proceed"
         )
-    table = G.table
-    gen_ids = [a for _, a in G.gens]
-    e = G.identity
-    seen = bytearray(n * n)
-    seen[e * n + e] = 1
-    frontier = [(e, e)]
-    while frontier:
-        new: list[tuple[int, int]] = []
-        for g, h in frontier:
-            row = table[g]
-            for a in gen_ids:
-                ga, ah = row[a], table[a][h]
-                key = ga * n + ah
-                if not seen[key]:
-                    seen[key] = 1
-                    new.append((ga, ah))
-        frontier = new
-    pairs = {(k // n, k % n) for k, bit in enumerate(seen) if bit}
-    return ReachablePairs(G, pairs)
+    T, gens = G.table, G.gen_ids
+    seen = np.zeros(n * n, dtype=bool)
+    g = h = np.array([G.identity])
+    seen[G.identity * n + G.identity] = True
+    while len(g):
+        keys = T[np.ix_(g, gens)].astype(np.intp) * n + T[np.ix_(gens, h)].T
+        keys = np.unique(keys[~seen[keys]])
+        seen[keys] = True
+        g, h = np.divmod(keys, n)
+    return ReachablePairs(G, np.stack(np.divmod(np.flatnonzero(seen), n), axis=1))
 
 
 def palindrome_elements(
@@ -91,17 +88,15 @@ def palindrome_elements(
         pairs = reachable_pairs(G)
     if pairs.group is not G:
         raise ValueError("pairs were computed for a different group")
+    T = G.table
+    g, h = pairs.pairs.T
+    hit = np.zeros(G.order, dtype=bool)
     if notion == "group":
-        return {g for g, h in pairs.pairs if g == h}
-    table = G.table
-    gen_ids = [a for _, a in G.gens]
-    out: set[int] = set()
-    for g, h in pairs.pairs:
-        out.add(table[g][h])
-        row = table[g]
-        for a in gen_ids:
-            out.add(table[row[a]][h])
-    return out
+        hit[g[g == h]] = True
+    else:
+        hit[T[g, h]] = True
+        hit[T[T[g[:, None], G.gen_ids], h[:, None]]] = True
+    return set(np.flatnonzero(hit).tolist())
 
 
 @dataclass
@@ -132,25 +127,9 @@ def palindromic_width(
     """Layered covering of G by products of palindromes; exact lengths."""
     _check_notion(notion)
     pal = palindrome_elements(G, notion, reachable_pairs(G, state_cap))
-    table = G.table
-    lengths = {G.identity: 0}
-    covered = {G.identity}
-    layers = [1]
-    k = 0
-    while len(covered) < G.order:
-        k += 1
-        new = {table[g][p] for g in covered for p in pal} - covered
-        if not new:
-            raise AssertionError("palindrome covering stalled before exhausting the group")
-        for g in new:
-            lengths[g] = k
-        covered |= new
-        layers.append(len(covered))
-    width = max(lengths.values())
-    return WidthReport(notion, pal, lengths, width, layers)
-
-
-def palindromic_length(
-    G: FiniteGroup, notion: str, g: int, state_cap: int = DEFAULT_STATE_CAP
-) -> int:
-    return palindromic_width(G, notion, state_cap).lengths[g]
+    layers = product_layers(G, sorted(pal))
+    if sum(map(len, layers)) < G.order:
+        raise AssertionError("palindrome covering stalled before exhausting the group")
+    lengths = {g: k for k, layer in enumerate(layers) for g in layer.tolist()}
+    sizes = np.cumsum([len(layer) for layer in layers]).tolist()
+    return WidthReport(notion, pal, lengths, len(layers) - 1, sizes)

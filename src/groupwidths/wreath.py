@@ -58,6 +58,11 @@ class WreathGroup:
         ]
         self.coord_index = {g: i for i, g in enumerate(self.coords)}
         self.size = self.top.order
+        # list views of the top table and inverse for the per-letter folds
+        # below: a nested-list lookup takes about 25 ns, a numpy scalar
+        # lookup 100-170 ns (Python 3.11, numpy 2.4, 2-vCPU Xeon VM)
+        self._top_mul = self.top.table.tolist()
+        self._top_inv = self.top.inverse.tolist()
 
     def identity(self) -> "WreathElement":
         one = FreeWord.identity(self.rank)
@@ -100,21 +105,20 @@ def _same_group(g: WreathElement, h: WreathElement) -> WreathGroup:
 def base_action(W: WreathGroup, base: tuple[FreeWord, ...], k: int) -> tuple[FreeWord, ...]:
     """Permute coordinates by k: new index-i entry is the old entry at
     k^-1 * coords[i]."""
-    K = W.top
-    kinv = K.inverse[k]
-    return tuple(base[W.coord_index[K.table[kinv][t]]] for t in W.coords)
+    row = W._top_mul[W._top_inv[k]]
+    return tuple(base[W.coord_index[row[t]]] for t in W.coords)
 
 
 def w_multiply(g: WreathElement, h: WreathElement) -> WreathElement:
     W = _same_group(g, h)
     moved = base_action(W, h.base, g.top)
     base = tuple(a * b for a, b in zip(g.base, moved))
-    return WreathElement(W, base, W.top.table[g.top][h.top])
+    return WreathElement(W, base, W._top_mul[g.top][h.top])
 
 
 def w_invert(g: WreathElement) -> WreathElement:
     W = g.group
-    kinv = W.top.inverse[g.top]
+    kinv = W._top_inv[g.top]
     inverted = tuple(w.inverse() for w in g.base)
     return WreathElement(W, base_action(W, inverted, kinv), kinv)
 
@@ -179,9 +183,8 @@ def evaluate_letters(
     the coordinate of the running top value; ``top_letters`` maps a letter
     to a top-group element.  Runs in time linear in the word length.
     """
-    K = W.top
     stacks: list[list[list[int]]] = [[] for _ in range(W.size)]
-    top = K.identity
+    top = W.top.identity
     for letter in word.letters:
         if letter in base_letters:
             gen, exp = base_letters[letter]
@@ -193,7 +196,7 @@ def evaluate_letters(
             else:
                 stack.append([gen, exp])
         elif letter in top_letters:
-            top = K.table[top][top_letters[letter]]
+            top = W._top_mul[top][top_letters[letter]]
         else:
             raise ValueError(f"letter {letter!r} is neither a base nor a top generator")
     base = tuple(FreeWord(W.rank, tuple((g, e) for g, e in s)) for s in stacks)

@@ -143,6 +143,23 @@ class TestExitCodes:
         assert run_cli("pw", str(bad)).returncode == 2
         assert run_cli("qh", "[oops] 1").returncode == 2
         assert run_cli("decompose", "[1; 1] 1").returncode == 2
+        # JSON values that are not integers, or ragged rows, never pass
+        # through int() or crash
+        non_integer_specs = [
+            {"kind": "table", "table": [[0, 1.9], [1, 0]], "gens": [["a", 1]]},
+            {"kind": "table", "table": [[0, True], [True, 0]], "gens": [["a", 1]]},
+            {"kind": "table", "table": [["0", "1"], ["1", "0"]], "gens": [["a", 1]]},
+            {"kind": "table", "table": [[0, 1], [1]], "gens": [["a", 1]]},
+            {"kind": "table", "table": [[0, 1], [1, 0]], "gens": [["a", 1.5]]},
+            {"kind": "table", "table": [[0, 1], [1, 0]], "gens": [["a", True]]},
+            {"kind": "cyclic", "n": 2.7},
+            {"kind": "cyclic", "n": [3]},
+            {"kind": "dihedral", "n": True},
+        ]
+        for spec in non_integer_specs:
+            proc = run_cli("pw", write_spec(tmp_path, "bad_spec.json", spec))
+            assert proc.returncode == 2, (spec, proc.stderr)
+            assert "Traceback" not in proc.stderr
 
     def test_missing_file_is_2(self):
         assert run_cli("pw", "/nonexistent/spec.json").returncode == 2

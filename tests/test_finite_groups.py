@@ -2,7 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupwidths.finite_groups import (
     CapExceeded,
@@ -85,6 +88,90 @@ class TestTableVerification:
         with pytest.raises(ValueError):
             FiniteGroup(G.table, [("a", G.labels["a"])])
 
+    def test_rejects_non_associative_at_order_1024(self):
+        # identity and inverses survive the flip, so only associativity
+        # can catch it; orders above 512 were once only spot-checked
+        spec = group_to_spec(cyclic(1024, cap=2048))
+        spec["table"][5][7] = 13
+        with pytest.raises(ValueError, match="not associative"):
+            group_from_spec(spec, cap=2048)
+
+    def test_table_is_read_only_int32(self):
+        G = direct_product(dihedral(5), cyclic(3))
+        assert G.table.dtype == np.int32 and G.table.flags.c_contiguous
+        with pytest.raises(ValueError):
+            G.table[0, 0] = 1
+        scalars = [G.identity, G.order, G.mul(1, 2), G.inv(1), *G.labels.values()]
+        scalars += [g for _, g in G.gens]
+        scalars += [evaluate(G, parse_monoid_word("r s a")), G.element_from_label_word("r*a")]
+        assert all(type(x) is int for x in scalars)
+
+
+# real groups of orders 2-6 as tables with identity 0
+BASE_TABLES = [
+    group_to_spec(G)["table"] for G in [*map(cyclic, range(2, 7)), dihedral(2), sym3_fink()]
+]
+
+
+@st.composite
+def labeled_magmas(draw):
+    """A relabeled group table, with one entry overwritten half the time,
+    and generator labels on an inverse-closed subset of the group."""
+    base = draw(st.sampled_from(BASE_TABLES))
+    n = len(base)
+    perm = draw(st.permutations(range(n)))
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[base[a][b]]
+    inverse = {perm[a]: perm[base[a].index(0)] for a in range(n)}
+    if draw(st.booleans()):
+        a, b, c = (draw(st.integers(0, n - 1)) for _ in range(3))
+        table[a][b] = c
+    chosen = draw(st.sets(st.integers(0, n - 1)))
+    ids = sorted(chosen | {inverse[g] for g in chosen})
+    return table, [(f"g{g}", g) for g in ids]
+
+
+def brute_force_is_group(table, gen_ids) -> bool:
+    """Unique identity, unique two-sided inverses, all n^3 triples
+    associative, a symmetric generating set, and generation."""
+    n = len(table)
+    ones = [e for e in range(n) if all(table[e][g] == g == table[g][e] for g in range(n))]
+    if len(ones) != 1:
+        return False
+    e = ones[0]
+    inverse = {}
+    for g in range(n):
+        hs = [h for h in range(n) if table[g][h] == e == table[h][g]]
+        if len(hs) != 1:
+            return False
+        inverse[g] = hs[0]
+    r = range(n)
+    if any(table[table[a][b]][c] != table[a][table[b][c]] for a in r for b in r for c in r):
+        return False
+    if any(inverse[g] not in gen_ids for g in gen_ids):
+        return False
+    reached = {e}
+    while True:
+        grown = reached | {table[g][a] for g in reached for a in gen_ids}
+        if grown == reached:
+            return len(reached) == n
+        reached = grown
+
+
+class TestGeneratorReduction:
+    @settings(max_examples=300, deadline=None)
+    @given(labeled_magmas())
+    def test_accepts_exactly_the_groups(self, magma):
+        table, gens = magma
+        try:
+            FiniteGroup(table, gens)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == brute_force_is_group(table, {g for _, g in gens})
+
 
 class TestEvaluate:
     def test_involution(self):
@@ -154,7 +241,7 @@ class TestDirectProductCanonical:
         A, B, C = cyclic(2), cyclic(3), cyclic(4)
         left = direct_product(direct_product(A, B), C)
         right = direct_product(A, direct_product(B, C))
-        assert left.table == right.table  # mixed-radix encodings coincide
+        assert np.array_equal(left.table, right.table)  # mixed-radix encodings coincide
 
 
 class TestIsomorphism:
@@ -175,7 +262,7 @@ class TestSpecs:
     def test_round_trip(self):
         for G in (cyclic(5), dihedral(4), sym3_fink()):
             H = group_from_spec(group_to_spec(G))
-            assert H.table == G.table and H.gens == G.gens
+            assert np.array_equal(H.table, G.table) and H.gens == G.gens
 
     def test_kinds(self):
         spec = {"kind": "direct_product", "factors": [{"kind": "cyclic", "n": 4}, {"kind": "cyclic", "n": 4}]}
@@ -184,3 +271,8 @@ class TestSpecs:
             group_from_spec({"kind": "frobnicate"})
         with pytest.raises(ValueError):
             group_from_spec({"no": "kind"})
+
+    def test_rejects_ragged_rows(self):
+        spec = {"kind": "table", "table": [[0, 1], [1]], "gens": [["a", 1]]}
+        with pytest.raises(ValueError, match="row 1 has length 1"):
+            group_from_spec(spec)
