@@ -34,8 +34,6 @@ from .free_words import (
     format_monoid_word,
     free_alphabet,
     free_commutator,
-    free_invert,
-    free_multiply,
     is_word_palindrome,
     parse_free_word,
     parse_monoid_word,
@@ -66,9 +64,11 @@ from .wreath import (
     WreathElement,
     WreathGroup,
     certify_cw_lower_bound,
+    commutator_length_bound,
     delta,
     evaluate_letters,
     format_wreath_element,
+    in_derived_subgroup,
     parse_wreath_element,
     q_sequence,
     w_commutator,

@@ -17,7 +17,7 @@ import sys
 import time
 
 from .decompose import InvariantViolation, decompose, s3_wreath_context
-from .finite_groups import DEFAULT_CAP, CapExceeded, group_from_spec
+from .finite_groups import DEFAULT_CAP, CapExceeded, _json_int, group_from_spec
 from .free_words import format_monoid_word, is_word_palindrome
 from .nilprod import bound_report, nilprod2_multi
 from .pal_width import palindromic_width
@@ -26,6 +26,7 @@ from .wreath import (
     certify_cw_lower_bound,
     delta,
     format_wreath_element,
+    in_derived_subgroup,
     parse_wreath_element,
 )
 
@@ -98,6 +99,7 @@ def cmd_qh(args: argparse.Namespace) -> dict:
     result = {
         "element": format_wreath_element(g),
         "delta": d,
+        "in_derived_subgroup": in_derived_subgroup(g),
         "top_order": l,
         "certificate": None
         if cert is None
@@ -138,11 +140,13 @@ def cmd_nilprod(args: argparse.Namespace) -> dict:
     specs, raw = _read_json(args.specs)
     if isinstance(specs, dict):
         specs = specs.get("factors", [specs])
+    if not isinstance(specs, list):
+        raise ValueError("factor specs must be a list")
     moduli = []
     for s in specs:
-        if not isinstance(s, dict) or "moduli" not in s:
+        if not isinstance(s, dict) or not isinstance(s.get("moduli"), list):
             raise ValueError('each factor spec must be {"moduli": [m1, m2, ...]}')
-        moduli.append([int(m) for m in s["moduli"]])
+        moduli.append([_json_int(m, "modulus") for m in s["moduli"]])
     np_group = nilprod2_multi(moduli, cap=args.cap)
     report = bound_report(np_group, include_exact=not args.no_exact)
     verification = {"bounds_ordered": report.lower <= report.upper, "sandwich": report.holds()}

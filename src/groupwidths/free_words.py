@@ -22,8 +22,6 @@ __all__ = [
     "is_word_palindrome",
     "tr",
     "ql",
-    "free_multiply",
-    "free_invert",
     "free_commutator",
     "parse_monoid_word",
     "format_monoid_word",
@@ -167,12 +165,25 @@ class FreeWord:
         return not self.syllables
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
+        """Product of reduced words, reduced only at the seam.
+
+        Costs O(c) Python steps for the c syllable pairs that cancel at the
+        seam, plus one O(len(self) + len(other)) tuple join and validation.
+        """
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
-        stack = [list(s) for s in self.syllables]
-        for gen, exp in other.syllables:
-            _push_syllable(stack, gen, exp)
-        return FreeWord(self.rank, tuple((g, e) for g, e in stack))
+        left, right = self.syllables, other.syllables
+        # walk inward while the syllables at the seam cancel exactly
+        i, j, n = len(left), 0, len(right)
+        while i and j < n and left[i - 1][0] == right[j][0] and left[i - 1][1] == -right[j][1]:
+            i -= 1
+            j += 1
+        if i and j < n and left[i - 1][0] == right[j][0]:
+            # same generator, nonzero total: merge the one pair; its outer
+            # neighbours are on other generators since both words are reduced
+            merged = ((right[j][0], left[i - 1][1] + right[j][1]),)
+            return FreeWord(self.rank, left[: i - 1] + merged + right[j + 1 :])
+        return FreeWord(self.rank, left[:i] + right[j:])
 
     def inverse(self) -> "FreeWord":
         return FreeWord(self.rank, tuple((g, -e) for g, e in reversed(self.syllables)))
@@ -220,14 +231,6 @@ def ql(w: FreeWord | MonoidWord) -> int:
     if isinstance(w, MonoidWord):
         w = reduce_word(w)
     return sum(tr(exp) for _, exp in w.syllables)
-
-
-def free_multiply(u: FreeWord, v: FreeWord) -> FreeWord:
-    return u * v
-
-
-def free_invert(u: FreeWord) -> FreeWord:
-    return u.inverse()
 
 
 def free_commutator(u: FreeWord, v: FreeWord) -> FreeWord:
@@ -283,11 +286,37 @@ def _split_commutator(text: str) -> tuple[str, str]:
     raise ValueError(f"malformed commutator expression: {text!r}")
 
 
+def _parse_syllable(atom: str) -> tuple[int, int]:
+    atom = _LETTER_ALIASES.get(atom, atom)
+    m = _SYLLABLE_RE.match(atom)
+    if m is None:
+        raise ValueError(f"not a syllable: {atom!r}")
+    return int(m.group(1)), int(m.group(2)) if m.group(2) else 1
+
+
+def _parse_atom(atom: str, rank: int | None) -> FreeWord:
+    # one atom as a word of rank max(generator, rank); commutator
+    # arguments are atoms themselves, so "[[x,y],x]" nests
+    if atom == "1":
+        return FreeWord.identity(rank or 1)
+    if atom.startswith("["):
+        if not atom.endswith("]"):
+            raise ValueError(f"malformed commutator expression: {atom!r}")
+        left, right = _split_commutator(atom)
+        u, v = _parse_atom(left.strip(), rank), _parse_atom(right.strip(), rank)
+        r0 = max(u.rank, v.rank, rank or 1)
+        return free_commutator(FreeWord(r0, u.syllables), FreeWord(r0, v.syllables))
+    gen, exp = _parse_syllable(atom)
+    return FreeWord(max(gen, rank or 1), ((gen, exp),) if exp else ())
+
+
 def parse_free_word(text: str, rank: int | None = None) -> FreeWord:
     """Parse the syllable text format; "1" is the identity.
 
     Accepts x/y as aliases for x1/x2 and "[u,v]" commutator atoms, e.g.
-    "[x,y] x1^2".
+    "[x,y] x1^2".  The rank defaults to the largest generator index in the
+    text.  Runs in time linear in the text: every atom's syllables go onto
+    one reduction stack, and one word is built and validated at the end.
     """
     text = text.strip()
     atoms: list[str] = []
@@ -309,29 +338,23 @@ def parse_free_word(text: str, rank: int | None = None) -> FreeWord:
     if start < len(text):
         atoms.append(text[start:])
 
-    def parse_atom(atom: str) -> FreeWord:
+    stack: list[list[int]] = []
+    max_gen = 1
+    for atom in atoms:
         if atom == "1":
-            return FreeWord.identity(rank or 1)
+            continue
         if atom.startswith("["):
-            if not atom.endswith("]"):
-                raise ValueError(f"malformed commutator expression: {atom!r}")
-            left, right = _split_commutator(atom)
-            u, v = parse_atom(left.strip()), parse_atom(right.strip())
-            r0 = max(u.rank, v.rank, rank or 1)
-            return free_commutator(FreeWord(r0, u.syllables), FreeWord(r0, v.syllables))
-        atom = _LETTER_ALIASES.get(atom, atom)
-        m = _SYLLABLE_RE.match(atom)
-        if m is None:
-            raise ValueError(f"not a syllable: {atom!r}")
-        gen = int(m.group(1))
-        exp = int(m.group(2)) if m.group(2) else 1
-        return FreeWord(max(gen, rank or 1), ((gen, exp),) if exp else ())
-
-    if not atoms:
-        return FreeWord.identity(rank or 1)
-    parsed = [parse_atom(a) for a in atoms]
-    r = rank or max(w.rank for w in parsed)
-    out = FreeWord.identity(r)
-    for w in parsed:
-        out = out * FreeWord(r, w.syllables)
-    return out
+            word = _parse_atom(atom, rank)
+            max_gen = max(max_gen, word.rank)
+            syllables = word.syllables
+        else:
+            gen, exp = _parse_syllable(atom)
+            max_gen = max(max_gen, gen)
+            syllables = ((gen, exp),)
+        for gen, exp in syllables:
+            # checked per atom: a syllable that cancels later is never
+            # seen by the final FreeWord validation
+            if exp and not 1 <= gen <= (rank or gen):
+                raise ValueError(f"generator index {gen} out of range")
+            _push_syllable(stack, gen, exp)
+    return FreeWord(rank or max_gen, tuple((g, e) for g, e in stack))

@@ -65,6 +65,9 @@ class NilProdGroup:
         self.s = len(self.factor_moduli)
         if self.s < 1:
             raise ValueError("at least one factor required")
+        if self.s > len(string.ascii_lowercase):
+            # generator labels are one letter per factor
+            raise ValueError(f"at most {len(string.ascii_lowercase)} factors, got {self.s}")
         # tensor coordinates: one per (factor pair, summand pair) with gcd > 1
         self.tensor_index: dict[tuple[int, int, int, int], int] = {}
         self.tensor_moduli: list[int] = []

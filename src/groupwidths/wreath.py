@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .finite_groups import FiniteGroup
+from .finite_groups import FiniteGroup, commutator_subgroup
 from .free_words import FreeWord, MonoidWord, format_free_word, parse_free_word, ql
 
 __all__ = [
@@ -35,6 +35,8 @@ __all__ = [
     "base_action",
     "delta",
     "q_sequence",
+    "in_derived_subgroup",
+    "commutator_length_bound",
     "certify_cw_lower_bound",
     "evaluate_letters",
     "parse_wreath_element",
@@ -146,29 +148,49 @@ def q_sequence(W: WreathGroup, j: int) -> WreathElement:
     return W.from_base_word(word)
 
 
+def in_derived_subgroup(g: WreathElement) -> bool:
+    """True iff g is a product of commutators.
+
+    The abelianization of F_n wr K is Z^n x K^ab: the image of g is its
+    exponent sum per generator over all coordinates together with the
+    class of its top, so g is in the derived subgroup iff every exponent
+    sum is zero and the top lies in [K, K].
+    """
+    sums: dict[int, int] = {}
+    for w in g.base:
+        for gen, exp in w.syllables:
+            sums[gen] = sums.get(gen, 0) + exp
+    return not any(sums.values()) and g.top in commutator_subgroup(g.group.top)
+
+
 @dataclass(frozen=True)
 class CommutatorCertificate:
-    """Certified lower bound: any expression of the element as a product
-    of commutators needs at least ``lower_bound`` of them (contingent on
-    the element lying in the derived subgroup)."""
+    """Certified lower bound: any expression of the element, which lies in
+    the derived subgroup, as a product of commutators needs at least
+    ``lower_bound`` of them."""
 
     element: WreathElement
     delta: int
     lower_bound: int
 
 
+def commutator_length_bound(d: int, l: int) -> int | None:
+    """Least m with |d| <= 3*l*(6m-1), for top order l: a product of fewer
+    than m commutators would violate the delta bound.  None when m would
+    be 1 (no information)."""
+    m = -(-(abs(d) + 3 * l) // (18 * l))
+    return m if m > 1 else None
+
+
 def certify_cw_lower_bound(g: WreathElement) -> CommutatorCertificate | None:
-    """Least m with |delta(g)| <= 3*l*(6m-1); a product of fewer than m
-    commutators would violate the bound.  None when m would be 1 (no
-    information)."""
-    d = abs(delta(g))
-    l = g.group.size
-    if d <= 15 * l:
+    """Commutator-length lower bound from delta(g); None when g is not in
+    the derived subgroup (it is no product of commutators at all) or the
+    bound carries no information."""
+    if not in_derived_subgroup(g):
         return None
-    m = 1
-    while d > 3 * l * (6 * m - 1):
-        m += 1
-    return CommutatorCertificate(g, delta(g), m)
+    d = delta(g)
+    m = commutator_length_bound(d, g.group.size)
+    return None if m is None else CommutatorCertificate(g, d, m)
 
 
 def evaluate_letters(
@@ -233,8 +255,6 @@ def parse_wreath_element(W: WreathGroup, text: str) -> WreathElement:
     parts = text[1:close].split(";")
     if len(parts) != W.size:
         raise ValueError(f"expected {W.size} base coordinates, got {len(parts)}")
-    base = tuple(
-        FreeWord(W.rank, parse_free_word(p.strip(), rank=W.rank).syllables) for p in parts
-    )
+    base = tuple(parse_free_word(p.strip(), rank=W.rank) for p in parts)
     top = W.top.element_from_label_word(text[close + 1 :])
     return WreathElement(W, base, top)

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 from groupwidths.free_words import FreeWord
 from groupwidths.wreath import WreathElement, WreathGroup
+
+# the CLI tests run `python -m groupwidths.cli` in a subprocess; put this
+# checkout's src/ on its path too, as pyproject's pythonpath does in-process
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def random_reduced_word(rng: random.Random, rank: int, max_letters: int) -> FreeWord:

@@ -82,7 +82,16 @@ class TestQh:
         report = report_of(run_cli("qh", text))
         assert report["result"]["delta"] == 360
         assert report["result"]["certificate"]["commutator_length_at_least"] == 4
+        assert report["result"]["in_derived_subgroup"] is True
         assert all(report["verification"].values())
+
+    def test_no_certificate_outside_derived_subgroup(self):
+        # delta 140 would certify 2, but the exponent sums are 70
+        text = "[" + " ".join(["x1 x2"] * 70) + "; 1; 1; 1; 1; 1] 1"
+        report = report_of(run_cli("qh", text))
+        assert report["result"]["delta"] == 140
+        assert report["result"]["in_derived_subgroup"] is False
+        assert report["result"]["certificate"] is None
 
     def test_identity(self, W):
         report = report_of(run_cli("qh", format_wreath_element(W.identity())))
@@ -158,6 +167,19 @@ class TestExitCodes:
         ]
         for spec in non_integer_specs:
             proc = run_cli("pw", write_spec(tmp_path, "bad_spec.json", spec))
+            assert proc.returncode == 2, (spec, proc.stderr)
+            assert "Traceback" not in proc.stderr
+        # nilprod moduli are JSON integers, and factors are labeled a..z
+        bad_nilprod_specs = [
+            [{"moduli": [2.5]}, {"moduli": [2]}],
+            [{"moduli": ["3"]}, {"moduli": [2]}],
+            [{"moduli": [True]}, {"moduli": [2]}],
+            [{"moduli": 3}, {"moduli": [2]}],
+            {"factors": 5},
+            [{"moduli": [1]}] * 27,
+        ]
+        for spec in bad_nilprod_specs:
+            proc = run_cli("nilprod", write_spec(tmp_path, "bad_nilprod.json", spec))
             assert proc.returncode == 2, (spec, proc.stderr)
             assert "Traceback" not in proc.stderr
 

@@ -13,8 +13,6 @@ from groupwidths.free_words import (
     format_monoid_word,
     free_alphabet,
     free_commutator,
-    free_invert,
-    free_multiply,
     is_word_palindrome,
     parse_free_word,
     parse_monoid_word,
@@ -27,6 +25,23 @@ from conftest import random_reduced_word
 
 letters_rank2 = st.sampled_from(["x1", "x1^-1", "x2", "x2^-1"])
 monoid_words = st.lists(letters_rank2, max_size=40).map(lambda ls: MonoidWord(tuple(ls)))
+free_words_rank2 = monoid_words.map(lambda w: reduce_word(w, rank=2))
+
+# text atoms with their spelled-out letters: syllables x<g>^<e> (e may be
+# 0), commutators [x<g>,x<h>] = x<g>^-1 x<h>^-1 x<g> x<h>, and "1"
+syllable_atoms = st.tuples(st.integers(1, 3), st.integers(-3, 3)).map(
+    lambda ge: (f"x{ge[0]}^{ge[1]}", (f"x{ge[0]}" if ge[1] > 0 else f"x{ge[0]}^-1",) * abs(ge[1]))
+)
+commutator_atoms = st.tuples(st.integers(1, 3), st.integers(1, 3)).map(
+    lambda gh: (f"[x{gh[0]},x{gh[1]}]", (f"x{gh[0]}^-1", f"x{gh[1]}^-1", f"x{gh[0]}", f"x{gh[1]}"))
+)
+text_atoms = st.one_of(syllable_atoms, syllable_atoms, commutator_atoms, st.just(("1", ())))
+
+
+def inverse_atom(atom: tuple[str, tuple[str, ...]]) -> tuple[str, tuple[str, ...]]:
+    """The inverse of an atom, spelled letter by letter."""
+    letters = tuple(l[:-3] if l.endswith("^-1") else l + "^-1" for l in reversed(atom[1]))
+    return " ".join(letters) or "1", letters
 
 
 class TestTr:
@@ -93,11 +108,11 @@ class TestPalindromePredicate:
 class TestGroupOps:
     def test_multiply_cancel(self):
         x = FreeWord.generator(2, 1)
-        assert free_multiply(x, x.inverse()).is_identity()
+        assert (x * x.inverse()).is_identity()
 
     def test_invert(self):
         w = parse_free_word("x1^2 x2")
-        assert free_invert(w) == parse_free_word("x2^-1 x1^-2")
+        assert w.inverse() == parse_free_word("x2^-1 x1^-2")
 
     def test_commutator(self):
         x, y = FreeWord.generator(2, 1), FreeWord.generator(2, 2)
@@ -106,7 +121,19 @@ class TestGroupOps:
 
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
-            free_multiply(FreeWord.generator(2, 1), FreeWord.generator(3, 1))
+            FreeWord.generator(2, 1) * FreeWord.generator(3, 1)
+
+    @given(free_words_rank2, free_words_rank2, st.data())
+    def test_deep_cancellation_at_the_seam(self, u, w, data):
+        # v starts with the inverse of a letter suffix of u, so u * v
+        # cancels that suffix across the seam and may merge one syllable
+        letters = u.to_letters().letters
+        k = data.draw(st.integers(0, len(letters)))
+        suffix = reduce_word(MonoidWord(letters[k:]), rank=2)
+        v = suffix.inverse() * w
+        expected = reduce_word(u.to_letters() * v.to_letters(), rank=2)
+        assert u * v == expected
+        assert u * v == reduce_word(MonoidWord(letters[:k]) * w.to_letters(), rank=2)
 
     def test_group_axioms_random(self):
         rng = random.Random(11)
@@ -181,6 +208,25 @@ class TestTextFormats:
         w = parse_monoid_word("s1 s2 y^-1 s2 s1")
         assert format_monoid_word(w) == "s1 s2 y^-1 s2 s1"
         assert format_monoid_word(MonoidWord()) == "1"
+
+    @given(st.lists(text_atoms, max_size=12), st.data())
+    def test_atoms_cancel_across_boundaries(self, atoms, data):
+        # append the inverses of a random tail of the atoms (spelled as
+        # plain syllables), then more atoms: the parse must reduce across
+        # every atom boundary exactly as reduce_word does on the letters
+        k = data.draw(st.integers(0, len(atoms)))
+        tail = [inverse_atom(a) for a in reversed(atoms[k:])]
+        atoms = atoms + tail + data.draw(st.lists(text_atoms, max_size=4))
+        text = " ".join(t for t, _ in atoms) or "1"
+        letters = tuple(l for _, ls in atoms for l in ls)
+        assert parse_free_word(text, rank=3) == reduce_word(MonoidWord(letters), rank=3)
+
+    def test_cancelled_syllables_are_still_range_checked(self):
+        with pytest.raises(ValueError):
+            parse_free_word("x3 x3^-1", rank=2)
+        with pytest.raises(ValueError):
+            parse_free_word("x0 x0^-1")
+        assert parse_free_word("x3 x3^-1").rank == 3
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):

@@ -10,8 +10,10 @@ from groupwidths.wreath import (
     WreathElement,
     WreathGroup,
     certify_cw_lower_bound,
+    commutator_length_bound,
     delta,
     format_wreath_element,
+    in_derived_subgroup,
     parse_wreath_element,
     q_sequence,
     w_commutator,
@@ -156,6 +158,51 @@ class TestCertificates:
             assert abs(cert.delta) > 3 * l * (6 * (cert.lower_bound - 1) - 1)
             assert abs(cert.delta) <= 3 * l * (6 * cert.lower_bound - 1)
 
+    def test_closed_form_matches_the_search(self):
+        def least_m(d, l):
+            if d <= 15 * l:
+                return None
+            m = 1
+            while d > 3 * l * (6 * m - 1):
+                m += 1
+            return m
+
+        for l in (1, 2, 6, 8):
+            for d in range(2001):
+                assert commutator_length_bound(d, l) == least_m(d, l), (d, l)
+                assert commutator_length_bound(-d, l) == least_m(d, l), (-d, l)
+
+    def test_no_certificate_outside_derived_subgroup(self, W):
+        # (x1 x2)^70 has delta 140 > 15 * 6 but exponent sums 70, so it is
+        # no product of commutators and no commutator length is certified
+        g = W.from_base_word(parse_free_word(" ".join(["x1 x2"] * 70), rank=2))
+        assert delta(g) == 140
+        assert not in_derived_subgroup(g)
+        assert certify_cw_lower_bound(g) is None
+        # a top outside [S3, S3] = {1, c, c^-1}, with a base in the derived subgroup
+        s1 = W.top.labels["s1"]
+        assert not in_derived_subgroup(W.from_top(s1))
+        assert certify_cw_lower_bound(WreathElement(W, q_sequence(W, 60).base, s1)) is None
+
+    def test_derived_subgroup_membership(self, W):
+        rng = random.Random(8)
+        c = W.top.labels["c"]
+        for _ in range(50):
+            g = random_wreath_element(rng, W, 6)
+            h = random_wreath_element(rng, W, 6)
+            assert in_derived_subgroup(w_commutator(g, h))
+            assert in_derived_subgroup(w_multiply(w_commutator(g, h), w_commutator(h, g)))
+            # exponent sums count over all coordinates: w at one coordinate
+            # and w^-1 at another is in the derived subgroup
+            w = random_wreath_element(rng, W, 6).base[0]
+            split = w_multiply(W.from_base_word(w), W.from_base_word(w.inverse(), W.coord_index[c]))
+            assert in_derived_subgroup(split)
+            assert in_derived_subgroup(W.from_top(c))
+            assert in_derived_subgroup(g) == (
+                all(sum(u.exponent_sum(gen) for u in g.base) == 0 for gen in (1, 2))
+                and g.top in (W.top.identity, c, W.top.inverse[c])
+            )
+
     def test_unbounded_in_j(self, W):
         bounds = []
         for j in range(1, 200):
@@ -183,6 +230,14 @@ class TestTextFormat:
         for k in W.top.elements():
             g = W.from_top(k)
             assert parse_wreath_element(W, format_wreath_element(g)) == g
+
+    def test_long_witness_parses_linearly(self, W):
+        # about 90 KB of text with 30k syllables, and 360 KB spelled out
+        q = q_sequence(W, 5000)
+        text = format_wreath_element(q)
+        assert parse_wreath_element(W, text) == q
+        spelled = " ".join(q.base[0].to_letters().letters)
+        assert parse_free_word(spelled, rank=2) == q.base[0]
 
     def test_rejects_malformed(self, W):
         with pytest.raises(ValueError):
