@@ -9,6 +9,7 @@ report are recomputed at emission time.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -17,7 +18,7 @@ import sys
 import time
 
 from .decompose import InvariantViolation, decompose, s3_wreath_context
-from .finite_groups import DEFAULT_CAP, CapExceeded, _json_int, group_from_spec
+from .finite_groups import DEFAULT_CAP, CapExceeded, group_from_spec
 from .free_words import format_monoid_word, is_word_palindrome
 from .nilprod import bound_report, nilprod2_multi
 from .pal_width import palindromic_width
@@ -80,8 +81,9 @@ def _wreath_group_for(args: argparse.Namespace) -> WreathGroup:
         K = s3_wreath_context().group.top
     rank = args.rank
     if rank is None:
-        indices = [int(m) for m in re.findall(r"x(\d+)", args.element)]
-        rank = max([2] + indices)
+        # one int() per distinct index, not per syllable of the text
+        indices = set(re.findall(r"x(\d+)", args.element))
+        rank = max([2] + [int(m) for m in indices])
     return WreathGroup(rank, K)
 
 
@@ -146,40 +148,42 @@ def cmd_nilprod(args: argparse.Namespace) -> dict:
     for s in specs:
         if not isinstance(s, dict) or not isinstance(s.get("moduli"), list):
             raise ValueError('each factor spec must be {"moduli": [m1, m2, ...]}')
-        moduli.append([_json_int(m, "modulus") for m in s["moduli"]])
+        moduli.append(s["moduli"])
     np_group = nilprod2_multi(moduli, cap=args.cap)
     report = bound_report(np_group, include_exact=not args.no_exact)
     verification = {"bounds_ordered": report.lower <= report.upper, "sandwich": report.holds()}
     return {
         "command": "nilprod",
         "input_digest": _digest(raw),
-        "input": {"factors": moduli, "order": np_group.order},
+        "input": {"factors": np_group.factor_moduli, "order": np_group.order},
         "result": report.to_json(),
         "verification": verification,
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  ``--cap`` defaults to
+    None: ``main`` reads ``GROUPWIDTHS_CAP`` on every call."""
     parser = argparse.ArgumentParser(
         prog="groupwidths",
         description="palindromic/commutator width oracles and certificates",
     )
     parser.add_argument("--pretty", action="store_true", help="indent the JSON report")
-    default_cap = int(os.environ.get(CAP_ENV_VAR, DEFAULT_CAP))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pw", help="exact palindromic width of a finite group")
     p.add_argument("group_spec", help="path to a group spec JSON file")
     p.add_argument("--notion", choices=("word", "group"), default="word")
     p.add_argument("--lengths", action="store_true", help="include per-element lengths")
-    p.add_argument("--cap", type=int, default=default_cap)
+    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=cmd_pw)
 
     p = sub.add_parser("qh", help="delta value and commutator-length certificate")
     p.add_argument("element", help='wreath element text "[w1; ...; wl] k"')
     p.add_argument("--top", default=None, help="group spec JSON for the top group (default S3)")
     p.add_argument("--rank", type=int, default=None, help="free rank (default: inferred, >= 2)")
-    p.add_argument("--cap", type=int, default=default_cap)
+    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=cmd_qh)
 
     p = sub.add_parser("decompose", help="palindrome decomposition in F2 wr S3")
@@ -189,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nilprod", help="width bounds for a 2-nilpotent product")
     p.add_argument("specs", help='path to JSON [{"moduli": [...]}, ...]')
     p.add_argument("--no-exact", action="store_true", help="skip the exact width oracle")
-    p.add_argument("--cap", type=int, default=default_cap)
+    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=cmd_nilprod)
     return parser
 
@@ -198,6 +202,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
+        if getattr(args, "cap", 0) is None:
+            # pw, qh and nilprod without --cap: the environment is read on
+            # every call, so the one cached parser serves any environment
+            raw_cap = os.environ.get(CAP_ENV_VAR)
+            try:
+                args.cap = DEFAULT_CAP if raw_cap is None else int(raw_cap)
+            except ValueError:
+                raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw_cap!r}") from None
         report = args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

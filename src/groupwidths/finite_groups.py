@@ -471,7 +471,7 @@ def group_from_spec(spec: dict, cap: int = DEFAULT_CAP) -> FiniteGroup:
                 raise ValueError(f"row {i} is not a list")
             if len(row) != len(rows):
                 raise ValueError(f"row {i} has length {len(row)}, expected {len(rows)}")
-            if not all(type(x) is int for x in row):
+            if set(map(type, row)) != {int}:
                 raise ValueError(f"row {i} has an entry that is not an integer")
         if not isinstance(spec["gens"], list):
             raise ValueError("gens must be a list of [label, id] pairs")

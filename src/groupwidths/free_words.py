@@ -218,6 +218,10 @@ def reduce_word(w: MonoidWord, rank: int | None = None) -> FreeWord:
     max_gen = 1
     for letter in w.letters:
         gen, exp = _letter_to_syllable(letter)
+        # checked per letter: a letter that cancels later is never seen by
+        # the final FreeWord validation
+        if not 1 <= gen <= (rank or gen):
+            raise ValueError(f"generator index {gen} out of range")
         max_gen = max(max_gen, gen)
         _push_syllable(stack, gen, exp)
     if rank is None:
@@ -230,7 +234,7 @@ def ql(w: FreeWord | MonoidWord) -> int:
     reduced form.  Unreduced input is reduced first."""
     if isinstance(w, MonoidWord):
         w = reduce_word(w)
-    return sum(tr(exp) for _, exp in w.syllables)
+    return sum(_TR_BY_RESIDUE[exp % 3] for _, exp in w.syllables)
 
 
 def free_commutator(u: FreeWord, v: FreeWord) -> FreeWord:
@@ -315,46 +319,59 @@ def parse_free_word(text: str, rank: int | None = None) -> FreeWord:
 
     Accepts x/y as aliases for x1/x2 and "[u,v]" commutator atoms, e.g.
     "[x,y] x1^2".  The rank defaults to the largest generator index in the
-    text.  Runs in time linear in the text: every atom's syllables go onto
-    one reduction stack, and one word is built and validated at the end.
+    text.  Runs in time linear in the text, with one C-level split over it:
+    Python visits each space-separated token once, walks characters only
+    in tokens that hold a bracket, and matches each distinct atom once.
+    Every atom's syllables go onto one reduction stack, and one word is
+    built and validated at the end.
     """
     text = text.strip()
+    # atoms are the runs of space-separated tokens at bracket depth 0;
+    # the tokens of a commutator atom are rejoined with the spaces they had
     atoms: list[str] = []
+    pending: list[str] = []
     depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced brackets in {text!r}")
-        elif ch == " " and depth == 0:
-            if start < i:
-                atoms.append(text[start:i])
-            start = i + 1
-    if depth != 0:
+    for token in text.split(" "):
+        if "[" in token or "]" in token:
+            for ch in token:
+                if ch == "[":
+                    depth += 1
+                elif ch == "]":
+                    depth -= 1
+                    if depth < 0:
+                        raise ValueError(f"unbalanced brackets in {text!r}")
+        elif not depth:
+            if token:
+                atoms.append(token)
+            continue
+        pending.append(token)
+        if not depth:
+            atoms.append(" ".join(pending))
+            pending.clear()
+    if depth:
         raise ValueError(f"unbalanced brackets in {text!r}")
-    if start < len(text):
-        atoms.append(text[start:])
 
     stack: list[list[int]] = []
     max_gen = 1
+    # syllables of each distinct atom, parsed and range-checked once
+    parsed: dict[str, tuple[tuple[int, int], ...]] = {"1": ()}
     for atom in atoms:
-        if atom == "1":
-            continue
-        if atom.startswith("["):
-            word = _parse_atom(atom, rank)
-            max_gen = max(max_gen, word.rank)
-            syllables = word.syllables
-        else:
-            gen, exp = _parse_syllable(atom)
-            max_gen = max(max_gen, gen)
-            syllables = ((gen, exp),)
+        syllables = parsed.get(atom)
+        if syllables is None:
+            if atom.startswith("["):
+                word = _parse_atom(atom, rank)
+                max_gen = max(max_gen, word.rank)
+                syllables = word.syllables
+            else:
+                gen, exp = _parse_syllable(atom)
+                max_gen = max(max_gen, gen)
+                syllables = ((gen, exp),)
+            for gen, exp in syllables:
+                # checked per atom: a syllable that cancels later is never
+                # seen by the final FreeWord validation
+                if exp and not 1 <= gen <= (rank or gen):
+                    raise ValueError(f"generator index {gen} out of range")
+            parsed[atom] = syllables
         for gen, exp in syllables:
-            # checked per atom: a syllable that cancels later is never
-            # seen by the final FreeWord validation
-            if exp and not 1 <= gen <= (rank or gen):
-                raise ValueError(f"generator index {gen} out of range")
             _push_syllable(stack, gen, exp)
     return FreeWord(rank or max_gen, tuple((g, e) for g, e in stack))

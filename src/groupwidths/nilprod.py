@@ -29,7 +29,7 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from .finite_groups import DEFAULT_CAP, CapExceeded, FiniteGroup
+from .finite_groups import DEFAULT_CAP, CapExceeded, FiniteGroup, _json_int
 from .pal_width import DEFAULT_STATE_CAP, palindromic_width
 
 __all__ = [
@@ -46,7 +46,7 @@ __all__ = [
 
 
 def _validate_moduli(moduli: list[int]) -> list[int]:
-    out = [int(m) for m in moduli]
+    out = [_json_int(m, "modulus") for m in moduli]
     if not out or any(m < 1 for m in out):
         raise ValueError(f"moduli must be positive integers, got {moduli}")
     return out

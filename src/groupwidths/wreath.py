@@ -20,7 +20,9 @@ length lower bounds that grow without bound along the q_j sequence.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .finite_groups import FiniteGroup, commutator_subgroup
 from .free_words import FreeWord, MonoidWord, format_free_word, parse_free_word, ql
@@ -65,6 +67,11 @@ class WreathGroup:
         # lookup 100-170 ns (Python 3.11, numpy 2.4, 2-vCPU Xeon VM)
         self._top_mul = self.top.table.tolist()
         self._top_inv = self.top.inverse.tolist()
+
+    @cached_property
+    def derived_top(self) -> frozenset[int]:
+        """The derived subgroup [K, K] of the top group, computed on first use."""
+        return frozenset(commutator_subgroup(self.top))
 
     def identity(self) -> "WreathElement":
         one = FreeWord.identity(self.rank)
@@ -156,11 +163,11 @@ def in_derived_subgroup(g: WreathElement) -> bool:
     class of its top, so g is in the derived subgroup iff every exponent
     sum is zero and the top lies in [K, K].
     """
-    sums: dict[int, int] = {}
+    sums = [0] * (max(w.rank for w in g.base) + 1)
     for w in g.base:
         for gen, exp in w.syllables:
-            sums[gen] = sums.get(gen, 0) + exp
-    return not any(sums.values()) and g.top in commutator_subgroup(g.group.top)
+            sums[gen] += exp
+    return not any(sums) and g.top in g.group.derived_top
 
 
 @dataclass(frozen=True)
@@ -236,19 +243,28 @@ def format_wreath_element(g: WreathElement) -> str:
     return f"[{body}] {g.group.top.shortest_label_word(g.top)}"
 
 
+_BRACKET_RE = re.compile(r"[\[\]]")
+
+
 def parse_wreath_element(W: WreathGroup, text: str) -> WreathElement:
+    """Parse "[w1; ...; wl] k" as written by ``format_wreath_element``.
+
+    Runs in time linear in the text: the closing bracket is found by a
+    regex scan that hands Python only the bracket positions, and each
+    coordinate costs one ``parse_free_word``.
+    """
     text = text.strip()
     if not text.startswith("["):
         raise ValueError("wreath element text must start with '['")
     depth = 0
     close = -1
-    for i, ch in enumerate(text):
-        if ch == "[":
+    for m in _BRACKET_RE.finditer(text):
+        if m.group() == "[":
             depth += 1
-        elif ch == "]":
+        else:
             depth -= 1
             if depth == 0:
-                close = i
+                close = m.start()
                 break
     if close < 0:
         raise ValueError("unbalanced brackets in wreath element text")

@@ -1,10 +1,13 @@
-"""Shared test helpers: seeded random words and wreath elements."""
+"""Shared test helpers: seeded random words and wreath elements, and
+free-word texts spelled out letter by letter."""
 
 from __future__ import annotations
 
 import os
 import random
 from pathlib import Path
+
+from hypothesis import strategies as st
 
 from groupwidths.free_words import FreeWord
 from groupwidths.wreath import WreathElement, WreathGroup
@@ -33,3 +36,47 @@ def random_reduced_word(rng: random.Random, rank: int, max_letters: int) -> Free
 def random_wreath_element(rng: random.Random, W: WreathGroup, max_letters: int) -> WreathElement:
     base = tuple(random_reduced_word(rng, W.rank, max_letters) for _ in range(W.size))
     return WreathElement(W, base, rng.randrange(W.top.order))
+
+
+def invert_letters(letters: tuple[str, ...]) -> tuple[str, ...]:
+    """The inverse of a letter word over x<i>, x<i>^-1."""
+    return tuple(l[:-3] if l.endswith("^-1") else l + "^-1" for l in reversed(letters))
+
+
+def _syllable_atom(gen_exp: tuple[int, int]) -> tuple[str, tuple[str, ...]]:
+    gen, exp = gen_exp
+    letter = f"x{gen}" if exp > 0 else f"x{gen}^-1"
+    return (f"x{gen}" if exp == 1 else f"x{gen}^{exp}"), (letter,) * abs(exp)
+
+
+def _commutator_atom(u, v, pads: list[str]) -> tuple[str, tuple[str, ...]]:
+    # [u, v] = u^-1 v^-1 u v, with the given padding around u and v
+    text = f"[{pads[0]}{u[0]}{pads[1]},{pads[2]}{v[0]}{pads[3]}]"
+    return text, invert_letters(u[1]) + invert_letters(v[1]) + u[1] + v[1]
+
+
+# free-word text atoms with their spelled-out letters: syllables x<g>^<e>
+# (e may be 0), the x/y aliases, "1", and commutators of atoms, nested and
+# padded with spaces inside the brackets
+plain_atoms = st.one_of(
+    st.tuples(st.integers(1, 3), st.integers(-3, 3)).map(_syllable_atom),
+    st.sampled_from([("x", ("x1",)), ("y", ("x2",)), ("x^-1", ("x1^-1",)), ("y^-1", ("x2^-1",))]),
+    st.just(("1", ())),
+)
+spelled_atoms = st.recursive(
+    plain_atoms,
+    lambda inner: st.builds(
+        _commutator_atom, inner, inner, st.lists(st.sampled_from(["", " ", "  "]), min_size=4, max_size=4)
+    ),
+    max_leaves=5,
+)
+
+
+@st.composite
+def spelled_texts(draw, max_atoms: int = 8) -> tuple[str, tuple[str, ...]]:
+    """A free-word text of atoms separated by single or double spaces, with
+    its letters spelled out."""
+    atoms = draw(st.lists(spelled_atoms, min_size=1, max_size=max_atoms))
+    gaps = draw(st.lists(st.sampled_from([" ", "  "]), min_size=len(atoms) + 1, max_size=len(atoms) + 1))
+    text = gaps[0] + "".join(t + gap for (t, _), gap in zip(atoms, gaps[1:]))
+    return text, tuple(l for _, ls in atoms for l in ls)

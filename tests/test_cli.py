@@ -190,6 +190,19 @@ class TestExitCodes:
         spec = write_spec(tmp_path, "c9.json", {"kind": "cyclic", "n": 9})
         assert run_cli("pw", spec, "--cap", "4").returncode == 3
 
+    def test_malformed_env_cap_is_2(self, tmp_path):
+        import os
+
+        spec = write_spec(tmp_path, "c9.json", {"kind": "cyclic", "n": 9})
+        env = dict(os.environ, GROUPWIDTHS_CAP="abc")
+        for args in (("qh", "[1; 1; 1; 1; 1; 1] 1"), ("pw", spec)):
+            proc = run_cli(*args, env=env)
+            assert proc.returncode == 2, proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert "GROUPWIDTHS_CAP" in proc.stderr
+        # an explicit flag never reads the environment
+        assert run_cli("pw", spec, "--cap", "512", env=env).returncode == 0
+
     def test_env_cap(self, tmp_path):
         import os
 
@@ -198,6 +211,24 @@ class TestExitCodes:
         assert run_cli("pw", spec, env=env).returncode == 3
         # explicit flag overrides the environment
         assert run_cli("pw", spec, "--cap", "512", env=env).returncode == 0
+
+
+class TestInProcess:
+    def test_env_cap_is_read_on_every_call(self, tmp_path, monkeypatch, capsys):
+        # the parser is built once per process; the cap is not frozen in it
+        from groupwidths import cli
+
+        spec = write_spec(tmp_path, "c9.json", {"kind": "cyclic", "n": 9})
+        monkeypatch.setenv("GROUPWIDTHS_CAP", "4")
+        assert cli.main(["pw", spec]) == 3
+        monkeypatch.setenv("GROUPWIDTHS_CAP", "512")
+        assert cli.main(["pw", spec]) == 0
+        monkeypatch.setenv("GROUPWIDTHS_CAP", "abc")
+        assert cli.main(["pw", spec]) == 2
+        monkeypatch.delenv("GROUPWIDTHS_CAP")
+        assert cli.main(["pw", spec]) == 0
+        assert cli.build_parser() is cli.build_parser()
+        capsys.readouterr()
 
 
 class TestPretty:

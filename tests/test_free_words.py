@@ -21,7 +21,7 @@ from groupwidths.free_words import (
     tr,
 )
 
-from conftest import random_reduced_word
+from conftest import invert_letters, random_reduced_word, spelled_texts
 
 letters_rank2 = st.sampled_from(["x1", "x1^-1", "x2", "x2^-1"])
 monoid_words = st.lists(letters_rank2, max_size=40).map(lambda ls: MonoidWord(tuple(ls)))
@@ -40,7 +40,7 @@ text_atoms = st.one_of(syllable_atoms, syllable_atoms, commutator_atoms, st.just
 
 def inverse_atom(atom: tuple[str, tuple[str, ...]]) -> tuple[str, tuple[str, ...]]:
     """The inverse of an atom, spelled letter by letter."""
-    letters = tuple(l[:-3] if l.endswith("^-1") else l + "^-1" for l in reversed(atom[1]))
+    letters = invert_letters(atom[1])
     return " ".join(letters) or "1", letters
 
 
@@ -75,6 +75,14 @@ class TestReduce:
 
     def test_syllable_merge(self):
         assert reduce_word(MonoidWord(("x1", "x1", "x1", "x1", "x1"))).syllables == ((1, 5),)
+
+    def test_letters_are_range_checked(self):
+        # as in parse_free_word, a letter that cancels is checked too
+        with pytest.raises(ValueError):
+            reduce_word(MonoidWord(("x0", "x0^-1")))
+        with pytest.raises(ValueError):
+            reduce_word(MonoidWord(("x3", "x3^-1")), rank=2)
+        assert reduce_word(MonoidWord(("x3", "x3^-1"))).rank == 3
 
     @given(monoid_words)
     def test_idempotent(self, w):
@@ -227,6 +235,18 @@ class TestTextFormats:
         with pytest.raises(ValueError):
             parse_free_word("x0 x0^-1")
         assert parse_free_word("x3 x3^-1").rank == 3
+
+    @given(spelled_texts())
+    def test_spelled_texts_parse_to_their_letters(self, spelled):
+        text, letters = spelled
+        assert parse_free_word(text, rank=3) == reduce_word(MonoidWord(letters), rank=3)
+
+    @given(st.lists(st.sampled_from(["x1", "y^-2", "[", "]", ",", "1", " ", "x", "^", "-"]), max_size=30))
+    def test_any_text_parses_or_raises_value_error(self, pieces):
+        try:
+            parse_free_word("".join(pieces))
+        except ValueError:
+            pass
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):

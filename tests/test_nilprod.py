@@ -13,6 +13,7 @@ from groupwidths.finite_groups import (
     dihedral,
 )
 from groupwidths.nilprod import (
+    NilProdGroup,
     bound_report,
     centralizer_factors,
     check_sandwich,
@@ -74,6 +75,13 @@ class TestConstruction:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             nilprod2([16], [16], cap=512)
+
+    def test_moduli_are_integers(self):
+        # floats and bools are rejected, not truncated by int()
+        for bad in ([[2.5], [2]], [[True], [2]], [[2], [2.0]], [["3"], [2]]):
+            with pytest.raises(ValueError):
+                NilProdGroup(bad)
+        assert NilProdGroup([[2], [2]]).factor_moduli == [[2], [2]]
 
     def test_commutator_is_tensor(self):
         for A, B in itertools.product(PAIR_FACTORS, repeat=2):

@@ -3,9 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from groupwidths.finite_groups import cyclic, sym3_fink
-from groupwidths.free_words import FreeWord, parse_free_word
+from groupwidths.finite_groups import commutator_subgroup, cyclic, evaluate, sym3_fink
+from groupwidths.free_words import FreeWord, MonoidWord, parse_free_word, reduce_word
 from groupwidths.wreath import (
     WreathElement,
     WreathGroup,
@@ -21,12 +23,17 @@ from groupwidths.wreath import (
     w_multiply,
 )
 
-from conftest import random_wreath_element
+from conftest import random_wreath_element, spelled_texts
 
 
 @pytest.fixture(scope="module")
 def W():
     return WreathGroup(2, sym3_fink())
+
+
+@pytest.fixture(scope="module")
+def W3():
+    return WreathGroup(3, sym3_fink())
 
 
 class TestArithmetic:
@@ -203,6 +210,13 @@ class TestCertificates:
                 and g.top in (W.top.identity, c, W.top.inverse[c])
             )
 
+    def test_derived_top_is_computed_once_on_first_use(self):
+        W = WreathGroup(2, sym3_fink())
+        assert "derived_top" not in vars(W)
+        derived = W.derived_top
+        assert derived == frozenset(commutator_subgroup(W.top)) == {0, 3, 4}
+        assert W.derived_top is derived
+
     def test_unbounded_in_j(self, W):
         bounds = []
         for j in range(1, 200):
@@ -238,6 +252,23 @@ class TestTextFormat:
         assert parse_wreath_element(W, text) == q
         spelled = " ".join(q.base[0].to_letters().letters)
         assert parse_free_word(spelled, rank=2) == q.base[0]
+
+    @given(
+        st.lists(spelled_texts(max_atoms=4), min_size=6, max_size=6),
+        st.lists(st.sampled_from(["s1", "s2", "c", "c^-1"]), max_size=4),
+    )
+    def test_spelled_coordinates_and_top_word(self, W3, coords, labels):
+        text = f"[{';'.join(t for t, _ in coords)}] {'*'.join(labels) or '1'}"
+        g = parse_wreath_element(W3, text)
+        assert g.base == tuple(reduce_word(MonoidWord(ls), rank=3) for _, ls in coords)
+        assert g.top == evaluate(W3.top, MonoidWord(tuple(labels)))
+
+    @given(st.lists(st.sampled_from(["x1", "y^-2", "[", "]", ",", "1", " ", ";", "*", "s1", "c"]), max_size=40))
+    def test_any_text_parses_or_raises_value_error(self, W3, pieces):
+        try:
+            parse_wreath_element(W3, "".join(pieces))
+        except ValueError:
+            pass
 
     def test_rejects_malformed(self, W):
         with pytest.raises(ValueError):
