@@ -436,21 +436,28 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _spec_field(spec: dict, name: str):
+    if name not in spec:
+        raise ValueError(f"{spec['kind']!r} group spec needs the field {name!r}")
+    return spec[name]
+
+
 def group_from_spec(spec: dict, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """Build a group from its JSON spec.
 
     Kinds: {"kind": "cyclic", "n": m}, {"kind": "dihedral", "n": m},
     {"kind": "sym3_fink"}, {"kind": "direct_product", "factors": [...]},
     {"kind": "table", "table": [[...]], "gens": [["a", 1], ...]}.
-    Every size, table entry and generator id must be a JSON integer.
+    Every size, table entry and generator id must be a JSON integer; a
+    missing field is a ``ValueError`` naming it.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("group spec must be an object with a 'kind' field")
     kind = spec["kind"]
     if kind == "cyclic":
-        return cyclic(_json_int(spec["n"], "n"), cap=cap)
+        return cyclic(_json_int(_spec_field(spec, "n"), "n"), cap=cap)
     if kind == "dihedral":
-        return dihedral(_json_int(spec["n"], "n"), cap=cap)
+        return dihedral(_json_int(_spec_field(spec, "n"), "n"), cap=cap)
     if kind == "sym3_fink":
         return sym3_fink(cap=cap)
     if kind == "direct_product":
@@ -462,7 +469,7 @@ def group_from_spec(spec: dict, cap: int = DEFAULT_CAP) -> FiniteGroup:
             G = direct_product(G, group_from_spec(f, cap=cap), cap=cap)
         return G
     if kind == "table":
-        rows = spec["table"]
+        rows = _spec_field(spec, "table")
         if not isinstance(rows, list):
             raise ValueError("table must be a list of rows")
         _check_cap(len(rows), cap, "table group")
@@ -473,10 +480,11 @@ def group_from_spec(spec: dict, cap: int = DEFAULT_CAP) -> FiniteGroup:
                 raise ValueError(f"row {i} has length {len(row)}, expected {len(rows)}")
             if set(map(type, row)) != {int}:
                 raise ValueError(f"row {i} has an entry that is not an integer")
-        if not isinstance(spec["gens"], list):
+        entries = _spec_field(spec, "gens")
+        if not isinstance(entries, list):
             raise ValueError("gens must be a list of [label, id] pairs")
         gens = []
-        for entry in spec["gens"]:
+        for entry in entries:
             if not isinstance(entry, list) or len(entry) != 2:
                 raise ValueError(f"generator {entry!r} must be a [label, id] pair")
             gens.append((str(entry[0]), _json_int(entry[1], "generator id")))

@@ -169,10 +169,15 @@ class FreeWord:
 
         Costs O(c) Python steps for the c syllable pairs that cancel at the
         seam, plus one O(len(self) + len(other)) tuple join and validation.
+        A product with the identity returns the other operand as it is.
         """
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
         left, right = self.syllables, other.syllables
+        if not right:
+            return self
+        if not left:
+            return other
         # walk inward while the syllables at the seam cancel exactly
         i, j, n = len(left), 0, len(right)
         while i and j < n and left[i - 1][0] == right[j][0] and left[i - 1][1] == -right[j][1]:

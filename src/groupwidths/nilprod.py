@@ -46,6 +46,8 @@ __all__ = [
 
 
 def _validate_moduli(moduli: list[int]) -> list[int]:
+    if not isinstance(moduli, list):
+        raise ValueError(f"each factor must be a list of moduli, got {moduli!r}")
     out = [_json_int(m, "modulus") for m in moduli]
     if not out or any(m < 1 for m in out):
         raise ValueError(f"moduli must be positive integers, got {moduli}")

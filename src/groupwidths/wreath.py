@@ -24,8 +24,17 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .finite_groups import FiniteGroup, commutator_subgroup
-from .free_words import FreeWord, MonoidWord, format_free_word, parse_free_word, ql
+import numpy as np
+
+from .finite_groups import FiniteGroup, _json_int, commutator_subgroup
+from .free_words import (
+    FreeWord,
+    MonoidWord,
+    _push_syllable,
+    format_free_word,
+    parse_free_word,
+    ql,
+)
 
 __all__ = [
     "WreathGroup",
@@ -62,8 +71,8 @@ class WreathGroup:
         ]
         self.coord_index = {g: i for i, g in enumerate(self.coords)}
         self.size = self.top.order
-        # list views of the top table and inverse for the per-letter folds
-        # below: a nested-list lookup takes about 25 ns, a numpy scalar
+        # list views of the top table and inverse for the per-element
+        # products below: a nested-list lookup takes about 25 ns, a numpy scalar
         # lookup 100-170 ns (Python 3.11, numpy 2.4, 2-vCPU Xeon VM)
         self._top_mul = self.top.table.tolist()
         self._top_inv = self.top.inverse.tolist()
@@ -72,6 +81,21 @@ class WreathGroup:
     def derived_top(self) -> frozenset[int]:
         """The derived subgroup [K, K] of the top group, computed on first use."""
         return frozenset(commutator_subgroup(self.top))
+
+    @cached_property
+    def _top_flat(self) -> np.ndarray:
+        """The top table flattened row-major, in the narrowest unsigned
+        type that holds size*size - 1, so a*size + b indexes it without
+        overflow; built on first use by ``evaluate_letters``."""
+        return self.top.table.ravel().astype(np.min_scalar_type(self.size**2 - 1))
+
+    @cached_property
+    def _coord_of(self) -> np.ndarray:
+        """Coordinate index of each top element id, in the narrowest
+        unsigned type (a stable sort of such keys is a radix sort); built
+        on first use by ``evaluate_letters``."""
+        coords = [self.coord_index[g] for g in self.top.elements()]
+        return np.array(coords, np.min_scalar_type(self.size - 1))
 
     def identity(self) -> "WreathElement":
         one = FreeWord.identity(self.rank)
@@ -200,6 +224,21 @@ def certify_cw_lower_bound(g: WreathElement) -> CommutatorCertificate | None:
     return None if m is None else CommutatorCertificate(g, d, m)
 
 
+def _prefix_products(flat: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
+    """Inclusive prefix products x[0] x[1] ... x[i] in a group of order n
+    whose table, flattened row-major, is ``flat``; a*n + b must fit the
+    dtype of x.  Work-efficient pairwise scan (Blelloch 1990): multiply
+    neighbouring pairs, scan the pairs, then fill the even positions.
+    O(len) table lookups in O(log len) numpy calls."""
+    if len(x) < 2:
+        return x
+    out = np.empty_like(x)
+    out[0] = x[0]
+    out[1::2] = _prefix_products(flat, n, flat.take(x[:-1:2] * n + x[1::2]))
+    out[2::2] = flat.take(out[1:-1:2] * n + x[2::2])
+    return out
+
+
 def evaluate_letters(
     W: WreathGroup,
     word: MonoidWord,
@@ -210,26 +249,94 @@ def evaluate_letters(
 
     ``base_letters`` maps a letter to (generator index, exponent) placed at
     the coordinate of the running top value; ``top_letters`` maps a letter
-    to a top-group element.  Runs in time linear in the word length.
+    to a top-group element.  A letter in both maps is a base letter.  Every
+    map entry is checked up front (generator in 1..rank, nonzero exponent
+    below 2**31 in absolute value, top element in range): a bad entry is a
+    ``ValueError`` even when its letters would cancel.
+
+    Python takes no step per letter.  Coding the letters is one C-level
+    ``bytes(map(...))`` pass over a dict per byte of the code (a single
+    pass for alphabets of up to 255 letters; the code array is the
+    narrowest unsigned type that holds the alphabet).  The running top is
+    the inclusive prefix product of the letters' top values, base letters
+    being the identity: a pairwise scan of O(len) table lookups in
+    O(log len) numpy calls.  The base letters are stably sorted by
+    coordinate and summed per run of one generator within one coordinate
+    (``np.add.reduceat``); only the runs reach Python, and only those of
+    a coordinate with a run that sums to zero go through the reduction
+    stack.  A word of L letters with r runs costs O(L) numpy work and at
+    most O(r) Python steps.
     """
-    stacks: list[list[list[int]]] = [[] for _ in range(W.size)]
-    top = W.top.identity
-    for letter in word.letters:
-        if letter in base_letters:
-            gen, exp = base_letters[letter]
-            stack = stacks[W.coord_index[top]]
-            if stack and stack[-1][0] == gen:
-                stack[-1][1] += exp
-                if stack[-1][1] == 0:
-                    stack.pop()
-            else:
-                stack.append([gen, exp])
-        elif letter in top_letters:
-            top = W._top_mul[top][top_letters[letter]]
-        else:
-            raise ValueError(f"letter {letter!r} is neither a base nor a top generator")
-    base = tuple(FreeWord(W.rank, tuple((g, e) for g, e in s)) for s in stacks)
-    return WreathElement(W, base, top)
+    n = W.size
+    for letter, (gen, exp) in base_letters.items():
+        if _json_int(gen, f"generator of base letter {letter!r}") not in range(1, W.rank + 1):
+            raise ValueError(
+                f"generator of base letter {letter!r} is {gen}, out of range 1..{W.rank}"
+            )
+        # below 2**31, the int64 run sums cannot overflow on a word that fits in memory
+        if not 0 < abs(_json_int(exp, f"exponent of base letter {letter!r}")) < 2**31:
+            raise ValueError(
+                f"exponent of base letter {letter!r} is {exp}; it must be nonzero "
+                "and below 2**31 in absolute value"
+            )
+    for letter, k in top_letters.items():
+        if _json_int(k, f"top element of letter {letter!r}") not in range(n):
+            raise ValueError(f"top element of letter {letter!r} is {k}, out of range 0..{n - 1}")
+
+    # codes: base letters first, so a letter is a base letter iff its code < nb
+    nb = len(base_letters)
+    alphabet = list(base_letters) + [a for a in top_letters if a not in base_letters]
+    dtype = np.min_scalar_type(len(alphabet))
+    codes = np.zeros(len(word), dtype)
+    try:
+        for shift in range(0, 8 * dtype.itemsize, 8):
+            digit = {a: i >> shift & 255 for i, a in enumerate(alphabet)}
+            plane = np.frombuffer(bytes(map(digit.__getitem__, word.letters)), np.uint8)
+            codes |= plane.astype(dtype) << shift
+    except KeyError as exc:
+        raise ValueError(
+            f"letter {exc.args[0]!r} is neither a base nor a top generator"
+        ) from None
+
+    flat = W._top_flat
+    top_of_code = np.full(len(alphabet), W.top.identity, flat.dtype)
+    top_of_code[nb:] = [top_letters[a] for a in alphabet[nb:]]
+    running = _prefix_products(flat, n, top_of_code.take(codes))
+    top = int(running[-1]) if len(running) else W.top.identity
+
+    base = [FreeWord.identity(W.rank)] * n
+    at = np.flatnonzero(codes < nb)
+    if len(at):
+        # a base letter sits at the coordinate of the running top before
+        # it, which is the running top at it, since it is the identity
+        coords = W._coord_of.take(running[at])
+        order = np.argsort(coords, kind="stable")
+        coords, codes = coords[order], codes[at[order]]
+        gens = np.array([g for g, _ in base_letters.values()], np.intp).take(codes)
+        exps = np.array([e for _, e in base_letters.values()], np.int64).take(codes)
+        starts = np.flatnonzero(
+            np.concatenate(([True], (coords[1:] != coords[:-1]) | (gens[1:] != gens[:-1])))
+        )
+        bounds = np.searchsorted(coords[starts], np.arange(n + 1)).tolist()
+        run_gens = gens[starts].tolist()
+        run_exps = np.add.reduceat(exps, starts).tolist()
+        for c in range(n):
+            lo, hi = bounds[c], bounds[c + 1]
+            if lo < hi:
+                base[c] = FreeWord(W.rank, _reduce_runs(run_gens[lo:hi], run_exps[lo:hi]))
+    return WreathElement(W, tuple(base), top)
+
+
+def _reduce_runs(gens: list[int], exps: list[int]) -> tuple[tuple[int, int], ...]:
+    """Reduced syllables of one coordinate's runs, whose neighbours are on
+    distinct generators: the runs themselves when none sums to zero, else
+    what the reduction stack leaves of them."""
+    if 0 not in exps:
+        return tuple(zip(gens, exps))
+    stack: list[list[int]] = []
+    for gen, exp in zip(gens, exps):
+        _push_syllable(stack, gen, exp)
+    return tuple(map(tuple, stack))
 
 
 # ---------------------------------------------------------------------------

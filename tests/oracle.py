@@ -1,6 +1,10 @@
-"""Independent brute-force width oracle used to cross-validate the package.
+"""Independent brute-force oracles used to cross-validate the package.
 
-Works with literal words only: half-words are grown letter by letter (one
+``reference_evaluate_letters`` folds a letter word into a wreath group one
+letter at a time, through ``w_multiply`` of single-letter elements; it
+shares no code with the production evaluator.
+
+The width oracle works with literal words only: half-words are grown letter by letter (one
 witness word per (value, reversed-value) state, which prunes nothing from
 the palindrome element set), palindromes are materialized as real letter
 sequences of length up to 2*order+1, checked with the literal palindrome
@@ -14,7 +18,8 @@ from __future__ import annotations
 from collections import deque
 
 from groupwidths.finite_groups import FiniteGroup, evaluate
-from groupwidths.free_words import MonoidWord, is_word_palindrome
+from groupwidths.free_words import FreeWord, MonoidWord, is_word_palindrome
+from groupwidths.wreath import WreathElement, WreathGroup, w_multiply
 
 
 def brute_width_data(
@@ -69,3 +74,26 @@ def brute_width_data(
                 queue.append(h)
     assert len(lengths) == G.order, "palindromes fail to generate the group"
     return pal, lengths, max(lengths.values())
+
+
+def reference_evaluate_letters(
+    W: WreathGroup,
+    word: MonoidWord,
+    base_letters: dict[str, tuple[int, int]],
+    top_letters: dict[str, int],
+) -> WreathElement:
+    """The product, letter by letter, of the elements the letters stand for:
+    a base letter is its generator power at the identity coordinate (the
+    product moves it to the coordinate of the running top), a top letter
+    its embedded top element.  A letter in both maps is a base letter."""
+    g = W.identity()
+    for letter in word.letters:
+        if letter in base_letters:
+            gen, exp = base_letters[letter]
+            h = W.from_base_word(FreeWord.generator(W.rank, gen, exp))
+        elif letter in top_letters:
+            h = W.from_top(top_letters[letter])
+        else:
+            raise ValueError(f"letter {letter!r} is neither a base nor a top generator")
+        g = w_multiply(g, h)
+    return g

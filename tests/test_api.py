@@ -1,8 +1,13 @@
-"""The package's public API: what ``groupwidths`` exports."""
+"""The package's public API: what ``groupwidths`` exports, and the
+README's library sketch."""
 
+import re
 import types
+from pathlib import Path
 
 import groupwidths
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_all_names_resolve_and_none_is_a_submodule():
@@ -11,3 +16,10 @@ def test_all_names_resolve_and_none_is_a_submodule():
         value = getattr(groupwidths, name)
         assert not isinstance(value, types.ModuleType), name
 
+
+def test_readme_library_sketch_runs():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library sketch\n\n```python\n(.*?)```", text, re.S)
+    namespace: dict = {}
+    exec(block.group(1), namespace)
+    assert namespace["cert"].factor_count == 1

@@ -183,6 +183,33 @@ class TestExitCodes:
             assert proc.returncode == 2, (spec, proc.stderr)
             assert "Traceback" not in proc.stderr
 
+    def test_missing_spec_field_is_2_and_named(self, tmp_path, capsys):
+        from groupwidths import cli
+
+        missing = [
+            ({"kind": "cyclic"}, "n"),
+            ({"kind": "dihedral"}, "n"),
+            ({"kind": "table", "gens": [["a", 1]]}, "table"),
+            ({"kind": "table", "table": [[0, 1], [1, 0]]}, "gens"),
+        ]
+        for spec, field in missing:
+            with pytest.raises(ValueError, match=f"needs the field '{field}'"):
+                group_from_spec(spec)
+            assert cli.main(["pw", write_spec(tmp_path, "missing.json", spec)]) == 2
+            assert f"needs the field '{field}'" in capsys.readouterr().err
+
+    def test_key_error_is_not_an_input_error(self, tmp_path, monkeypatch):
+        # a KeyError from inside the library is a bug; exit 2 would hide it
+        from groupwidths import cli
+
+        def broken(spec, cap):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "group_from_spec", broken)
+        spec = write_spec(tmp_path, "c3.json", {"kind": "cyclic", "n": 3})
+        with pytest.raises(KeyError, match="internal"):
+            cli.main(["pw", spec])
+
     def test_missing_file_is_2(self):
         assert run_cli("pw", "/nonexistent/spec.json").returncode == 2
 

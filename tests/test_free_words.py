@@ -131,6 +131,17 @@ class TestGroupOps:
         with pytest.raises(ValueError):
             FreeWord.generator(2, 1) * FreeWord.generator(3, 1)
 
+    def test_identity_factor_returns_the_other_operand(self):
+        w = parse_free_word("x1^2 x2^-1 x1", rank=2)
+        one = FreeWord.identity(2)
+        assert w * one is w
+        assert one * w is w
+        assert one * one is one
+        # the rank check comes first, also for the identity
+        for a, b in ((w, FreeWord.identity(3)), (FreeWord.identity(3), w)):
+            with pytest.raises(ValueError, match="rank mismatch"):
+                a * b
+
     @given(free_words_rank2, free_words_rank2, st.data())
     def test_deep_cancellation_at_the_seam(self, u, w, data):
         # v starts with the inverse of a letter suffix of u, so u * v

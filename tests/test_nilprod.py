@@ -83,6 +83,11 @@ class TestConstruction:
                 NilProdGroup(bad)
         assert NilProdGroup([[2], [2]]).factor_moduli == [[2], [2]]
 
+    def test_factor_must_be_a_list(self):
+        for bad in ([3, [2]], [[2], 2], [(2,), [2]], [{"moduli": [2]}, [2]]):
+            with pytest.raises(ValueError, match="list of moduli"):
+                NilProdGroup(bad)
+
     def test_commutator_is_tensor(self):
         for A, B in itertools.product(PAIR_FACTORS, repeat=2):
             np2 = nilprod2(A, B)

@@ -2,18 +2,28 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groupwidths.finite_groups import commutator_subgroup, cyclic, evaluate, sym3_fink
+from groupwidths.finite_groups import (
+    FiniteGroup,
+    commutator_subgroup,
+    cyclic,
+    dihedral,
+    evaluate,
+    sym3_fink,
+)
 from groupwidths.free_words import FreeWord, MonoidWord, parse_free_word, reduce_word
 from groupwidths.wreath import (
     WreathElement,
     WreathGroup,
     certify_cw_lower_bound,
     commutator_length_bound,
+    _prefix_products,
     delta,
+    evaluate_letters,
     format_wreath_element,
     in_derived_subgroup,
     parse_wreath_element,
@@ -24,6 +34,7 @@ from groupwidths.wreath import (
 )
 
 from conftest import random_wreath_element, spelled_texts
+from oracle import reference_evaluate_letters
 
 
 @pytest.fixture(scope="module")
@@ -275,3 +286,134 @@ class TestTextFormat:
             parse_wreath_element(W, "[1; 1] 1")
         with pytest.raises(ValueError):
             parse_wreath_element(W, "no brackets")
+
+
+# wreath groups for the evaluator properties: S3 (Fink's generators), C2 and
+# D4 (order 8) tops at ranks 2 and 3, built once so their tables are reused
+EVAL_GROUPS = {
+    (name, rank): WreathGroup(rank, top)
+    for name, top in (("sym3_fink", sym3_fink()), ("C2", cyclic(2)), ("D4", dihedral(4)))
+    for rank in (2, 3)
+}
+
+
+@st.composite
+def letter_words(draw):
+    """(W, word, base_letters, top_letters): base letters b<g>/B<g> with
+    exponents +-e (e in 1..3), a top letter t<k> per element, one base
+    letter shadowed by a top entry, and a word u v^-1 w whose middle
+    cancels a random prefix of u's inverse, letter by letter."""
+    W = EVAL_GROUPS[draw(st.sampled_from(sorted(EVAL_GROUPS)))]
+    K = W.top
+    base, inverse = {}, {}
+    for g in range(1, W.rank + 1):
+        e = draw(st.integers(1, 3))
+        base[f"b{g}"], base[f"B{g}"] = (g, e), (g, -e)
+        inverse[f"b{g}"], inverse[f"B{g}"] = f"B{g}", f"b{g}"
+    top = {f"t{k}": k for k in K.elements()}
+    inverse.update({f"t{k}": f"t{int(K.inverse[k])}" for k in K.elements()})
+    # in both maps: the base entry wins
+    top[draw(st.sampled_from(sorted(base)))] = draw(st.sampled_from(list(K.elements())))
+    letters = st.lists(st.sampled_from(sorted(inverse)), max_size=40)
+    u, w = draw(letters), draw(letters)
+    cancel = tuple(inverse[a] for a in reversed(u))[: draw(st.integers(0, len(u)))]
+    return W, MonoidWord(tuple(u) + cancel + tuple(w)), base, top
+
+
+class TestEvaluateLetters:
+    @given(letter_words())
+    def test_matches_the_reference_fold(self, case):
+        W, word, base, top = case
+        expected = reference_evaluate_letters(W, word, base, top)
+        assert evaluate_letters(W, word, base, top) == expected
+
+    @pytest.mark.parametrize("key", sorted(EVAL_GROUPS))
+    def test_empty_word_is_the_identity(self, key):
+        W = EVAL_GROUPS[key]
+        assert evaluate_letters(W, MonoidWord(), {"b": (1, 2)}, {"t": 1}) == W.identity()
+
+    def test_deep_cancellation(self, W):
+        base = {"x": (1, 1), "x^-1": (1, -1), "y": (2, 1), "y^-1": (2, -1)}
+        top = dict(W.top.labels)
+        rng = random.Random(5)
+        u = tuple(rng.choice(sorted(base) + sorted(top)) for _ in range(300))
+        # s1 and s2 are involutions
+        inv = {"x": "x^-1", "x^-1": "x", "y": "y^-1", "y^-1": "y", "c": "c^-1", "c^-1": "c"}
+        inv.update(s1="s1", s2="s2")
+        u_inv = tuple(inv[a] for a in reversed(u))
+        for word in (u + u_inv, u_inv + u, u + ("x",) + u_inv):
+            got = evaluate_letters(W, MonoidWord(word), base, top)
+            assert got == reference_evaluate_letters(W, MonoidWord(word), base, top)
+        assert evaluate_letters(W, MonoidWord(u + u_inv), base, top).is_identity()
+
+    def test_alphabets_beyond_one_byte(self, W):
+        # 300 and 70,000 top letters: codes of two and of more bytes
+        rng = random.Random(3)
+        base = {"x": (1, 1), "x^-1": (1, -1), "y": (2, 2), "Y": (2, -2)}
+        for size in (300, 70_000):
+            top = {f"t{i}": i % W.size for i in range(size)}
+            alphabet = sorted(base) + sorted(top)
+            letters = [rng.choice(alphabet) for _ in range(400)] + [f"t{size - 1}", "x"]
+            word = MonoidWord(tuple(letters))
+            got = evaluate_letters(W, word, base, top)
+            assert got == reference_evaluate_letters(W, word, base, top)
+
+    def test_unknown_letter_is_a_value_error(self, W):
+        with pytest.raises(ValueError, match="letter 'q' is neither a base nor a top generator"):
+            evaluate_letters(W, MonoidWord(("x", "s1", "q", "x")), {"x": (1, 1)}, {"s1": 1})
+
+    X = {"x": (1, 1), "x^-1": (1, -1)}
+
+    @pytest.mark.parametrize(
+        "base,letters",
+        [
+            ({**X, "z": (3, 1), "z^-1": (3, -1)}, ("z", "z^-1")),
+            ({**X, "z": (0, 1)}, ("x",)),
+        ],
+    )
+    def test_generator_out_of_range_is_rejected_when_it_cancels(self, W, base, letters):
+        with pytest.raises(ValueError, match="out of range"):
+            evaluate_letters(W, MonoidWord(letters), base, {})
+
+    @pytest.mark.parametrize("letters", [("z",), ("x", "z"), ("z", "x^-1"), ()])
+    def test_zero_exponent_is_rejected_whatever_its_neighbour(self, W, letters):
+        with pytest.raises(ValueError, match="exponent"):
+            evaluate_letters(W, MonoidWord(letters), {**self.X, "z": (1, 0)}, {})
+
+    @pytest.mark.parametrize("exp", [1.5, 2**40, True])
+    def test_exponent_is_an_integer_that_fits_the_run_sums(self, W, exp):
+        with pytest.raises(ValueError, match="exponent"):
+            evaluate_letters(W, MonoidWord(("z",)), {**self.X, "z": (1, exp)}, {})
+
+    @pytest.mark.parametrize("k", [6, -1, True, 1.0])
+    def test_top_element_out_of_range_is_a_value_error(self, W, k):
+        with pytest.raises(ValueError, match="top element"):
+            evaluate_letters(W, MonoidWord(("x", "k")), self.X, {"k": k})
+
+
+@pytest.mark.parametrize(
+    "top",
+    [cyclic(1), cyclic(2), cyclic(5), sym3_fink(), dihedral(4), dihedral(10), cyclic(17)],
+    ids=lambda K: f"order{K.order}",
+)
+def test_prefix_products_match_a_sequential_fold(top):
+    # on a randomly relabelled copy of the table, at every length 0..70
+    rng = random.Random(top.order)
+    n = top.order
+    perm = list(range(n))
+    rng.shuffle(perm)
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[int(top.table[a, b])]
+    relabelled = FiniteGroup(table, [(f"g{a}", a) for a in range(n)])
+    flat = WreathGroup(1, relabelled)._top_flat
+    for length in range(71):
+        x = [rng.randrange(n) for _ in range(length)]
+        expected, acc = [], None
+        for a in x:
+            acc = a if acc is None else table[acc][a]
+            expected.append(acc)
+        got = _prefix_products(flat, n, np.array(x, flat.dtype))
+        assert got.dtype == flat.dtype
+        assert got.tolist() == expected
