@@ -12,7 +12,7 @@ import argparse
 import itertools
 
 from groupwidths.finite_groups import cyclic, dihedral, direct_product, sym3_fink
-from groupwidths.nilprod import bound_report, nilprod2
+from groupwidths.nilprod import NilProdGroup, bound_report
 from groupwidths.pal_width import palindrome_elements, palindromic_width, reachable_pairs
 
 
@@ -52,7 +52,7 @@ def main() -> None:
 
     print("== 2-nilpotent products: max(pw_i) <= exact <= bound ==")
     for A, B in itertools.combinations_with_replacement(([2], [3], [4], [2, 2]), 2):
-        np2 = nilprod2(list(A), list(B))
+        np2 = NilProdGroup([A, B])
         rep = bound_report(np2)
         tag = "direct product" if rep.branch == "ii" else f"3*sum(m)={3 * sum(rep.m)}"
         print(

@@ -28,6 +28,7 @@ from __future__ import annotations
 import string
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -151,6 +152,11 @@ class FiniteGroup:
 
     def is_abelian(self) -> bool:
         return np.array_equal(self.table, self.table.T)
+
+    @cached_property
+    def derived_subgroup(self) -> frozenset[int]:
+        """The derived subgroup [G, G], computed on first use."""
+        return frozenset(commutator_subgroup(self))
 
     def element_order(self, g: int) -> int:
         n, x = 1, g
@@ -298,7 +304,8 @@ def _base_label(label: str) -> str:
 def direct_product(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """Direct product; element (a, b) has id a*|H| + b.  The generating set
     is the union of the embedded factor generating sets, with H's labels
-    relabeled to fresh letters on collision."""
+    relabeled to fresh letters on collision; a ``ValueError`` when the
+    lowercase letters run out."""
     order = G.order * H.order
     _check_cap(order, cap, "direct_product")
     table = (G.table[:, None, :, None] * H.order + H.table[None, :, None, :]).reshape(order, order)
@@ -308,7 +315,12 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CAP) -> Fi
     for label, _ in H.gens:
         base = _base_label(label)
         if base not in rename:
-            rename[base] = next(fresh) if base in used else base
+            rename[base] = next(fresh, None) if base in used else base
+            if rename[base] is None:
+                raise ValueError(
+                    f"direct_product: label {base!r} of {H.name} collides and no "
+                    "fresh lowercase letter is left to rename it to"
+                )
             used.add(rename[base])
     gens = [(label, g * H.order + H.identity) for label, g in G.gens]
     gens += [
@@ -462,6 +474,8 @@ def group_from_spec(spec: dict, cap: int = DEFAULT_CAP) -> FiniteGroup:
         return sym3_fink(cap=cap)
     if kind == "direct_product":
         factors = spec.get("factors", [])
+        if not isinstance(factors, list):
+            raise ValueError(f"direct_product factors must be a list, got {factors!r}")
         if len(factors) < 2:
             raise ValueError("direct_product needs at least two factors")
         G = group_from_spec(factors[0], cap=cap)

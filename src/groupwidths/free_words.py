@@ -14,10 +14,8 @@ import re
 from dataclasses import dataclass
 
 __all__ = [
-    "Alphabet",
     "MonoidWord",
     "FreeWord",
-    "free_alphabet",
     "reduce_word",
     "is_word_palindrome",
     "tr",
@@ -36,50 +34,6 @@ _TR_BY_RESIDUE = (0, 1, -1)
 def tr(m: int) -> int:
     """Ternary residue sign: 0, 1 or -1 according to m mod 3."""
     return _TR_BY_RESIDUE[m % 3]
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """Symmetric alphabet: a set of letters closed under a formal inversion.
-
-    ``involution`` pairs each letter with its inverse letter; a letter may
-    be its own inverse.
-    """
-
-    letters: tuple[str, ...]
-    involution: dict[str, str]
-
-    def __post_init__(self) -> None:
-        letters = set(self.letters)
-        if len(letters) != len(self.letters):
-            raise ValueError("duplicate letters in alphabet")
-        if set(self.involution) != letters:
-            raise ValueError("involution domain must be the letter set")
-        for a, b in self.involution.items():
-            if b not in letters:
-                raise ValueError(f"inverse letter {b!r} missing from alphabet")
-            if self.involution[b] != a:
-                raise ValueError(f"involution is not self-inverse at {a!r}")
-
-    def inverse_letter(self, a: str) -> str:
-        return self.involution[a]
-
-    def __contains__(self, a: str) -> bool:
-        return a in self.involution
-
-
-def free_alphabet(rank: int) -> Alphabet:
-    """The alphabet x1, x1^-1, ..., x<rank>, x<rank>^-1."""
-    if rank < 1:
-        raise ValueError("rank must be positive")
-    letters: list[str] = []
-    involution: dict[str, str] = {}
-    for i in range(1, rank + 1):
-        pos, neg = f"x{i}", f"x{i}^-1"
-        letters += [pos, neg]
-        involution[pos] = neg
-        involution[neg] = pos
-    return Alphabet(tuple(letters), involution)
 
 
 @dataclass(frozen=True)
@@ -196,9 +150,6 @@ class FreeWord:
     def exponent_sum(self, gen: int) -> int:
         return sum(e for g, e in self.syllables if g == gen)
 
-    def letter_length(self) -> int:
-        return sum(abs(e) for _, e in self.syllables)
-
     def to_letters(self, names: tuple[str, ...] | None = None) -> MonoidWord:
         """Spell the word out letter by letter.
 
@@ -261,16 +212,11 @@ def format_monoid_word(w: MonoidWord) -> str:
     return " ".join(w.letters) if w.letters else "1"
 
 
-def parse_monoid_word(text: str, alphabet: Alphabet | None = None) -> MonoidWord:
+def parse_monoid_word(text: str) -> MonoidWord:
     text = text.strip()
     if text in ("", "1"):
         return MonoidWord()
-    letters = tuple(text.split())
-    if alphabet is not None:
-        for a in letters:
-            if a not in alphabet:
-                raise ValueError(f"letter {a!r} not in alphabet")
-    return MonoidWord(letters)
+    return MonoidWord(tuple(text.split()))
 
 
 def format_free_word(w: FreeWord) -> str:

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .finite_groups import FiniteGroup, _json_int, commutator_subgroup
+from .finite_groups import FiniteGroup, _json_int
 from .free_words import (
     FreeWord,
     MonoidWord,
@@ -76,11 +76,6 @@ class WreathGroup:
         # lookup 100-170 ns (Python 3.11, numpy 2.4, 2-vCPU Xeon VM)
         self._top_mul = self.top.table.tolist()
         self._top_inv = self.top.inverse.tolist()
-
-    @cached_property
-    def derived_top(self) -> frozenset[int]:
-        """The derived subgroup [K, K] of the top group, computed on first use."""
-        return frozenset(commutator_subgroup(self.top))
 
     @cached_property
     def _top_flat(self) -> np.ndarray:
@@ -187,11 +182,11 @@ def in_derived_subgroup(g: WreathElement) -> bool:
     class of its top, so g is in the derived subgroup iff every exponent
     sum is zero and the top lies in [K, K].
     """
-    sums = [0] * (max(w.rank for w in g.base) + 1)
+    sums: dict[int, int] = {}
     for w in g.base:
         for gen, exp in w.syllables:
-            sums[gen] += exp
-    return not any(sums) and g.top in g.group.derived_top
+            sums[gen] = sums.get(gen, 0) + exp
+    return not any(sums.values()) and g.top in g.group.top.derived_subgroup
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,9 @@
 letter at a time, through ``w_multiply`` of single-letter elements; it
 shares no code with the production evaluator.
 
+``tensor_of`` is the reference tensor a (x) b of a two-factor nilpotent
+product, written from the bilinear formula rather than the group table.
+
 The width oracle works with literal words only: half-words are grown letter by letter (one
 witness word per (value, reversed-value) state, which prunes nothing from
 the palindrome element set), palindromes are materialized as real letter
@@ -97,3 +100,13 @@ def reference_evaluate_letters(
             raise ValueError(f"letter {letter!r} is neither a base nor a top generator")
         g = w_multiply(g, h)
     return g
+
+
+def tensor_of(np_group, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a (x) b as a central tensor vector of a two-factor ``NilProdGroup``:
+    the coordinate of summand pair (u, v) is a_u * b_v modulo its gcd."""
+    assert np_group.s == 2, "the formula pairs factor 0 with factor 1 only"
+    out = [0] * len(np_group.tensor_moduli)
+    for (_, _, u, v), pos in np_group.tensor_index.items():
+        out[pos] = (a[u] * b[v]) % np_group.tensor_moduli[pos]
+    return tuple(out)

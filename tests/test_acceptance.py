@@ -18,7 +18,7 @@ from groupwidths.finite_groups import (
     sym3_fink,
 )
 from groupwidths.free_words import FreeWord, free_commutator, is_word_palindrome, ql, tr
-from groupwidths.nilprod import centralizer_factors, check_sandwich, nilprod2
+from groupwidths.nilprod import NilProdGroup, bound_report
 from groupwidths.pal_width import palindrome_elements, palindromic_width, reachable_pairs
 from groupwidths.wreath import (
     WreathGroup,
@@ -156,10 +156,10 @@ def test_criterion_5_width_oracle_suite():
 
 def test_criterion_6_nilpotent_product_suite():
     start = time.perf_counter()
-    ok = are_isomorphic(nilprod2([2], [2]).group, dihedral(4))
+    ok = are_isomorphic(NilProdGroup([[2], [2]]).group, dihedral(4))
     factors = [[2], [3], [4], [2, 2]]
     for A, B in itertools.product(factors, repeat=2):
-        np2 = nilprod2(A, B)
+        np2 = NilProdGroup([A, B])
         G = np2.group
         emb_a = {np2.embed(0, v) for v in np2.factor_elements(0)}
         emb_b = {np2.embed(1, v) for v in np2.factor_elements(1)}
@@ -200,15 +200,16 @@ def test_criterion_6_nilpotent_product_suite():
                 for z in emb:
                     ok &= comm(xy, z) == G.identity
         # centralizer products meet the tensor component trivially
-        CA, CB = centralizer_factors(np2)
+        CA, CB = np2.centralizer_factor(0), np2.centralizer_factor(1)
         prods = {G.table[np2.embed(0, a)][np2.embed(1, b)] for a in CA for b in CB}
         tensor = {
             np2.central(t) for t in itertools.product(*(range(m) for m in np2.tensor_moduli))
         }
         ok &= prods & tensor == {G.identity}
         # sandwich with the oracle-exact width in the middle
-        exact = palindromic_width(G, "word").width
-        ok &= check_sandwich(np2, exact)
+        sandwich = bound_report(np2, include_exact=False)
+        sandwich.exact = palindromic_width(G, "word").width
+        ok &= sandwich.holds()
     elapsed = time.perf_counter() - start
     report(6, ok, 120, elapsed, "D8 identification, structural properties, exact-width sandwiches")
 

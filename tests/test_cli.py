@@ -210,6 +210,22 @@ class TestExitCodes:
         with pytest.raises(KeyError, match="internal"):
             cli.main(["pw", spec])
 
+    def test_non_list_factors_is_2(self, tmp_path, capsys):
+        from groupwidths import cli
+
+        for factors in (5, None, "ab", {"kind": "cyclic", "n": 2}):
+            spec = write_spec(tmp_path, "dp.json", {"kind": "direct_product", "factors": factors})
+            assert cli.main(["pw", spec]) == 2
+            assert "factors must be a list" in capsys.readouterr().err
+
+    def test_labels_running_out_is_2(self, tmp_path, capsys):
+        from groupwidths import cli
+
+        c2 = {"kind": "table", "table": [[0, 1], [1, 0]], "gens": [[l, 1] for l in "abcdefghijklmnopqrstuvwxyz"]}
+        spec = write_spec(tmp_path, "dp.json", {"kind": "direct_product", "factors": [c2, c2]})
+        assert cli.main(["pw", spec]) == 2
+        assert "no fresh lowercase letter" in capsys.readouterr().err
+
     def test_missing_file_is_2(self):
         assert run_cli("pw", "/nonexistent/spec.json").returncode == 2
 

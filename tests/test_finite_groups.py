@@ -1,6 +1,7 @@
 """Constructors, table verification, evaluation, and commutator machinery."""
 
 import random
+import string
 
 import numpy as np
 import pytest
@@ -49,6 +50,16 @@ class TestConstructors:
         G = direct_product(cyclic(4), cyclic(4))
         assert G.order == 16
         assert sorted(G.labels) == ["a", "a^-1", "b", "b^-1"]
+
+    def test_direct_product_labels_run_out(self):
+        def c2(labels):
+            gens = [[label, 1] for label in labels]
+            return group_from_spec({"kind": "table", "table": [[0, 1], [1, 0]], "gens": gens})
+
+        # the last fresh letter is still found; with none left it is a ValueError
+        assert direct_product(c2(string.ascii_lowercase[:25]), c2("a")).labels["z"] == 1
+        with pytest.raises(ValueError, match="no fresh lowercase letter"):
+            direct_product(c2(string.ascii_lowercase), c2(string.ascii_lowercase))
 
     def test_dihedral(self):
         G = dihedral(4)
@@ -224,6 +235,13 @@ class TestCommutators:
         assert commutator_width(G) == 1
         assert len(commutator_subgroup(G)) == 2
 
+    def test_derived_subgroup_is_computed_once_on_first_use(self):
+        for G in (cyclic(6), dihedral(4), sym3_fink(), direct_product(sym3_fink(), dihedral(3))):
+            assert "derived_subgroup" not in vars(G)
+            derived = G.derived_subgroup
+            assert type(derived) is frozenset and derived == commutator_subgroup(G)
+            assert G.derived_subgroup is derived
+
 
 class TestDirectProductCanonical:
     def test_commutative_up_to_swap(self):
@@ -271,6 +289,11 @@ class TestSpecs:
             group_from_spec({"kind": "frobnicate"})
         with pytest.raises(ValueError):
             group_from_spec({"no": "kind"})
+
+    def test_direct_product_factors_must_be_a_list(self):
+        for bad in (5, 2.5, True, None, "ab", {"kind": "cyclic", "n": 2}):
+            with pytest.raises(ValueError, match="factors must be a list"):
+                group_from_spec({"kind": "direct_product", "factors": bad})
 
     def test_rejects_ragged_rows(self):
         spec = {"kind": "table", "table": [[0, 1], [1]], "gens": [["a", 1]]}

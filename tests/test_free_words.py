@@ -11,7 +11,6 @@ from groupwidths.free_words import (
     MonoidWord,
     format_free_word,
     format_monoid_word,
-    free_alphabet,
     free_commutator,
     is_word_palindrome,
     parse_free_word,
@@ -189,22 +188,6 @@ class TestQl:
             assert ql(f) + ql(g) - 3 <= ql(f * g) <= ql(f) + ql(g) + 3
             assert ql(g.inverse()) == -ql(g)
             assert -9 <= ql(free_commutator(f, g)) <= 9
-
-
-class TestAlphabet:
-    def test_free_alphabet(self):
-        a = free_alphabet(2)
-        assert a.inverse_letter("x1") == "x1^-1"
-        assert a.inverse_letter("x1^-1") == "x1"
-        assert all(a.inverse_letter(a.inverse_letter(l)) == l for l in a.letters)
-
-    def test_bad_involution(self):
-        from groupwidths.free_words import Alphabet
-
-        with pytest.raises(ValueError):
-            Alphabet(("p", "q"), {"p": "q", "q": "p", "r": "p"})
-        with pytest.raises(ValueError):
-            Alphabet(("p", "q", "r"), {"p": "q", "q": "r", "r": "p"})
 
 
 class TestTextFormats:

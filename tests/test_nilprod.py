@@ -12,16 +12,9 @@ from groupwidths.finite_groups import (
     cyclic,
     dihedral,
 )
-from groupwidths.nilprod import (
-    NilProdGroup,
-    bound_report,
-    centralizer_factors,
-    check_sandwich,
-    nilprod2,
-    nilprod2_multi,
-    width_bounds,
-)
+from groupwidths.nilprod import NilProdGroup, bound_report, nilprod2_multi, width_bounds
 from groupwidths.pal_width import palindromic_width
+from oracle import tensor_of
 
 PAIR_FACTORS = [[2], [3], [4], [2, 2]]
 
@@ -50,20 +43,20 @@ def normal_closure(G, S):
 
 class TestConstruction:
     def test_z2_z2_is_dihedral8(self):
-        np2 = nilprod2([2], [2])
+        np2 = NilProdGroup([[2], [2]])
         assert np2.order == 8
         assert not np2.group.is_abelian()
         assert all(np2.group.element_order(g) == 2 for _, g in np2.group.gens)
         assert are_isomorphic(np2.group, dihedral(4))
 
     def test_coprime_factors_give_direct_product(self):
-        np2 = nilprod2([2], [3])
+        np2 = NilProdGroup([[2], [3]])
         assert np2.order == 6
         assert np2.group.is_abelian()
         assert are_isomorphic(np2.group, cyclic(6))
 
     def test_z3_z3_heisenberg_type(self):
-        np2 = nilprod2([3], [3])
+        np2 = NilProdGroup([[3], [3]])
         assert np2.order == 27
         assert not np2.group.is_abelian()
         assert all(
@@ -74,7 +67,7 @@ class TestConstruction:
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            nilprod2([16], [16], cap=512)
+            NilProdGroup([[16], [16]], cap=512)
 
     def test_moduli_are_integers(self):
         # floats and bools are rejected, not truncated by int()
@@ -90,23 +83,23 @@ class TestConstruction:
 
     def test_commutator_is_tensor(self):
         for A, B in itertools.product(PAIR_FACTORS, repeat=2):
-            np2 = nilprod2(A, B)
+            np2 = NilProdGroup([A, B])
             G = np2.group
             for a in np2.factor_elements(0):
                 for b in np2.factor_elements(1):
                     lhs = commutator(G, np2.embed(0, a), np2.embed(1, b))
-                    assert lhs == np2.central(np2.tensor_of(a, b))
+                    assert lhs == np2.central(tensor_of(np2, a, b))
 
     def test_tensor_bilinearity(self):
-        np2 = nilprod2([4, 2], [6])
+        np2 = NilProdGroup([[4, 2], [6]])
         for a in np2.factor_elements(0):
             for a2 in np2.factor_elements(0):
                 for b in np2.factor_elements(1):
                     asum = tuple((x + y) % m for x, y, m in zip(a, a2, np2.factor_moduli[0]))
-                    lhs = np2.tensor_of(asum, b)
+                    lhs = tensor_of(np2, asum, b)
                     rhs = tuple(
                         (s + t) % m
-                        for s, t, m in zip(np2.tensor_of(a, b), np2.tensor_of(a2, b), np2.tensor_moduli)
+                        for s, t, m in zip(tensor_of(np2, a, b), tensor_of(np2, a2, b), np2.tensor_moduli)
                     )
                     assert lhs == rhs
 
@@ -114,7 +107,7 @@ class TestConstruction:
 class TestStructuralProperties:
     @pytest.mark.parametrize("A,B", list(itertools.product(PAIR_FACTORS, repeat=2)))
     def test_factor_embeddings_meet_trivially(self, A, B):
-        np2 = nilprod2(A, B)
+        np2 = NilProdGroup([A, B])
         G = np2.group
         emb_a, emb_b = embedded(np2, 0), embedded(np2, 1)
         assert normal_closure(G, emb_a) & emb_b == {G.identity}
@@ -122,7 +115,7 @@ class TestStructuralProperties:
 
     @pytest.mark.parametrize("A,B", list(itertools.product(PAIR_FACTORS, repeat=2)))
     def test_normal_form_unique(self, A, B):
-        np2 = nilprod2(A, B)
+        np2 = NilProdGroup([A, B])
         G = np2.group
         for e in G.elements():
             coords = np2.decode(e)
@@ -133,7 +126,7 @@ class TestStructuralProperties:
 
     @pytest.mark.parametrize("A,B", list(itertools.product(PAIR_FACTORS, repeat=2)))
     def test_triple_commutators_vanish(self, A, B):
-        np2 = nilprod2(A, B)
+        np2 = NilProdGroup([A, B])
         G = np2.group
         emb = embedded(np2, 0) | embedded(np2, 1)
         for x in emb:
@@ -144,9 +137,9 @@ class TestStructuralProperties:
 
     @pytest.mark.parametrize("A,B", list(itertools.product(PAIR_FACTORS, repeat=2)))
     def test_centralizer_products_meet_tensor_trivially(self, A, B):
-        np2 = nilprod2(A, B)
+        np2 = NilProdGroup([A, B])
         G = np2.group
-        CA, CB = centralizer_factors(np2)
+        CA, CB = np2.centralizer_factor(0), np2.centralizer_factor(1)
         prods = {G.table[np2.embed(0, a)][np2.embed(1, b)] for a in CA for b in CB}
         tensor = {
             np2.central(t)
@@ -157,24 +150,24 @@ class TestStructuralProperties:
 
 class TestCentralizers:
     def test_coprime_everything_central(self):
-        np2 = nilprod2([2], [3])
-        CA, CB = centralizer_factors(np2)
+        np2 = NilProdGroup([[2], [3]])
+        CA, CB = np2.centralizer_factor(0), np2.centralizer_factor(1)
         assert CA == set(np2.factor_elements(0))
         assert CB == set(np2.factor_elements(1))
 
     def test_z2_z2_trivial(self):
-        CA, _ = centralizer_factors(nilprod2([2], [2]))
+        CA = NilProdGroup([[2], [2]]).centralizer_factor(0)
         assert CA == {(0,)}
 
     def test_z4_z2_index_two(self):
-        np2 = nilprod2([4], [2])
-        CA, CB = centralizer_factors(np2)
+        np2 = NilProdGroup([[4], [2]])
+        CA, CB = np2.centralizer_factor(0), np2.centralizer_factor(1)
         assert CA == {(0,), (2,)}
         assert CB == {(0,)}
 
     @pytest.mark.parametrize("A,B", list(itertools.product(PAIR_FACTORS, repeat=2)))
     def test_matches_table_centralizer(self, A, B):
-        np2 = nilprod2(A, B)
+        np2 = NilProdGroup([A, B])
         G = np2.group
         emb_b = embedded(np2, 1)
         brute = {
@@ -182,11 +175,11 @@ class TestCentralizers:
             for v in np2.factor_elements(0)
             if all(G.table[np2.embed(0, v)][b] == G.table[b][np2.embed(0, v)] for b in emb_b)
         }
-        assert centralizer_factors(np2)[0] == brute
+        assert np2.centralizer_factor(0) == brute
 
     @pytest.mark.parametrize("A,B", list(itertools.product(PAIR_FACTORS, repeat=2)))
     def test_centralizers_normal(self, A, B):
-        np2 = nilprod2(A, B)
+        np2 = NilProdGroup([A, B])
         G = np2.group
         for i in (0, 1):
             sub = {np2.embed(i, v) for v in np2.centralizer_factor(i)}
@@ -238,22 +231,23 @@ class TestBounds:
         assert (rep.lower, rep.upper, rep.branch) == (1, 2, "ii")
 
     def test_z2_z3_report(self):
-        rep = bound_report(nilprod2([2], [3]))
+        rep = bound_report(NilProdGroup([[2], [3]]))
         assert (rep.lower, rep.upper, rep.branch) == (1, 2, "ii")
         assert rep.exact == 1 and rep.holds()
 
     def test_z2_z2_report(self):
-        rep = bound_report(nilprod2([2], [2]))
+        rep = bound_report(NilProdGroup([[2], [2]]))
         assert (rep.lower, rep.upper, rep.branch) == (1, 8, "i")
         assert rep.exact == 2 and rep.holds()
 
     @pytest.mark.parametrize("A,B", list(itertools.product(PAIR_FACTORS, repeat=2)))
     def test_sandwich_everywhere(self, A, B):
-        np2 = nilprod2(A, B)
-        exact = palindromic_width(np2.group, "word").width
-        assert check_sandwich(np2, exact)
+        np2 = NilProdGroup([A, B])
+        rep = bound_report(np2, include_exact=False)
+        rep.exact = palindromic_width(np2.group, "word").width
+        assert rep.holds()
 
     def test_lower_is_max_factor_width(self):
-        np2 = nilprod2([2, 2], [3])
+        np2 = NilProdGroup([[2, 2], [3]])
         rep = bound_report(np2, include_exact=False)
         assert rep.lower == palindromic_width(abelian_group([2, 2]), "word").width == 2

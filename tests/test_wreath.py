@@ -15,7 +15,7 @@ from groupwidths.finite_groups import (
     evaluate,
     sym3_fink,
 )
-from groupwidths.free_words import FreeWord, MonoidWord, parse_free_word, reduce_word
+from groupwidths.free_words import FreeWord, MonoidWord, free_commutator, parse_free_word, reduce_word
 from groupwidths.wreath import (
     WreathElement,
     WreathGroup,
@@ -222,11 +222,21 @@ class TestCertificates:
             )
 
     def test_derived_top_is_computed_once_on_first_use(self):
-        W = WreathGroup(2, sym3_fink())
-        assert "derived_top" not in vars(W)
-        derived = W.derived_top
-        assert derived == frozenset(commutator_subgroup(W.top)) == {0, 3, 4}
-        assert W.derived_top is derived
+        # [K, K] belongs to the top group, so wreath groups over one top share it
+        K = sym3_fink()
+        assert "derived_subgroup" not in vars(K)
+        assert not in_derived_subgroup(WreathGroup(2, K).from_top(K.labels["s1"]))
+        derived = vars(K)["derived_subgroup"]
+        assert derived == frozenset(commutator_subgroup(K)) == {0, 3, 4}
+        assert in_derived_subgroup(WreathGroup(3, K).from_top(K.labels["c"]))
+        assert K.derived_subgroup is derived
+
+    def test_huge_generator_index_costs_no_memory(self):
+        # the exponent sums are kept per generator that occurs, not per rank
+        W = WreathGroup(2**62, sym3_fink())
+        word = parse_free_word(f"x{2**62} x1^-1", rank=W.rank)
+        assert not in_derived_subgroup(W.from_base_word(word))
+        assert in_derived_subgroup(W.from_base_word(free_commutator(word, FreeWord.generator(W.rank, 2))))
 
     def test_unbounded_in_j(self, W):
         bounds = []
