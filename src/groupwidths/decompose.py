@@ -17,6 +17,13 @@ most 20 letter palindromes (19 with this construction):
 * at most one palindrome for the top component (every S3 element is a
   palindromic word in these letters).
 
+Every word is a code array over the context's alphabet: the fixed words
+are precomputed code blocks, and a factor is a few concatenations and one
+``np.repeat``, with no Python step per letter or per syllable pair.  The
+factors' total letter count follows from the exponent rows and syllables,
+so an element asking for more than ``MAX_FACTOR_LETTERS`` is refused with
+``CapExceeded`` before any word is built.
+
 The resulting certificate is machine-checked before it is returned.
 """
 
@@ -24,17 +31,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
-from .finite_groups import evaluate, sym3_fink
-from .free_words import FreeWord, MonoidWord, is_word_palindrome
+import numpy as np
+
+from .finite_groups import CapExceeded, evaluate, sym3_fink
+from .free_words import FreeWord, MonoidWord, format_monoid_word, is_word_palindrome
 from .wreath import WreathElement, WreathGroup, evaluate_letters, w_multiply
 
 __all__ = [
     "InvariantViolation",
+    "MAX_FACTOR_LETTERS",
     "S3WreathContext",
     "s3_wreath_context",
     "DecompositionCertificate",
     "split_abelian_commutator",
+    "factor_letter_count",
     "coordinate_power_palindrome",
     "derived_part_palindrome",
     "top_palindromes",
@@ -42,6 +54,10 @@ __all__ = [
 ]
 
 MAX_FACTORS = 20
+
+# the most letters the factors of one decomposition may hold; the count is
+# known from the exponent rows and syllables before any word is built
+MAX_FACTOR_LETTERS = 10**7
 
 R_LETTERS = ("c", "s1", "s2", "s1", "s2")
 R_INV_LETTERS = ("s2", "s1", "s2", "s1", "c^-1")
@@ -58,13 +74,23 @@ class InvariantViolation(AssertionError):
 
 @dataclass(eq=False)
 class S3WreathContext:
-    """The wreath group of F_2 by S3 with its letter evaluation maps."""
+    """The wreath group of F_2 by S3 with its letter evaluation maps, and
+    the construction's fixed words as code blocks over one alphabet."""
 
     group: WreathGroup
     base_letters: dict[str, tuple[int, int]]
     top_letters: dict[str, int]
-    conjugators: dict[int, tuple[str, ...]]  # S3 element id -> word over {s1, s2}
-    top_words: dict[int, tuple[str, ...]]  # S3 element id -> palindromic letter word
+    alphabet: tuple[str, ...]  # every factor is a code array over it
+    r: np.ndarray  # R_LETTERS
+    r_inv: np.ndarray  # R_INV_LETTERS
+    conjugators: dict[int, np.ndarray]  # S3 element id -> word over {s1, s2}
+    top_words: dict[int, np.ndarray]  # S3 element id -> palindromic letter word
+
+    def code(self, letter: str) -> int:
+        return self.alphabet.index(letter)
+
+    def word(self, codes: np.ndarray) -> MonoidWord:
+        return MonoidWord.from_codes(codes, self.alphabet)
 
     def eval_word(self, w: MonoidWord) -> WreathElement:
         return evaluate_letters(self.group, w, self.base_letters, self.top_letters)
@@ -75,6 +101,14 @@ def _build_context() -> S3WreathContext:
     W = WreathGroup(2, K)
     base_letters = {"x": (1, 1), "x^-1": (1, -1), "y": (2, 1), "y^-1": (2, -1)}
     top_letters = dict(K.labels)
+    alphabet = tuple(base_letters) + tuple(a for a in top_letters if a not in base_letters)
+    index = {a: i for i, a in enumerate(alphabet)}
+
+    def coded(letters: tuple[str, ...]) -> np.ndarray:
+        # the alphabet has 8 labels, so its codes are uint8 like every block
+        codes = np.array([index[a] for a in letters], np.uint8)
+        codes.flags.writeable = False
+        return codes
 
     conjugators: dict[int, tuple[str, ...]] = {}
     for word in _CONJUGATOR_WORDS:
@@ -102,7 +136,16 @@ def _build_context() -> S3WreathContext:
     if evaluate(K, MonoidWord(R_LETTERS[::-1])) == K.identity:
         raise InvariantViolation("reversed r evaluates to the identity")
 
-    return S3WreathContext(W, base_letters, top_letters, conjugators, top_words)
+    return S3WreathContext(
+        W,
+        base_letters,
+        top_letters,
+        alphabet,
+        coded(R_LETTERS),
+        coded(R_INV_LETTERS),
+        {g: coded(word) for g, word in conjugators.items()},
+        {g: coded(word) for g, word in top_words.items()},
+    )
 
 
 @lru_cache(maxsize=1)
@@ -136,9 +179,32 @@ def split_abelian_commutator(
     return exponents, tuple(parts), g.top
 
 
-def _power_letters(letter: str, exponent: int) -> tuple[str, ...]:
-    name = letter if exponent > 0 else letter + "^-1"
-    return (name,) * abs(exponent)
+def factor_letter_count(
+    exponents: list[tuple[int, int]],
+    parts: tuple[FreeWord, ...],
+    top: int,
+    ctx: S3WreathContext | None = None,
+) -> int:
+    """Total letters of the factors ``decompose`` builds from the rows of
+    ``split_abelian_commutator``, counted without building them."""
+    ctx = ctx or s3_wreath_context()
+    total = 0
+    for i, ((a, b), part) in enumerate(zip(exponents, parts)):
+        u = len(ctx.conjugators[ctx.group.coords[i]])
+        total += sum(2 * u + abs(e) for e in (a, b) if e)
+        if part.syllables:
+            # Python ints: an exponent past int64 is counted, then capped
+            pairs = _pair_layout(part)[1]
+            powers = sum(abs(e) for _, e in part.syllables)
+            total += 2 * (2 * u + pairs * (len(ctx.r) + len(ctx.r_inv)) + powers)
+    if top != ctx.group.top.identity:
+        total += len(ctx.top_words[top])
+    return total
+
+
+def _power(ctx: S3WreathContext, letter: str, exponent: int) -> np.ndarray:
+    code = ctx.code(letter if exponent > 0 else letter + "^-1")
+    return np.full(abs(exponent), code, np.uint8)
 
 
 def coordinate_power_palindrome(
@@ -152,27 +218,24 @@ def coordinate_power_palindrome(
     if exponent == 0:
         raise ValueError("exponent must be nonzero")
     u = ctx.conjugators[ctx.group.coords[coord]]
-    return MonoidWord(u + _power_letters(letter, exponent) + u[::-1])
+    return ctx.word(np.concatenate((u, _power(ctx, letter, exponent), u[::-1])))
 
 
-def _alternation(g: FreeWord) -> list[tuple[int, int]]:
-    # pairs (a_t, b_t) with zero padding so the word is x^a1 y^b1 x^a2 ...
-    pairs: list[tuple[int, int]] = []
-    syllables = list(g.syllables)
-    i = 0
-    while i < len(syllables):
-        gen, exp = syllables[i]
-        if gen == 1:
-            if i + 1 < len(syllables) and syllables[i + 1][0] == 2:
-                pairs.append((exp, syllables[i + 1][1]))
-                i += 2
-            else:
-                pairs.append((exp, 0))
-                i += 1
-        else:
-            pairs.append((0, exp))
-            i += 1
-    return pairs
+def _pair_layout(g: FreeWord) -> tuple[int, int]:
+    # (lead, rows): the syllables of a reduced nontrivial rank-2 word
+    # alternate between x and y, so they fill rows (a_t, b_t) of the word
+    # x^a1 y^b1 x^a2 ... after `lead` zero x-powers (one when it starts with y)
+    lead = int(g.syllables[0][0] == 2)
+    return lead, (lead + len(g.syllables) + 1) // 2
+
+
+def _pair_exponents(g: FreeWord) -> np.ndarray:
+    # the (a_t, b_t) rows of _pair_layout, zero padded
+    exps = np.fromiter(map(itemgetter(1), g.syllables), np.int64, len(g.syllables))
+    lead, rows = _pair_layout(g)
+    padded = np.zeros(2 * rows, np.int64)
+    padded[lead : lead + len(exps)] = exps
+    return padded.reshape(-1, 2)
 
 
 def derived_part_palindrome(
@@ -193,25 +256,30 @@ def derived_part_palindrome(
     if part.exponent_sum(1) != 0 or part.exponent_sum(2) != 0:
         raise ValueError("derived part must have zero exponent sums")
     u = ctx.conjugators[ctx.group.coords[coord]]
-    inner: list[str] = []
-    for a, b in _alternation(part):
-        inner.extend(R_LETTERS)
-        inner.extend(_power_letters("x", a) if a else ())
-        inner.extend(R_INV_LETTERS)
-        inner.extend(_power_letters("y", b) if b else ())
-    w = u + tuple(inner) + u[::-1]
-    reversed_value = ctx.eval_word(MonoidWord(w[::-1]))
-    if not reversed_value.is_identity():
+    # per (a, b) pair the tokens r, x^+-1, r^-1, y^+-1; each letter of r
+    # and r^-1 is repeated once, the x and y tokens |a| and |b| times
+    pairs = _pair_exponents(part)
+    a, b = pairs[:, 0], pairs[:, 1]
+    nr, ni = len(ctx.r), len(ctx.r_inv)
+    tokens = np.empty((len(pairs), nr + ni + 2), np.uint8)
+    tokens[:, :nr] = ctx.r
+    tokens[:, nr] = np.where(a < 0, ctx.code("x^-1"), ctx.code("x"))
+    tokens[:, nr + 1 : nr + 1 + ni] = ctx.r_inv
+    tokens[:, -1] = np.where(b < 0, ctx.code("y^-1"), ctx.code("y"))
+    counts = np.ones(tokens.shape, np.int64)
+    counts[:, nr], counts[:, -1] = np.abs(a), np.abs(b)
+    inner = np.repeat(tokens.ravel(), counts.ravel())
+    w = np.concatenate((u, inner, u[::-1]))
+    if not ctx.eval_word(ctx.word(w[::-1])).is_identity():
         raise InvariantViolation(
             "reversal of the derived-part word did not evaluate to the identity; "
-            f"witness word: {' '.join(w)}"
+            f"witness word: {format_monoid_word(ctx.word(w))}"
         )
-    value = ctx.eval_word(MonoidWord(w))
-    if value != ctx.group.from_base_word(part, coord):
+    if ctx.eval_word(ctx.word(w)) != ctx.group.from_base_word(part, coord):
         raise InvariantViolation(
             f"derived-part word evaluates off target at coordinate {coord}"
         )
-    return MonoidWord(w + w[::-1])
+    return ctx.word(np.concatenate((w, w[::-1])))
 
 
 def top_palindromes(s: int, ctx: S3WreathContext | None = None) -> list[MonoidWord]:
@@ -219,7 +287,7 @@ def top_palindromes(s: int, ctx: S3WreathContext | None = None) -> list[MonoidWo
     ctx = ctx or s3_wreath_context()
     if s == ctx.group.top.identity:
         return []
-    return [MonoidWord(ctx.top_words[s])]
+    return [ctx.word(ctx.top_words[s])]
 
 
 @dataclass
@@ -250,6 +318,12 @@ def decompose(g: WreathElement, ctx: S3WreathContext | None = None) -> Decomposi
     ctx = ctx or s3_wreath_context()
     _require_s3_wreath(g, ctx)
     exponents, parts, top = split_abelian_commutator(g, ctx)
+    letters = factor_letter_count(exponents, parts, top, ctx)
+    if letters > MAX_FACTOR_LETTERS:
+        raise CapExceeded(
+            f"the decomposition would hold {letters:,} factor letters, "
+            f"over the cap of {MAX_FACTOR_LETTERS:,}"
+        )
     factors: list[MonoidWord] = []
     for i, (a, _) in enumerate(exponents):
         if a:

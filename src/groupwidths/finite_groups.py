@@ -25,6 +25,7 @@ so they round-trip through the text formats bit-exactly.
 
 from __future__ import annotations
 
+import re
 import string
 from collections import deque
 from dataclasses import dataclass, field
@@ -454,14 +455,31 @@ def _spec_field(spec: dict, name: str):
     return spec[name]
 
 
+# characters that delimit labels in the text formats: words split on
+# whitespace and '*', wreath elements on ';', ',' and brackets
+_LABEL_DELIMITERS = re.compile(r"[\s*;,\[\]]")
+
+
+def _label(value) -> str:
+    """A generator label from a spec: a non-empty string that the text
+    formats read back as one letter, so no delimiter and not "1"."""
+    if not isinstance(value, str) or not value or value == "1" or _LABEL_DELIMITERS.search(value):
+        raise ValueError(
+            f"generator label {value!r} must be a non-empty string other than '1' "
+            "with no whitespace, '*', ';', ',', '[' or ']'"
+        )
+    return value
+
+
 def group_from_spec(spec: dict, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """Build a group from its JSON spec.
 
     Kinds: {"kind": "cyclic", "n": m}, {"kind": "dihedral", "n": m},
     {"kind": "sym3_fink"}, {"kind": "direct_product", "factors": [...]},
     {"kind": "table", "table": [[...]], "gens": [["a", 1], ...]}.
-    Every size, table entry and generator id must be a JSON integer; a
-    missing field is a ``ValueError`` naming it.
+    Every size, table entry and generator id must be a JSON integer, and
+    every generator label a string that the text formats read back as one
+    letter; a missing field is a ``ValueError`` naming it.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("group spec must be an object with a 'kind' field")
@@ -501,7 +519,7 @@ def group_from_spec(spec: dict, cap: int = DEFAULT_CAP) -> FiniteGroup:
         for entry in entries:
             if not isinstance(entry, list) or len(entry) != 2:
                 raise ValueError(f"generator {entry!r} must be a [label, id] pair")
-            gens.append((str(entry[0]), _json_int(entry[1], "generator id")))
+            gens.append((_label(entry[0]), _json_int(entry[1], "generator id")))
         return FiniteGroup(rows, gens, name=str(spec.get("name", "table")))
     raise ValueError(f"unknown group kind {kind!r}")
 

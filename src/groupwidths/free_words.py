@@ -1,17 +1,29 @@
 """Words over symmetric alphabets, reduced free-group words, and quasi-lengths.
 
 Two word types live here.  ``MonoidWord`` is a raw letter sequence (never
-reduced); palindromicity is a property of the letter sequence as written,
-so it belongs to this type.  ``FreeWord`` is the canonical reduced form of
-a free-group element, stored as syllables ``(generator, exponent)`` with
-adjacent syllables on distinct generators.  The quasi-length ``ql`` is a
-syllable-level sum and is only well defined on the reduced form.
+reduced), stored as one read-only numpy code array over a tuple of letter
+labels: the codes take the narrowest unsigned type for the alphabet, and
+reversal, concatenation and the palindrome test are array operations.
+Strings appear only where text comes in or goes out: in the constructor
+from letters, ``parse_monoid_word``, ``format_monoid_word`` and the
+derived ``letters`` view.  Palindromicity is a property of the letter
+sequence as written, so it belongs to this type.  ``FreeWord`` is the
+canonical reduced form of a free-group element, stored as syllables
+``(generator, exponent)`` with adjacent syllables on distinct generators.
+The quasi-length ``ql`` is a syllable-level sum and is only well defined
+on the reduced form.
+
+In the free-word text, ``x``/``y`` (and ``x^-1``/``y^-1``) alias
+``x1``/``x2`` only as whole atoms: ``x1^3`` is a syllable, ``x^3`` is not.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "MonoidWord",
@@ -36,25 +48,107 @@ def tr(m: int) -> int:
     return _TR_BY_RESIDUE[m % 3]
 
 
-@dataclass(frozen=True)
 class MonoidWord:
-    """A finite letter sequence; not reduced, compared letter by letter."""
+    """A finite letter sequence; not reduced, compared letter by letter.
 
-    letters: tuple[str, ...] = ()
+    Stored as one read-only code array ``codes`` over a tuple of distinct
+    letter labels ``alphabet``: letter i is ``alphabet[codes[i]]``.  The
+    codes take the narrowest unsigned type that holds ``len(alphabet) - 1``.
+    The alphabet may hold labels that do not occur, so two equal words can
+    have different alphabets; equality and hashing follow the letters.
+
+    ``MonoidWord(letters)`` codes a sequence of strings once, with the
+    labels in order of first occurrence; ``MonoidWord.from_codes`` wraps a
+    code array without touching strings.
+    """
+
+    __slots__ = ("codes", "alphabet")
+
+    codes: np.ndarray
+    alphabet: tuple[str, ...]
+
+    def __init__(self, letters: Iterable[str] = ()) -> None:
+        if isinstance(letters, str):
+            raise TypeError("letters must be a sequence of strings, not one string")
+        letters = tuple(letters)
+        alphabet = tuple(dict.fromkeys(letters))
+        if not all(isinstance(a, str) for a in alphabet):
+            raise TypeError("letters must be strings")
+        index = {a: i for i, a in enumerate(alphabet)}
+        codes = np.fromiter(map(index.__getitem__, letters), _code_type(alphabet), len(letters))
+        self._set(codes, alphabet)
+
+    @classmethod
+    def from_codes(cls, codes: np.ndarray, alphabet: tuple[str, ...]) -> "MonoidWord":
+        """The word ``alphabet[codes[0]] alphabet[codes[1]] ...``.
+
+        Codes already in the narrowest type are wrapped in a read-only view,
+        not copied, so the caller must not write to the array afterwards.
+        """
+        alphabet = tuple(alphabet)
+        if not all(isinstance(a, str) for a in alphabet) or len(set(alphabet)) != len(alphabet):
+            raise ValueError("alphabet must be distinct strings")
+        codes = np.asarray(codes)
+        if codes.ndim != 1 or (len(codes) and codes.dtype.kind not in "ui"):
+            raise ValueError("codes must be a one-dimensional integer array")
+        if len(codes) and not 0 <= codes.min() <= codes.max() < len(alphabet):
+            raise ValueError(f"codes must lie in 0..{len(alphabet) - 1}")
+        word = cls.__new__(cls)
+        word._set(codes.astype(_code_type(alphabet), copy=False), alphabet)
+        return word
+
+    def _set(self, codes: np.ndarray, alphabet: tuple[str, ...]) -> None:
+        codes = codes.view()
+        codes.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "alphabet", alphabet)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("MonoidWord is immutable")
+
+    @property
+    def letters(self) -> tuple[str, ...]:
+        """The letters as a tuple of labels, built on each access."""
+        return tuple(np.array(self.alphabet, dtype=object).take(self.codes).tolist())
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.codes)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MonoidWord):
+            return NotImplemented
+        if self.alphabet == other.alphabet:
+            return np.array_equal(self.codes, other.codes)
+        return len(self) == len(other) and self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash(self.letters)
+
+    def __repr__(self) -> str:
+        return f"MonoidWord({self.letters!r})"
+
+    def __reduce__(self):
+        return MonoidWord.from_codes, (np.array(self.codes), self.alphabet)
 
     def __mul__(self, other: "MonoidWord") -> "MonoidWord":
-        return MonoidWord(self.letters + other.letters)
+        alphabet = self.alphabet + tuple(a for a in other.alphabet if a not in self.alphabet)
+        index = {a: i for i, a in enumerate(alphabet)}
+        recode = np.array([index[a] for a in other.alphabet], _code_type(alphabet))
+        codes = np.concatenate((self.codes, recode.take(other.codes)), dtype=recode.dtype)
+        return MonoidWord.from_codes(codes, alphabet)
 
     def reverse(self) -> "MonoidWord":
-        return MonoidWord(self.letters[::-1])
+        return MonoidWord.from_codes(self.codes[::-1], self.alphabet)
+
+
+def _code_type(alphabet: tuple[str, ...]) -> np.dtype:
+    # the narrowest unsigned type that holds every code of the alphabet
+    return np.min_scalar_type(max(len(alphabet) - 1, 0))
 
 
 def is_word_palindrome(w: MonoidWord) -> bool:
     """True iff the letter sequence equals its own reversal."""
-    return w.letters == w.letters[::-1]
+    return np.array_equal(w.codes, w.codes[::-1])
 
 
 # letter of a free-group alphabet: x<i> or x<i>^-1, with x/y aliases for rank 2
@@ -209,14 +303,14 @@ def free_commutator(u: FreeWord, v: FreeWord) -> FreeWord:
 
 
 def format_monoid_word(w: MonoidWord) -> str:
-    return " ".join(w.letters) if w.letters else "1"
+    return " ".join(w.letters) if len(w) else "1"
 
 
 def parse_monoid_word(text: str) -> MonoidWord:
     text = text.strip()
     if text in ("", "1"):
         return MonoidWord()
-    return MonoidWord(tuple(text.split()))
+    return MonoidWord(text.split())
 
 
 def format_free_word(w: FreeWord) -> str:

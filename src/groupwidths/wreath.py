@@ -249,18 +249,19 @@ def evaluate_letters(
     below 2**31 in absolute value, top element in range): a bad entry is a
     ``ValueError`` even when its letters would cancel.
 
-    Python takes no step per letter.  Coding the letters is one C-level
-    ``bytes(map(...))`` pass over a dict per byte of the code (a single
-    pass for alphabets of up to 255 letters; the code array is the
-    narrowest unsigned type that holds the alphabet).  The running top is
+    Python takes no step per letter.  The word is a code array over its
+    own alphabet, so the maps are translated once per alphabet label into
+    per-code arrays (top value, base flag, generator, exponent), and one
+    ``take`` per array reads them per letter.  A label in neither map is a
+    ``ValueError`` only when it occurs in the word.  The running top is
     the inclusive prefix product of the letters' top values, base letters
     being the identity: a pairwise scan of O(len) table lookups in
     O(log len) numpy calls.  The base letters are stably sorted by
     coordinate and summed per run of one generator within one coordinate
     (``np.add.reduceat``); only the runs reach Python, and only those of
     a coordinate with a run that sums to zero go through the reduction
-    stack.  A word of L letters with r runs costs O(L) numpy work and at
-    most O(r) Python steps.
+    stack.  A word of L letters over an alphabet of A labels with r runs
+    costs O(L) numpy work and O(A + r) Python steps.
     """
     n = W.size
     for letter, (gen, exp) in base_letters.items():
@@ -278,37 +279,42 @@ def evaluate_letters(
         if _json_int(k, f"top element of letter {letter!r}") not in range(n):
             raise ValueError(f"top element of letter {letter!r} is {k}, out of range 0..{n - 1}")
 
-    # codes: base letters first, so a letter is a base letter iff its code < nb
-    nb = len(base_letters)
-    alphabet = list(base_letters) + [a for a in top_letters if a not in base_letters]
-    dtype = np.min_scalar_type(len(alphabet))
-    codes = np.zeros(len(word), dtype)
-    try:
-        for shift in range(0, 8 * dtype.itemsize, 8):
-            digit = {a: i >> shift & 255 for i, a in enumerate(alphabet)}
-            plane = np.frombuffer(bytes(map(digit.__getitem__, word.letters)), np.uint8)
-            codes |= plane.astype(dtype) << shift
-    except KeyError as exc:
-        raise ValueError(
-            f"letter {exc.args[0]!r} is neither a base nor a top generator"
-        ) from None
-
+    # per-code values over the word's alphabet, as lists: each label costs
+    # a few Python steps and the arrays are built once
     flat = W._top_flat
-    top_of_code = np.full(len(alphabet), W.top.identity, flat.dtype)
-    top_of_code[nb:] = [top_letters[a] for a in alphabet[nb:]]
-    running = _prefix_products(flat, n, top_of_code.take(codes))
+    alphabet = word.alphabet
+    top_of_code = [W.top.identity] * len(alphabet)
+    is_base = [False] * len(alphabet)
+    gen_exp = [(0, 0)] * len(alphabet)
+    unknown = []
+    for i, a in enumerate(alphabet):
+        if a in base_letters:
+            is_base[i], gen_exp[i] = True, base_letters[a]
+        elif a in top_letters:
+            top_of_code[i] = top_letters[a]
+        else:
+            unknown.append(i)
+    codes = word.codes
+    if unknown:
+        hits = np.flatnonzero(np.isin(codes, unknown))
+        if len(hits):
+            raise ValueError(
+                f"letter {alphabet[codes[hits[0]]]!r} is neither a base nor a top generator"
+            )
+
+    running = _prefix_products(flat, n, np.array(top_of_code, flat.dtype).take(codes))
     top = int(running[-1]) if len(running) else W.top.identity
 
     base = [FreeWord.identity(W.rank)] * n
-    at = np.flatnonzero(codes < nb)
+    at = np.flatnonzero(np.array(is_base).take(codes))
     if len(at):
         # a base letter sits at the coordinate of the running top before
         # it, which is the running top at it, since it is the identity
         coords = W._coord_of.take(running[at])
         order = np.argsort(coords, kind="stable")
         coords, codes = coords[order], codes[at[order]]
-        gens = np.array([g for g, _ in base_letters.values()], np.intp).take(codes)
-        exps = np.array([e for _, e in base_letters.values()], np.int64).take(codes)
+        gen_of_code, exp_of_code = np.array(gen_exp, np.int64).T
+        gens, exps = gen_of_code.take(codes), exp_of_code.take(codes)
         starts = np.flatnonzero(
             np.concatenate(([True], (coords[1:] != coords[:-1]) | (gens[1:] != gens[:-1])))
         )

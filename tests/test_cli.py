@@ -183,6 +183,17 @@ class TestExitCodes:
             assert proc.returncode == 2, (spec, proc.stderr)
             assert "Traceback" not in proc.stderr
 
+    def test_bad_generator_label_is_2_and_named(self, tmp_path, capsys):
+        from groupwidths import cli
+
+        for label in (None, [1, 2], "a*b"):
+            spec = {"kind": "table", "table": [[0, 1], [1, 0]], "gens": [[label, 1]]}
+            path = write_spec(tmp_path, "labels.json", spec)
+            assert cli.main(["pw", path]) == 2
+            assert f"generator label {label!r}" in capsys.readouterr().err
+            assert cli.main(["qh", "--top", path, "[1; 1] 1"]) == 2
+            assert f"generator label {label!r}" in capsys.readouterr().err
+
     def test_missing_spec_field_is_2_and_named(self, tmp_path, capsys):
         from groupwidths import cli
 

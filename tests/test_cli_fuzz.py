@@ -17,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupwidths import cli
+from groupwidths.decompose import s3_wreath_context
 from groupwidths.finite_groups import group_from_spec
+from groupwidths.wreath import parse_wreath_element
 
 # a JSON value of any type
 weird = st.one_of(
@@ -90,14 +92,16 @@ def nilprod_specs(draw):
     return factors[0] if form == "one factor" and factors else factors
 
 
-# wreath element texts "[w1; ...; wl] k".  Exponents stay below 1000:
-# decompose emits a number of letters proportional to them and has no
-# output cap yet.
+# wreath element texts "[w1; ...; wl] k".  Exponents reach 10^9 in
+# absolute value: decompose emits a number of letters proportional to
+# them, and a text that asks for more than its letter cap exits 3.
 text_pieces = st.sampled_from(
     ["[", "]", ";", " ", ",", "x", "^", "-", "^-1", "^3", "0", "s1", "c", "*", "[x,y]", "x^2", "é"]
 )
 powers = st.builds(
-    "x{}^{}".format, st.sampled_from([1, 2] * 10 + [3, 2**62]), st.integers(-999, 999)
+    "x{}^{}".format,
+    st.sampled_from([1, 2] * 10 + [3, 2**62]),
+    st.one_of(st.integers(-999, 999), st.integers(-(10**9), 10**9)),
 )
 syllables = st.one_of(
     powers,
@@ -135,6 +139,7 @@ def assert_clean_exit(argv):
         assert isinstance(json.loads(out.getvalue()), dict)
     else:
         assert out.getvalue() == "" and err.getvalue().startswith("error: "), (argv, err.getvalue())
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -182,4 +187,10 @@ def test_qh_top(spec_path, top, data, cap):
 @settings(max_examples=150, deadline=None)
 @given(text=wreath_texts(6))
 def test_decompose(text):
-    assert_clean_exit(["decompose", "--", text])
+    code = assert_clean_exit(["decompose", "--", text])
+    # an element whose coordinates parse is decomposed or capped
+    try:
+        parse_wreath_element(s3_wreath_context().group, text)
+    except ValueError:
+        return
+    assert code in (0, 3), (text, code)

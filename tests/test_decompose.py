@@ -1,18 +1,28 @@
 """Palindromic decomposition certificates over F2 wr S3."""
 
+import contextlib
+import hashlib
+import importlib
+import io
 import random
+import re
+import time
 
 import pytest
 
+from groupwidths import cli
 from groupwidths.decompose import (
+    MAX_FACTOR_LETTERS,
     InvariantViolation,
     coordinate_power_palindrome,
     decompose,
     derived_part_palindrome,
+    factor_letter_count,
     s3_wreath_context,
     split_abelian_commutator,
     top_palindromes,
 )
+from groupwidths.finite_groups import CapExceeded
 from groupwidths.free_words import (
     FreeWord,
     MonoidWord,
@@ -21,9 +31,12 @@ from groupwidths.free_words import (
     is_word_palindrome,
     parse_free_word,
 )
-from groupwidths.wreath import WreathElement, w_multiply
+from groupwidths.wreath import WreathElement, parse_wreath_element, w_multiply
 
 from conftest import random_reduced_word, random_wreath_element
+
+# the package rebinds the name ``decompose`` to the function
+decompose_module = importlib.import_module("groupwidths.decompose")
 
 
 @pytest.fixture(scope="module")
@@ -42,12 +55,14 @@ class TestContext:
         assert set(ctx.conjugators) == set(K.elements())
         from groupwidths.finite_groups import evaluate
 
-        for g, word in ctx.conjugators.items():
+        for g, codes in ctx.conjugators.items():
+            word = tuple(ctx.alphabet[c] for c in codes)
             assert evaluate(K, MonoidWord(word)) == g
             assert evaluate(K, MonoidWord(word[::-1])) == K.inverse[g]
 
     def test_conjugator_sandwich_is_palindrome(self, ctx):
-        for word in ctx.conjugators.values():
+        for codes in ctx.conjugators.values():
+            word = tuple(ctx.alphabet[c] for c in codes)
             for mid in (("x", "x"), ("y^-1",), ()):
                 assert is_word_palindrome(MonoidWord(word + mid + word[::-1]))
 
@@ -213,3 +228,75 @@ class TestDecompose:
             flags = bad.verification(ctx)
             if not all(flags.values()):
                 raise InvariantViolation(str(flags))
+
+
+class TestLetterCap:
+    def test_letter_count_is_exact(self, ctx):
+        rng = random.Random(29)
+        for _ in range(100):
+            g = random_wreath_element(rng, ctx.group, 14)
+            cert = decompose(g, ctx)
+            rows = split_abelian_commutator(g, ctx)
+            assert factor_letter_count(*rows, ctx) == sum(map(len, cert.factors))
+
+    def test_cap_is_inclusive(self, ctx, monkeypatch):
+        # x1^100 at the identity coordinate: one factor of 100 letters
+        g = parse_wreath_element(ctx.group, "[x1^100; 1; 1; 1; 1; 1] 1")
+        monkeypatch.setattr(decompose_module, "MAX_FACTOR_LETTERS", 100)
+        assert sum(map(len, decompose(g, ctx).factors)) == 100
+        monkeypatch.setattr(decompose_module, "MAX_FACTOR_LETTERS", 99)
+        with pytest.raises(CapExceeded, match="100 factor letters, over the cap of 99"):
+            decompose(g, ctx)
+
+    def test_a_short_text_over_the_cap_exits_3_at_once(self, capsys):
+        # 28 bytes asking for 10^8 letters: refused before any word is built
+        start = time.perf_counter()
+        assert cli.main(["decompose", "[x1^100000000; 1; 1; 1; 1; 1] 1"]) == cli.EXIT_CAP
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"100,000,000 factor letters, over the cap of {MAX_FACTOR_LETTERS:,}" in captured.err
+
+    def test_derived_parts_count_towards_the_cap(self, ctx):
+        # zero exponent sums, so every letter is in a derived-part palindrome
+        g = parse_wreath_element(ctx.group, "[x1^3000000 x2 x1^-3000000 x2^-1; 1; 1; 1; 1; 1] 1")
+        with pytest.raises(CapExceeded, match="12,000,044 factor letters"):
+            decompose(g, ctx)
+
+    def test_derived_part_exponents_past_int64_are_capped(self, ctx):
+        big = 10**20
+        text = f"[x1^{big} x2 x1^-{big} x2^-1; 1; 1; 1; 1; 1] 1"
+        g = parse_wreath_element(ctx.group, text)
+        with pytest.raises(CapExceeded, match="400,000,000,000,000,000,044 factor letters"):
+            decompose(g, ctx)
+
+
+# decompose reports recorded before words became code arrays: sha256 of
+# stdout with the wall_time_s value replaced by 0
+GOLDEN_REPORTS = {
+    "[1; 1; 1; 1; 1; 1] 1": "423989dab95115e318ed0fb7d2df4dc1f4f76c9bcdb26777efc7f6741d6cf787",
+    "[[x,y]; 1; 1; 1; 1; 1] 1": "8f205f0dac98679c6c660dca6fecced8a27b53f01f4955bd46798fe73c7a6614",
+    "[1; x1^7; 1; 1; 1; 1] 1": "2eb8797c01d8119e09a5e736db7ad9012ddc58580ebb0776d1a0dfe97bab7279",
+    "[x y x^-1 y^-1 x1^3; x2 x1^-2 x2^2 x; 1; [x,y]; y; x1^-2 x2^5] s1": (
+        "cb0b6ec72b8f3f31cd188e8e130de5db245156d759a76e51750af68acc6c3ab3"
+    ),
+    "[x2^-4 x1 x2^4 x1^-1; 1; [[x,y],x]; 1; x2 x1^-1; 1] c^-1": (
+        "3ab18915389ea556d1574700f8210361483222d4aeabbb6d885e0cdfb0deab65"
+    ),
+    "[x1^5000 x2^-3000; 1; 1; x2^2 x1^-1 x2^-2 x1; 1; 1] s1*s2*s1": (
+        "8e9323dd5a6ecacc4c4033cc9535253bf6f76377e8dc7a4257288036ec12de92"
+    ),
+    "[y x y^-1 x^-1; x^-1; y^-1; [x,y] [y,x^-1]; x1^2 x2^-1; x2^3 x1^-3] s1*s2": (
+        "bbdbf0ee25372a93b2d3998cccebaa009a7547a94148034b46d2f05bd0a8a2cd"
+    ),
+    "[1; 1; 1; 1; 1; 1] c": "1352e00de340c21ada2aab4a3c1309a4887c876911fa5549832bd5eaa5803603",
+}
+
+
+@pytest.mark.parametrize("text", sorted(GOLDEN_REPORTS))
+def test_report_matches_the_recorded_bytes(text):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["decompose", "--", text]) == 0
+    body = re.sub(r'"wall_time_s": [0-9.e-]+', '"wall_time_s": 0', out.getvalue())
+    assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN_REPORTS[text]

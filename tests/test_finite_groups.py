@@ -1,6 +1,7 @@
 """Constructors, table verification, evaluation, and commutator machinery."""
 
 import random
+import re
 import string
 
 import numpy as np
@@ -299,3 +300,17 @@ class TestSpecs:
         spec = {"kind": "table", "table": [[0, 1], [1]], "gens": [["a", 1]]}
         with pytest.raises(ValueError, match="row 1 has length 1"):
             group_from_spec(spec)
+
+    @pytest.mark.parametrize(
+        "label", [None, [1, 2], "a*b", "", "1", 5, "a b", "a\tb", "a;b", "a,b", "[a", "a]"]
+    )
+    def test_rejects_labels_the_text_formats_cannot_read_back(self, label):
+        spec = {"kind": "table", "table": [[0, 1], [1, 0]], "gens": [[label, 1]]}
+        with pytest.raises(ValueError, match=re.escape(f"generator label {label!r}")):
+            group_from_spec(spec)
+
+    @pytest.mark.parametrize("label", ["a", "a^-1", "s1", "x_2", "é"])
+    def test_accepted_labels_round_trip_through_label_words(self, label):
+        G = group_from_spec({"kind": "table", "table": [[0, 1], [1, 0]], "gens": [[label, 1]]})
+        assert G.shortest_label_word(1) == label
+        assert G.element_from_label_word(G.shortest_label_word(1)) == 1

@@ -1,7 +1,9 @@
 """Free-word arithmetic, palindrome predicate, and the quasi-lengths."""
 
+import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -242,8 +244,90 @@ class TestTextFormats:
         except ValueError:
             pass
 
+    def test_aliases_are_whole_atoms_only(self):
+        assert parse_free_word("x y^-1") == parse_free_word("x1 x2^-1")
+        assert parse_free_word("x1^3 x2^-2").syllables == ((1, 3), (2, -2))
+        for text in ("x^3", "y^2", "x^-2", "y^1"):
+            with pytest.raises(ValueError, match="not a syllable"):
+                parse_free_word(text)
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_free_word("z7")
         with pytest.raises(ValueError):
             parse_free_word("[x,y")
+
+
+# labels of several lengths, an inverse suffix and a non-ASCII one; none is
+# "1" or holds a space, so every word prints and parses back
+word_labels = st.sampled_from(["x1", "x1^-1", "s1", "c^-1", "t300", "é"])
+
+
+@st.composite
+def coded_words(draw):
+    """A word coded from its letters, or the same letters as codes over a
+    shuffled alphabet that also holds labels absent from the word; one
+    time in three the letters are followed by their reversal."""
+    letters = draw(st.lists(word_labels, max_size=30))
+    if draw(st.integers(0, 2)) == 2:
+        letters += letters[::-1]
+    if draw(st.booleans()):
+        return MonoidWord(letters)
+    extra = draw(st.lists(word_labels, max_size=3))
+    alphabet = tuple(draw(st.permutations(sorted(set(letters) | set(extra)))))
+    index = {a: i for i, a in enumerate(alphabet)}
+    return MonoidWord.from_codes(np.array([index[a] for a in letters], np.int64), alphabet)
+
+
+class TestCodeArrayWord:
+    @given(coded_words())
+    def test_print_parse_round_trip(self, w):
+        assert parse_monoid_word(format_monoid_word(w)) == w
+
+    @given(coded_words())
+    def test_palindrome_is_a_property_of_the_letters(self, w):
+        assert is_word_palindrome(w) == (w.letters == w.letters[::-1])
+
+    @given(coded_words(), coded_words())
+    def test_equality_hash_and_product_follow_the_letters(self, u, v):
+        assert (u == v) == (u.letters == v.letters)
+        assert hash(u) == hash(MonoidWord(u.letters))
+        assert (u * v).letters == u.letters + v.letters
+        assert u.reverse().letters == u.letters[::-1]
+        assert pickle.loads(pickle.dumps(u)) == u
+
+    @given(coded_words())
+    def test_codes_are_read_only_and_narrowest(self, w):
+        assert not w.codes.flags.writeable
+        assert w.codes.dtype == np.uint8
+        assert all(w.alphabet[c] == a for c, a in zip(w.codes.tolist(), w.letters))
+
+    def test_alphabets_beyond_one_byte(self):
+        letters = [f"t{i}" for i in range(300)]
+        w = MonoidWord(letters + letters[:5])
+        assert w.codes.dtype == np.uint16 and w.letters[-5:] == tuple(letters[:5])
+        assert MonoidWord(f"t{i}" for i in range(70_000)).codes.dtype == np.uint32
+
+    def test_from_codes_does_not_copy_narrow_codes(self):
+        codes = np.array([0, 1, 0], np.uint8)
+        w = MonoidWord.from_codes(codes, ("a", "b"))
+        assert np.shares_memory(w.codes, codes) and w.letters == ("a", "b", "a")
+        with pytest.raises(ValueError):
+            w.codes[0] = 1
+
+    @pytest.mark.parametrize(
+        "codes,alphabet",
+        [([0, 2], ("a", "b")), ([-1], ("a",)), ([0], ("a", "a")), ([0], (1,)), ([[0]], ("a",)), ([0.0], ("a",))],
+    )
+    def test_from_codes_rejects_bad_input(self, codes, alphabet):
+        with pytest.raises(ValueError):
+            MonoidWord.from_codes(np.array(codes), alphabet)
+
+    def test_immutable_and_no_bare_string(self):
+        w = MonoidWord(("a",))
+        with pytest.raises(AttributeError):
+            w.codes = np.zeros(1, np.uint8)
+        with pytest.raises(TypeError):
+            MonoidWord("ab")
+        with pytest.raises(TypeError):
+            MonoidWord(("a", 1))

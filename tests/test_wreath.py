@@ -368,6 +368,22 @@ class TestEvaluateLetters:
             got = evaluate_letters(W, word, base, top)
             assert got == reference_evaluate_letters(W, word, base, top)
 
+    @given(letter_words(), st.data())
+    def test_unknown_label_in_the_alphabet(self, case, data):
+        # a label in neither map is an error only where it occurs in the word
+        W, word, base, top = case
+        codes = word.codes.tolist()
+        occurs = data.draw(st.booleans())
+        if occurs:
+            codes.insert(data.draw(st.integers(0, len(codes))), len(word.alphabet))
+        word = MonoidWord.from_codes(np.array(codes, np.int64), word.alphabet + ("q",))
+        if occurs:
+            for evaluate in (evaluate_letters, reference_evaluate_letters):
+                with pytest.raises(ValueError, match="letter 'q' is neither a base nor a top generator"):
+                    evaluate(W, word, base, top)
+        else:
+            assert evaluate_letters(W, word, base, top) == reference_evaluate_letters(W, word, base, top)
+
     def test_unknown_letter_is_a_value_error(self, W):
         with pytest.raises(ValueError, match="letter 'q' is neither a base nor a top generator"):
             evaluate_letters(W, MonoidWord(("x", "s1", "q", "x")), {"x": (1, 1)}, {"s1": 1})
