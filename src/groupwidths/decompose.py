@@ -41,6 +41,7 @@ from .wreath import WreathElement, WreathGroup, evaluate_letters, w_multiply
 
 __all__ = [
     "InvariantViolation",
+    "MAX_FACTORS",
     "MAX_FACTOR_LETTERS",
     "S3WreathContext",
     "s3_wreath_context",
@@ -189,8 +190,8 @@ def factor_letter_count(
     ``split_abelian_commutator``, counted without building them."""
     ctx = ctx or s3_wreath_context()
     total = 0
-    for i, ((a, b), part) in enumerate(zip(exponents, parts)):
-        u = len(ctx.conjugators[ctx.group.coords[i]])
+    for c, ((a, b), part) in enumerate(zip(exponents, parts)):
+        u = len(ctx.conjugators[c])
         total += sum(2 * u + abs(e) for e in (a, b) if e)
         if part.syllables:
             # Python ints: an exponent past int64 is counted, then capped
@@ -211,13 +212,13 @@ def coordinate_power_palindrome(
     coord: int, letter: str, exponent: int, ctx: S3WreathContext | None = None
 ) -> MonoidWord:
     """Palindrome u letter^exponent reverse(u) evaluating to the power at
-    the given coordinate, trivial elsewhere, trivial top."""
+    the coordinate of S3 element ``coord``, trivial elsewhere, trivial top."""
     ctx = ctx or s3_wreath_context()
     if letter not in ("x", "y"):
         raise ValueError("letter must be 'x' or 'y'")
     if exponent == 0:
         raise ValueError("exponent must be nonzero")
-    u = ctx.conjugators[ctx.group.coords[coord]]
+    u = ctx.conjugators[coord]
     return ctx.word(np.concatenate((u, _power(ctx, letter, exponent), u[::-1])))
 
 
@@ -242,7 +243,7 @@ def derived_part_palindrome(
     coord: int, part: FreeWord, ctx: S3WreathContext | None = None
 ) -> MonoidWord | None:
     """One palindrome w reverse(w) carrying a zero-exponent-sum word at the
-    given coordinate; None when the word is trivial.
+    coordinate of S3 element ``coord``; None when the word is trivial.
 
     The reversal of w must evaluate to the wreath identity; that identity
     is the construction's load-bearing cancellation and is re-checked here
@@ -255,7 +256,7 @@ def derived_part_palindrome(
         return None
     if part.exponent_sum(1) != 0 or part.exponent_sum(2) != 0:
         raise ValueError("derived part must have zero exponent sums")
-    u = ctx.conjugators[ctx.group.coords[coord]]
+    u = ctx.conjugators[coord]
     # per (a, b) pair the tokens r, x^+-1, r^-1, y^+-1; each letter of r
     # and r^-1 is repeated once, the x and y tokens |a| and |b| times
     pairs = _pair_exponents(part)
@@ -292,11 +293,14 @@ def top_palindromes(s: int, ctx: S3WreathContext | None = None) -> list[MonoidWo
 
 @dataclass
 class DecompositionCertificate:
-    """Palindromic factors whose product provably equals the target."""
+    """Palindromic factors whose product provably equals the target;
+    ``flags`` are those of the ``verification`` that ``decompose`` ran
+    (None on a certificate built by hand)."""
 
     target: WreathElement
     factors: list[MonoidWord]
     factor_count: int
+    flags: dict[str, bool] | None = None
 
     def verification(self, ctx: S3WreathContext | None = None) -> dict[str, bool]:
         """Recompute every certificate invariant from scratch."""
@@ -325,20 +329,20 @@ def decompose(g: WreathElement, ctx: S3WreathContext | None = None) -> Decomposi
             f"over the cap of {MAX_FACTOR_LETTERS:,}"
         )
     factors: list[MonoidWord] = []
-    for i, (a, _) in enumerate(exponents):
+    for c, (a, _) in enumerate(exponents):
         if a:
-            factors.append(coordinate_power_palindrome(i, "x", a, ctx))
-    for i, (_, b) in enumerate(exponents):
+            factors.append(coordinate_power_palindrome(c, "x", a, ctx))
+    for c, (_, b) in enumerate(exponents):
         if b:
-            factors.append(coordinate_power_palindrome(i, "y", b, ctx))
-    for i, part in enumerate(parts):
-        factor = derived_part_palindrome(i, part, ctx)
+            factors.append(coordinate_power_palindrome(c, "y", b, ctx))
+    for c, part in enumerate(parts):
+        factor = derived_part_palindrome(c, part, ctx)
         if factor is not None:
             factors.append(factor)
     factors.extend(top_palindromes(top, ctx))
     cert = DecompositionCertificate(g, factors, len(factors))
-    flags = cert.verification(ctx)
-    if not all(flags.values()):
-        failed = [k for k, v in flags.items() if not v]
+    cert.flags = cert.verification(ctx)
+    failed = [k for k, v in cert.flags.items() if not v]
+    if failed:
         raise InvariantViolation(f"certificate verification failed: {failed}")
     return cert

@@ -1,12 +1,14 @@
 """Restricted wreath product of a free group by a finite group.
 
-Elements are tuples of reduced free words indexed by the elements of the
-finite top group, together with a top component.  The base tuple is kept
-in canonical reduced form coordinate-wise, so equality is component-wise.
+An element is a tuple of reduced free words, one per base coordinate,
+together with a top component.  A coordinate is a top element id: ``base[g]``
+is the word at element g, wherever the top's table puts its identity; only
+the text format lists the identity coordinate first.  Words are kept
+reduced, so equality is component-wise.
 
-The top group permutes coordinates by left multiplication of the indexing
-elements: acting by k sends the word at index t to index k*t (equivalently
-the new index-i entry is the old entry at k^-1 * i), and the semidirect
+The top group permutes coordinates by left multiplication: acting by k
+sends the word at coordinate t to coordinate k*t (equivalently the new
+coordinate-i entry is the old entry at k^-1 * i), and the semidirect
 product multiplies as (p, k)(p', k') = (p * (p' acted on by k), k*k').
 This is the unique convention under which the product is associative and
 conjugating an identity-coordinate word by an embedded top element k moves
@@ -20,9 +22,7 @@ length lower bounds that grow without bound along the q_j sequence.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,49 +57,28 @@ __all__ = [
 
 @dataclass(eq=False)
 class WreathGroup:
-    """F_rank wreath a finite top group; coordinate 0 is indexed by the
-    top identity, the rest by ascending element id."""
+    """F_rank wreath a finite top group, read from the top's own table.  A
+    base coordinate is a top element id; the text lists the identity's
+    coordinate first, then the others by ascending id."""
 
     rank: int
     top: FiniteGroup
+    size: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise ValueError("rank must be positive")
-        self.coords = [self.top.identity] + [
-            g for g in self.top.elements() if g != self.top.identity
-        ]
-        self.coord_index = {g: i for i, g in enumerate(self.coords)}
         self.size = self.top.order
-        # list views of the top table and inverse for the per-element
-        # products below: a nested-list lookup takes about 25 ns, a numpy scalar
-        # lookup 100-170 ns (Python 3.11, numpy 2.4, 2-vCPU Xeon VM)
-        self._top_mul = self.top.table.tolist()
-        self._top_inv = self.top.inverse.tolist()
-
-    @cached_property
-    def _top_flat(self) -> np.ndarray:
-        """The top table flattened row-major, in the narrowest unsigned
-        type that holds size*size - 1, so a*size + b indexes it without
-        overflow; built on first use by ``evaluate_letters``."""
-        return self.top.table.ravel().astype(np.min_scalar_type(self.size**2 - 1))
-
-    @cached_property
-    def _coord_of(self) -> np.ndarray:
-        """Coordinate index of each top element id, in the narrowest
-        unsigned type (a stable sort of such keys is a radix sort); built
-        on first use by ``evaluate_letters``."""
-        coords = [self.coord_index[g] for g in self.top.elements()]
-        return np.array(coords, np.min_scalar_type(self.size - 1))
 
     def identity(self) -> "WreathElement":
-        one = FreeWord.identity(self.rank)
-        return WreathElement(self, (one,) * self.size, self.top.identity)
+        return self.from_top(self.top.identity)
 
-    def from_base_word(self, word: FreeWord, coord: int = 0) -> "WreathElement":
-        """Embed a free word at the given coordinate (default: identity)."""
+    def from_base_word(self, word: FreeWord, coord: int | None = None) -> "WreathElement":
+        """Embed a free word at the coordinate of top element ``coord``
+        (default: the top identity)."""
         if word.rank != self.rank:
             raise ValueError("free-word rank does not match the wreath group")
+        coord = self.top.identity if coord is None else coord
         one = FreeWord.identity(self.rank)
         base = tuple(word if i == coord else one for i in range(self.size))
         return WreathElement(self, base, self.top.identity)
@@ -124,29 +103,25 @@ class WreathElement:
         return self.top == self.group.top.identity and all(w.is_identity() for w in self.base)
 
 
-def _same_group(g: WreathElement, h: WreathElement) -> WreathGroup:
-    if g.group is not h.group:
-        raise ValueError("elements belong to different wreath groups")
-    return g.group
-
-
 def base_action(W: WreathGroup, base: tuple[FreeWord, ...], k: int) -> tuple[FreeWord, ...]:
-    """Permute coordinates by k: new index-i entry is the old entry at
-    k^-1 * coords[i]."""
-    row = W._top_mul[W._top_inv[k]]
-    return tuple(base[W.coord_index[row[t]]] for t in W.coords)
+    """Permute coordinates by k: the new coordinate-i entry is the old
+    entry at k^-1 * i."""
+    row = W.top.table[W.top.inverse[k]].tolist()
+    return tuple(base[j] for j in row)
 
 
 def w_multiply(g: WreathElement, h: WreathElement) -> WreathElement:
-    W = _same_group(g, h)
+    W = g.group
+    if h.group is not W:
+        raise ValueError("elements belong to different wreath groups")
     moved = base_action(W, h.base, g.top)
     base = tuple(a * b for a, b in zip(g.base, moved))
-    return WreathElement(W, base, W._top_mul[g.top][h.top])
+    return WreathElement(W, base, int(W.top.table[g.top, h.top]))
 
 
 def w_invert(g: WreathElement) -> WreathElement:
     W = g.group
-    kinv = W._top_inv[g.top]
+    kinv = int(W.top.inverse[g.top])
     inverted = tuple(w.inverse() for w in g.base)
     return WreathElement(W, base_action(W, inverted, kinv), kinv)
 
@@ -279,9 +254,11 @@ def evaluate_letters(
         if _json_int(k, f"top element of letter {letter!r}") not in range(n):
             raise ValueError(f"top element of letter {letter!r} is {k}, out of range 0..{n - 1}")
 
+    # the top table flattened row-major, in the narrowest unsigned type that
+    # holds n*n - 1, so a*n + b indexes it without overflow
+    flat = W.top.table.ravel().astype(np.min_scalar_type(n * n - 1))
     # per-code values over the word's alphabet, as lists: each label costs
     # a few Python steps and the arrays are built once
-    flat = W._top_flat
     alphabet = word.alphabet
     top_of_code = [W.top.identity] * len(alphabet)
     is_base = [False] * len(alphabet)
@@ -310,7 +287,7 @@ def evaluate_letters(
     if len(at):
         # a base letter sits at the coordinate of the running top before
         # it, which is the running top at it, since it is the identity
-        coords = W._coord_of.take(running[at])
+        coords = running[at]
         order = np.argsort(coords, kind="stable")
         coords, codes = coords[order], codes[at[order]]
         gen_of_code, exp_of_code = np.array(gen_exp, np.int64).T
@@ -346,39 +323,31 @@ def _reduce_runs(gens: list[int], exps: list[int]) -> tuple[tuple[int, int], ...
 # ---------------------------------------------------------------------------
 
 
+def _text_order(K: FiniteGroup) -> list[int]:
+    """The coordinates in the order the text lists them: the identity
+    first, then the other element ids ascending."""
+    return [K.identity] + [g for g in K.elements() if g != K.identity]
+
+
 def format_wreath_element(g: WreathElement) -> str:
-    body = "; ".join(format_free_word(w) for w in g.base)
-    return f"[{body}] {g.group.top.shortest_label_word(g.top)}"
-
-
-_BRACKET_RE = re.compile(r"[\[\]]")
+    K = g.group.top
+    body = "; ".join(format_free_word(g.base[c]) for c in _text_order(K))
+    return f"[{body}] {K.shortest_label_word(g.top)}"
 
 
 def parse_wreath_element(W: WreathGroup, text: str) -> WreathElement:
     """Parse "[w1; ...; wl] k" as written by ``format_wreath_element``.
 
-    Runs in time linear in the text: the closing bracket is found by a
-    regex scan that hands Python only the bracket positions, and each
-    coordinate costs one ``parse_free_word``.
+    The coordinates end at the last ']', since no top label holds one.
+    Runs in time linear in the text: each coordinate costs one
+    ``parse_free_word``.
     """
-    text = text.strip()
-    if not text.startswith("["):
-        raise ValueError("wreath element text must start with '['")
-    depth = 0
-    close = -1
-    for m in _BRACKET_RE.finditer(text):
-        if m.group() == "[":
-            depth += 1
-        else:
-            depth -= 1
-            if depth == 0:
-                close = m.start()
-                break
-    if close < 0:
-        raise ValueError("unbalanced brackets in wreath element text")
-    parts = text[1:close].split(";")
+    body, _, top_text = text.strip().rpartition("]")
+    if not body.startswith("["):  # also when there is no ']'
+        raise ValueError("wreath element text must be '[w1; ...; wl] k'")
+    parts = body[1:].split(";")
     if len(parts) != W.size:
         raise ValueError(f"expected {W.size} base coordinates, got {len(parts)}")
-    base = tuple(parse_free_word(p.strip(), rank=W.rank) for p in parts)
-    top = W.top.element_from_label_word(text[close + 1 :])
-    return WreathElement(W, base, top)
+    words = dict(zip(_text_order(W.top), (parse_free_word(p.strip(), rank=W.rank) for p in parts)))
+    base = tuple(words[g] for g in W.top.elements())
+    return WreathElement(W, base, W.top.element_from_label_word(top_text))

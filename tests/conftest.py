@@ -1,5 +1,6 @@
-"""Shared test helpers: seeded random words and wreath elements, and
-free-word texts spelled out letter by letter."""
+"""Shared test helpers: seeded random words and wreath elements, groups
+with relabelled element ids, and free-word texts spelled out letter by
+letter."""
 
 from __future__ import annotations
 
@@ -9,6 +10,9 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
+import numpy as np
+
+from groupwidths.finite_groups import FiniteGroup
 from groupwidths.free_words import FreeWord
 from groupwidths.wreath import WreathElement, WreathGroup
 
@@ -36,6 +40,25 @@ def random_reduced_word(rng: random.Random, rank: int, max_letters: int) -> Free
 def random_wreath_element(rng: random.Random, W: WreathGroup, max_letters: int) -> WreathElement:
     base = tuple(random_reduced_word(rng, W.rank, max_letters) for _ in range(W.size))
     return WreathElement(W, base, rng.randrange(W.top.order))
+
+
+def relabel(G: FiniteGroup, perm: list[int]) -> FiniteGroup:
+    """G with element id a renamed perm[a]: the same generator labels, the
+    table entries moved and renamed."""
+    p = np.array(perm)
+    table = np.empty_like(G.table)
+    table[np.ix_(p, p)] = p[G.table]
+    return FiniteGroup(table, [(label, perm[g]) for label, g in G.gens], name=G.name)
+
+
+def moved_identity(G: FiniteGroup, seed: int) -> FiniteGroup:
+    """G relabelled by a seeded random permutation that moves the identity
+    off id 0 (G of order at least 2)."""
+    rng = random.Random(seed)
+    perm = list(range(G.order))
+    while perm[G.identity] == 0:
+        rng.shuffle(perm)
+    return relabel(G, perm)
 
 
 def invert_letters(letters: tuple[str, ...]) -> tuple[str, ...]:

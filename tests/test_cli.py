@@ -1,13 +1,20 @@
 """End-to-end CLI: JSON reports, exit codes, round trips, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from groupwidths import cli
 from groupwidths.finite_groups import direct_product, cyclic, group_from_spec, group_to_spec, sym3_fink
 from groupwidths.wreath import WreathGroup, format_wreath_element, q_sequence
+
+from conftest import relabel
 
 
 def run_cli(*args, env=None):
@@ -65,6 +72,45 @@ class TestPw:
         assert report_of(run_cli("pw", spec)) == report_of(run_cli("pw", spec))
 
 
+# one spec per family: cyclic, dihedral, S3 and a direct product
+RELABEL_SPECS = {
+    "C6": {"kind": "cyclic", "n": 6},
+    "D5": {"kind": "dihedral", "n": 5},
+    "S3": {"kind": "sym3_fink"},
+    "C2xD3": {"kind": "direct_product", "factors": [{"kind": "cyclic", "n": 2}, {"kind": "dihedral", "n": 3}]},
+}
+
+
+@pytest.fixture(scope="module")
+def spec_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("relabel")
+
+
+def pw_result(path, notion):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["pw", str(path), "--notion", notion, "--lengths"]) == 0
+    return json.loads(out.getvalue())["result"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(RELABEL_SPECS)), data=st.data())
+def test_pw_is_invariant_under_relabelling(spec_dir, name, data):
+    # renaming element ids by a permutation changes no width and no layer
+    # size, and the lengths move with the ids
+    spec = RELABEL_SPECS[name]
+    G = group_from_spec(spec)
+    perm = data.draw(st.permutations(range(G.order)))
+    original, renamed = spec_dir / "original.json", spec_dir / "renamed.json"
+    original.write_text(json.dumps(spec))
+    renamed.write_text(json.dumps(group_to_spec(relabel(G, perm))))
+    for notion in ("word", "group"):
+        old, new = pw_result(original, notion), pw_result(renamed, notion)
+        assert old.pop("lengths") == {str(g): new["lengths"].pop(str(perm[g])) for g in G.elements()}
+        assert new.pop("lengths") == {}
+        assert new == old
+
+
 @pytest.fixture(scope="module")
 def W():
     return WreathGroup(2, sym3_fink())
@@ -109,6 +155,12 @@ class TestQh:
         report = report_of(run_cli("qh", "[x1^4; 1] 1", "--top", spec))
         assert report["result"]["top_order"] == 2
         assert report["result"]["delta"] == 1
+
+    def test_rank_is_read_from_the_coordinates_only(self, tmp_path):
+        # a top label shaped like a free generator does not raise the rank
+        spec = write_spec(tmp_path, "x5.json", {"kind": "table", "table": [[0, 1], [1, 0]], "gens": [["x5", 1]]})
+        for text in ("[x1 x2; 1] x5", "[x1 x2; 1] 1"):
+            assert report_of(run_cli("qh", text, "--top", spec))["input"]["rank"] == 2
 
 
 class TestDecompose:

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import importlib
 import io
+import json
 import random
 import re
 import time
@@ -13,6 +14,7 @@ import pytest
 from groupwidths import cli
 from groupwidths.decompose import (
     MAX_FACTOR_LETTERS,
+    DecompositionCertificate,
     InvariantViolation,
     coordinate_power_palindrome,
     decompose,
@@ -102,11 +104,11 @@ class TestCoordinatePalindromes:
         assert format_monoid_word(w) == "x x x"
 
     def test_s1_coordinate(self, ctx):
-        i = ctx.group.coord_index[ctx.group.top.labels["s1"]]
+        i = ctx.group.top.labels["s1"]
         assert format_monoid_word(coordinate_power_palindrome(i, "x", 2, ctx)) == "s1 x x s1"
 
     def test_c_coordinate(self, ctx):
-        i = ctx.group.coord_index[ctx.group.top.labels["c"]]
+        i = ctx.group.top.labels["c"]
         w = coordinate_power_palindrome(i, "y", -1, ctx)
         assert format_monoid_word(w) == "s1 s2 y^-1 s2 s1"
 
@@ -221,8 +223,6 @@ class TestDecompose:
     def test_invariant_violation_is_loud(self, ctx):
         with pytest.raises(InvariantViolation):
             # bypass decompose() and hand verification a broken certificate
-            from groupwidths.decompose import DecompositionCertificate
-
             cert = decompose(commutator_target(ctx), ctx)
             bad = DecompositionCertificate(cert.target, [MonoidWord(("x", "y"))], 1)
             flags = bad.verification(ctx)
@@ -291,6 +291,44 @@ GOLDEN_REPORTS = {
     ),
     "[1; 1; 1; 1; 1; 1] c": "1352e00de340c21ada2aab4a3c1309a4887c876911fa5549832bd5eaa5803603",
 }
+
+
+class TestReport:
+    TEXT = "[x1^2; x2^-1; 1; [x,y]; 1; x1] s1*s2"
+
+    def run(self, capsys):
+        code = cli.main(["decompose", self.TEXT])
+        captured = capsys.readouterr()
+        return code, json.loads(captured.out) if code == 0 else captured.err
+
+    def test_flags_are_the_checks_decompose_ran(self, monkeypatch, capsys):
+        # one verification per call: the report prints the certificate's flags
+        certificates = []
+        verification = DecompositionCertificate.verification
+
+        def counted(cert, ctx=None):
+            certificates.append(cert)
+            return verification(cert, ctx)
+
+        monkeypatch.setattr(DecompositionCertificate, "verification", counted)
+        code, report = self.run(capsys)
+        assert code == 0 and len(certificates) == 1
+        assert report["verification"] == certificates[0].flags
+        assert all(report["verification"].values()) and len(report["verification"]) == 4
+
+    def test_reported_bound_is_the_checked_bound(self, monkeypatch, capsys):
+        count = self.run(capsys)[1]["result"]["factor_count"]
+        monkeypatch.setattr(decompose_module, "MAX_FACTORS", count)
+        code, report = self.run(capsys)
+        assert code == 0 and report["result"]["bound"] == count
+        assert report["verification"]["count_within_bound"]
+        monkeypatch.setattr(decompose_module, "MAX_FACTORS", count - 1)
+        code, err = self.run(capsys)
+        assert code == cli.EXIT_INVARIANT and "['count_within_bound']" in err
+
+    def test_hand_built_certificate_has_no_flags(self, ctx):
+        cert = DecompositionCertificate(ctx.group.identity(), [], 0)
+        assert cert.flags is None and all(cert.verification(ctx).values())
 
 
 @pytest.mark.parametrize("text", sorted(GOLDEN_REPORTS))

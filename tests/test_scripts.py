@@ -1,0 +1,24 @@
+"""The survey scripts run end to end on small arguments, so that an API
+change that breaks them fails here."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name: str, *args: str) -> str:
+    proc = subprocess.run([sys.executable, str(SCRIPTS / name), *args], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cw_lower_bounds():
+    out = run_script("cw_lower_bounds.py", "--max-j", "200")
+    assert out.splitlines()[-1].endswith("reaches 12 by j = 200")
+
+
+def test_width_survey():
+    out = run_script("width_survey.py", "--max-cyclic", "4", "--max-dihedral", "3")
+    assert "(2){2,2}         |G|=8    [1 <= 2 <= 8]  branch i (3*sum(m)=6)" in out.splitlines()

@@ -1,5 +1,6 @@
 """Wreath arithmetic, the delta quasi-homomorphism, and certificates."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -8,14 +9,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from groupwidths.finite_groups import (
-    FiniteGroup,
     commutator_subgroup,
     cyclic,
     dihedral,
     evaluate,
     sym3_fink,
 )
-from groupwidths.free_words import FreeWord, MonoidWord, free_commutator, parse_free_word, reduce_word
+from groupwidths.free_words import (
+    FreeWord,
+    MonoidWord,
+    format_free_word,
+    free_commutator,
+    parse_free_word,
+    reduce_word,
+)
 from groupwidths.wreath import (
     WreathElement,
     WreathGroup,
@@ -33,8 +40,13 @@ from groupwidths.wreath import (
     w_multiply,
 )
 
-from conftest import random_wreath_element, spelled_texts
+from conftest import moved_identity, random_reduced_word, random_wreath_element, relabel, spelled_texts
 from oracle import reference_evaluate_letters
+
+
+# tops whose identity is not id 0 (ids 2 and 5): only the text format
+# orders their coordinates otherwise than by element id
+MOVED_TOPS = {"S3_moved": moved_identity(sym3_fink(), 1), "D4_moved": moved_identity(dihedral(4), 2)}
 
 
 @pytest.fixture(scope="module")
@@ -62,11 +74,11 @@ class TestArithmetic:
         h = W.from_base_word(FreeWord.generator(2, 2))
         gh = w_multiply(g, h)
         assert gh.top == c
-        assert gh.base[W.coord_index[W.top.identity]] == FreeWord.generator(2, 1)
-        assert gh.base[W.coord_index[c]] == FreeWord.generator(2, 2)
+        assert gh.base[W.top.identity] == FreeWord.generator(2, 1)
+        assert gh.base[c] == FreeWord.generator(2, 2)
         # and k * (f at identity) * k^-1 holds f at coordinate k
         conj = w_multiply(w_multiply(W.from_top(c), h), W.from_top(W.top.inverse[c]))
-        assert conj == W.from_base_word(FreeWord.generator(2, 2), W.coord_index[c])
+        assert conj == W.from_base_word(FreeWord.generator(2, 2), c)
 
     def test_commutator_self_trivial(self, W):
         rng = random.Random(2)
@@ -213,7 +225,7 @@ class TestCertificates:
             # exponent sums count over all coordinates: w at one coordinate
             # and w^-1 at another is in the derived subgroup
             w = random_wreath_element(rng, W, 6).base[0]
-            split = w_multiply(W.from_base_word(w), W.from_base_word(w.inverse(), W.coord_index[c]))
+            split = w_multiply(W.from_base_word(w), W.from_base_word(w.inverse(), c))
             assert in_derived_subgroup(split)
             assert in_derived_subgroup(W.from_top(c))
             assert in_derived_subgroup(g) == (
@@ -298,11 +310,74 @@ class TestTextFormat:
             parse_wreath_element(W, "no brackets")
 
 
+@st.composite
+def moved_top_elements(draw):
+    """A rank-2 wreath element over a top whose identity is not id 0."""
+    W = WreathGroup(2, MOVED_TOPS[draw(st.sampled_from(sorted(MOVED_TOPS)))])
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return random_wreath_element(rng, W, 8)
+
+
+@st.composite
+def moved_top_texts(draw):
+    """(W, text): a canonical element text over a top whose identity is
+    not id 0, coordinate by coordinate in text order."""
+    K = MOVED_TOPS[draw(st.sampled_from(sorted(MOVED_TOPS)))]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    words = "; ".join(format_free_word(random_reduced_word(rng, 2, 8)) for _ in range(K.order))
+    return WreathGroup(2, K), f"[{words}] {K.shortest_label_word(draw(st.sampled_from(K.elements())))}"
+
+
+class TestMovedIdentityTops:
+    @given(moved_top_elements())
+    def test_parse_inverts_format(self, g):
+        assert parse_wreath_element(g.group, format_wreath_element(g)) == g
+
+    @given(moved_top_texts())
+    def test_format_inverts_parse(self, case):
+        W, text = case
+        assert format_wreath_element(parse_wreath_element(W, text)) == text
+
+    @pytest.mark.parametrize("name", sorted(MOVED_TOPS))
+    def test_conjugation_moves_the_identity_coordinate_to_k(self, name):
+        W = WreathGroup(2, MOVED_TOPS[name])
+        f = FreeWord.generator(2, 2)
+        for k in W.top.elements():
+            conj = w_multiply(w_multiply(W.from_top(k), W.from_base_word(f)), W.from_top(W.top.inverse[k]))
+            assert conj == W.from_base_word(f, k)
+
+    def test_text_lists_the_identity_coordinate_first(self):
+        W = WreathGroup(2, MOVED_TOPS["D4_moved"])
+        g = W.from_base_word(FreeWord.generator(2, 1))
+        assert W.top.identity == 5 and g.base[5] == FreeWord.generator(2, 1)
+        assert format_wreath_element(g) == "[x1; 1; 1; 1; 1; 1; 1; 1] 1"
+
+    # sha256 of the formatted products and inverses below, recorded before
+    # coordinates were named by element id
+    GOLDEN = "42863a35ea6a81e270ff422e755af50859d341b77203f5e06739e8cdbe10d4ec"
+
+    def test_products_and_inverses_match_the_recorded_bytes(self):
+        lines = []
+        rng = random.Random(11)
+        for K in MOVED_TOPS.values():
+            W = WreathGroup(2, K)
+
+            def text():
+                words = "; ".join(format_free_word(random_reduced_word(rng, 2, 6)) for _ in range(W.size))
+                return f"[{words}] {K.shortest_label_word(rng.randrange(W.size))}"
+
+            for _ in range(40):
+                g, h = parse_wreath_element(W, text()), parse_wreath_element(W, text())
+                lines += [format_wreath_element(w_multiply(g, h)), format_wreath_element(w_invert(g))]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.GOLDEN
+
+
 # wreath groups for the evaluator properties: S3 (Fink's generators), C2 and
-# D4 (order 8) tops at ranks 2 and 3, built once so their tables are reused
+# D4 (order 8) tops, and S3 and D4 with the identity moved off id 0, at
+# ranks 2 and 3, built once so their tables are reused
 EVAL_GROUPS = {
     (name, rank): WreathGroup(rank, top)
-    for name, top in (("sym3_fink", sym3_fink()), ("C2", cyclic(2)), ("D4", dihedral(4)))
+    for name, top in (("sym3_fink", sym3_fink()), ("C2", cyclic(2)), ("D4", dihedral(4)), *MOVED_TOPS.items())
     for rank in (2, 3)
 }
 
@@ -428,12 +503,8 @@ def test_prefix_products_match_a_sequential_fold(top):
     n = top.order
     perm = list(range(n))
     rng.shuffle(perm)
-    table = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            table[perm[a]][perm[b]] = perm[int(top.table[a, b])]
-    relabelled = FiniteGroup(table, [(f"g{a}", a) for a in range(n)])
-    flat = WreathGroup(1, relabelled)._top_flat
+    table = relabel(top, perm).table.tolist()
+    flat = np.array(table).ravel().astype(np.min_scalar_type(n * n - 1))
     for length in range(71):
         x = [rng.randrange(n) for _ in range(length)]
         expected, acc = [], None
