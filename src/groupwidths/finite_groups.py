@@ -78,6 +78,12 @@ class FiniteGroup:
     element id); for every generator the inverse element is also present,
     labeled either the same (for involutions) or with a ``^-1`` suffix.
     ``gen_ids`` holds the distinct generator ids in ascending order.
+
+    ``factors`` is read-only.  For a group built by ``direct_product`` it
+    holds the atomic factors in mixed-radix id order: the id of
+    (a_1, ..., a_k) is (...(a_1*|F_2| + a_2)*|F_3| + ...)*|F_k| + a_k.
+    ``direct_product`` is the only code that sets it; every other group,
+    a ``table`` spec of a product included, has ``()``.
     """
 
     table: np.ndarray
@@ -87,6 +93,7 @@ class FiniteGroup:
     inverse: np.ndarray = field(init=False)
     labels: dict[str, int] = field(init=False)
     gen_ids: np.ndarray = field(init=False)
+    _factors: tuple[FiniteGroup, ...] = field(default=(), init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._verify_table()
@@ -99,6 +106,10 @@ class FiniteGroup:
             self.labels[label] = g
         self.gen_ids = _frozen(sorted(set(self.labels.values())))
         self._verify_gens()
+
+    @property
+    def factors(self) -> tuple[FiniteGroup, ...]:
+        return self._factors
 
     # -- verification -------------------------------------------------
 
@@ -226,7 +237,7 @@ def product_layers(G: FiniteGroup, factors) -> list[np.ndarray]:
     layers = [np.array([G.identity])]
     while True:
         hit = np.zeros(G.order, dtype=bool)
-        hit[T[np.ix_(layers[-1], factors)]] = True
+        hit[T[layers[-1][:, None], factors]] = True
         new = np.flatnonzero(hit & ~seen)
         if not len(new):
             return layers
@@ -306,7 +317,12 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CAP) -> Fi
     """Direct product; element (a, b) has id a*|H| + b.  The generating set
     is the union of the embedded factor generating sets, with H's labels
     relabeled to fresh letters on collision; a ``ValueError`` when the
-    lowercase letters run out."""
+    lowercase letters run out.
+
+    The product's ``factors`` are ``G.factors + H.factors``, a group that
+    is not a product counting as its own one factor, so nested products
+    list their atomic factors in id order.  The product's table is built
+    and verified in full, like any other group's."""
     order = G.order * H.order
     _check_cap(order, cap, "direct_product")
     table = (G.table[:, None, :, None] * H.order + H.table[None, :, None, :]).reshape(order, order)
@@ -329,7 +345,9 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CAP) -> Fi
          G.identity * H.order + h)
         for label, h in H.gens
     ]
-    return FiniteGroup(table, gens, name=f"{G.name}x{H.name}")
+    P = FiniteGroup(table, gens, name=f"{G.name}x{H.name}")
+    P._factors = (G.factors or (G,)) + (H.factors or (H,))
+    return P
 
 
 def abelian_group(moduli: list[int], cap: int = DEFAULT_CAP) -> FiniteGroup:

@@ -1,6 +1,6 @@
 """Shared test helpers: seeded random words and wreath elements, groups
-with relabelled element ids, and free-word texts spelled out letter by
-letter."""
+with relabelled element ids, random nested direct products, and free-word
+texts spelled out letter by letter."""
 
 from __future__ import annotations
 
@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from groupwidths.finite_groups import FiniteGroup
+from groupwidths.finite_groups import FiniteGroup, cyclic, dihedral, direct_product, sym3_fink
 from groupwidths.free_words import FreeWord
+from groupwidths.nilprod import NilProdGroup
 from groupwidths.wreath import WreathElement, WreathGroup
 
 # the CLI tests run `python -m groupwidths.cli` in a subprocess; put this
@@ -59,6 +60,41 @@ def moved_identity(G: FiniteGroup, seed: int) -> FiniteGroup:
     while perm[G.identity] == 0:
         rng.shuffle(perm)
     return relabel(G, perm)
+
+
+# factors for random direct products: cyclic, dihedral, S3, the order-27
+# Heisenberg group as a nilpotent product, and relabelled groups whose
+# identity is not id 0
+def _product_factors() -> list[FiniteGroup]:
+    h27 = NilProdGroup([[3], [3]]).group
+    plain = [cyclic(m) for m in range(1, 7)] + [dihedral(m) for m in range(1, 6)]
+    plain += [sym3_fink(), h27]
+    moved = [moved_identity(G, seed) for seed, G in enumerate([cyclic(4), dihedral(4), sym3_fink(), h27])]
+    return plain + moved
+
+
+PRODUCT_FACTORS = _product_factors()
+
+
+@st.composite
+def direct_products(draw, max_order: int, max_factors: int = 4) -> FiniteGroup:
+    """A direct product of 2..max_factors factors from ``PRODUCT_FACTORS``
+    of order at most max_order, bracketed at random."""
+    count = draw(st.integers(2, max_factors))
+    factors: list[FiniteGroup] = []
+    order = 1
+    for _ in range(count):
+        fits = [F for F in PRODUCT_FACTORS if order * F.order <= max_order]
+        factors.append(draw(st.sampled_from(fits)))
+        order *= factors[-1].order
+
+    def bracket(part: list[FiniteGroup]) -> FiniteGroup:
+        if len(part) == 1:
+            return part[0]
+        k = draw(st.integers(1, len(part) - 1))
+        return direct_product(bracket(part[:k]), bracket(part[k:]), cap=max_order)
+
+    return bracket(factors)
 
 
 def invert_letters(letters: tuple[str, ...]) -> tuple[str, ...]:

@@ -5,7 +5,9 @@ import io
 import json
 import subprocess
 import sys
+from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,6 +109,29 @@ def test_pw_is_invariant_under_relabelling(spec_dir, name, data):
     for notion in ("word", "group"):
         old, new = pw_result(original, notion), pw_result(renamed, notion)
         assert old.pop("lengths") == {str(g): new["lengths"].pop(str(perm[g])) for g in G.elements()}
+        assert new.pop("lengths") == {}
+        assert new == old
+
+
+PERMUTED_FACTORS = [{"kind": "cyclic", "n": m} for m in (2, 3, 4)]
+PERMUTED_FACTORS += [{"kind": "dihedral", "n": m} for m in (2, 3, 4)] + [{"kind": "sym3_fink"}]
+
+
+@settings(max_examples=25, deadline=None)
+@given(factors=st.lists(st.sampled_from(PERMUTED_FACTORS), min_size=2, max_size=3), data=st.data())
+def test_pw_is_invariant_under_permuting_factors(spec_dir, factors, data):
+    # ids are mixed-radix in the factor order, so permuting the factors of
+    # a direct_product spec permutes the ids: no width, layer size or
+    # palindrome count changes, and the lengths move with the ids
+    perm = data.draw(st.permutations(range(len(factors))))
+    orders = [group_from_spec(f).order for f in factors]
+    moved = np.arange(prod(orders)).reshape([orders[i] for i in perm]).transpose(np.argsort(perm)).ravel()
+    original, permuted = spec_dir / "original.json", spec_dir / "permuted.json"
+    original.write_text(json.dumps({"kind": "direct_product", "factors": factors}))
+    permuted.write_text(json.dumps({"kind": "direct_product", "factors": [factors[i] for i in perm]}))
+    for notion in ("word", "group"):
+        old, new = pw_result(original, notion), pw_result(permuted, notion)
+        assert old.pop("lengths") == {str(g): new["lengths"].pop(str(h)) for g, h in enumerate(moved.tolist())}
         assert new.pop("lengths") == {}
         assert new == old
 

@@ -27,6 +27,9 @@ from groupwidths.finite_groups import (
     sym3_fink,
 )
 from groupwidths.free_words import MonoidWord, parse_monoid_word
+from groupwidths.pal_width import NOTIONS, palindromic_width
+
+from conftest import direct_products
 
 
 class TestConstructors:
@@ -282,6 +285,16 @@ class TestSpecs:
         for G in (cyclic(5), dihedral(4), sym3_fink()):
             H = group_from_spec(group_to_spec(G))
             assert np.array_equal(H.table, G.table) and H.gens == G.gens
+
+    @settings(max_examples=25, deadline=None)
+    @given(direct_products(max_order=300))
+    def test_nested_products_round_trip_to_table_groups(self, G):
+        H = group_from_spec(group_to_spec(G))
+        assert np.array_equal(H.table, G.table)
+        assert (H.gens, H.name) == (G.gens, G.name)
+        assert H.factors == () and len(G.factors) >= 2
+        for notion in NOTIONS:
+            assert palindromic_width(H, notion) == palindromic_width(G, notion)
 
     def test_kinds(self):
         spec = {"kind": "direct_product", "factors": [{"kind": "cyclic", "n": 4}, {"kind": "cyclic", "n": 4}]}

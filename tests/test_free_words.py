@@ -279,7 +279,21 @@ def coded_words(draw):
     return MonoidWord.from_codes(np.array([index[a] for a in letters], np.int64), alphabet)
 
 
+# any text without whitespace other than "1" is a label that prints and
+# parses back as one letter
+random_labels = st.text(min_size=1, max_size=5).filter(lambda s: s.split() == [s] and s != "1")
+
+
 class TestCodeArrayWord:
+    @given(
+        st.lists(random_labels, min_size=1, max_size=8, unique=True).flatmap(
+            lambda alphabet: st.lists(st.sampled_from(alphabet), max_size=30)
+        )
+    )
+    def test_print_parse_round_trip_over_random_alphabets(self, letters):
+        w = MonoidWord(letters)
+        assert parse_monoid_word(format_monoid_word(w)) == w
+
     @given(coded_words())
     def test_print_parse_round_trip(self, w):
         assert parse_monoid_word(format_monoid_word(w)) == w

@@ -3,14 +3,25 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
-from groupwidths.finite_groups import CapExceeded, cyclic, dihedral, direct_product, sym3_fink
+from groupwidths.finite_groups import (
+    CapExceeded,
+    cyclic,
+    dihedral,
+    direct_product,
+    group_from_spec,
+    group_to_spec,
+    sym3_fink,
+)
 from groupwidths.pal_width import (
+    NOTIONS,
     palindrome_elements,
     palindromic_width,
     reachable_pairs,
 )
 
+from conftest import direct_products
 from oracle import brute_width_data
 
 
@@ -120,6 +131,12 @@ class TestAgainstBruteForce:
         groups = [cyclic(m) for m in range(2, 9)]
         groups += [dihedral(m) for m in range(3, 7)]
         groups += [sym3_fink(), direct_product(cyclic(3), cyclic(3)), direct_product(cyclic(4), cyclic(4))]
+        groups += [
+            direct_product(sym3_fink(), cyclic(2)),
+            direct_product(sym3_fink(), cyclic(3)),
+            direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(3)),
+            direct_product(sym3_fink(), cyclic(4)),
+        ]
         for G in groups:
             assert G.order <= 24
             for notion in ("word", "group"):
@@ -128,3 +145,47 @@ class TestAgainstBruteForce:
                 assert pal == rep.palindromes, (G.name, notion)
                 assert lengths == rep.lengths, (G.name, notion)
                 assert width == rep.width, (G.name, notion)
+
+
+def table_twin(G):
+    """G rebuilt from its table spec: the same group with no factors, so
+    its width runs the pair BFS on its own table."""
+    twin = group_from_spec(group_to_spec(G), cap=G.order)
+    assert twin.factors == ()
+    return twin
+
+
+class TestProductsFromFactors:
+    @settings(max_examples=50, deadline=None)
+    @given(direct_products(max_order=1300))
+    def test_agrees_with_the_table_path(self, G):
+        assert len(G.factors) >= 2
+        twin = table_twin(G)
+        for notion in NOTIONS:
+            rep, ref = palindromic_width(G, notion), palindromic_width(twin, notion)
+            assert rep.width == ref.width, (G.name, notion)
+            assert rep.layers == ref.layers, (G.name, notion)
+            assert rep.lengths == ref.lengths, (G.name, notion)
+            assert rep.palindromes == ref.palindromes, (G.name, notion)
+
+    def test_factors_are_atomic_in_id_order(self):
+        S, C, D = sym3_fink(), cyclic(4), dihedral(3)
+        G = direct_product(S, direct_product(C, D))
+        assert G.factors == (S, C, D)
+        assert direct_product(direct_product(S, C), D).factors == (S, C, D)
+        assert S.factors == ()
+
+    def test_product_over_the_state_cap_runs_within_it_per_factor(self):
+        # order 48: 48^2 = 2,304 states for the product, 36 and 64 per factor
+        G = direct_product(sym3_fink(), dihedral(4))
+        twin = table_twin(G)
+        with pytest.raises(CapExceeded):
+            palindromic_width(twin, "word", state_cap=64)
+        for notion in NOTIONS:
+            assert palindromic_width(G, notion, state_cap=64) == palindromic_width(twin, notion)
+
+    def test_factor_over_the_state_cap_is_named(self):
+        G = direct_product(sym3_fink(), dihedral(5))
+        for notion in NOTIONS:
+            with pytest.raises(CapExceeded, match=r"D5 \(order 10\) needs order\^2 = 100 states, cap is 64"):
+                palindromic_width(G, notion, state_cap=64)
