@@ -201,18 +201,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _resolve_cap(flag: int | None) -> int:
+    """The order cap of pw, qh and nilprod: ``--cap``, else the environment
+    (read on every call, so the one cached parser serves any environment),
+    else ``DEFAULT_CAP``.  A value below 1 is an input error."""
+    source = "--cap" if flag is not None else CAP_ENV_VAR
+    raw = flag if flag is not None else os.environ.get(CAP_ENV_VAR)
+    if raw is None:
+        return DEFAULT_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ValueError(f"{source} must be at least 1, got {cap}")
+    return cap
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        if getattr(args, "cap", 0) is None:
-            # pw, qh and nilprod without --cap: the environment is read on
-            # every call, so the one cached parser serves any environment
-            raw_cap = os.environ.get(CAP_ENV_VAR)
-            try:
-                args.cap = DEFAULT_CAP if raw_cap is None else int(raw_cap)
-            except ValueError:
-                raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw_cap!r}") from None
+        if hasattr(args, "cap"):
+            args.cap = _resolve_cap(args.cap)
         report = args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,8 +29,8 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from .finite_groups import DEFAULT_CAP, CapExceeded, FiniteGroup, _json_int
-from .pal_width import DEFAULT_STATE_CAP, palindromic_width
+from .finite_groups import DEFAULT_CAP, FiniteGroup, _check_cap, _json_int
+from .pal_width import palindromic_width
 
 __all__ = [
     "NilProdGroup",
@@ -79,10 +79,7 @@ class NilProdGroup:
                             self.tensor_moduli.append(d)
         self.radix = [m for mod in self.factor_moduli for m in mod] + self.tensor_moduli
         self.order = prod(self.radix)
-        if self.order > self.cap:
-            raise CapExceeded(
-                f"nilpotent product order {self.order} exceeds cap {self.cap}"
-            )
+        _check_cap(self.order, self.cap, "nilpotent product")
         self._offsets = []
         off = 0
         for mod in self.factor_moduli:
@@ -244,21 +241,17 @@ def width_bounds(component_widths: list[int], m: list[int]) -> BoundReport:
     return BoundReport(lower, total + 3 * sum(m), "i", list(component_widths), list(m))
 
 
-def bound_report(
-    np_group: NilProdGroup,
-    include_exact: bool = True,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> BoundReport:
+def bound_report(np_group: NilProdGroup, include_exact: bool = True) -> BoundReport:
     """Full report: factor widths from the width oracle, m-counts from the
     centralizers, and optionally the oracle-exact width of the product."""
     from .finite_groups import abelian_group
 
     widths = [
-        palindromic_width(abelian_group(mod, cap=np_group.cap), "word", state_cap).width
+        palindromic_width(abelian_group(mod, cap=np_group.cap), "word").width
         for mod in np_group.factor_moduli
     ]
     m = [np_group.quotient_generator_count(i) for i in range(np_group.s)]
     report = width_bounds(widths, m)
     if include_exact:
-        report.exact = palindromic_width(np_group.group, "word", state_cap).width
+        report.exact = palindromic_width(np_group.group, "word").width
     return report

@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .finite_groups import CapExceeded, FiniteGroup, product_layers
+from .finite_groups import FiniteGroup, product_layers
 
 __all__ = [
     "ReachablePairs",
@@ -72,11 +72,9 @@ __all__ = [
     "reachable_pairs",
     "palindrome_elements",
     "palindromic_width",
-    "DEFAULT_STATE_CAP",
     "NOTIONS",
 ]
 
-DEFAULT_STATE_CAP = 4_000_000
 NOTIONS = ("word", "group")
 
 
@@ -94,14 +92,9 @@ class ReachablePairs:
     pairs: np.ndarray
 
 
-def reachable_pairs(G: FiniteGroup, state_cap: int = DEFAULT_STATE_CAP) -> ReachablePairs:
+def reachable_pairs(G: FiniteGroup) -> ReachablePairs:
     """BFS closure of {(1, 1)} under (g, h) -> (g*a, a*h) for generators a."""
     n = G.order
-    if n * n > state_cap:
-        raise CapExceeded(
-            f"pair reachability on {G.name} (order {n}) needs order^2 = {n * n} "
-            f"states, cap is {state_cap}; raise the cap to proceed"
-        )
     T, gens = G.table, G.gen_ids
     seen = np.zeros(n * n, dtype=bool)
     g = h = np.array([G.identity])
@@ -179,22 +172,17 @@ class WidthReport:
         return out
 
 
-def palindromic_width(
-    G: FiniteGroup, notion: str, state_cap: int = DEFAULT_STATE_CAP
-) -> WidthReport:
+def palindromic_width(G: FiniteGroup, notion: str) -> WidthReport:
     """Layered covering of G by products of palindromes; exact lengths.
 
     A group with two or more ``factors`` is covered from its factors (see
-    the module docstring), and ``state_cap`` bounds each factor's order^2:
-    a factor over it raises ``CapExceeded`` naming the factor and its
-    order, while the product's own order^2 is never allocated.  Any other
-    group runs the pair BFS on its own table, and the cap bounds its
-    order^2.
+    the module docstring), so the product's own order^2 pair space is
+    never allocated.  Any other group runs the pair BFS on its own table.
     """
     _check_notion(notion)
     if len(G.factors) >= 2:
-        return _product_width(G, notion, state_cap)
-    pal = palindrome_elements(G, notion, reachable_pairs(G, state_cap))
+        return _product_width(G, notion)
+    pal = palindrome_elements(G, notion, reachable_pairs(G))
     return _report(notion, _lengths(product_layers(G, sorted(pal)), G.order))
 
 
@@ -216,9 +204,9 @@ def _report(notion: str, length: np.ndarray) -> WidthReport:
     return WidthReport(notion, pal, dict(enumerate(length.tolist())), len(sizes) - 1, sizes)
 
 
-def _product_width(G: FiniteGroup, notion: str, state_cap: int) -> WidthReport:
+def _product_width(G: FiniteGroup, notion: str) -> WidthReport:
     """``palindromic_width`` of a direct product from its factors."""
-    pairs = [reachable_pairs(F, state_cap) for F in G.factors]
+    pairs = [reachable_pairs(F) for F in G.factors]
     if notion == "group":
         # the group length is the largest factor length: one broadcast
         # maximum per factor builds it on the k-dimensional grid

@@ -361,6 +361,32 @@ class TestInProcess:
         assert cli.build_parser() is cli.build_parser()
         capsys.readouterr()
 
+    def test_cap_below_one_is_2(self, tmp_path, monkeypatch, capsys):
+        specs = {
+            "pw": write_spec(tmp_path, "c3.json", {"kind": "cyclic", "n": 3}),
+            "nilprod": write_spec(tmp_path, "np.json", [{"moduli": [2]}, {"moduli": [2]}]),
+        }
+        for command, spec in specs.items():
+            for value in ("0", "-5"):
+                assert cli.main([command, spec, "--cap", value]) == 2
+                assert f"--cap must be at least 1, got {value}" in capsys.readouterr().err
+                monkeypatch.setenv("GROUPWIDTHS_CAP", value)
+                assert cli.main([command, spec]) == 2
+                assert f"GROUPWIDTHS_CAP must be at least 1, got {value}" in capsys.readouterr().err
+                monkeypatch.delenv("GROUPWIDTHS_CAP")
+            assert cli.main([command, spec, "--cap", "1"]) == 3
+            capsys.readouterr()
+
+    def test_pair_space_over_four_million_states(self, tmp_path, capsys):
+        # the order cap alone bounds pw: 2048^2 pair states run under --cap 4096
+        c2048 = {"kind": "cyclic", "n": 2048}
+        product = {"kind": "direct_product", "factors": [c2048, {"kind": "cyclic", "n": 2}]}
+        runs = [(c2048, "word"), (c2048, "group"), (product, "group")]
+        for spec, notion in runs:
+            path = write_spec(tmp_path, "big.json", spec)
+            assert cli.main(["pw", path, "--notion", notion, "--cap", "4096"]) == 0
+            assert json.loads(capsys.readouterr().out)["result"]["width"] == 1
+
 
 class TestPretty:
     def test_pretty_is_indented_same_payload(self, tmp_path):

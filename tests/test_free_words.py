@@ -39,6 +39,20 @@ commutator_atoms = st.tuples(st.integers(1, 3), st.integers(1, 3)).map(
 text_atoms = st.one_of(syllable_atoms, syllable_atoms, commutator_atoms, st.just(("1", ())))
 
 
+@st.composite
+def reduced_words(draw) -> FreeWord:
+    """A reduced word of rank 1-12 (two-digit generator indices) with
+    exponents up to 10^9 in size."""
+    rank = draw(st.integers(1, 12))
+    exponents = st.integers(-(10**9), 10**9).filter(bool)
+    syllables = draw(st.lists(st.tuples(st.integers(1, rank), exponents), max_size=20))
+    kept: list[tuple[int, int]] = []
+    for gen, exp in syllables:
+        if not kept or kept[-1][0] != gen:
+            kept.append((gen, exp))
+    return FreeWord(rank, tuple(kept))
+
+
 def inverse_atom(atom: tuple[str, tuple[str, ...]]) -> tuple[str, tuple[str, ...]]:
     """The inverse of an atom, spelled letter by letter."""
     letters = invert_letters(atom[1])
@@ -193,11 +207,11 @@ class TestQl:
 
 
 class TestTextFormats:
-    def test_free_word_round_trip(self):
-        rng = random.Random(5)
-        for _ in range(100):
-            w = random_reduced_word(rng, 3, 30)
-            assert parse_free_word(format_free_word(w), rank=3) == w
+    @given(reduced_words())
+    def test_free_word_round_trip(self, w):
+        text = format_free_word(w)
+        assert parse_free_word(text, rank=w.rank) == w
+        assert format_free_word(parse_free_word(text)) == text
 
     def test_identity_text(self):
         assert format_free_word(FreeWord.identity(2)) == "1"

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 
 from groupwidths.finite_groups import (
-    CapExceeded,
     cyclic,
     dihedral,
     direct_product,
@@ -48,10 +47,6 @@ class TestReachablePairs:
         c2 = G.table[G.labels["c"]][G.labels["c"]]
         assert (G.identity, c2) in pair_set(reachable_pairs(G))
 
-    def test_state_cap(self):
-        with pytest.raises(CapExceeded):
-            reachable_pairs(dihedral(5), state_cap=10)
-
 
 class TestPalindromeElements:
     def test_abelian_group_notion_is_everything(self):
@@ -90,6 +85,12 @@ class TestWidths:
     def test_z4_squared(self):
         G = direct_product(cyclic(4), cyclic(4))
         assert palindromic_width(G, "word").width == 2
+        assert palindromic_width(G, "group").width == 1
+
+    def test_pair_space_over_four_million_states(self):
+        # 2048^2 = 4,194,304 pair states: the order cap bounds the search
+        G = cyclic(2048, cap=2048)
+        assert palindromic_width(G, "word").width == 1
         assert palindromic_width(G, "group").width == 1
 
     def test_abelian_group_notion_width_one(self):
@@ -175,17 +176,9 @@ class TestProductsFromFactors:
         assert direct_product(direct_product(S, C), D).factors == (S, C, D)
         assert S.factors == ()
 
-    def test_product_over_the_state_cap_runs_within_it_per_factor(self):
-        # order 48: 48^2 = 2,304 states for the product, 36 and 64 per factor
+    def test_s3_x_d4_report_equals_its_table_twin(self):
+        # the product's pairs (48^2 states) are searched as 6^2 and 8^2 per factor
         G = direct_product(sym3_fink(), dihedral(4))
         twin = table_twin(G)
-        with pytest.raises(CapExceeded):
-            palindromic_width(twin, "word", state_cap=64)
         for notion in NOTIONS:
-            assert palindromic_width(G, notion, state_cap=64) == palindromic_width(twin, notion)
-
-    def test_factor_over_the_state_cap_is_named(self):
-        G = direct_product(sym3_fink(), dihedral(5))
-        for notion in NOTIONS:
-            with pytest.raises(CapExceeded, match=r"D5 \(order 10\) needs order\^2 = 100 states, cap is 64"):
-                palindromic_width(G, notion, state_cap=64)
+            assert palindromic_width(G, notion) == palindromic_width(twin, notion)
