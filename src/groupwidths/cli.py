@@ -1,9 +1,10 @@
 """Command-line front end: width oracles and certificate generators, JSON out.
 
 Subcommands: pw, qh, decompose, nilprod.  Exit codes: 0 success, 2 input
-error, 3 resource cap exceeded, 4 internal invariant breach (a failed
-construction identity, which must be loud).  Verification flags are
-computed at emission time, except decompose's: the checks it ran.
+error, 3 resource cap exceeded or an allocation that cannot be met, 4
+internal invariant breach (a failed construction identity, which must be
+loud).  Verification flags are computed at emission time, except
+decompose's: the checks it ran.
 """
 
 from __future__ import annotations
@@ -225,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "cap"):
             args.cap = _resolve_cap(args.cap)
         report = args.func(args)
-    except CapExceeded as exc:
+    except (CapExceeded, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except decomposition.InvariantViolation as exc:

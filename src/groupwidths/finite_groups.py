@@ -5,12 +5,15 @@ read-only ``np.int32`` array with ``table[a, b] = a*b`` and ``inverse`` a
 read-only ``np.int32`` vector; every scalar the API returns (identity,
 generator ids, products, evaluations) is a Python int.
 
-Every constructed group is verified exactly, at every order: entries in
-range, a unique two-sided identity, unique two-sided inverses, a symmetric
-generating set that generates the whole group, and associativity by
-Light's test (Clifford & Preston, *The Algebraic Theory of Semigroups* I,
-1961, section 1.2).  Light's test checks (x*a)*y == x*(a*y) for all x, y
-but only for each generator a, at O(order^2) cost per generator.  It is
+Every table is verified exactly, at every order, when it comes to exist:
+a group given by a table at construction, a direct product on the first
+read of its ``table`` (``direct_product`` derives everything else from
+its verified factors).  The checks are entries in range, a unique
+two-sided identity, unique two-sided inverses, a symmetric generating set
+that generates the whole group, and associativity by Light's test
+(Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961,
+section 1.2).  Light's test checks (x*a)*y == x*(a*y) for all x, y but
+only for each generator a, at O(order^2) cost per generator.  It is
 exact: the elements a that pass it are closed under products, since
 
     (x*(ab))*y = ((x*a)*b)*y = (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y),
@@ -28,7 +31,6 @@ from __future__ import annotations
 import re
 import string
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -69,7 +71,6 @@ def _frozen(values) -> np.ndarray:
     return out
 
 
-@dataclass(eq=False)
 class FiniteGroup:
     """Multiplication-table group with a distinguished symmetric generating set.
 
@@ -78,26 +79,51 @@ class FiniteGroup:
     element id); for every generator the inverse element is also present,
     labeled either the same (for involutions) or with a ``^-1`` suffix.
     ``gen_ids`` holds the distinct generator ids in ascending order.
+    Construction verifies the table and the generators.
 
     ``factors`` is read-only.  For a group built by ``direct_product`` it
     holds the atomic factors in mixed-radix id order: the id of
     (a_1, ..., a_k) is (...(a_1*|F_2| + a_2)*|F_3| + ...)*|F_k| + a_k.
     ``direct_product`` is the only code that sets it; every other group,
-    a ``table`` spec of a product included, has ``()``.
+    a ``table`` spec of a product included, has ``()``.  A group with
+    factors holds everything but its table from construction; ``table``
+    is built and verified on its first read.  ``repr`` never reads it.
     """
 
-    table: np.ndarray
-    gens: list[tuple[str, int]]
-    name: str = "group"
-    identity: int = field(init=False)
-    inverse: np.ndarray = field(init=False)
-    labels: dict[str, int] = field(init=False)
-    gen_ids: np.ndarray = field(init=False)
-    _factors: tuple[FiniteGroup, ...] = field(default=(), init=False, repr=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self, table, gens: list[tuple[str, int]], name: str = "group") -> None:
+        self.gens, self.name = gens, name
+        self._factors: tuple[FiniteGroup, ...] = ()
+        self.table = table
         self._verify_table()
-        self.labels = {}
+        self._index_gens()
+        self._verify_gens()
+
+    def __repr__(self) -> str:
+        return f"FiniteGroup(name={self.name!r}, order={self.order}, gens={self.gens!r})"
+
+    @property
+    def factors(self) -> tuple[FiniteGroup, ...]:
+        return self._factors
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """A direct product's table, built on first read from its atomic
+        factors' tables and verified like any other table; the identity
+        and inverses found there must be the ones derived from the factors.
+        (Every other group fills this attribute at construction.)"""
+        T = self._factors[0].table
+        for F in self._factors[1:]:
+            n = len(T) * F.order
+            T = (T[:, None, :, None] * F.order + F.table[None, :, None, :]).reshape(n, n)
+        built = FiniteGroup(T, self.gens, self.name)
+        if built.identity != self.identity or not np.array_equal(built.inverse, self.inverse):
+            raise AssertionError(f"{self.name}: the table's identity or inverses differ from the factors'")
+        return built.table
+
+    # -- verification -------------------------------------------------
+
+    def _index_gens(self) -> None:
+        self.labels: dict[str, int] = {}
         for label, g in self.gens:
             if label in self.labels:
                 raise ValueError(f"duplicate generator label {label!r}")
@@ -105,13 +131,6 @@ class FiniteGroup:
                 raise ValueError(f"generator id {g} out of range")
             self.labels[label] = g
         self.gen_ids = _frozen(sorted(set(self.labels.values())))
-        self._verify_gens()
-
-    @property
-    def factors(self) -> tuple[FiniteGroup, ...]:
-        return self._factors
-
-    # -- verification -------------------------------------------------
 
     def _verify_table(self) -> None:
         T = np.asarray(self.table)
@@ -321,11 +340,14 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CAP) -> Fi
 
     The product's ``factors`` are ``G.factors + H.factors``, a group that
     is not a product counting as its own one factor, so nested products
-    list their atomic factors in id order.  The product's table is built
-    and verified in full, like any other group's."""
+    list their atomic factors in id order.
+
+    The factors are verified groups, so the product's order, identity,
+    inverses and generators follow from theirs in O(order), and its
+    order^2 table is built, from the atomic factors' tables, and verified
+    only when code reads ``table``."""
     order = G.order * H.order
     _check_cap(order, cap, "direct_product")
-    table = (G.table[:, None, :, None] * H.order + H.table[None, :, None, :]).reshape(order, order)
     used = {_base_label(label) for label, _ in G.gens}
     fresh = iter(l for l in _FRESH_LETTERS if l not in used)
     rename: dict[str, str] = {}
@@ -345,8 +367,12 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CAP) -> Fi
          G.identity * H.order + h)
         for label, h in H.gens
     ]
-    P = FiniteGroup(table, gens, name=f"{G.name}x{H.name}")
+    P = FiniteGroup.__new__(FiniteGroup)
+    P.gens, P.name, P.order = gens, f"{G.name}x{H.name}", order
     P._factors = (G.factors or (G,)) + (H.factors or (H,))
+    P.identity = G.identity * H.order + H.identity
+    P.inverse = _frozen((G.inverse[:, None] * H.order + H.inverse).ravel())
+    P._index_gens()
     return P
 
 

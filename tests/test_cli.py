@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 from math import prod
@@ -386,6 +387,54 @@ class TestInProcess:
             path = write_spec(tmp_path, "big.json", spec)
             assert cli.main(["pw", path, "--notion", notion, "--cap", "4096"]) == 0
             assert json.loads(capsys.readouterr().out)["result"]["width"] == 1
+
+
+class TestDirectProductTables:
+    S3_5 = {"kind": "direct_product", "factors": [{"kind": "sym3_fink"}] * 5}
+
+    def test_pw_builds_no_product_table(self, tmp_path, capsys, monkeypatch):
+        built = []
+
+        def recording(spec, cap):
+            built.append(group_from_spec(spec, cap=cap))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "group_from_spec", recording)
+        path = write_spec(tmp_path, "s3_5.json", self.S3_5)
+        expected = {"word": [1, 1458, 3888, 6318, 7533, 7776], "group": [1, 7776]}
+        for notion, layers in expected.items():
+            assert cli.main(["pw", path, "--notion", notion, "--cap", "7776"]) == 0
+            result = json.loads(capsys.readouterr().out)["result"]
+            assert (result["layers"], result["width"]) == (layers, len(layers) - 1)
+        assert [G.order for G in built] == [7776, 7776]
+        assert all(len(G.factors) == 5 and "table" not in vars(G) for G in built)
+
+    def test_qh_on_a_product_top_equals_its_table_twin(self, tmp_path, capsys):
+        spec = {"kind": "direct_product", "factors": [{"kind": "sym3_fink"}, {"kind": "cyclic", "n": 2}]}
+        G = group_from_spec(spec)
+        twin_spec = group_to_spec(G)
+        twin = group_from_spec(twin_spec)
+        assert (twin.name, twin.gens, twin.factors) == (G.name, G.gens, ())
+        assert np.array_equal(twin.table, G.table)
+        coords = ["x1 x2^-1", "1", "x2^3 x1", "[x1, x2]", "1", "x1^-2"] + ["x2"] * 6
+        texts = ["[" + "; ".join(coords) + "] c*a", format_wreath_element(q_sequence(WreathGroup(2, G), 3))]
+        for text in texts:
+            outputs = []
+            for top in (spec, twin_spec):
+                assert cli.main(["qh", text, "--top", write_spec(tmp_path, "top.json", top)]) == 0
+                out = capsys.readouterr().out
+                assert json.loads(out)["input"]["top"] == "S3xC2"
+                outputs.append(re.sub(r'"wall_time_s": [^,}]+', "", out))
+            assert outputs[0] == outputs[1]
+
+    def test_unmeetable_allocation_is_3(self, tmp_path):
+        # a table of 10^14 int32 entries is 364 TiB, more than the 128 TiB
+        # user address space: the allocation fails at once, touching nothing
+        spec = write_spec(tmp_path, "c1e7.json", {"kind": "cyclic", "n": 10**7})
+        proc = run_cli("pw", spec, "--cap", str(10**7))
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and "allocate" in proc.stderr
 
 
 class TestPretty:

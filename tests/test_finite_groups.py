@@ -29,7 +29,7 @@ from groupwidths.finite_groups import (
 from groupwidths.free_words import MonoidWord, parse_monoid_word
 from groupwidths.pal_width import NOTIONS, palindromic_width
 
-from conftest import direct_products
+from conftest import direct_products, moved_identity
 
 
 class TestConstructors:
@@ -264,6 +264,75 @@ class TestDirectProductCanonical:
         left = direct_product(direct_product(A, B), C)
         right = direct_product(A, direct_product(B, C))
         assert np.array_equal(left.table, right.table)  # mixed-radix encodings coincide
+
+
+def eager_product_table(G, H):
+    """The product table as ``direct_product`` once built it at construction."""
+    n = G.order * H.order
+    return (G.table[:, None, :, None] * H.order + H.table[None, :, None, :]).reshape(n, n)
+
+
+class TestLazyProductTable:
+    # (product, its left and right arguments) for S3 x D4, both bracketings
+    # of C2 x C2 x C3, and factors whose identity is not id 0
+    @staticmethod
+    def products():
+        S, D = sym3_fink(), dihedral(4)
+        C2, C3 = cyclic(2), cyclic(3)
+        left, right = direct_product(C2, C2), direct_product(C2, C3)
+        moved_s, moved_c = moved_identity(S, 7), moved_identity(cyclic(4), 8)
+        return [
+            (direct_product(S, D), S, D),
+            (direct_product(left, C3), left, C3),
+            (direct_product(C2, right), C2, right),
+            (direct_product(moved_s, moved_c), moved_s, moved_c),
+        ]
+
+    def test_first_read_builds_the_eager_table_and_verifies_it_once(self, monkeypatch):
+        calls = []
+        verify_gens = FiniteGroup._verify_gens
+
+        def spy(self):
+            calls.append(self.name)
+            verify_gens(self)
+
+        for P, G, H in self.products():
+            # a nested product's arguments build no table of their own either
+            assert not any("table" in vars(X) for X in (P, G, H) if X.factors)
+            expected = eager_product_table(G, H)
+            monkeypatch.setattr(FiniteGroup, "_verify_gens", spy)
+            table = P.table
+            assert calls == [P.name]
+            assert P.table is table and calls == [P.name]
+            monkeypatch.undo()
+            calls.clear()
+            assert np.array_equal(table, expected)
+            assert table.dtype == np.int32 and not table.flags.writeable
+
+    def test_stored_structure_equals_the_one_recomputed_from_the_table(self):
+        for P, G, H in self.products():
+            ref = FiniteGroup(np.array(P.table), P.gens, name=P.name)
+            assert (P.order, P.identity) == (ref.order, ref.identity)
+            assert np.array_equal(P.inverse, ref.inverse)
+            assert np.array_equal(P.gen_ids, ref.gen_ids) and P.labels == ref.labels
+        assert self.products()[-1][0].identity != 0
+
+    def test_identity_or_inverse_mismatch_raises_and_caches_nothing(self):
+        for corrupt in ("identity", "inverse"):
+            P = direct_product(cyclic(3), cyclic(2))
+            if corrupt == "identity":
+                P.identity = 1
+            else:
+                P.inverse = P.inverse[::-1].copy()
+            with pytest.raises(AssertionError, match="differ from the factors'"):
+                P.table
+            assert "table" not in vars(P)
+
+    def test_repr_builds_no_table(self):
+        P = direct_product(sym3_fink(), cyclic(2))
+        assert "order=12" in repr(P) and "S3xC2" in repr(P)
+        assert "table" not in vars(P)
+        assert "table" in vars(cyclic(2))
 
 
 class TestIsomorphism:

@@ -5,7 +5,9 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
+from groupwidths import finite_groups
 from groupwidths.finite_groups import (
+    abelian_group,
     cyclic,
     dihedral,
     direct_product,
@@ -13,6 +15,7 @@ from groupwidths.finite_groups import (
     group_to_spec,
     sym3_fink,
 )
+from groupwidths.nilprod import NilProdGroup, bound_report
 from groupwidths.pal_width import (
     NOTIONS,
     palindrome_elements,
@@ -182,3 +185,22 @@ class TestProductsFromFactors:
         twin = table_twin(G)
         for notion in NOTIONS:
             assert palindromic_width(G, notion) == palindromic_width(twin, notion)
+
+    def test_width_path_builds_no_product_table(self, monkeypatch):
+        inner = direct_product(dihedral(4), cyclic(3))
+        G = direct_product(sym3_fink(), inner)
+        for notion in NOTIONS:
+            palindromic_width(G, notion)
+        assert "table" not in vars(G) and "table" not in vars(inner)
+        # bound_report's factor widths: C2 x C2 is a product, C2 is not
+        built = []
+
+        def recording(moduli, cap):
+            built.append(abelian_group(moduli, cap=cap))
+            return built[-1]
+
+        monkeypatch.setattr(finite_groups, "abelian_group", recording)
+        report = bound_report(NilProdGroup([[2, 2], [2]]))
+        assert report.component_widths == [2, 1] and report.exact is not None
+        assert [len(F.factors) for F in built] == [2, 0]
+        assert "table" not in vars(built[0])
