@@ -13,15 +13,14 @@ import itertools
 
 from groupwidths.finite_groups import cyclic, dihedral, direct_product, sym3_fink
 from groupwidths.nilprod import NilProdGroup, bound_report
-from groupwidths.pal_width import palindrome_elements, palindromic_width, reachable_pairs
+from groupwidths.pal_width import palindrome_elements, palindromic_width
 
 
 def survey_group(G) -> str:
-    pairs = reachable_pairs(G)
     word = palindromic_width(G, "word")
     group = palindromic_width(G, "group")
-    pw_set = palindrome_elements(G, "word", pairs)
-    pg_set = palindrome_elements(G, "group", pairs)
+    pw_set = palindrome_elements(G, "word")
+    pg_set = palindrome_elements(G, "group")
     assert pw_set <= pg_set
     return (
         f"{G.name:12s} |G|={G.order:<4d} pw(word)={word.width}  pw(group)={group.width}  "

@@ -244,16 +244,11 @@ class FreeWord:
     def exponent_sum(self, gen: int) -> int:
         return sum(e for g, e in self.syllables if g == gen)
 
-    def to_letters(self, names: tuple[str, ...] | None = None) -> MonoidWord:
-        """Spell the word out letter by letter.
-
-        ``names`` optionally renames generator i to ``names[i-1]`` (the
-        inverse letter gets a ``^-1`` suffix); defaults to x1, x2, ...
-        """
+    def to_letters(self) -> MonoidWord:
+        """Spell the word out letter by letter over x1, x1^-1, x2, ..."""
         letters: list[str] = []
         for gen, exp in self.syllables:
-            base = names[gen - 1] if names else f"x{gen}"
-            letter = base if exp > 0 else base + "^-1"
+            letter = f"x{gen}" if exp > 0 else f"x{gen}^-1"
             letters.extend([letter] * abs(exp))
         return MonoidWord(tuple(letters))
 
@@ -324,14 +319,15 @@ _SYLLABLE_RE = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
 
 def _split_commutator(text: str) -> tuple[str, str]:
     # text is "[...]" with the comma at bracket depth 1
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch == "," and depth == 1:
-            return text[1:i], text[i + 1 : -1]
+    if text.endswith("]"):
+        depth = 0
+        for i, ch in enumerate(text):
+            if ch == "[":
+                depth += 1
+            elif ch == "]":
+                depth -= 1
+            elif ch == "," and depth == 1:
+                return text[1:i], text[i + 1 : -1]
     raise ValueError(f"malformed commutator expression: {text!r}")
 
 
@@ -343,32 +339,37 @@ def _parse_syllable(atom: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2)) if m.group(2) else 1
 
 
-def _parse_atom(atom: str, rank: int | None) -> FreeWord:
-    # one atom as a word of rank max(generator, rank); commutator
-    # arguments are atoms themselves, so "[[x,y],x]" nests
+def _parse_atom(atom: str, rank: int | None) -> tuple[tuple[tuple[int, int], ...], int]:
+    # one atom's reduced syllables and the largest generator index written
+    # in it; every index read is checked against the rank, whatever its
+    # exponent and whether or not it cancels.  Commutator arguments are
+    # atoms themselves, so "[[x,y],x]" nests
     if atom == "1":
-        return FreeWord.identity(rank or 1)
+        return (), 1
     if atom.startswith("["):
-        if not atom.endswith("]"):
-            raise ValueError(f"malformed commutator expression: {atom!r}")
         left, right = _split_commutator(atom)
-        u, v = _parse_atom(left.strip(), rank), _parse_atom(right.strip(), rank)
-        r0 = max(u.rank, v.rank, rank or 1)
-        return free_commutator(FreeWord(r0, u.syllables), FreeWord(r0, v.syllables))
+        (u, i), (v, j) = _parse_atom(left.strip(), rank), _parse_atom(right.strip(), rank)
+        top = max(i, j)
+        return free_commutator(FreeWord(top, u), FreeWord(top, v)).syllables, top
     gen, exp = _parse_syllable(atom)
-    return FreeWord(max(gen, rank or 1), ((gen, exp),) if exp else ())
+    if not 1 <= gen <= (rank or gen):
+        raise ValueError(f"generator index {gen} out of range")
+    return ((gen, exp),) if exp else (), gen
 
 
 def parse_free_word(text: str, rank: int | None = None) -> FreeWord:
     """Parse the syllable text format; "1" is the identity.
 
     Accepts x/y as aliases for x1/x2 and "[u,v]" commutator atoms, e.g.
-    "[x,y] x1^2".  The rank defaults to the largest generator index in the
-    text.  Runs in time linear in the text, with one C-level split over it:
-    Python visits each space-separated token once, walks characters only
-    in tokens that hold a bracket, and matches each distinct atom once.
-    Every atom's syllables go onto one reduction stack, and one word is
-    built and validated at the end.
+    "[x,y] x1^2".  The rank defaults to the largest generator index written
+    in the text.  A given rank bounds every index written, whatever its
+    exponent and inside commutators too, even where it cancels.  Every
+    atom, plain or commutator, goes through one routine that parses and
+    range-checks it.  Runs in time linear in the text, with one C-level
+    split over it: Python visits each space-separated token once, walks
+    characters only in tokens that hold a bracket, and parses each
+    distinct atom once.  Every atom's syllables go onto one reduction
+    stack, and one word is built and validated at the end.
     """
     text = text.strip()
     # atoms are the runs of space-separated tokens at bracket depth 0;
@@ -398,25 +399,14 @@ def parse_free_word(text: str, rank: int | None = None) -> FreeWord:
 
     stack: list[list[int]] = []
     max_gen = 1
-    # syllables of each distinct atom, parsed and range-checked once
-    parsed: dict[str, tuple[tuple[int, int], ...]] = {"1": ()}
+    # syllables of each distinct atom, parsed once
+    parsed: dict[str, tuple[tuple[int, int], ...]] = {}
     for atom in atoms:
         syllables = parsed.get(atom)
         if syllables is None:
-            if atom.startswith("["):
-                word = _parse_atom(atom, rank)
-                max_gen = max(max_gen, word.rank)
-                syllables = word.syllables
-            else:
-                gen, exp = _parse_syllable(atom)
-                max_gen = max(max_gen, gen)
-                syllables = ((gen, exp),)
-            for gen, exp in syllables:
-                # checked per atom: a syllable that cancels later is never
-                # seen by the final FreeWord validation
-                if exp and not 1 <= gen <= (rank or gen):
-                    raise ValueError(f"generator index {gen} out of range")
+            syllables, top = _parse_atom(atom, rank)
             parsed[atom] = syllables
+            max_gen = max(max_gen, top)
         for gen, exp in syllables:
             _push_syllable(stack, gen, exp)
     return FreeWord(rank or max_gen, tuple((g, e) for g, e in stack))

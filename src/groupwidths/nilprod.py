@@ -29,7 +29,7 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from .finite_groups import DEFAULT_CAP, FiniteGroup, _check_cap, _json_int
+from .finite_groups import DEFAULT_CAP, FiniteGroup, _check_cap, _json_int, _paired_gens
 from .pal_width import palindromic_width
 
 __all__ = [
@@ -132,19 +132,15 @@ class NilProdGroup:
     # -- export ----------------------------------------------------------
 
     def _gen_labels(self) -> list[tuple[str, int]]:
+        # one generator per nontrivial summand: coordinate 1 there and 0
+        # elsewhere, which is that coordinate's mixed-radix stride
         gens: list[tuple[str, int]] = []
         for i, mod in enumerate(self.factor_moduli):
             letter = string.ascii_lowercase[i]
             for u, m in enumerate(mod):
-                if m == 1:
-                    continue
-                label = letter if len(mod) == 1 else f"{letter}{u + 1}"
-                vec = tuple(1 if w == u else 0 for w in range(len(mod)))
-                g = self.embed(i, vec)
-                gens.append((label, g))
-                ginv = self.embed(i, tuple((-x) % m0 for x, m0 in zip(vec, mod)))
-                if ginv != g:
-                    gens.append((label + "^-1", ginv))
+                if m > 1:
+                    label = letter if len(mod) == 1 else f"{letter}{u + 1}"
+                    gens.append((label, prod(self.radix[self._offsets[i] + u + 1 :])))
         return gens
 
     def _build_group(self) -> FiniteGroup:
@@ -159,7 +155,7 @@ class NilProdGroup:
             out[t] = (out[t] - correction) % self.tensor_moduli[pos]
         table = np.ravel_multi_index(out, self.radix)
         name = "(2){" + ",".join("x".join(map(str, m)) for m in self.factor_moduli) + "}"
-        return FiniteGroup(table, self._gen_labels(), name=name)
+        return FiniteGroup(table, _paired_gens(self._gen_labels(), table), name=name)
 
     # -- structure ---------------------------------------------------------
 

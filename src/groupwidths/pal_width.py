@@ -107,9 +107,7 @@ def reachable_pairs(G: FiniteGroup) -> ReachablePairs:
     return ReachablePairs(G, np.stack(np.divmod(np.flatnonzero(seen), n), axis=1))
 
 
-def palindrome_elements(
-    G: FiniteGroup, notion: str, pairs: ReachablePairs | None = None
-) -> set[int]:
+def palindrome_elements(G: FiniteGroup, notion: str) -> set[int]:
     """Element set of palindromes under the given notion.
 
     word: values of u*reverse(u) and u*a*reverse(u) (even palindromes and
@@ -117,10 +115,7 @@ def palindrome_elements(
     representative whose reversal also evaluates to g.
     """
     _check_notion(notion)
-    if pairs is None:
-        pairs = reachable_pairs(G)
-    if pairs.group is not G:
-        raise ValueError("pairs were computed for a different group")
+    pairs = reachable_pairs(G)
     if notion == "group":
         hit = _group_palindromes(pairs)
     else:
@@ -182,7 +177,7 @@ def palindromic_width(G: FiniteGroup, notion: str) -> WidthReport:
     _check_notion(notion)
     if len(G.factors) >= 2:
         return _product_width(G, notion)
-    pal = palindrome_elements(G, notion, reachable_pairs(G))
+    pal = palindrome_elements(G, notion)
     return _report(notion, _lengths(product_layers(G, sorted(pal)), G.order))
 
 

@@ -261,6 +261,24 @@ class TestExitCodes:
             assert proc.returncode == 2, (spec, proc.stderr)
             assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "args,index",
+        [
+            (("decompose", "[x3^0; 1; 1; 1; 1; 1] 1"), 3),
+            (("decompose", "[[x3,x3]; 1; 1; 1; 1; 1] 1"), 3),
+            (("decompose", "[[x1,[x3,x3]] x1; 1; 1; 1; 1; 1] 1"), 3),
+            (("qh", "--rank", "2", "[[x5,x5]; 1; 1; 1; 1; 1] 1"), 5),
+            (("qh", "--rank", "2", "[x5^0; 1; 1; 1; 1; 1] 1"), 5),
+        ],
+    )
+    def test_index_beyond_the_rank_is_2_and_named(self, args, index):
+        # decompose works at rank 2; an index is checked even where it
+        # has exponent 0 or sits in a commutator that cancels
+        proc = run_cli(*args)
+        assert proc.returncode == 2, proc.stderr
+        assert f"generator index {index} out of range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_bad_generator_label_is_2_and_named(self, tmp_path, capsys):
         from groupwidths import cli
 

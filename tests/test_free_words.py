@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import re
 
 import numpy as np
 import pytest
@@ -245,6 +246,26 @@ class TestTextFormats:
         with pytest.raises(ValueError):
             parse_free_word("x0 x0^-1")
         assert parse_free_word("x3 x3^-1").rank == 3
+
+    @pytest.mark.parametrize("text", ["x5 x5^-1 x1", "[x5,x5] x1", "x5^0 x1", "[x1,[x5,x5]]"])
+    def test_every_index_written_is_range_checked(self, text):
+        # a zero exponent and a commutator that cancels are checked too
+        with pytest.raises(ValueError, match="generator index 5 out of range"):
+            parse_free_word(text, rank=2)
+        assert parse_free_word(text).rank == 5
+
+    @given(spelled_texts(), st.integers(1, 5))
+    def test_rank_bounds_the_largest_index_written(self, spelled, rank):
+        text, _ = spelled
+        written = [int(m) for m in re.findall(r"x(\d+)", text)] + [2] * ("y" in text)
+        top = max(written, default=1)
+        if rank < top:
+            with pytest.raises(ValueError, match="out of range"):
+                parse_free_word(text, rank=rank)
+        else:
+            free = parse_free_word(text)
+            assert free.rank == top
+            assert parse_free_word(text, rank=rank) == FreeWord(rank, free.syllables)
 
     @given(spelled_texts())
     def test_spelled_texts_parse_to_their_letters(self, spelled):

@@ -65,6 +65,19 @@ class TestConstruction:
             if g != np2.group.identity
         )
 
+    @pytest.mark.parametrize(
+        "factors,gens",
+        [
+            ([[2, 2], [4]], [("a1", 32), ("a2", 16), ("b", 4), ("b^-1", 12)]),
+            ([[2, 3], [2]], [("a1", 12), ("a2", 4), ("a2^-1", 8), ("b", 2)]),
+            ([[4], [2], [2]], [("a", 32), ("a^-1", 96), ("b", 16), ("c", 8)]),
+        ],
+    )
+    def test_generators_are_pinned(self, factors, gens):
+        # one per nontrivial summand, each followed by its ^-1 partner
+        # unless it is an involution
+        assert NilProdGroup(factors).group.gens == gens
+
     def test_cap(self):
         with pytest.raises(CapExceeded):
             NilProdGroup([[16], [16]], cap=512)
