@@ -36,8 +36,8 @@ from operator import itemgetter
 import numpy as np
 
 from .finite_groups import CapExceeded, evaluate, sym3_fink
-from .free_words import FreeWord, MonoidWord, format_monoid_word, is_word_palindrome
-from .wreath import WreathElement, WreathGroup, evaluate_letters, w_multiply
+from .free_words import FreeWord, MonoidWord, _join, format_monoid_word, is_word_palindrome
+from .wreath import WreathElement, WreathGroup, evaluate_letters
 
 __all__ = [
     "InvariantViolation",
@@ -214,6 +214,7 @@ def coordinate_power_palindrome(
     """Palindrome u letter^exponent reverse(u) evaluating to the power at
     the coordinate of S3 element ``coord``, trivial elsewhere, trivial top."""
     ctx = ctx or s3_wreath_context()
+    ctx.group._top_id(coord, "coordinate")
     if letter not in ("x", "y"):
         raise ValueError("letter must be 'x' or 'y'")
     if exponent == 0:
@@ -250,6 +251,7 @@ def derived_part_palindrome(
     for every instance.
     """
     ctx = ctx or s3_wreath_context()
+    ctx.group._top_id(coord, "coordinate")
     if part.rank != 2:
         raise ValueError("derived parts live in the rank-2 free group")
     if part.is_identity():
@@ -286,7 +288,7 @@ def derived_part_palindrome(
 def top_palindromes(s: int, ctx: S3WreathContext | None = None) -> list[MonoidWord]:
     """At most one palindromic word multiplying to the given top element."""
     ctx = ctx or s3_wreath_context()
-    if s == ctx.group.top.identity:
+    if ctx.group._top_id(s, "top element") == ctx.group.top.identity:
         return []
     return [ctx.word(ctx.top_words[s])]
 
@@ -303,11 +305,16 @@ class DecompositionCertificate:
     flags: dict[str, bool] | None = None
 
     def verification(self, ctx: S3WreathContext | None = None) -> dict[str, bool]:
-        """Recompute every certificate invariant from scratch."""
+        """Recompute every certificate invariant from scratch.
+
+        The product of the factors is one evaluation of the factors joined
+        end to end: evaluating a letter word into the wreath group is a
+        monoid homomorphism, so the value of a concatenation is the
+        product, in order, of the values of its pieces.  One word scan
+        thus replaces an evaluation per factor and a fold of products.
+        """
         ctx = ctx or s3_wreath_context()
-        product = ctx.group.identity()
-        for f in self.factors:
-            product = w_multiply(product, ctx.eval_word(f))
+        product = ctx.eval_word(_join(self.factors, ctx.alphabet))
         return {
             "factors_palindromic": all(is_word_palindrome(f) for f in self.factors),
             "product_equals_target": product == self.target,

@@ -20,7 +20,7 @@ In the free-word text, ``x``/``y`` (and ``x^-1``/``y^-1``) alias
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,11 +131,7 @@ class MonoidWord:
         return MonoidWord.from_codes, (np.array(self.codes), self.alphabet)
 
     def __mul__(self, other: "MonoidWord") -> "MonoidWord":
-        alphabet = self.alphabet + tuple(a for a in other.alphabet if a not in self.alphabet)
-        index = {a: i for i, a in enumerate(alphabet)}
-        recode = np.array([index[a] for a in other.alphabet], _code_type(alphabet))
-        codes = np.concatenate((self.codes, recode.take(other.codes)), dtype=recode.dtype)
-        return MonoidWord.from_codes(codes, alphabet)
+        return _join((self, other), self.alphabet)
 
     def reverse(self) -> "MonoidWord":
         return MonoidWord.from_codes(self.codes[::-1], self.alphabet)
@@ -144,6 +140,17 @@ class MonoidWord:
 def _code_type(alphabet: tuple[str, ...]) -> np.dtype:
     # the narrowest unsigned type that holds every code of the alphabet
     return np.min_scalar_type(max(len(alphabet) - 1, 0))
+
+
+def _join(words: Sequence[MonoidWord], alphabet: tuple[str, ...]) -> MonoidWord:
+    # the words end to end, each recoded into one alphabet: the given one
+    # first, then the words' other labels in order of first occurrence;
+    # one concatenate, so k words of L letters in all cost O(L), not O(k L)
+    merged = tuple(dict.fromkeys(alphabet + tuple(a for w in words for a in w.alphabet)))
+    index = {a: i for i, a in enumerate(merged)}
+    code = _code_type(merged)
+    pieces = [np.array([index[a] for a in w.alphabet], code).take(w.codes) for w in words]
+    return MonoidWord.from_codes(np.concatenate([np.empty(0, code), *pieces]), merged)
 
 
 def is_word_palindrome(w: MonoidWord) -> bool:

@@ -30,7 +30,6 @@ from .finite_groups import FiniteGroup, _json_int
 from .free_words import (
     FreeWord,
     MonoidWord,
-    _push_syllable,
     format_free_word,
     parse_free_word,
     ql,
@@ -78,14 +77,20 @@ class WreathGroup:
         (default: the top identity)."""
         if word.rank != self.rank:
             raise ValueError("free-word rank does not match the wreath group")
-        coord = self.top.identity if coord is None else coord
+        coord = self.top.identity if coord is None else self._top_id(coord, "coordinate")
         one = FreeWord.identity(self.rank)
         base = tuple(word if i == coord else one for i in range(self.size))
         return WreathElement(self, base, self.top.identity)
 
     def from_top(self, k: int) -> "WreathElement":
         one = FreeWord.identity(self.rank)
-        return WreathElement(self, (one,) * self.size, k)
+        return WreathElement(self, (one,) * self.size, self._top_id(k, "top element"))
+
+    def _top_id(self, k: int, what: str) -> int:
+        # a top element id, which a coordinate also is
+        if k not in range(self.size):
+            raise ValueError(f"{what} {k} is out of range 0..{self.size - 1}")
+        return k
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,10 +238,14 @@ def evaluate_letters(
     being the identity: a pairwise scan of O(len) table lookups in
     O(log len) numpy calls.  The base letters are stably sorted by
     coordinate and summed per run of one generator within one coordinate
-    (``np.add.reduceat``); only the runs reach Python, and only those of
-    a coordinate with a run that sums to zero go through the reduction
-    stack.  A word of L letters over an alphabet of A labels with r runs
-    costs O(L) numpy work and O(A + r) Python steps.
+    (``np.add.reduceat``); only the runs reach Python, as lists.  Each
+    coordinate's runs are copied in bulk between the runs that sum to
+    zero, and the reduction takes Python steps only at a zero run and at
+    each cancellation it sets off (``_reduce_runs``).  A word of L letters
+    over an alphabet of A labels, in a top of order n, with r runs of
+    which z sum to zero and set off c cancellations, costs O(L) numpy
+    work, O(r) copying in C and O(A + n + z + c) Python steps to reduce;
+    the s syllables left are then checked by ``FreeWord``, O(s) more.
     """
     n = W.size
     for letter, (gen, exp) in base_letters.items():
@@ -244,7 +253,8 @@ def evaluate_letters(
             raise ValueError(
                 f"generator of base letter {letter!r} is {gen}, out of range 1..{W.rank}"
             )
-        # below 2**31, the int64 run sums cannot overflow on a word that fits in memory
+        # below 2**31, an exponent fits int32 and the int64 run sums cannot
+        # overflow on a word that fits in memory
         if not 0 < abs(_json_int(exp, f"exponent of base letter {letter!r}")) < 2**31:
             raise ValueError(
                 f"exponent of base letter {letter!r} is {exp}; it must be nonzero "
@@ -287,17 +297,19 @@ def evaluate_letters(
     if len(at):
         # a base letter sits at the coordinate of the running top before
         # it, which is the running top at it, since it is the identity
-        coords = running[at]
-        order = np.argsort(coords, kind="stable")
-        coords, codes = coords[order], codes[at[order]]
-        gen_of_code, exp_of_code = np.array(gen_exp, np.int64).T
-        gens, exps = gen_of_code.take(codes), exp_of_code.take(codes)
+        at = at[np.argsort(running[at], kind="stable")]
+        coords, codes = running[at], codes[at]
+        # per base letter its generator, in the narrowest type that holds
+        # the rank, and its exponent in int32; the run sums are int64
+        gen_of_code, exp_of_code = zip(*gen_exp)
+        gens = np.array(gen_of_code, np.min_scalar_type(W.rank)).take(codes)
+        exps = np.array(exp_of_code, np.int32).take(codes)
         starts = np.flatnonzero(
             np.concatenate(([True], (coords[1:] != coords[:-1]) | (gens[1:] != gens[:-1])))
         )
         bounds = np.searchsorted(coords[starts], np.arange(n + 1)).tolist()
         run_gens = gens[starts].tolist()
-        run_exps = np.add.reduceat(exps, starts).tolist()
+        run_exps = np.add.reduceat(exps, starts, dtype=np.int64).tolist()
         for c in range(n):
             lo, hi = bounds[c], bounds[c + 1]
             if lo < hi:
@@ -307,14 +319,29 @@ def evaluate_letters(
 
 def _reduce_runs(gens: list[int], exps: list[int]) -> tuple[tuple[int, int], ...]:
     """Reduced syllables of one coordinate's runs, whose neighbours are on
-    distinct generators: the runs themselves when none sums to zero, else
-    what the reduction stack leaves of them."""
-    if 0 not in exps:
-        return tuple(zip(gens, exps))
-    stack: list[list[int]] = []
-    for gen, exp in zip(gens, exps):
-        _push_syllable(stack, gen, exp)
-    return tuple(map(tuple, stack))
+    distinct generators, so only a run that sums to zero can start a
+    cancellation.  The runs between zero runs are copied in bulk; a zero
+    run is dropped, and the runs after it merge into the last syllable
+    kept while each merge sums to zero.  The first merge that leaves a
+    nonzero exponent, or the first run on another generator, ends the
+    cascade: the run after it is on yet another generator.  Python steps
+    count the zero runs and the cancellations, not the runs."""
+    out: list[tuple[int, int]] = []
+    i, n = 0, len(exps)
+    while i < n:
+        try:
+            z = exps.index(0, i)
+        except ValueError:
+            z = n
+        out.extend(zip(gens[i:z], exps[i:z]))
+        i = z + 1
+        while i < n and out and out[-1][0] == gens[i]:
+            gen, exp = out.pop()
+            exp += exps[i]
+            i += 1
+            if exp:
+                out.append((gen, exp))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

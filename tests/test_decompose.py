@@ -9,6 +9,7 @@ import random
 import re
 import time
 
+import numpy as np
 import pytest
 
 from groupwidths import cli
@@ -33,12 +34,13 @@ from groupwidths.free_words import (
     is_word_palindrome,
     parse_free_word,
 )
-from groupwidths.wreath import WreathElement, parse_wreath_element, w_multiply
+from groupwidths.wreath import WreathElement, evaluate_letters, parse_wreath_element, w_multiply
 
 from conftest import random_reduced_word, random_wreath_element
 
 # the package rebinds the name ``decompose`` to the function
 decompose_module = importlib.import_module("groupwidths.decompose")
+wreath_module = importlib.import_module("groupwidths.wreath")
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +230,102 @@ class TestDecompose:
             flags = bad.verification(ctx)
             if not all(flags.values()):
                 raise InvariantViolation(str(flags))
+
+
+@pytest.mark.parametrize("k", [6, -1])
+def test_ids_out_of_range_are_named(ctx, k):
+    part = free_commutator(FreeWord.generator(2, 1), FreeWord.generator(2, 2))
+    with pytest.raises(ValueError, match=rf"^coordinate {k} is out of range 0\.\.5$"):
+        coordinate_power_palindrome(k, "x", 1, ctx)
+    for derived in (part, FreeWord.identity(2)):
+        with pytest.raises(ValueError, match=rf"^coordinate {k} is out of range 0\.\.5$"):
+            derived_part_palindrome(k, derived, ctx)
+    with pytest.raises(ValueError, match=rf"^top element {k} is out of range 0\.\.5$"):
+        top_palindromes(k, ctx)
+
+
+def dense_target(ctx):
+    """x^2 y^-3 [x, y] at every coordinate and top s1: six x-powers, six
+    y-powers, six derived parts and a top palindrome, 19 factors."""
+    word = parse_free_word("x1^2 x2^-3 [x1,x2]", rank=2)
+    return WreathElement(ctx.group, (word,) * 6, ctx.group.top.labels["s1"])
+
+
+def fold_of_factor_values(factors, ctx):
+    product = ctx.group.identity()
+    for f in factors:
+        product = w_multiply(product, ctx.eval_word(f))
+    return product
+
+
+class TestOneEvaluation:
+    """``verification`` evaluates the factors joined end to end, once."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        values = []
+
+        def spy(*args):
+            values.append(evaluate_letters(*args))
+            return values[-1]
+
+        monkeypatch.setattr(decompose_module, "evaluate_letters", spy)
+        return values
+
+    def test_the_product_is_the_fold_of_the_factor_values(self, ctx, evaluations):
+        rng = random.Random(31)
+        targets = [parse_wreath_element(ctx.group, text) for text in sorted(GOLDEN_REPORTS)]
+        targets += [random_wreath_element(rng, ctx.group, 12) for _ in range(100)]
+        for g in targets:
+            cert = decompose(g, ctx)
+            evaluations.clear()
+            assert cert.verification(ctx) == cert.flags
+            assert len(evaluations) == 1
+            assert evaluations[0] == fold_of_factor_values(cert.factors, ctx) == g
+
+    def test_factors_over_other_alphabets(self, ctx):
+        # relettered in order of first occurrence, or recoded over a shuffled
+        # alphabet holding a label that never occurs, alternately
+        rng = random.Random(37)
+        for g in [dense_target(ctx)] + [random_wreath_element(rng, ctx.group, 12) for _ in range(20)]:
+            factors = []
+            for i, f in enumerate(decompose(g, ctx).factors):
+                if i % 2:
+                    alphabet = list(f.alphabet) + ["q"]
+                    rng.shuffle(alphabet)
+                    recode = np.array([alphabet.index(a) for a in f.alphabet])
+                    factors.append(MonoidWord.from_codes(recode[f.codes], tuple(alphabet)))
+                else:
+                    factors.append(MonoidWord(f.letters))
+            assert any(f.alphabet != ctx.alphabet for f in factors) or not factors
+            cert = DecompositionCertificate(g, factors, len(factors))
+            assert all(cert.verification(ctx).values())
+
+    def test_an_unknown_letter_is_a_value_error(self, ctx):
+        factors = decompose(dense_target(ctx), ctx).factors
+        factors.insert(3, MonoidWord(("x", "q", "x")))
+        cert = DecompositionCertificate(dense_target(ctx), factors, len(factors))
+        with pytest.raises(ValueError, match="letter 'q' is neither a base nor a top generator"):
+            cert.verification(ctx)
+
+    def test_dropping_any_factor_breaks_the_product(self, ctx):
+        g = dense_target(ctx)
+        factors = decompose(g, ctx).factors
+        assert len(factors) == 19
+        for i in range(19):
+            flags = DecompositionCertificate(g, factors[:i] + factors[i + 1 :], 18).verification(ctx)
+            assert not flags["product_equals_target"]
+            assert flags["factors_palindromic"] and flags["count_consistent"]
+
+    def test_a_dense_element_costs_13_evaluations_and_no_fold(self, ctx, evaluations, monkeypatch):
+        # two construction checks per derived part, one for the certificate
+        def no_fold(*args):
+            raise AssertionError("w_multiply called")
+
+        monkeypatch.setattr(wreath_module, "w_multiply", no_fold)
+        assert not hasattr(decompose_module, "w_multiply")
+        cert = decompose(dense_target(ctx), ctx)
+        assert all(cert.flags.values()) and len(evaluations) == 13
 
 
 class TestLetterCap:

@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from groupwidths.free_words import (
     MonoidWord,
     format_free_word,
     free_commutator,
+    _push_syllable,
     parse_free_word,
     reduce_word,
 )
@@ -29,6 +32,7 @@ from groupwidths.wreath import (
     certify_cw_lower_bound,
     commutator_length_bound,
     _prefix_products,
+    _reduce_runs,
     delta,
     evaluate_letters,
     format_wreath_element,
@@ -108,6 +112,13 @@ class TestArithmetic:
                 assert total == sum(w.exponent_sum(gen) for w in a.base) + sum(
                     w.exponent_sum(gen) for w in b.base
                 )
+
+    @pytest.mark.parametrize("k", [6, 99, -1])
+    def test_ids_out_of_range_are_named(self, W, k):
+        with pytest.raises(ValueError, match=rf"^coordinate {k} is out of range 0\.\.5$"):
+            W.from_base_word(FreeWord.generator(2, 1), k)
+        with pytest.raises(ValueError, match=rf"^top element {k} is out of range 0\.\.5$"):
+            W.from_top(k)
 
     def test_group_mismatch(self, W):
         other = WreathGroup(2, cyclic(3))
@@ -490,6 +501,70 @@ class TestEvaluateLetters:
     def test_top_element_out_of_range_is_a_value_error(self, W, k):
         with pytest.raises(ValueError, match="top element"):
             evaluate_letters(W, MonoidWord(("x", "k")), self.X, {"k": k})
+
+
+def stack_reduce_runs(gens, exps):
+    """The reduction stack: every run pushed in turn, merging with the top."""
+    stack = []
+    for gen, exp in zip(gens, exps):
+        _push_syllable(stack, gen, exp)
+    return tuple(map(tuple, stack))
+
+
+@st.composite
+def run_lists(draw):
+    """(gens, exps) of one coordinate's runs at rank 2 or 3: neighbours on
+    distinct generators, exponents in -3..3 with zero allowed, and now and
+    then a stretch followed by a zero run and its inverse, cut short, so
+    that a cascade runs deep."""
+    rank = draw(st.integers(2, 3))
+    gens, exps = [], []
+
+    def push(gen, exp):
+        gens.append(gen)
+        exps.append(exp)
+
+    def other(*taken):
+        return draw(st.sampled_from([g for g in range(1, rank + 1) if g not in taken]))
+
+    for _ in range(draw(st.integers(0, 6))):
+        start = len(gens)
+        for _ in range(draw(st.integers(0, 8))):
+            push(other(*gens[-1:]), draw(st.integers(-3, 3)))
+        if draw(st.booleans()) and len(gens) > start:
+            stretch = list(zip(gens[start:], exps[start:]))
+            push(other(gens[-1]), 0)
+            for gen, exp in reversed(stretch[draw(st.integers(0, len(stretch) - 1)) :]):
+                push(gen, -exp)
+    return gens, exps
+
+
+class TestReduceRuns:
+    @given(run_lists())
+    def test_matches_the_reduction_stack(self, runs):
+        gens, exps = runs
+        assert all(a != b for a, b in zip(gens, gens[1:]))
+        assert _reduce_runs(gens, exps) == stack_reduce_runs(gens, exps)
+
+    def test_a_deep_cascade_cancels_completely(self, W):
+        # x y x y ... x y y^-1 x^-1 ... y^-1 x^-1: the middle y y^-1 is one
+        # zero run and 9,998 runs cancel in a single cascade
+        m = 2500
+        letters = [(1, 1), (2, 1)] * m + [(2, -1), (1, -1)] * m
+        runs = [(g, sum(e for _, e in run)) for g, run in groupby(letters, itemgetter(0))]
+        gens, exps = map(list, zip(*runs))
+        assert len(gens) == 9999 and exps.count(0) == 1
+        assert _reduce_runs(gens, exps) == stack_reduce_runs(gens, exps) == ()
+        base = {"x": (1, 1), "x^-1": (1, -1), "y": (2, 1), "y^-1": (2, -1)}
+        word = MonoidWord(("x", "y") * m + ("y^-1", "x^-1") * m)
+        assert evaluate_letters(W, word, base, {}).is_identity()
+
+    def test_a_long_reduced_coordinate_ending_in_one_zero_run(self):
+        rng = random.Random(7)
+        gens = [1 + i % 3 for i in range(10_000)]
+        exps = [rng.choice([-2, -1, 1, 2]) for _ in gens[:-1]] + [0]
+        assert _reduce_runs(gens, exps) == tuple(zip(gens[:-1], exps[:-1]))
+        assert _reduce_runs(gens, exps) == stack_reduce_runs(gens, exps)
 
 
 @pytest.mark.parametrize(
