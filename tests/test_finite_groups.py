@@ -1,5 +1,6 @@
 """Constructors, table verification, evaluation, and commutator machinery."""
 
+import json
 import random
 import re
 import string
@@ -24,6 +25,7 @@ from groupwidths.finite_groups import (
     find_isomorphism,
     group_from_spec,
     group_to_spec,
+    spec_from_json,
     sym3_fink,
 )
 from groupwidths.free_words import MonoidWord, parse_monoid_word
@@ -90,7 +92,7 @@ class TestTableVerification:
         # flip one entry of the C3 table
         table = [[(i + j) % 3 for j in range(3)] for i in range(3)]
         table[1][1] = 1
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("not associative (witness a=1)")):
             FiniteGroup(table, [("a", 1), ("a^-1", 2)])
 
     def test_rejects_non_symmetric_gens(self):
@@ -108,8 +110,11 @@ class TestTableVerification:
         # can catch it; orders above 512 were once only spot-checked
         spec = group_to_spec(cyclic(1024, cap=2048))
         spec["table"][5][7] = 13
-        with pytest.raises(ValueError, match="not associative"):
+        with pytest.raises(ValueError, match=re.escape("not associative (witness a=1)")):
             group_from_spec(spec, cap=2048)
+        # the same table read from text, straight into an array
+        with pytest.raises(ValueError, match=re.escape("not associative (witness a=1)")):
+            group_from_spec(spec_from_json(json.dumps(spec)), cap=2048)
 
     def test_table_is_read_only_int32(self):
         G = direct_product(dihedral(5), cyclic(3))
@@ -396,3 +401,113 @@ class TestSpecs:
         G = group_from_spec({"kind": "table", "table": [[0, 1], [1, 0]], "gens": [[label, 1]]})
         assert G.shortest_label_word(1) == label
         assert G.element_from_label_word(G.shortest_label_word(1)) == 1
+
+    @pytest.mark.parametrize("entry", [10**30, -(10**30), 2**63, -(2**63) - 1])
+    def test_an_entry_past_int64_is_named_out_of_range(self, entry):
+        # as a list, and as text, which the reader leaves to json (19+ digits)
+        spec = {"kind": "table", "table": [[0, 1], [1, entry]], "gens": [["a", 1]]}
+        for read in (spec, spec_from_json(json.dumps(spec))):
+            with pytest.raises(ValueError, match=re.escape(f"table entry {entry} out of range")):
+                group_from_spec(read)
+
+
+# JSON whitespace, and entries of a table that are not JSON integers, or
+# not JSON at all
+json_ws = st.text(alphabet=" \t\n\r", max_size=2)
+flawed_entries = st.sampled_from([
+    "-0", "00", "01", "-01", "0.5", "1.0", "1e3", "2E-1", "-", "--1", "1-2", "1 2", "- 1",
+    "true", "null", "[1]", "[]", "1,", "", '"1"', "é", str(10**18), str(-(10**18) + 1),
+])
+
+
+@st.composite
+def table_texts(draw):
+    """The text of a table: equal-length rows of integers with random
+    whitespace around every token, or one flaw: an entry from
+    ``flawed_entries``, a row of another length (empty included), or a
+    trailing comma."""
+    n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    numbers = st.sampled_from([st.integers(-3, 30), st.integers(-3, 30), st.integers(-(10**19), 10**19)])
+    entry = draw(numbers).map(str)
+    rows = [[draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
+    flaw = draw(st.sampled_from([None, None, None, "entry", "row", "comma"]))
+    if flaw == "entry":
+        rows[draw(st.integers(0, n_rows - 1))][draw(st.integers(0, n_cols - 1))] = draw(flawed_entries)
+    elif flaw == "row":
+        rows[draw(st.integers(0, n_rows - 1))] = draw(st.lists(entry, max_size=5))
+    comma = lambda: draw(json_ws) + "," + draw(json_ws)
+    trailing = comma() if flaw == "comma" else ""
+    body = comma().join("[" + draw(json_ws) + comma().join(row) + draw(json_ws) + "]" for row in rows)
+    return "[" + draw(json_ws) + body + trailing + draw(json_ws) + "]"
+
+
+@st.composite
+def spec_texts(draw, depth: int = 0):
+    """The text of a spec-like object: a "table" key, at times a list of
+    such objects as direct_product factors, and keys that hold a table or
+    the string "table" but are not "table" (non-ASCII ones included)."""
+    fields = [("kind", '"table"'), ("table", draw(table_texts()))]
+    for key in draw(st.lists(st.sampled_from(["mytable", "Table", "tables", "name", "gens", "é", "表"]), max_size=2)):
+        fields.append((key, draw(st.one_of(table_texts(), st.sampled_from(['"table"', '"é"', '[["a", 1]]', "null"])))))
+    if depth < 2 and draw(st.booleans()):
+        factors = draw(st.lists(spec_texts(depth + 1), min_size=1, max_size=2))
+        fields.append(("factors", "[" + draw(json_ws) + ", ".join(factors) + "]"))
+    fields = draw(st.permutations(fields))
+    texts = [json.dumps(k, ensure_ascii=draw(st.booleans())) + draw(json_ws) + ":" + draw(json_ws) + v for k, v in fields]
+    return "{" + draw(json_ws) + ("," + draw(json_ws)).join(texts) + draw(json_ws) + "}"
+
+
+def as_lists(value, key=None):
+    """``value`` with its arrays as lists; only a "table" key holds one."""
+    if isinstance(value, np.ndarray):
+        assert key == "table" and value.ndim == 2 and value.dtype == np.int64
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: as_lists(v, k) for k, v in value.items()}
+    if isinstance(value, list):
+        return [as_lists(v) for v in value]
+    return value
+
+
+class TestSpecFromJson:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(spec_texts(), table_texts()))
+    def test_reads_what_json_loads_reads(self, text):
+        try:
+            expected = json.loads(text)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as raised:
+                spec_from_json(text)
+            assert str(raised.value) == str(exc)
+            return
+        assert as_lists(spec_from_json(text)) == expected
+
+    @pytest.mark.parametrize("indent", [None, 0, 2, "\t"])
+    @pytest.mark.parametrize("separators", [None, (",", ":"), (" , ", " :\r\n")])
+    def test_integer_rows_come_back_as_one_array(self, indent, separators):
+        G = dihedral(5)
+        spec = {"kind": "direct_product", "factors": [group_to_spec(G), {"kind": "cyclic", "n": 2}]}
+        read = spec_from_json(json.dumps(spec, indent=indent, separators=separators))
+        table = read["factors"][0]["table"]
+        assert isinstance(table, np.ndarray) and np.array_equal(table, G.table)
+        assert np.array_equal(group_from_spec(read).table, direct_product(G, cyclic(2)).table)
+
+    def test_minus_zero_and_a_non_ascii_name_still_read_as_an_array(self):
+        spec = dict(group_to_spec(dihedral(3)), name="Dé₃")
+        text = json.dumps(spec, ensure_ascii=False).replace("[0, ", "[-0, ")
+        assert '"table": [[-0, 1, ' in text
+        read = spec_from_json(text)
+        assert isinstance(read["table"], np.ndarray) and read["name"] == "Dé₃"
+        H = group_from_spec(read)
+        assert np.array_equal(H.table, dihedral(3).table) and H.gens == dihedral(3).gens
+
+    def test_square_and_cap_checks_keep_their_messages(self):
+        text = '{"kind": "table", "table": [[0, 1, 2], [1, 0, 2]], "gens": [["a", 1]]}'
+        with pytest.raises(ValueError, match=re.escape("row 0 has length 3, expected 2")):
+            group_from_spec(spec_from_json(text))
+        with pytest.raises(CapExceeded, match="order 2 exceeds cap 1"):
+            group_from_spec(spec_from_json(text), cap=1)
+
+    def test_deep_nesting_is_a_value_error(self):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            spec_from_json("[" * 100_000 + "]" * 100_000)
