@@ -86,7 +86,7 @@ def _wreath_group_for(args: argparse.Namespace) -> WreathGroup:
     rank = args.rank
     if rank is None:
         # coordinates only (they end at the last ']'); one int() per index
-        indices = set(re.findall(r"x(\d+)", args.element.rpartition("]")[0]))
+        indices = set(re.findall(r"x([0-9]+)", args.element.rpartition("]")[0]))
         rank = max([2] + [int(m) for m in indices])
     return WreathGroup(rank, K)
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 
 import numpy as np
 
@@ -193,10 +192,11 @@ def factor_letter_count(
     for c, ((a, b), part) in enumerate(zip(exponents, parts)):
         u = len(ctx.conjugators[c])
         total += sum(2 * u + abs(e) for e in (a, b) if e)
-        if part.syllables:
-            # Python ints: an exponent past int64 is counted, then capped
+        if len(part):
+            # exact: int64 exponents are below 2**31, larger ones Python ints,
+            # so an exponent past int64 is counted, then capped
             pairs = _pair_layout(part)[1]
-            powers = sum(abs(e) for _, e in part.syllables)
+            powers = int(np.abs(part.exps).sum())
             total += 2 * (2 * u + pairs * (len(ctx.r) + len(ctx.r_inv)) + powers)
     if top != ctx.group.top.identity:
         total += len(ctx.top_words[top])
@@ -227,16 +227,15 @@ def _pair_layout(g: FreeWord) -> tuple[int, int]:
     # (lead, rows): the syllables of a reduced nontrivial rank-2 word
     # alternate between x and y, so they fill rows (a_t, b_t) of the word
     # x^a1 y^b1 x^a2 ... after `lead` zero x-powers (one when it starts with y)
-    lead = int(g.syllables[0][0] == 2)
-    return lead, (lead + len(g.syllables) + 1) // 2
+    lead = int(g.gens[0] == 2)
+    return lead, (lead + len(g) + 1) // 2
 
 
 def _pair_exponents(g: FreeWord) -> np.ndarray:
     # the (a_t, b_t) rows of _pair_layout, zero padded
-    exps = np.fromiter(map(itemgetter(1), g.syllables), np.int64, len(g.syllables))
     lead, rows = _pair_layout(g)
     padded = np.zeros(2 * rows, np.int64)
-    padded[lead : lead + len(exps)] = exps
+    padded[lead : lead + len(g)] = g.exps
     return padded.reshape(-1, 2)
 
 

@@ -635,9 +635,14 @@ def spec_from_json(text: str):
     with no Python object per entry.  Everything else, a "table" value
     written any other way included, is read by the standard library's own
     code, so the inputs accepted, the values and the error messages are
-    the same.  JSON nested too deeply to read is a ``ValueError``."""
+    the same.  A text with no literal ``"table"`` holds no such key written
+    plainly, so it goes to plain ``json.loads`` and its C scanner; a key
+    written with an escape (``"\\u0074able"``) then comes back as lists,
+    which ``group_from_spec`` checks in full.  JSON nested too deeply to
+    read is a ``ValueError``."""
+    decoder = _SpecDecoder if '"table"' in text else None
     try:
-        return json.loads(text, cls=_SpecDecoder)
+        return json.loads(text, cls=decoder)
     except RecursionError:
         raise ValueError("JSON nested too deeply to read") from None
 

@@ -30,9 +30,10 @@ from .finite_groups import FiniteGroup, _json_int
 from .free_words import (
     FreeWord,
     MonoidWord,
+    _reduce_runs,
+    _tr_sum,
     format_free_word,
     parse_free_word,
-    ql,
 )
 
 __all__ = [
@@ -136,8 +137,9 @@ def w_commutator(g: WreathElement, h: WreathElement) -> WreathElement:
 
 
 def delta(g: WreathElement) -> int:
-    """Sum of quasi-lengths over the base coordinates."""
-    return sum(ql(w) for w in g.base)
+    """Sum of quasi-lengths over the base coordinates: the sum of tr over
+    the exponents of every coordinate's syllables, in one array."""
+    return _tr_sum(np.concatenate([w.exps for w in g.base]))
 
 
 def q_sequence(W: WreathGroup, j: int) -> WreathElement:
@@ -160,13 +162,18 @@ def in_derived_subgroup(g: WreathElement) -> bool:
     The abelianization of F_n wr K is Z^n x K^ab: the image of g is its
     exponent sum per generator over all coordinates together with the
     class of its top, so g is in the derived subgroup iff every exponent
-    sum is zero and the top lies in [K, K].
+    sum is zero and the top lies in [K, K].  The sums are taken over one
+    concatenation of the coordinates' syllables, sorted by generator.
     """
-    sums: dict[int, int] = {}
-    for w in g.base:
-        for gen, exp in w.syllables:
-            sums[gen] = sums.get(gen, 0) + exp
-    return not any(sums.values()) and g.top in g.group.top.derived_subgroup
+    gens = np.concatenate([w.gens for w in g.base])
+    if len(gens):
+        exps = np.concatenate([w.exps for w in g.base])
+        order = gens.argsort()
+        gens = gens[order]
+        starts = np.flatnonzero(np.concatenate(([True], gens[1:] != gens[:-1])))
+        if np.add.reduceat(exps[order], starts).any():
+            return False
+    return g.top in g.group.top.derived_subgroup
 
 
 @dataclass(frozen=True)
@@ -238,14 +245,15 @@ def evaluate_letters(
     being the identity: a pairwise scan of O(len) table lookups in
     O(log len) numpy calls.  The base letters are stably sorted by
     coordinate and summed per run of one generator within one coordinate
-    (``np.add.reduceat``); only the runs reach Python, as lists.  Each
-    coordinate's runs are copied in bulk between the runs that sum to
-    zero, and the reduction takes Python steps only at a zero run and at
-    each cancellation it sets off (``_reduce_runs``).  A word of L letters
-    over an alphabet of A labels, in a top of order n, with r runs of
-    which z sum to zero and set off c cancellations, costs O(L) numpy
-    work, O(r) copying in C and O(A + n + z + c) Python steps to reduce;
-    the s syllables left are then checked by ``FreeWord``, O(s) more.
+    (``np.add.reduceat``); the runs stay arrays.  A coordinate with no
+    zero run is its slice of the runs; otherwise the stretches between
+    zero runs are joined, and the reduction takes Python steps only at a
+    zero run and at each cancellation it sets off (``_reduce_runs``).
+    Each coordinate's word is then checked by ``FreeWord`` with a few
+    array reductions.  A word of L letters over an alphabet of A labels,
+    in a top of order n, with r runs of which z sum to zero and set off c
+    cancellations, costs O(L) numpy work and O(A + n + z + c) Python
+    steps; no Python step is taken per run or per syllable.
     """
     n = W.size
     for letter, (gen, exp) in base_letters.items():
@@ -308,40 +316,14 @@ def evaluate_letters(
             np.concatenate(([True], (coords[1:] != coords[:-1]) | (gens[1:] != gens[:-1])))
         )
         bounds = np.searchsorted(coords[starts], np.arange(n + 1)).tolist()
-        run_gens = gens[starts].tolist()
-        run_exps = np.add.reduceat(exps, starts, dtype=np.int64).tolist()
+        run_gens = gens[starts].astype(np.int64)
+        run_exps = np.add.reduceat(exps, starts, dtype=np.int64)
         for c in range(n):
             lo, hi = bounds[c], bounds[c + 1]
             if lo < hi:
-                base[c] = FreeWord(W.rank, _reduce_runs(run_gens[lo:hi], run_exps[lo:hi]))
+                reduced = _reduce_runs(run_gens[lo:hi], run_exps[lo:hi])
+                base[c] = FreeWord.from_arrays(W.rank, *reduced)
     return WreathElement(W, tuple(base), top)
-
-
-def _reduce_runs(gens: list[int], exps: list[int]) -> tuple[tuple[int, int], ...]:
-    """Reduced syllables of one coordinate's runs, whose neighbours are on
-    distinct generators, so only a run that sums to zero can start a
-    cancellation.  The runs between zero runs are copied in bulk; a zero
-    run is dropped, and the runs after it merge into the last syllable
-    kept while each merge sums to zero.  The first merge that leaves a
-    nonzero exponent, or the first run on another generator, ends the
-    cascade: the run after it is on yet another generator.  Python steps
-    count the zero runs and the cancellations, not the runs."""
-    out: list[tuple[int, int]] = []
-    i, n = 0, len(exps)
-    while i < n:
-        try:
-            z = exps.index(0, i)
-        except ValueError:
-            z = n
-        out.extend(zip(gens[i:z], exps[i:z]))
-        i = z + 1
-        while i < n and out and out[-1][0] == gens[i]:
-            gen, exp = out.pop()
-            exp += exps[i]
-            i += 1
-            if exp:
-                out.append((gen, exp))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,11 @@
 letter at a time, through ``w_multiply`` of single-letter elements; it
 shares no code with the production evaluator.
 
+``reference_reduce``, ``reference_fault`` and ``reference_format`` treat a
+free word as a plain tuple of (generator, exponent) pairs, one pair at a
+time, with no arrays: free reduction on a stack, the first pair that
+breaks the normal form, and the syllable text.
+
 ``tensor_of`` is the reference tensor a (x) b of a two-factor nilpotent
 product, written from the bilinear formula rather than the group table.
 
@@ -100,6 +105,40 @@ def reference_evaluate_letters(
             raise ValueError(f"letter {letter!r} is neither a base nor a top generator")
         g = w_multiply(g, h)
     return g
+
+
+def reference_reduce(syllables) -> tuple[tuple[int, int], ...]:
+    """Free reduction of a sequence of (generator, exponent) pairs: each
+    pair is pushed on a stack, merging with a top on the same generator
+    and popping it when the exponents cancel."""
+    stack: list[tuple[int, int]] = []
+    for gen, exp in syllables:
+        if stack and stack[-1][0] == gen:
+            exp += stack.pop()[1]
+        if exp:
+            stack.append((gen, exp))
+    return tuple(stack)
+
+
+def reference_fault(rank: int, syllables) -> str | None:
+    """The message for the first pair that is not in normal form: its
+    generator outside 1..rank, else a zero exponent, else the generator of
+    the pair before it; None for a reduced word."""
+    prev = None
+    for gen, exp in syllables:
+        if not 1 <= gen <= rank:
+            return f"generator index {gen} out of range 1..{rank}"
+        if exp == 0:
+            return "zero exponent syllable"
+        if gen == prev:
+            return "adjacent syllables share a generator (not reduced)"
+        prev = gen
+    return None
+
+
+def reference_format(syllables) -> str:
+    """x<g>^<e> per pair, ^1 left out, space separated; "1" when empty."""
+    return " ".join(f"x{g}" if e == 1 else f"x{g}^{e}" for g, e in syllables) or "1"
 
 
 def tensor_of(np_group, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

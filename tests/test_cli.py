@@ -1,6 +1,7 @@
 """End-to-end CLI: JSON reports, exit codes, round trips, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -279,6 +280,33 @@ class TestExitCodes:
         assert f"generator index {index} out of range" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "command,text,atom",
+        [
+            ("qh", "[x\u0661^\u0663 x\u0662; 1; 1; 1; 1; 1] 1", "x\u0661^\u0663"),
+            ("qh", "[x1^\uff13; 1; 1; 1; 1; 1] 1", "x1^\uff13"),
+            ("decompose", "[x1 x\u0968; 1; 1; 1; 1; 1] 1", "x\u0968"),
+        ],
+    )
+    def test_non_ascii_digits_are_2_and_named(self, command, text, atom, capsys):
+        # Arabic-Indic, fullwidth and Devanagari digits are no index or exponent
+        assert cli.main([command, text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"not a syllable: {atom!r}" in captured.err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("qh", "[x99999999999999999999; 1; 1; 1; 1; 1] 1"),
+            ("qh", "--rank", str(2**63), "[x2; 1; 1; 1; 1; 1] 1"),
+        ],
+    )
+    def test_a_rank_past_int64_is_2(self, args, capsys):
+        # generator indices are int64, so a rank past it is an input error
+        assert cli.main(list(args)) == 2
+        assert "is past 2**63 - 1" in capsys.readouterr().err
+
     def test_bad_generator_label_is_2_and_named(self, tmp_path, capsys):
         from groupwidths import cli
 
@@ -341,6 +369,14 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr == "error: JSON nested too deeply to read\n"
+
+    def test_a_200_deep_product_spec_is_read(self, tmp_path, capsys):
+        # 400 levels of JSON nesting, read by json.loads as it is
+        spec = {"kind": "cyclic", "n": 2}
+        for _ in range(200):
+            spec = {"kind": "direct_product", "factors": [spec, {"kind": "cyclic", "n": 1}]}
+        assert cli.main(["qh", "--top", write_spec(tmp_path, "deep.json", spec), "[x1^3; 1] 1"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["top_order"] == 2
 
     def test_table_entry_past_int64_is_2_and_named(self, tmp_path, capsys):
         spec = {"kind": "table", "table": [[0, 10**30], [1, 0]], "gens": [["a", 1]]}
@@ -478,3 +514,161 @@ class TestPretty:
         a, b = json.loads(plain.stdout), json.loads(pretty.stdout)
         a.pop("wall_time_s"), b.pop("wall_time_s")
         assert a == b
+
+
+# qh reports recorded before free words became syllable arrays: sha256 of
+# stdout with the wall_time_s value replaced by 0.  q_1..q_12 under three
+# tops, and elements with nested commutators and exponents past 2**31 and
+# 2**63 (zero exponents, cancelling atoms and rank 3 among them)
+QH_TOPS = {"S3": None, "C2": {"kind": "cyclic", "n": 2}, "D4": {"kind": "dihedral", "n": 4}}
+QH_ORDERS = {"S3": 6, "C2": 2, "D4": 8}
+
+
+def q_text(j: int, order: int) -> str:
+    word = f"x2^-{3 * j} x1^-{3 * j} " + " ".join(["x2 x1"] * (3 * j))
+    return "[" + "; ".join([word] + ["1"] * (order - 1)) + "] 1"
+
+
+QH_Q_REPORTS = {
+    ("S3", 1): "0294e67982405f3fc263f518fbd805065ff0475c3d0f960ac93e03fc2765456d",
+    ("S3", 2): "e392a0c5856ca680089e731cb79c6026da065b19176d333847d32d1a446978fe",
+    ("S3", 3): "04ed75246777cc64bb6ce63d0c1a341fc90339b44c89dbb87ca67688f9ea6045",
+    ("S3", 4): "6bc69097b69ac7e4674a8b9734aeaf32c2e0721c36af3a303d707234cfa9fe6f",
+    ("S3", 5): "f020968b8b8b8affec283d2a719e54bd7cf38fec3ed05c2bcef14a6e68896987",
+    ("S3", 6): "064c3e723c5e7e705704c228154dff4bd19d07bf5e62836bf06154368b4d70a4",
+    ("S3", 7): "84ceba3c2aae9927fd2d4bdeb356917b27d4f601a9da8327437dd3328c88700d",
+    ("S3", 8): "1734c2b0dfd4006df858b085c2f54c98c52ea1261916f3885cdab73208e26304",
+    ("S3", 9): "b1dee74e3b77ce4af1e6bef5a43b0a5a1f5bf47e13d614d3072df694defd3867",
+    ("S3", 10): "c7977a1f4de51f9b87c845990e0b62840c3ded8bbe198d75c033508c54d91171",
+    ("S3", 11): "ac0173b6f31f6535021a895462af0c653471cb8e292f4212763c7f0a4c5f19c4",
+    ("S3", 12): "635690c095772c8f42e61a26558da98410193d2b04d85a5edecfc778960f23d7",
+    ("C2", 1): "2e5c92d00f0f0d88cc05a8c92c5855c0ecef5f59c04dcfc2c42f5e06b710bedb",
+    ("C2", 2): "8cbae7aeedd17d3f191a23255900cd0383b055539f40390fb586248b49a95516",
+    ("C2", 3): "40cb19ed2cd359dbe272eb6f6745b261a329e2b18a2ceb10c05147935a06b251",
+    ("C2", 4): "64613bc88194f7832bc673c02000a3c2f083cde48617d3bc2ea0365b5f6991db",
+    ("C2", 5): "1a0a618354de38b5728af7e2efa3c2347c0ad9ad1fa8f8c3158eb0ca45c52ec4",
+    ("C2", 6): "3f968a8ffcef64cfc10d1b4220ca5af0a77c63b223775ecce8243b3682a47437",
+    ("C2", 7): "ff7dc008bab68eb875f945ed7904efa545f5093f72c1ddf619c45330294e7631",
+    ("C2", 8): "886a1e1fc490a8001aaa794764b9416e09ac009b3e06f1507d362e9ab1836b1c",
+    ("C2", 9): "0bd862e2cbe711aa8940c4a7e066a5b64890c7a963b6b526073c55c6a9e46737",
+    ("C2", 10): "28c9c3b80d1fcb108ccbda5be615e907b27bcbf749530006a3b67365e3c805ab",
+    ("C2", 11): "f6b6b25990670f1310ca98284b4f232dedc6366d522b584b2112e8347a787587",
+    ("C2", 12): "12a3042593dfe6c3cdbd65e258c171278f00e4c2ecfd3bedd2abcd787f356298",
+    ("D4", 1): "bdf65d82d56d01d0ba810cdc5d6638eaa6b5e65b3223823ab6efbcf206eeae03",
+    ("D4", 2): "db52190488331d098b6d02c778407f90d53ccb299c6ff397a7f7fde64c922ea4",
+    ("D4", 3): "37ee19e9745c6380e4e92700808486b4ba37a7dd88d23054c7585249f95d273f",
+    ("D4", 4): "3fddb81b838959f3931a91834f2a188cc2be73baf7f45c6b7fca6b7f85bfaa57",
+    ("D4", 5): "82cf0847bfd8aaefd8edeea768332815d8a800451098a9f4f901d1ed929859e6",
+    ("D4", 6): "f391ba253fb353e4b356c13ce98c9eeca2c0e315b9404acfc2de18329558707b",
+    ("D4", 7): "bca4c498c27a6e1cefd19b1e1176dc69d3ed403f362884dc073385f82dc6a539",
+    ("D4", 8): "94c8cc588f157f15e9896878a2b33880bdbbd51adacac97763cf0d99b0275bcb",
+    ("D4", 9): "bab41d1dc448a34473cb35768db4afa6f41b1fff32a6d066631af7598cc62d67",
+    ("D4", 10): "7691df13209aaf8a58a9ab8793d8270f82f2b610159eea2d92ed8bd51487c2de",
+    ("D4", 11): "3fe46290dc4e0dc0b8903c5924ff4a877e3b10c60ab141a8065d30bf6298d493",
+    ("D4", 12): "6d16380f3412ebe5d857b1d8eba0300d360adbdeb5a0fb2f6342e392cd145f24",
+}
+QH_RANDOM_REPORTS = {
+    (
+        "S3",
+        (
+            "[[x1^2,x1^100000000000000000000] x1^0 x2^0 x1^2147483647 "
+            "[x2^2147483648,[x2,[x1^100000000000000000000,x1^2]]]; 1; x2^2147483647; "
+            "x1^2147483648 x1^100000000000000000000 "
+            "[x1^100000000000000000000,[[x1,x2^0],[x2^100000000000000000000,x2^-9223372036854775808]]]"
+            " [x2^-3,[x2^0,x2^2]] x1^100000000000000000000; x1^-3; x2^-2147483648 "
+            "[[x1^2147483648,x1^0],x2^0] x1] s1*s2"
+        ),
+    ): "d8c3d664f2790153834c4882a44e896a544fcffb43194d24ded7107a42feb8b0",
+    (
+        "C2",
+        "[[[x2^2147483648,x1^0],x2^2147483648] x1^0 x2^-9223372036854775808; 1] a",
+    ): "e0c9befbcf14035e452755d9dff49ed4beb7519579905db3e36be7939051c25c",
+    (
+        "D4",
+        (
+            "[[x2^0,x1^100000000000000000000] x1^-2147483648 "
+            "[x1^-9223372036854775808,x2^9223372036854775809] "
+            "[x1^-9223372036854775808,[x2,[x1^-9223372036854775808,x1^-3]]]; x1^4294967301; "
+            "[[[x1^-2147483648,x2^2],[x2^-2147483648,x1^2147483648]],x2^2] "
+            "[[x1^2147483648,x1^100000000000000000000],x1^-2147483648]; x1; 1; "
+            "[x1^2147483647,x2^2]; x2^2147483647 x1^100000000000000000000; x2^2] r*r"
+        ),
+    ): "6de2b81bdafa653c469a7ac2f56212a5e49955903ed1ca14d03f6fe557ddf0ad",
+    (
+        "S3",
+        (
+            "[x2^-3 [x2^2147483647,x1^100000000000000000000] x1^2147483648; [x1^-3,x1] "
+            "x1^9223372036854775809 x2^-3 "
+            "[[x1^2147483647,x1^4294967301],[x1^-1,x2^-2147483648]] x1^-3; 1; "
+            "[x1^0,x2^100000000000000000000] x1^4294967301; "
+            "[[x2,x1^100000000000000000000],[[x2^-3,x1^-9223372036854775808],[x1^-3,x2^0]]]; "
+            "1] s1"
+        ),
+    ): "775fc3c3785e474628de15501b7aad09a484c56038967032de4504d26f0ba973",
+    (
+        "C2",
+        (
+            "[x2^9223372036854775809 x1^0 "
+            "[[[x1^-1,x1],x1^2147483647],x1^100000000000000000000]; "
+            "[[x1^9223372036854775809,x1^100000000000000000000],x1^2147483648] x2^4294967301 "
+            "x1^2147483647 x2^-3 x2^2147483648] 1"
+        ),
+    ): "abbdd3d021e0576bad9eb18ba92d65d461f40b63f48561e6138ddfc9e107b049",
+    (
+        "D4",
+        (
+            "[x1^0 x1^2147483648; [x2^-3,[x2^-2147483648,x1^2]] x1^2147483647 [x1^-1,x1^2] "
+            "[x2^-3,x1^-9223372036854775808] x1^-1; x1^-9223372036854775808 "
+            "[x2^100000000000000000000,x1^2147483647] x1^2 x2^-2147483648; 1; 1; 1; 1; x1^2 "
+            "x1^-9223372036854775808 x1^2 [x1^2147483648,x1^4294967301] x1] 1"
+        ),
+    ): "064c72cfa4f9baeaec4697927c76e0116396fc030311a5a6fb37791e86f473eb",
+    (
+        "S3",
+        (
+            "[1; x2^2 [[x3^4294967301,x1^0],x2^9223372036854775809]; x2^2147483648 "
+            "x2^-2147483648 x3^0; [x1^9223372036854775809,x3^0] x1^100000000000000000000 "
+            "x3^-9223372036854775808 x3; x3^2147483648 x2^9223372036854775809 "
+            "x3^9223372036854775809 x2^-9223372036854775808; x3^2147483648 x2^0] s1"
+        ),
+    ): "d99c06a946294d916a87bc62c09f1457d115dc716275e3c925d643863a40e8fc",
+    (
+        "C2",
+        "[x1^4294967301; 1] a",
+    ): "e4b8f2e2d689b6e08da667ae155f615eee257c6634dbe9126c3dad4e9dd4cc8c",
+    (
+        "D4",
+        (
+            "[[[x1,x3],x2^2147483648]; x2^2147483647 x2^-3 x1 x2^2; 1; 1; x3^-1; "
+            "x3^100000000000000000000 x3^100000000000000000000 x1^2147483647 x2^0 "
+            "[x2^2,x2^-9223372036854775808]; x3^4294967301; 1] r*r"
+        ),
+    ): "e8802c52a7b3337c6dc69aa85dd2f94fb183e113c4709693bd74e1b1f500165d",
+    (
+        "S3",
+        (
+            "[1; x3^2; x2^2147483648 x2^-1; x1^-1 x1^4294967301 x1^-3 x1; "
+            "[[x2^0,x2^2147483648],x1] x1^-3 x1^2147483648 "
+            "[[x3^-9223372036854775808,[x1^-1,x3^2]],x2^-9223372036854775808]; x1^-1 "
+            "x3^9223372036854775809] s1*s2"
+        ),
+    ): "6ab833c44f6a5c3eda610828c4b1d81f55a3b9adeb86246ea6847a2915708b9f",
+}
+
+QH_GOLDEN = [
+    pytest.param(top, q_text(j, QH_ORDERS[top]), digest, id=f"{top}-q{j}")
+    for (top, j), digest in QH_Q_REPORTS.items()
+] + [
+    pytest.param(top, text, digest, id=f"{top}-random{i}")
+    for i, ((top, text), digest) in enumerate(QH_RANDOM_REPORTS.items())
+]
+
+
+@pytest.mark.parametrize("top, text, digest", QH_GOLDEN)
+def test_qh_report_matches_the_recorded_bytes(top, text, digest, tmp_path, capsys):
+    argv = ["qh", "--", text]
+    if QH_TOPS[top] is not None:
+        argv[1:1] = ["--top", write_spec(tmp_path, "top.json", QH_TOPS[top])]
+    assert cli.main(argv) == 0
+    body = re.sub(r'"wall_time_s": [0-9.e-]+', '"wall_time_s": 0', capsys.readouterr().out)
+    assert hashlib.sha256(body.encode()).hexdigest() == digest

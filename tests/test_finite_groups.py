@@ -511,3 +511,33 @@ class TestSpecFromJson:
     def test_deep_nesting_is_a_value_error(self):
         with pytest.raises(ValueError, match="nested too deeply"):
             spec_from_json("[" * 100_000 + "]" * 100_000)
+        # with a "table" key the text goes through the Python scanner, which
+        # reaches fewer levels; either way the error is the same
+        with pytest.raises(ValueError, match="nested too deeply"):
+            spec_from_json('{"table": 1, "x": ' + "[" * 5_000 + "]" * 5_000 + "}")
+
+    def test_a_200_deep_product_reads_again(self):
+        # 400 levels of nesting: more than the Python scanner reaches, and a
+        # text with no "table" key goes to json.loads as it is
+        spec = {"kind": "cyclic", "n": 2}
+        for _ in range(200):
+            spec = {"kind": "direct_product", "factors": [spec, {"kind": "cyclic", "n": 1}]}
+        text = json.dumps(spec)
+        assert spec_from_json(text) == json.loads(text) == spec
+        G = group_from_spec(spec_from_json(text))
+        assert (G.order, len(G.factors)) == (2, 201)
+
+    def test_an_escaped_table_key_builds_the_same_group(self):
+        plain = json.dumps(group_to_spec(dihedral(4)))
+        assert plain.count('"table"') == 2  # the kind and the key
+        H = group_from_spec(spec_from_json(plain))
+        # the key escaped, then the kind too: the rows come back as lists,
+        # through the Python scanner and then through json.loads itself
+        key_escaped = plain.replace('"table":', '"\\u0074able":')
+        both_escaped = key_escaped.replace('"table"', '"\\u0074able"')
+        assert '"table"' not in both_escaped
+        for text in (key_escaped, both_escaped):
+            read = spec_from_json(text)
+            assert read == json.loads(text) and isinstance(read["table"], list)
+            G = group_from_spec(read)
+            assert np.array_equal(G.table, H.table) and G.gens == H.gens and G.name == H.name

@@ -24,6 +24,7 @@ from groupwidths.free_words import (
 )
 
 from conftest import invert_letters, random_reduced_word, spelled_texts
+from oracle import reference_fault, reference_format, reference_reduce
 
 letters_rank2 = st.sampled_from(["x1", "x1^-1", "x2", "x2^-1"])
 monoid_words = st.lists(letters_rank2, max_size=40).map(lambda ls: MonoidWord(tuple(ls)))
@@ -52,6 +53,22 @@ def reduced_words(draw) -> FreeWord:
         if not kept or kept[-1][0] != gen:
             kept.append((gen, exp))
     return FreeWord(rank, tuple(kept))
+
+
+# exponents on both sides of the int64 / Python-int boundary at 2**31, and
+# past int64
+BOUNDARY_EXPONENTS = [2**31 - 1, 2**31, 2**63, 10**20]
+exponents = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.sampled_from(BOUNDARY_EXPONENTS + [-e for e in BOUNDARY_EXPONENTS]),
+)
+
+
+@st.composite
+def reduced_syllables(draw, rank: int = 3) -> tuple[tuple[int, int], ...]:
+    """Syllables of a reduced word at the given rank, small exponents mixed
+    with ones at the int64 boundaries."""
+    return reference_reduce(draw(st.lists(st.tuples(st.integers(1, rank), exponents), max_size=12)))
 
 
 def inverse_atom(atom: tuple[str, tuple[str, ...]]) -> tuple[str, tuple[str, ...]]:
@@ -286,11 +303,141 @@ class TestTextFormats:
             with pytest.raises(ValueError, match="not a syllable"):
                 parse_free_word(text)
 
+    @pytest.mark.parametrize("digit", ["\u0661", "\uff11", "\u0967", "\U0001d7cf"])
+    def test_only_ascii_digits_are_read(self, digit):
+        # each of these reads as 1 through int(), and a regex \d matches it
+        assert int(digit) == 1
+        for text, atom in ((f"x{digit}^3 x2", f"x{digit}^3"), (f"x2 x1^{digit}", f"x1^{digit}")):
+            with pytest.raises(ValueError, match=re.escape(f"not a syllable: {atom!r}")):
+                parse_free_word(text)
+        with pytest.raises(ValueError, match=re.escape(f"not a free-group letter: 'x{digit}'")):
+            reduce_word(MonoidWord(("x1", f"x{digit}")))
+        assert parse_free_word("x1^3 x2") == reduce_word(MonoidWord(("x1",) * 3 + ("x2",)))
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_free_word("z7")
         with pytest.raises(ValueError):
             parse_free_word("[x,y")
+
+
+class TestSyllableArrays:
+    """The array FreeWord against plain tuples of (generator, exponent)."""
+
+    @given(st.integers(1, 3), st.lists(st.tuples(st.integers(-1, 4), st.integers(-2, 2)), max_size=8))
+    def test_the_first_bad_syllable_is_named(self, rank, syllables):
+        fault = reference_fault(rank, syllables)
+        gens = np.array([g for g, _ in syllables], np.int64)
+        exps = np.array([e for _, e in syllables], np.int64)
+        for build in (lambda: FreeWord(rank, syllables), lambda: FreeWord.from_arrays(rank, gens, exps)):
+            if fault is None:
+                assert build().syllables == tuple(syllables)
+            else:
+                with pytest.raises(ValueError, match=re.escape(fault)):
+                    build()
+
+    def test_a_bad_syllable_past_int64_is_named(self):
+        with pytest.raises(ValueError, match=r"generator index 100000000000000000000 out of range 1\.\.2"):
+            FreeWord(2, ((1, 2), (10**20, 1), (1, 0)))
+        with pytest.raises(ValueError, match="zero exponent"):
+            FreeWord(2, ((1, 0), (10**20, 1)))
+        with pytest.raises(ValueError, match="rank must be positive"):
+            FreeWord(0)
+        with pytest.raises(ValueError, match="past 2\\*\\*63"):
+            FreeWord(2**63)
+
+    def test_non_integers_are_refused(self):
+        for syllables in (((1, 1.5),), ((1.0, 1),), (("x", 1),)):
+            with pytest.raises(TypeError):
+                FreeWord(2, syllables)
+        with pytest.raises(TypeError):
+            FreeWord.from_arrays(2, np.array([1.0]), np.array([1]))
+        with pytest.raises(TypeError):
+            FreeWord.from_arrays(2, np.array([1]), np.array([1.5], object))
+        with pytest.raises(ValueError, match="one length"):
+            FreeWord.from_arrays(2, np.array([1, 2]), np.array([1]))
+
+    @given(reduced_syllables(), reduced_syllables(), st.data())
+    def test_products_cancel_at_the_seam_as_the_stack_does(self, u, w, data):
+        # v starts with the inverse of a syllable suffix of u, its first
+        # syllable cut short or not: full or partial cancellation
+        k = data.draw(st.integers(0, len(u)))
+        suffix = [(g, -e) for g, e in reversed(u[k:])]
+        if suffix and data.draw(st.booleans()):
+            suffix[0] = (suffix[0][0], suffix[0][1] + data.draw(st.sampled_from([-1, 1])))
+        v = reference_reduce(suffix + list(w))
+        product = FreeWord(3, u) * FreeWord(3, v)
+        assert product.syllables == reference_reduce(u + v)
+        assert product == FreeWord(3, reference_reduce(u + v))
+
+    @given(st.lists(st.tuples(st.integers(1, 3), st.one_of(exponents, st.sampled_from([0, 2**63 - 1]))), max_size=16))
+    def test_parse_reduces_any_syllables_as_the_stack_does(self, syllables):
+        # zero exponents, neighbours on one generator, and sums past int64
+        text = " ".join(f"x{g}^{e}" for g, e in syllables) or "1"
+        assert parse_free_word(text, rank=3).syllables == reference_reduce(syllables)
+
+    def test_run_sums_past_int64_are_exact(self):
+        big = 2**63 - 1
+        assert parse_free_word(f"x1^{big} x1^{big}").syllables == ((1, 2 * big),)
+        assert parse_free_word(f"x1^{big} x2 x2^-1 x1^{-big} x1").syllables == ((1, 1),)
+        assert parse_free_word("x1^2147483647 x1").exps.dtype == object
+
+    @given(reduced_syllables(), st.integers(1, 3))
+    def test_inverse_sums_ql_and_text(self, u, gen):
+        w = FreeWord(3, u)
+        assert w.inverse().syllables == tuple((g, -e) for g, e in reversed(u))
+        assert w.exponent_sum(gen) == sum(e for g, e in u if g == gen)
+        assert type(w.exponent_sum(gen)) is int and type(ql(w)) is int
+        assert ql(w) == sum(tr(e) for _, e in u)
+        assert len(w) == len(u)
+        assert format_free_word(w) == reference_format(u)
+        assert parse_free_word(reference_format(u), rank=3) == w
+
+    @pytest.mark.parametrize("exp", BOUNDARY_EXPONENTS)
+    def test_equality_and_hash_across_constructors_and_dtypes(self, exp):
+        small = exp < 2**31
+        for e in (exp, -exp):
+            words = [
+                FreeWord(2, ((1, e), (2, 1))),
+                FreeWord.from_arrays(2, np.array([1, 2], np.uint8), np.array([e, 1], object)),
+                parse_free_word(f"x1^{e} x2", rank=2),
+                FreeWord(2, ((1, e - 1),)) * FreeWord(2, ((1, 1), (2, 1))),
+            ]
+            if abs(e) < 2**63:
+                words.append(FreeWord.from_arrays(2, np.array([1, 2]), np.array([e, 1], np.int64)))
+            for w in words:
+                assert w.gens.dtype == np.int64
+                assert w.exps.dtype == (np.int64 if small else object)
+                assert w == words[0] and hash(w) == hash(words[0])
+                assert w.syllables == ((1, e), (2, 1))
+                assert all(type(v) is int for s in w.syllables for v in s)
+        # crossing the boundary either way in a product
+        up = FreeWord(1, ((1, 2**31 - 1),)) * FreeWord(1, ((1, 1),))
+        down = FreeWord(1, ((1, 2**31),)) * FreeWord(1, ((1, -1),))
+        assert (up.exps.dtype, down.exps.dtype) == (object, np.int64)
+        assert up.syllables == ((1, 2**31),) and down.syllables == ((1, 2**31 - 1),)
+        assert FreeWord(1, ((1, 2**31),)) != FreeWord(1, ((1, 2**31 - 1),))
+
+    @given(reduced_syllables())
+    def test_pickling_keeps_the_value_and_dtype(self, u):
+        w = FreeWord(3, u)
+        back = pickle.loads(pickle.dumps(w))
+        assert back == w and hash(back) == hash(w)
+        assert back.exps.dtype == w.exps.dtype and not back.exps.flags.writeable
+
+    def test_arrays_are_read_only_and_int64_arrays_are_not_copied(self):
+        gens, exps = np.array([1, 2, 1]), np.array([3, -1, 2])
+        w = FreeWord.from_arrays(2, gens, exps)
+        assert np.shares_memory(w.gens, gens) and np.shares_memory(w.exps, exps)
+        assert gens.flags.writeable  # the caller's array is left as it was
+        for a in (w.gens, w.exps, w.inverse().exps, (w * w).gens, FreeWord.identity(2).gens):
+            with pytest.raises(ValueError, match="read-only"):
+                a[:1] = 1
+        with pytest.raises(AttributeError):
+            w.rank = 3
+        big = FreeWord(2, ((1, 10**20),))
+        with pytest.raises(ValueError, match="read-only"):
+            big.exps[0] = 1
 
 
 # labels of several lengths, an inverse suffix and a non-ASCII one; none is

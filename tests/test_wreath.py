@@ -22,7 +22,7 @@ from groupwidths.free_words import (
     MonoidWord,
     format_free_word,
     free_commutator,
-    _push_syllable,
+    _reduce_runs,
     parse_free_word,
     reduce_word,
 )
@@ -32,7 +32,6 @@ from groupwidths.wreath import (
     certify_cw_lower_bound,
     commutator_length_bound,
     _prefix_products,
-    _reduce_runs,
     delta,
     evaluate_letters,
     format_wreath_element,
@@ -45,7 +44,7 @@ from groupwidths.wreath import (
 )
 
 from conftest import moved_identity, random_reduced_word, random_wreath_element, relabel, spelled_texts
-from oracle import reference_evaluate_letters
+from oracle import reference_evaluate_letters, reference_reduce
 
 
 # tops whose identity is not id 0 (ids 2 and 5): only the text format
@@ -505,10 +504,18 @@ class TestEvaluateLetters:
 
 def stack_reduce_runs(gens, exps):
     """The reduction stack: every run pushed in turn, merging with the top."""
-    stack = []
-    for gen, exp in zip(gens, exps):
-        _push_syllable(stack, gen, exp)
-    return tuple(map(tuple, stack))
+    return reference_reduce(zip(gens, exps))
+
+
+def reduce_run_lists(gens, exps):
+    """``_reduce_runs`` on int64 arrays of the runs, read back as syllables;
+    runs with no zero run come back as the very arrays passed in."""
+    gens, exps = np.array(gens, np.int64), np.array(exps, np.int64)
+    out_gens, out_exps = _reduce_runs(gens, exps)
+    assert out_gens.dtype == out_exps.dtype == np.int64
+    if exps.all():
+        assert out_gens is gens and out_exps is exps
+    return tuple(zip(out_gens.tolist(), out_exps.tolist()))
 
 
 @st.composite
@@ -544,7 +551,7 @@ class TestReduceRuns:
     def test_matches_the_reduction_stack(self, runs):
         gens, exps = runs
         assert all(a != b for a, b in zip(gens, gens[1:]))
-        assert _reduce_runs(gens, exps) == stack_reduce_runs(gens, exps)
+        assert reduce_run_lists(gens, exps) == stack_reduce_runs(gens, exps)
 
     def test_a_deep_cascade_cancels_completely(self, W):
         # x y x y ... x y y^-1 x^-1 ... y^-1 x^-1: the middle y y^-1 is one
@@ -554,7 +561,7 @@ class TestReduceRuns:
         runs = [(g, sum(e for _, e in run)) for g, run in groupby(letters, itemgetter(0))]
         gens, exps = map(list, zip(*runs))
         assert len(gens) == 9999 and exps.count(0) == 1
-        assert _reduce_runs(gens, exps) == stack_reduce_runs(gens, exps) == ()
+        assert reduce_run_lists(gens, exps) == stack_reduce_runs(gens, exps) == ()
         base = {"x": (1, 1), "x^-1": (1, -1), "y": (2, 1), "y^-1": (2, -1)}
         word = MonoidWord(("x", "y") * m + ("y^-1", "x^-1") * m)
         assert evaluate_letters(W, word, base, {}).is_identity()
@@ -563,8 +570,8 @@ class TestReduceRuns:
         rng = random.Random(7)
         gens = [1 + i % 3 for i in range(10_000)]
         exps = [rng.choice([-2, -1, 1, 2]) for _ in gens[:-1]] + [0]
-        assert _reduce_runs(gens, exps) == tuple(zip(gens[:-1], exps[:-1]))
-        assert _reduce_runs(gens, exps) == stack_reduce_runs(gens, exps)
+        assert reduce_run_lists(gens, exps) == tuple(zip(gens[:-1], exps[:-1]))
+        assert reduce_run_lists(gens, exps) == stack_reduce_runs(gens, exps)
 
 
 @pytest.mark.parametrize(
