@@ -171,7 +171,7 @@ def is_word_palindrome(w: MonoidWord) -> bool:
 
 # letter of a free-group alphabet: x<i> or x<i>^-1, with x/y aliases for
 # rank 2; indices are ASCII digits only, not any Unicode digit
-_FREE_LETTER_RE = re.compile(r"^x([0-9]+)(\^-1)?$")
+_FREE_LETTER_RE = re.compile(r"x([0-9]+)(\^-1)?")
 _LETTER_ALIASES = {"x": "x1", "y": "x2", "x^-1": "x1^-1", "y^-1": "x2^-1"}
 
 # generator indices are int64, so a rank is at most this
@@ -183,7 +183,7 @@ _SMALL_EXP = 2**31
 
 def _letter_to_syllable(letter: str) -> tuple[int, int]:
     letter = _LETTER_ALIASES.get(letter, letter)
-    m = _FREE_LETTER_RE.match(letter)
+    m = _FREE_LETTER_RE.fullmatch(letter)
     if m is None:
         raise ValueError(f"not a free-group letter: {letter!r}")
     return int(m.group(1)), -1 if m.group(2) else 1
@@ -510,7 +510,7 @@ def format_free_word(w: FreeWord) -> str:
 
 
 # indices and exponents are ASCII digits only
-_SYLLABLE_RE = re.compile(r"^x([0-9]+)(?:\^(-?[0-9]+))?$")
+_SYLLABLE_RE = re.compile(r"x([0-9]+)(?:\^(-?[0-9]+))?")
 
 
 def _split_commutator(text: str) -> tuple[str, str]:
@@ -529,7 +529,7 @@ def _split_commutator(text: str) -> tuple[str, str]:
 
 def _parse_syllable(atom: str) -> tuple[int, int]:
     atom = _LETTER_ALIASES.get(atom, atom)
-    m = _SYLLABLE_RE.match(atom)
+    m = _SYLLABLE_RE.fullmatch(atom)
     if m is None:
         raise ValueError(f"not a syllable: {atom!r}")
     return int(m.group(1)), int(m.group(2)) if m.group(2) else 1

@@ -17,9 +17,12 @@ only the newest layer is multiplied by P and each element is multiplied
 out once.  Every generator is a one-letter palindrome, so P generates the
 group and the covering ends with all palindromic lengths and the width.
 
-A group built by ``direct_product`` keeps its atomic factors F_1, ..., F_k
-(``FiniteGroup.factors``), and ``palindromic_width`` works from them, never
-from the product's order^2 pair space.  Two facts make that exact.
+Both entry points read a group as its atomic factors F_1, ..., F_k of
+order above 1: ``FiniteGroup.factors`` for a group built by
+``direct_product``, and the group itself for any other.  An order-1
+factor moves no mixed-radix id, so it is dropped; the trivial group has
+no factors.  Nothing is computed from a product's table or its order^2
+pair space.  Two facts make that exact.
 
 *Pairs factor.*  Each letter lies in one factor, and letters of different
 factors commute in the value of a word and in the value of its reversal.
@@ -28,7 +31,7 @@ runs once per factor.  The group palindromes are then the product set
 P_1 x ... x P_k, and each P_i contains 1.  Hence P^m = P_1^m x ... x P_k^m
 with P_i^m growing in m: an element's group length is the maximum of its
 coordinates' lengths, and the group width is the maximum of the factor
-widths.
+widths.  An atomic group is the one-factor case.
 
 *Word palindromes couple only through parity.*  Let E_i and O_i be the
 values of the even- and odd-length word palindromes of F_i.  The word
@@ -53,9 +56,12 @@ k-dimensional boolean layer by it is one shift per axis,
 X -> {x : x_i in X_i * A_i}, a gather of F_i's table columns.  The word
 covering carries two arrays, X (no odd factor used yet) and Y (one used),
 and for each axis i sets Y <- Y*E_i | X*O_i, then X <- X*E_i; X | Y is
-then the layer times P.  The report is the one the table path gives:
-lengths keyed by the product's mixed-radix ids, layer sizes, and the
-palindromes as the elements of length at most 1.
+then the layer times P.  Only the word notion with two or more factors
+needs this grid; every other case is covered factor by factor, as for the
+group notion.  ``palindrome_elements`` builds P by outer products of the
+masks, with O_i empty in the group notion.  The report is keyed by the
+group's mixed-radix ids, and the palindromes are the elements of length
+at most 1.
 """
 
 from __future__ import annotations
@@ -112,37 +118,36 @@ def palindrome_elements(G: FiniteGroup, notion: str) -> set[int]:
 
     word: values of u*reverse(u) and u*a*reverse(u) (even palindromes and
     palindromes with a center letter); group: elements g with some
-    representative whose reversal also evaluates to g.
+    representative whose reversal also evaluates to g.  Built from the
+    factors' masks as (E_1 x ... x E_k) | union over j of
+    (E_1 x ... x O_j x ... x E_k), by outer products.
     """
+    # X: every coordinate so far in its E_i; Y: exactly one in its O_j instead
+    X, Y = np.ones(1, dtype=bool), np.zeros(1, dtype=bool)
+    for _, even, odd in _factor_masks(G, notion):
+        X, Y = (X[:, None] & even).ravel(), ((Y[:, None] & even) | (X[:, None] & odd)).ravel()
+    return set(np.flatnonzero(X | Y).tolist())
+
+
+def _factor_masks(G: FiniteGroup, notion: str) -> list[tuple[FiniteGroup, np.ndarray, np.ndarray]]:
+    """G's atomic factors of order above 1, each with its (even, odd) masks:
+    the values of u*reverse(u) and of u*a*reverse(u) in the word notion;
+    the g with (g, g) in R and nothing in the group notion."""
     _check_notion(notion)
-    pairs = reachable_pairs(G)
-    if notion == "group":
-        hit = _group_palindromes(pairs)
-    else:
-        even, odd = _word_palindromes(pairs)
-        hit = even | odd
-    return set(np.flatnonzero(hit).tolist())
-
-
-def _group_palindromes(pairs: ReachablePairs) -> np.ndarray:
-    """Mask of the g with (g, g) in R."""
-    g, h = pairs.pairs.T
-    hit = np.zeros(pairs.group.order, dtype=bool)
-    hit[g[g == h]] = True
-    return hit
-
-
-def _word_palindromes(pairs: ReachablePairs) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the values of u*reverse(u) and of u*a*reverse(u): the even-
-    and the odd-length word palindromes."""
-    G = pairs.group
-    T = G.table
-    g, h = pairs.pairs.T
-    even = np.zeros(G.order, dtype=bool)
-    even[T[g, h]] = True
-    odd = np.zeros(G.order, dtype=bool)
-    odd[T[T[g[:, None], G.gen_ids], h[:, None]]] = True
-    return even, odd
+    masks = []
+    for F in G.factors or (G,):
+        if F.order == 1:
+            continue
+        g, h = reachable_pairs(F).pairs.T
+        even, odd = np.zeros((2, F.order), dtype=bool)
+        if notion == "group":
+            even[g[g == h]] = True
+        else:
+            T = F.table
+            even[T[g, h]] = True
+            odd[T[T[g[:, None], F.gen_ids], h[:, None]]] = True
+        masks.append((F, even, odd))
+    return masks
 
 
 @dataclass
@@ -170,15 +175,20 @@ class WidthReport:
 def palindromic_width(G: FiniteGroup, notion: str) -> WidthReport:
     """Layered covering of G by products of palindromes; exact lengths.
 
-    A group with two or more ``factors`` is covered from its factors (see
-    the module docstring), so the product's own order^2 pair space is
-    never allocated.  Any other group runs the pair BFS on its own table.
+    Each factor is covered by its own palindromes and an element's length
+    is the largest of its coordinates' lengths, except in the word notion
+    with two or more factors, which covers the parity grid (see the
+    module docstring).
     """
-    _check_notion(notion)
-    if len(G.factors) >= 2:
-        return _product_width(G, notion)
-    pal = palindrome_elements(G, notion)
-    return _report(notion, _lengths(product_layers(G, sorted(pal)), G.order))
+    masks = _factor_masks(G, notion)
+    if notion == "word" and len(masks) >= 2:
+        return _report(notion, _lengths(_word_layers(masks), G.order))
+    # a flat outer product appends a factor's id as the lowest mixed-radix digit
+    length = np.zeros(1, dtype=np.intp)
+    for F, even, odd in masks:
+        own = _lengths(product_layers(F, np.flatnonzero(even | odd)), F.order)
+        length = np.maximum(length[:, None], own).ravel()
+    return _report(notion, length)
 
 
 def _lengths(layers: list[np.ndarray], order: int) -> np.ndarray:
@@ -199,25 +209,7 @@ def _report(notion: str, length: np.ndarray) -> WidthReport:
     return WidthReport(notion, pal, dict(enumerate(length.tolist())), len(sizes) - 1, sizes)
 
 
-def _product_width(G: FiniteGroup, notion: str) -> WidthReport:
-    """``palindromic_width`` of a direct product from its factors."""
-    pairs = [reachable_pairs(F) for F in G.factors]
-    if notion == "group":
-        # the group length is the largest factor length: one broadcast
-        # maximum per factor builds it on the k-dimensional grid
-        length = np.zeros((), dtype=np.intp)
-        for R in pairs:
-            F = R.group
-            own = _lengths(product_layers(F, np.flatnonzero(_group_palindromes(R))), F.order)
-            length = np.maximum(length[..., None], own)
-        return _report(notion, length.ravel())
-    layers = _word_layers(G.factors, [_word_palindromes(R) for R in pairs])
-    return _report(notion, _lengths(layers, G.order))
-
-
-def _word_layers(
-    factors: tuple[FiniteGroup, ...], masks: list[tuple[np.ndarray, np.ndarray]]
-) -> list[np.ndarray]:
+def _word_layers(masks: list[tuple[FiniteGroup, np.ndarray, np.ndarray]]) -> list[np.ndarray]:
     """The word covering's layers as flat product ids, from each factor's
     (even, odd) palindrome masks.  Per layer, X is the layer times the
     palindromes that have used no odd factor yet, Y those that have used
@@ -225,15 +217,15 @@ def _word_layers(
     # column a^-1 of F.table maps x to x*a^-1, so gathering the columns of
     # A^-1 along axis i and reducing over them shifts X to X*A on that axis
     columns = [
-        tuple(F.table[:, F.inverse[np.flatnonzero(mask)]] for mask in pair)
-        for F, pair in zip(factors, masks)
+        tuple(F.table[:, F.inverse[np.flatnonzero(mask)]] for mask in (even, odd))
+        for F, even, odd in masks
     ]
 
     def shift(X: np.ndarray, cols: np.ndarray, axis: int) -> np.ndarray:
         return np.take(X, cols, axis=axis).any(axis=axis + 1)
 
-    layer = np.zeros(tuple(F.order for F in factors), dtype=bool)
-    layer[tuple(F.identity for F in factors)] = True
+    layer = np.zeros(tuple(F.order for F, _, _ in masks), dtype=bool)
+    layer[tuple(F.identity for F, _, _ in masks)] = True
     seen = layer.copy()
     layers = []
     while layer.any():

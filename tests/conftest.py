@@ -77,6 +77,16 @@ PRODUCT_FACTORS = _product_factors()
 
 
 @st.composite
+def bracketed(draw, factors: list[FiniteGroup], cap: int) -> FiniteGroup:
+    """The direct product of the factors in this order, bracketed at random."""
+    if len(factors) == 1:
+        return factors[0]
+    k = draw(st.integers(1, len(factors) - 1))
+    left = draw(bracketed(factors[:k], cap))
+    return direct_product(left, draw(bracketed(factors[k:], cap)), cap=cap)
+
+
+@st.composite
 def direct_products(draw, max_order: int, max_factors: int = 4) -> FiniteGroup:
     """A direct product of 2..max_factors factors from ``PRODUCT_FACTORS``
     of order at most max_order, bracketed at random."""
@@ -87,14 +97,7 @@ def direct_products(draw, max_order: int, max_factors: int = 4) -> FiniteGroup:
         fits = [F for F in PRODUCT_FACTORS if order * F.order <= max_order]
         factors.append(draw(st.sampled_from(fits)))
         order *= factors[-1].order
-
-    def bracket(part: list[FiniteGroup]) -> FiniteGroup:
-        if len(part) == 1:
-            return part[0]
-        k = draw(st.integers(1, len(part) - 1))
-        return direct_product(bracket(part[:k]), bracket(part[k:]), cap=max_order)
-
-    return bracket(factors)
+    return draw(bracketed(factors, max_order))
 
 
 def invert_letters(letters: tuple[str, ...]) -> tuple[str, ...]:

@@ -295,6 +295,12 @@ class TestExitCodes:
         assert captured.out == ""
         assert f"not a syllable: {atom!r}" in captured.err
 
+    def test_a_newline_inside_a_syllable_is_2_and_named(self):
+        proc = run_cli("qh", "[x1\n x2; 1; 1; 1; 1; 1] 1")
+        assert proc.returncode == 2, proc.stdout
+        assert proc.stdout == ""
+        assert proc.stderr == "error: not a syllable: 'x1\\n'\n"
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -377,6 +383,24 @@ class TestExitCodes:
             spec = {"kind": "direct_product", "factors": [spec, {"kind": "cyclic", "n": 1}]}
         assert cli.main(["qh", "--top", write_spec(tmp_path, "deep.json", spec), "[x1^3; 1] 1"]) == 0
         assert json.loads(capsys.readouterr().out)["result"]["top_order"] == 2
+
+    @pytest.mark.parametrize("notion", ["word", "group"])
+    @pytest.mark.parametrize("shape", ["flat", "deep"])
+    def test_pw_on_a_product_with_many_trivial_factors(self, tmp_path, shape, notion):
+        # C2 x C1^70 as one flat factor list, and the 200-deep nesting of
+        # C2 x C1 above: order-1 factors are dropped, so no array grows an
+        # axis per factor
+        c1, spec = {"kind": "cyclic", "n": 1}, {"kind": "cyclic", "n": 2}
+        if shape == "flat":
+            spec = {"kind": "direct_product", "factors": [spec] + [c1] * 70}
+        else:
+            for _ in range(200):
+                spec = {"kind": "direct_product", "factors": [spec, c1]}
+        proc = run_cli("pw", write_spec(tmp_path, "dp.json", spec), "--notion", notion)
+        assert "Traceback" not in proc.stderr
+        report = report_of(proc)
+        assert report["input"]["order"] == 2
+        assert report["result"]["width"] == 1
 
     def test_table_entry_past_int64_is_2_and_named(self, tmp_path, capsys):
         spec = {"kind": "table", "table": [[0, 10**30], [1, 0]], "gens": [["a", 1]]}

@@ -314,6 +314,13 @@ class TestTextFormats:
             reduce_word(MonoidWord(("x1", f"x{digit}")))
         assert parse_free_word("x1^3 x2") == reduce_word(MonoidWord(("x1",) * 3 + ("x2",)))
 
+    def test_a_trailing_newline_is_no_part_of_a_syllable(self):
+        # a regex ending in $ also matches before a final newline
+        with pytest.raises(ValueError, match=re.escape("not a syllable: 'x1\\n'")):
+            parse_free_word("x1\n x2")
+        with pytest.raises(ValueError, match=re.escape("not a free-group letter: 'x1\\n'")):
+            reduce_word(MonoidWord(["x1\n", "x2"]))
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_free_word("z7")

@@ -1,12 +1,15 @@
 """Pair reachability, palindrome element sets, and exact widths."""
 
+import contextlib
 import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupwidths import finite_groups
 from groupwidths.finite_groups import (
+    FiniteGroup,
     abelian_group,
     cyclic,
     dihedral,
@@ -15,7 +18,7 @@ from groupwidths.finite_groups import (
     group_to_spec,
     sym3_fink,
 )
-from groupwidths.nilprod import NilProdGroup, bound_report
+from groupwidths.nilprod import NilProdGroup, bound_report, nilprod2_multi
 from groupwidths.pal_width import (
     NOTIONS,
     palindrome_elements,
@@ -23,7 +26,7 @@ from groupwidths.pal_width import (
     reachable_pairs,
 )
 
-from conftest import direct_products
+from conftest import bracketed, direct_products
 from oracle import brute_width_data
 
 
@@ -204,3 +207,67 @@ class TestProductsFromFactors:
         assert report.component_widths == [2, 1] and report.exact is not None
         assert [len(F.factors) for F in built] == [2, 0]
         assert "table" not in vars(built[0])
+
+
+# atomic factors for the products below: C1 to C4, D3, D4, S3 and the
+# order-27 Heisenberg group
+ATOMS = [cyclic(m) for m in range(1, 5)] + [dihedral(3), dihedral(4), sym3_fink()]
+ATOMS.append(nilprod2_multi([[3], [3]]).group)
+ORDER_CAP = 500
+
+
+@st.composite
+def factor_lists(draw, max_factors: int = 4) -> list[FiniteGroup]:
+    """1..max_factors atoms whose orders multiply to at most ORDER_CAP."""
+    factors, order = [], 1
+    for _ in range(draw(st.integers(1, max_factors))):
+        factors.append(draw(st.sampled_from([F for F in ATOMS if order * F.order <= ORDER_CAP])))
+        order *= factors[-1].order
+    return factors
+
+
+@contextlib.contextmanager
+def product_table_reads():
+    """Records every group whose table is built while the block runs.  An
+    atomic group holds its table from construction, so only a product's
+    first read reaches the class attribute."""
+    built = FiniteGroup.table
+    reads = []
+
+    class Spy:
+        def __get__(self, G, owner=None):
+            if G is None:
+                return self
+            reads.append(G)
+            return built.__get__(G, owner)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FiniteGroup, "table", Spy())
+        yield reads
+
+
+class TestAtomicFactors:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_order_one_factors_change_no_report(self, data):
+        factors = data.draw(factor_lists())
+        G = data.draw(bracketed(factors, ORDER_CAP))
+        padded = list(factors)
+        for _ in range(data.draw(st.integers(1, 3))):
+            padded.insert(data.draw(st.integers(0, len(padded))), ATOMS[0])  # C1
+        H = data.draw(bracketed(padded, ORDER_CAP))
+        for notion in NOTIONS:
+            assert palindromic_width(H, notion) == palindromic_width(G, notion), (H.name, notion)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_palindromes_agree_and_no_product_table_is_read(self, data):
+        G = data.draw(bracketed(data.draw(factor_lists()), ORDER_CAP))
+        with product_table_reads() as reads:
+            found = {n: (palindrome_elements(G, n), palindromic_width(G, n).palindromes) for n in NOTIONS}
+            assert reads == []
+            twin = table_twin(G)
+        # the spy sees the twin's read of a product's table
+        assert reads == ([G] if G.factors else [])
+        for notion, (elements, palindromes) in found.items():
+            assert elements == palindromes == palindrome_elements(twin, notion), (G.name, notion)

@@ -20,5 +20,8 @@ def test_cw_lower_bounds():
 
 
 def test_width_survey():
-    out = run_script("width_survey.py", "--max-cyclic", "4", "--max-dihedral", "3")
-    assert "(2){2,2}         |G|=8    [1 <= 2 <= 8]  branch i (3*sum(m)=6)" in out.splitlines()
+    # --products sends direct products through palindrome_elements
+    out = run_script("width_survey.py", "--max-cyclic", "4", "--max-dihedral", "3", "--products")
+    lines = out.splitlines()
+    assert "(2){2,2}         |G|=8    [1 <= 2 <= 8]  branch i (3*sum(m)=6)" in lines
+    assert "C2xC4        |G|=8    pw(word)=2  pw(group)=1  |P_word|=6   |P_group|=8" in lines
