@@ -11,6 +11,8 @@ width.
 import argparse
 import itertools
 
+import numpy as np
+
 from groupwidths.finite_groups import cyclic, dihedral, direct_product, sym3_fink
 from groupwidths.nilprod import NilProdGroup, bound_report
 from groupwidths.pal_width import palindrome_elements, palindromic_width
@@ -21,7 +23,7 @@ def survey_group(G) -> str:
     group = palindromic_width(G, "group")
     pw_set = palindrome_elements(G, "word")
     pg_set = palindrome_elements(G, "group")
-    assert pw_set <= pg_set
+    assert np.isin(pw_set, pg_set).all()
     return (
         f"{G.name:12s} |G|={G.order:<4d} pw(word)={word.width}  pw(group)={group.width}  "
         f"|P_word|={len(pw_set):<3d} |P_group|={len(pg_set)}"

@@ -64,9 +64,9 @@ def cmd_pw(args: argparse.Namespace) -> dict:
     report = palindromic_width(G, args.notion)
     result = report.to_json(include_lengths=args.lengths)
     verification = {
-        "identity_length_zero": report.lengths[G.identity] == 0,
-        "lengths_within_width": all(k <= report.width for k in report.lengths.values()),
-        "palindromes_have_length_le_1": all(report.lengths[p] <= 1 for p in report.palindromes),
+        "identity_length_zero": bool(report.length[G.identity] == 0),
+        "lengths_within_width": bool(report.length.max() <= report.width),
+        "palindromes_have_length_le_1": bool((report.length[report.palindromes] <= 1).all()),
     }
     return {
         "command": "pw",

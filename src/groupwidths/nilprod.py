@@ -144,16 +144,19 @@ class NilProdGroup:
         return gens
 
     def _build_group(self) -> FiniteGroup:
-        # decode every element once; g indexes rows and h columns of the
-        # coordinate arrays, which add mod the radix before the tensor
-        # coordinates take their correction -h_i (x) g_j
+        # g indexes rows and h columns; each coordinate of g*h (g's plus h's,
+        # less h_i (x) g_j if a tensor one) adds itself times its stride
         coords = np.unravel_index(np.arange(self.order), self.radix)
-        out = [(c[:, None] + c) % m for c, m in zip(coords, self.radix)]
-        for (i, j, u, v), pos in self.tensor_index.items():
-            correction = coords[self._offsets[i] + u] * coords[self._offsets[j] + v][:, None]
-            t = self._tensor_offset + pos
-            out[t] = (out[t] - correction) % self.tensor_moduli[pos]
-        table = np.ravel_multi_index(out, self.radix)
+        tensor = {self._tensor_offset + pos: (self._offsets[j] + v, self._offsets[i] + u)
+                  for (i, j, u, v), pos in self.tensor_index.items()}
+        table = np.zeros((self.order, self.order), dtype=np.intp)
+        for k, m in enumerate(self.radix):
+            value = np.add.outer(coords[k], coords[k])
+            if k in tensor:
+                value -= np.multiply.outer(*(coords[c] for c in tensor[k]))
+            value %= m
+            value *= prod(self.radix[k + 1 :])
+            table += value
         name = "(2){" + ",".join("x".join(map(str, m)) for m in self.factor_moduli) + "}"
         return FiniteGroup(table, _paired_gens(self._gen_labels(), table), name=name)
 

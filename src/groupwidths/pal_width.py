@@ -59,14 +59,15 @@ and for each axis i sets Y <- Y*E_i | X*O_i, then X <- X*E_i; X | Y is
 then the layer times P.  Only the word notion with two or more factors
 needs this grid; every other case is covered factor by factor, as for the
 group notion.  ``palindrome_elements`` builds P by outer products of the
-masks, with O_i empty in the group notion.  The report is keyed by the
-group's mixed-radix ids, and the palindromes are the elements of length
-at most 1.
+masks, with O_i empty in the group notion.  Per-element data are
+read-only arrays over the group's mixed-radix ids: a report's one length
+array, and the ascending id array of the palindromes (the elements of
+length at most 1), which both entry points return.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,11 +83,6 @@ __all__ = [
 ]
 
 NOTIONS = ("word", "group")
-
-
-def _check_notion(notion: str) -> None:
-    if notion not in NOTIONS:
-        raise ValueError(f"notion must be one of {NOTIONS}, got {notion!r}")
 
 
 @dataclass(eq=False)
@@ -113,27 +109,28 @@ def reachable_pairs(G: FiniteGroup) -> ReachablePairs:
     return ReachablePairs(G, np.stack(np.divmod(np.flatnonzero(seen), n), axis=1))
 
 
-def palindrome_elements(G: FiniteGroup, notion: str) -> set[int]:
-    """Element set of palindromes under the given notion.
-
-    word: values of u*reverse(u) and u*a*reverse(u) (even palindromes and
-    palindromes with a center letter); group: elements g with some
-    representative whose reversal also evaluates to g.  Built from the
-    factors' masks as (E_1 x ... x E_k) | union over j of
-    (E_1 x ... x O_j x ... x E_k), by outer products.
-    """
+def palindrome_elements(G: FiniteGroup, notion: str) -> np.ndarray:
+    """The ascending read-only id array of the palindromes, the identity
+    included.  word: values of u*reverse(u) and u*a*reverse(u) (even
+    palindromes and palindromes with a center letter); group: elements g
+    with some representative whose reversal also evaluates to g.  Built
+    from the factors' masks as (E_1 x ... x E_k) | union over j of
+    (E_1 x ... x O_j x ... x E_k), by outer products."""
     # X: every coordinate so far in its E_i; Y: exactly one in its O_j instead
     X, Y = np.ones(1, dtype=bool), np.zeros(1, dtype=bool)
     for _, even, odd in _factor_masks(G, notion):
         X, Y = (X[:, None] & even).ravel(), ((Y[:, None] & even) | (X[:, None] & odd)).ravel()
-    return set(np.flatnonzero(X | Y).tolist())
+    palindromes = np.flatnonzero(X | Y)
+    palindromes.flags.writeable = False
+    return palindromes
 
 
 def _factor_masks(G: FiniteGroup, notion: str) -> list[tuple[FiniteGroup, np.ndarray, np.ndarray]]:
     """G's atomic factors of order above 1, each with its (even, odd) masks:
     the values of u*reverse(u) and of u*a*reverse(u) in the word notion;
     the g with (g, g) in R and nothing in the group notion."""
-    _check_notion(notion)
+    if notion not in NOTIONS:
+        raise ValueError(f"notion must be one of {NOTIONS}, got {notion!r}")
     masks = []
     for F in G.factors or (G,):
         if F.order == 1:
@@ -150,45 +147,53 @@ def _factor_masks(G: FiniteGroup, notion: str) -> list[tuple[FiniteGroup, np.nda
     return masks
 
 
-@dataclass
 class WidthReport:
-    """Palindromic lengths of every element plus the width, one notion."""
+    """Palindromic lengths of every element, one notion: ``length`` is the
+    read-only int array indexed by element id, and construction derives the
+    rest from it: ``width``, ``layers`` (the number of elements of length at
+    most k, for k = 0..width) and ``palindromes`` (the ascending read-only
+    ids of length at most 1).  Equal notions and lengths make equal reports."""
 
-    notion: str
-    palindromes: set[int]
-    lengths: dict[int, int]
-    width: int
-    layers: list[int] = field(default_factory=list)
+    def __init__(self, notion: str, length: np.ndarray) -> None:
+        self.notion = notion
+        # a view, so the caller's array keeps its own flags
+        self.length = np.asarray(length, dtype=np.intp).view()
+        self.layers: list[int] = np.cumsum(np.bincount(self.length)).tolist()
+        self.width = len(self.layers) - 1
+        self.palindromes = np.flatnonzero(self.length <= 1)
+        self.length.flags.writeable = self.palindromes.flags.writeable = False
+
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, WidthReport) and self.notion == other.notion
+        return same and np.array_equal(self.length, other.length)
+
+    @property
+    def lengths(self) -> dict[int, int]:
+        """``length`` as a dict, built on each read, for the benchmark's width
+        check (``perfbench/workloads.py``), which changes only with the benchmark."""
+        return dict(enumerate(self.length.tolist()))
 
     def to_json(self, include_lengths: bool = False) -> dict:
-        out = {
-            "notion": self.notion,
-            "width": self.width,
-            "palindrome_count": len(self.palindromes),
-            "layers": list(self.layers),
-        }
+        out = {"notion": self.notion, "width": self.width, "layers": list(self.layers),
+               "palindrome_count": len(self.palindromes)}
         if include_lengths:
-            out["lengths"] = {str(g): k for g, k in sorted(self.lengths.items())}
+            out["lengths"] = {str(g): k for g, k in enumerate(self.length.tolist())}
         return out
 
 
 def palindromic_width(G: FiniteGroup, notion: str) -> WidthReport:
-    """Layered covering of G by products of palindromes; exact lengths.
-
-    Each factor is covered by its own palindromes and an element's length
-    is the largest of its coordinates' lengths, except in the word notion
-    with two or more factors, which covers the parity grid (see the
-    module docstring).
-    """
+    """Exact lengths by layered covering: each factor by its own palindromes,
+    an element's length the largest of its coordinates', except that the
+    word notion with two or more factors covers the parity grid."""
     masks = _factor_masks(G, notion)
     if notion == "word" and len(masks) >= 2:
-        return _report(notion, _lengths(_word_layers(masks), G.order))
+        return WidthReport(notion, _lengths(_word_layers(masks), G.order))
     # a flat outer product appends a factor's id as the lowest mixed-radix digit
     length = np.zeros(1, dtype=np.intp)
     for F, even, odd in masks:
         own = _lengths(product_layers(F, np.flatnonzero(even | odd)), F.order)
         length = np.maximum(length[:, None], own).ravel()
-    return _report(notion, length)
+    return WidthReport(notion, length)
 
 
 def _lengths(layers: list[np.ndarray], order: int) -> np.ndarray:
@@ -199,14 +204,6 @@ def _lengths(layers: list[np.ndarray], order: int) -> np.ndarray:
     for k, layer in enumerate(layers):
         length[layer] = k
     return length
-
-
-def _report(notion: str, length: np.ndarray) -> WidthReport:
-    """The report of a flat length array; the palindromes are the elements
-    of length at most 1 (the identity is the empty palindrome)."""
-    sizes = np.cumsum(np.bincount(length)).tolist()
-    pal = set(np.flatnonzero(length <= 1).tolist())
-    return WidthReport(notion, pal, dict(enumerate(length.tolist())), len(sizes) - 1, sizes)
 
 
 def _word_layers(masks: list[tuple[FiniteGroup, np.ndarray, np.ndarray]]) -> list[np.ndarray]:

@@ -1,11 +1,12 @@
 """Shared test helpers: seeded random words and wreath elements, groups
-with relabelled element ids, random nested direct products, and free-word
-texts spelled out letter by letter."""
+with relabelled element ids, random nested direct products, free-word
+texts spelled out letter by letter, and a call's traced peak memory."""
 
 from __future__ import annotations
 
 import os
 import random
+import tracemalloc
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -21,6 +22,15 @@ from groupwidths.wreath import WreathElement, WreathGroup
 # checkout's src/ on its path too, as pyproject's pythonpath does in-process
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+
+
+def traced_peak_mib(call):
+    """(call(), the peak of the memory it allocated in MiB), by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def random_reduced_word(rng: random.Random, rank: int, max_letters: int) -> FreeWord:

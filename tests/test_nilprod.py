@@ -14,6 +14,7 @@ from groupwidths.finite_groups import (
 )
 from groupwidths.nilprod import NilProdGroup, bound_report, nilprod2_multi, width_bounds
 from groupwidths.pal_width import palindromic_width
+from conftest import traced_peak_mib
 from oracle import tensor_of
 
 PAIR_FACTORS = [[2], [3], [4], [2, 2]]
@@ -81,6 +82,16 @@ class TestConstruction:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             NilProdGroup([[16], [16]], cap=512)
+
+    def test_construction_memory(self):
+        # order 2,048 over 11 radix coordinates, six of them tensor ones:
+        # the table is accumulated in one order^2 array, not one per coordinate
+        G, peak = traced_peak_mib(lambda: NilProdGroup([[2, 2, 2], [2, 2]], cap=4096))
+        assert peak < 200, peak
+        assert (G.order, len(G.radix), len(G.tensor_moduli)) == (2048, 11, 6)
+        for a in G.factor_elements(0):
+            for b in G.factor_elements(1):
+                assert commutator(G.group, G.embed(0, a), G.embed(1, b)) == G.central(tensor_of(G, a, b))
 
     def test_moduli_are_integers(self):
         # floats and bools are rejected, not truncated by int()

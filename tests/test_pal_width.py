@@ -1,8 +1,10 @@
 """Pair reachability, palindrome element sets, and exact widths."""
 
 import contextlib
+import functools
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,12 +23,13 @@ from groupwidths.finite_groups import (
 from groupwidths.nilprod import NilProdGroup, bound_report, nilprod2_multi
 from groupwidths.pal_width import (
     NOTIONS,
+    WidthReport,
     palindrome_elements,
     palindromic_width,
     reachable_pairs,
 )
 
-from conftest import bracketed, direct_products
+from conftest import bracketed, direct_products, traced_peak_mib
 from oracle import brute_width_data
 
 
@@ -57,11 +60,11 @@ class TestReachablePairs:
 class TestPalindromeElements:
     def test_abelian_group_notion_is_everything(self):
         for G in (cyclic(5), direct_product(cyclic(4), cyclic(4)), cyclic(7)):
-            assert palindrome_elements(G, "group") == set(G.elements())
+            assert set(palindrome_elements(G, "group").tolist()) == set(G.elements())
 
     def test_z3_squared_word_notion_is_everything(self):
         G = direct_product(cyclic(3), cyclic(3))
-        assert palindrome_elements(G, "word") == set(G.elements())
+        assert set(palindrome_elements(G, "word").tolist()) == set(G.elements())
 
     def test_z4_squared_word_notion_parity(self):
         G = direct_product(cyclic(4), cyclic(4))
@@ -73,11 +76,11 @@ class TestPalindromeElements:
         expected = {
             a * 4 + b for a in range(4) for b in range(4) if a % 2 == 0 or b % 2 == 0
         }
-        assert pal == expected
+        assert set(pal.tolist()) == expected
 
     def test_word_subset_of_group(self):
         for G in (sym3_fink(), dihedral(4), direct_product(cyclic(2), dihedral(3))):
-            assert palindrome_elements(G, "word") <= palindrome_elements(G, "group")
+            assert np.isin(palindrome_elements(G, "word"), palindrome_elements(G, "group")).all()
 
     def test_unknown_notion(self):
         with pytest.raises(ValueError):
@@ -106,21 +109,51 @@ class TestWidths:
     def test_report_invariants(self):
         G = dihedral(4)
         rep = palindromic_width(G, "word")
-        assert rep.lengths[G.identity] == 0
-        assert all(k <= rep.width for k in rep.lengths.values())
-        assert {g for g, k in rep.lengths.items() if k <= 1} == rep.palindromes | {G.identity}
+        assert rep.length[G.identity] == 0
+        assert all(k <= rep.width for k in rep.length.tolist())
+        assert set(np.flatnonzero(rep.length <= 1).tolist()) == set(rep.palindromes.tolist()) | {G.identity}
         assert rep.layers[0] == 1 and rep.layers[-1] == G.order
         assert len(rep.layers) - 1 == rep.width
 
     def test_palindromic_length(self):
         G = direct_product(cyclic(4), cyclic(4))
-        lengths = palindromic_width(G, "word").lengths
+        lengths = palindromic_width(G, "word").length
         assert lengths[G.identity] == 0
         assert lengths[4 + 1] == 2  # element (1, 1)
 
     def test_group_width_le_word_width(self):
         for G in (sym3_fink(), dihedral(3), dihedral(6), direct_product(cyclic(2), cyclic(4))):
             assert palindromic_width(G, "group").width <= palindromic_width(G, "word").width
+
+
+class TestPerElementArrays:
+    # S3^7, order 279,936: a report holds one length array, and neither
+    # entry point builds a Python object per element
+    S3_7 = functools.reduce(lambda G, H: direct_product(G, H, cap=6**7), [sym3_fink()] * 7)
+
+    def test_width_report_memory(self):
+        rep, peak = traced_peak_mib(lambda: palindromic_width(self.S3_7, "group"))
+        assert peak < 16, peak
+        assert rep.width == palindromic_width(sym3_fink(), "group").width
+        assert rep.layers[-1] == self.S3_7.order
+        for array in (rep.length, rep.palindromes):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_palindrome_elements_memory(self):
+        pal, peak = traced_peak_mib(lambda: palindrome_elements(self.S3_7, "group"))
+        assert peak < 8, peak
+        assert not pal.flags.writeable
+        assert np.array_equal(pal, palindromic_width(self.S3_7, "group").palindromes)
+
+    def test_a_report_derives_everything_from_its_lengths(self):
+        rep = WidthReport("word", [0, 1, 2, 1, 2, 2])
+        assert (rep.width, rep.layers) == (2, [1, 3, 6])
+        assert rep.palindromes.tolist() == [0, 1, 3] and rep.length.dtype == np.intp
+        assert rep.lengths == {0: 0, 1: 1, 2: 2, 3: 1, 4: 2, 5: 2}
+        assert rep == WidthReport("word", np.array([0, 1, 2, 1, 2, 2]))
+        assert rep != WidthReport("group", rep.length) and rep != WidthReport("word", [0, 1, 1, 1, 2, 2])
 
 
 class TestDirectProductBounds:
@@ -149,8 +182,8 @@ class TestAgainstBruteForce:
             for notion in ("word", "group"):
                 rep = palindromic_width(G, notion)
                 pal, lengths, width = brute_width_data(G, notion)
-                assert pal == rep.palindromes, (G.name, notion)
-                assert lengths == rep.lengths, (G.name, notion)
+                assert pal == set(rep.palindromes.tolist()), (G.name, notion)
+                assert lengths == dict(enumerate(rep.length.tolist())), (G.name, notion)
                 assert width == rep.width, (G.name, notion)
 
 
@@ -172,8 +205,8 @@ class TestProductsFromFactors:
             rep, ref = palindromic_width(G, notion), palindromic_width(twin, notion)
             assert rep.width == ref.width, (G.name, notion)
             assert rep.layers == ref.layers, (G.name, notion)
-            assert rep.lengths == ref.lengths, (G.name, notion)
-            assert rep.palindromes == ref.palindromes, (G.name, notion)
+            assert np.array_equal(rep.length, ref.length), (G.name, notion)
+            assert np.array_equal(rep.palindromes, ref.palindromes), (G.name, notion)
 
     def test_factors_are_atomic_in_id_order(self):
         S, C, D = sym3_fink(), cyclic(4), dihedral(3)
@@ -270,4 +303,5 @@ class TestAtomicFactors:
         # the spy sees the twin's read of a product's table
         assert reads == ([G] if G.factors else [])
         for notion, (elements, palindromes) in found.items():
-            assert elements == palindromes == palindrome_elements(twin, notion), (G.name, notion)
+            assert np.array_equal(elements, palindromes), (G.name, notion)
+            assert np.array_equal(palindromes, palindrome_elements(twin, notion)), (G.name, notion)
