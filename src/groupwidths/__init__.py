@@ -1,138 +1,21 @@
 """Palindromic and commutator widths of groups: exact oracles for finite
 groups, quasi-homomorphism lower-bound certificates on wreath products,
-constructive palindrome decompositions, and 2-nilpotent products."""
+constructive palindrome decompositions, and 2-nilpotent products.
 
-from .decompose import (
-    DecompositionCertificate,
-    S3WreathContext,
-    InvariantViolation,
-    decompose,
-    s3_wreath_context,
-)
-from .finite_groups import (
-    DEFAULT_CAP,
-    CapExceeded,
-    FiniteGroup,
-    abelian_group,
-    are_isomorphic,
-    commutator_subgroup,
-    commutator_width,
-    cyclic,
-    dihedral,
-    direct_product,
-    evaluate,
-    find_isomorphism,
-    group_from_spec,
-    group_to_spec,
-    spec_from_json,
-    sym3_fink,
-)
-from .free_words import (
-    FreeWord,
-    MonoidWord,
-    format_free_word,
-    format_monoid_word,
-    free_commutator,
-    is_word_palindrome,
-    parse_free_word,
-    parse_monoid_word,
-    ql,
-    reduce_word,
-    tr,
-)
-from .nilprod import (
-    BoundReport,
-    NilProdGroup,
-    bound_report,
-    nilprod2_multi,
-    width_bounds,
-)
-from .pal_width import (
-    ReachablePairs,
-    WidthReport,
-    palindrome_elements,
-    palindromic_width,
-    reachable_pairs,
-)
-from .wreath import (
-    CommutatorCertificate,
-    WreathElement,
-    WreathGroup,
-    certify_cw_lower_bound,
-    commutator_length_bound,
-    delta,
-    evaluate_letters,
-    format_wreath_element,
-    in_derived_subgroup,
-    parse_wreath_element,
-    q_sequence,
-    w_commutator,
-    w_invert,
-    w_multiply,
-)
+The package exports the union of its modules' ``__all__`` lists; the name
+``decompose`` is the function (the module is ``groupwidths.decompose`` in
+``sys.modules``)."""
 
-__all__ = [
-    # decompose
-    "DecompositionCertificate",
-    "S3WreathContext",
-    "InvariantViolation",
-    "decompose",
-    "s3_wreath_context",
-    # finite_groups
-    "DEFAULT_CAP",
-    "CapExceeded",
-    "FiniteGroup",
-    "abelian_group",
-    "are_isomorphic",
-    "commutator_subgroup",
-    "commutator_width",
-    "cyclic",
-    "dihedral",
-    "direct_product",
-    "evaluate",
-    "find_isomorphism",
-    "group_from_spec",
-    "group_to_spec",
-    "spec_from_json",
-    "sym3_fink",
-    # free_words
-    "FreeWord",
-    "MonoidWord",
-    "format_free_word",
-    "format_monoid_word",
-    "free_commutator",
-    "is_word_palindrome",
-    "parse_free_word",
-    "parse_monoid_word",
-    "ql",
-    "reduce_word",
-    "tr",
-    # nilprod
-    "BoundReport",
-    "NilProdGroup",
-    "bound_report",
-    "nilprod2_multi",
-    "width_bounds",
-    # pal_width
-    "ReachablePairs",
-    "WidthReport",
-    "palindrome_elements",
-    "palindromic_width",
-    "reachable_pairs",
-    # wreath
-    "CommutatorCertificate",
-    "WreathElement",
-    "WreathGroup",
-    "certify_cw_lower_bound",
-    "commutator_length_bound",
-    "delta",
-    "evaluate_letters",
-    "format_wreath_element",
-    "in_derived_subgroup",
-    "parse_wreath_element",
-    "q_sequence",
-    "w_commutator",
-    "w_invert",
-    "w_multiply",
-]
+import sys
+
+from .decompose import *
+from .finite_groups import *
+from .free_words import *
+from .nilprod import *
+from .pal_width import *
+from .specs import *
+from .wreath import *
+
+_MODULES = ("decompose", "finite_groups", "free_words", "nilprod", "pal_width", "specs", "wreath")
+__all__ = [name for module in _MODULES for name in sys.modules[f"{__name__}.{module}"].__all__]
 __version__ = "0.1.0"

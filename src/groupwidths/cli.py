@@ -19,10 +19,11 @@ import re
 import sys
 import time
 
-from .finite_groups import DEFAULT_CAP, CapExceeded, group_from_spec, spec_from_json
+from .finite_groups import DEFAULT_CAP, CapExceeded
 from .free_words import format_monoid_word, is_word_palindrome
 from .nilprod import bound_report, nilprod2_multi
 from .pal_width import palindromic_width
+from .specs import read_factor_moduli, read_group
 from .wreath import (
     WreathGroup,
     certify_cw_lower_bound,
@@ -52,15 +53,8 @@ def _emit(report: dict, pretty: bool) -> None:
     sys.stdout.write("\n")
 
 
-def _read_json(path: str):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    return spec_from_json(raw.decode("utf-8")), raw
-
-
 def cmd_pw(args: argparse.Namespace) -> dict:
-    spec, raw = _read_json(args.group_spec)
-    G = group_from_spec(spec, cap=args.cap)
+    G, raw = read_group(args.group_spec, args.cap)
     report = palindromic_width(G, args.notion)
     result = report.to_json(include_lengths=args.lengths)
     verification = {
@@ -79,8 +73,7 @@ def cmd_pw(args: argparse.Namespace) -> dict:
 
 def _wreath_group_for(args: argparse.Namespace) -> WreathGroup:
     if args.top is not None:
-        spec, _ = _read_json(args.top)
-        K = group_from_spec(spec, cap=args.cap)
+        K, _ = read_group(args.top, args.cap)
     else:
         K = decomposition.s3_wreath_context().group.top
     rank = args.rank
@@ -143,16 +136,7 @@ def cmd_decompose(args: argparse.Namespace) -> dict:
 
 
 def cmd_nilprod(args: argparse.Namespace) -> dict:
-    specs, raw = _read_json(args.specs)
-    if isinstance(specs, dict):
-        specs = specs.get("factors", [specs])
-    if not isinstance(specs, list):
-        raise ValueError("factor specs must be a list")
-    moduli = []
-    for s in specs:
-        if not isinstance(s, dict) or not isinstance(s.get("moduli"), list):
-            raise ValueError('each factor spec must be {"moduli": [m1, m2, ...]}')
-        moduli.append(s["moduli"])
+    moduli, raw = read_factor_moduli(args.specs)
     np_group = nilprod2_multi(moduli, cap=args.cap)
     report = bound_report(np_group, include_exact=not args.no_exact)
     verification = {"bounds_ordered": report.lower <= report.upper, "sandwich": report.holds()}
@@ -232,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
     except decomposition.InvariantViolation as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report["wall_time_s"] = round(time.perf_counter() - start, 6)

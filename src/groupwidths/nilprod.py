@@ -29,8 +29,9 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from .finite_groups import DEFAULT_CAP, FiniteGroup, _check_cap, _json_int, _paired_gens
+from .finite_groups import DEFAULT_CAP, FiniteGroup, _check_cap, _paired_gens
 from .pal_width import palindromic_width
+from .specs import _json_int
 
 __all__ = [
     "NilProdGroup",
@@ -146,17 +147,21 @@ class NilProdGroup:
     def _build_group(self) -> FiniteGroup:
         # g indexes rows and h columns; each coordinate of g*h (g's plus h's,
         # less h_i (x) g_j if a tensor one) adds itself times its stride
-        coords = np.unravel_index(np.arange(self.order), self.radix)
+        # into one int32 table, through one int32 scratch array (entries
+        # stay below the order, and FiniteGroup stores int32)
+        coords = [c.astype(np.int32) for c in np.unravel_index(np.arange(self.order), self.radix)]
         tensor = {self._tensor_offset + pos: (self._offsets[j] + v, self._offsets[i] + u)
                   for (i, j, u, v), pos in self.tensor_index.items()}
-        table = np.zeros((self.order, self.order), dtype=np.intp)
+        table = np.zeros((self.order, self.order), dtype=np.int32)
+        value = np.empty_like(table)
         for k, m in enumerate(self.radix):
-            value = np.add.outer(coords[k], coords[k])
+            np.add.outer(coords[k], coords[k], out=value)
             if k in tensor:
                 value -= np.multiply.outer(*(coords[c] for c in tensor[k]))
             value %= m
             value *= prod(self.radix[k + 1 :])
             table += value
+        del value  # free the scratch before FiniteGroup verifies the table
         name = "(2){" + ",".join("x".join(map(str, m)) for m in self.factor_moduli) + "}"
         return FiniteGroup(table, _paired_gens(self._gen_labels(), table), name=name)
 

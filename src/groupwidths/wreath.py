@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .finite_groups import FiniteGroup, _json_int
+from .finite_groups import FiniteGroup
 from .free_words import (
     FreeWord,
     MonoidWord,
@@ -35,6 +35,7 @@ from .free_words import (
     format_free_word,
     parse_free_word,
 )
+from .specs import _json_int
 
 __all__ = [
     "WreathGroup",

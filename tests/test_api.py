@@ -23,3 +23,13 @@ def test_readme_library_sketch_runs():
     namespace: dict = {}
     exec(block.group(1), namespace)
     assert namespace["cert"].factor_count == 1
+
+
+def test_specs_owns_the_json_code():
+    # finite_groups keeps one binding, group_from_spec, which perfbench reads
+    from groupwidths import finite_groups, specs
+
+    for name in ("spec_from_json", "group_to_spec", "json", "re"):
+        assert not hasattr(finite_groups, name), name
+    assert finite_groups.group_from_spec is specs.group_from_spec
+    assert "group_from_spec" not in finite_groups.__all__

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupwidths import cli
-from groupwidths.finite_groups import direct_product, cyclic, group_from_spec, group_to_spec, sym3_fink
+from groupwidths import cli, specs
+from groupwidths.finite_groups import direct_product, cyclic, sym3_fink
+from groupwidths.specs import group_from_spec, group_to_spec
 from groupwidths.wreath import WreathGroup, format_wreath_element, q_sequence
 
 from conftest import relabel
@@ -248,19 +249,25 @@ class TestExitCodes:
             proc = run_cli("pw", write_spec(tmp_path, "bad_spec.json", spec))
             assert proc.returncode == 2, (spec, proc.stderr)
             assert "Traceback" not in proc.stderr
-        # nilprod moduli are JSON integers, and factors are labeled a..z
+        # nilprod factor lists have one shape, moduli are positive JSON
+        # integers, and factors are labeled a..z
+        shape = 'each factor spec must be {"moduli": [m1, m2, ...]}'
         bad_nilprod_specs = [
-            [{"moduli": [2.5]}, {"moduli": [2]}],
-            [{"moduli": ["3"]}, {"moduli": [2]}],
-            [{"moduli": [True]}, {"moduli": [2]}],
-            [{"moduli": 3}, {"moduli": [2]}],
-            {"factors": 5},
-            [{"moduli": [1]}] * 27,
+            ([{"moduli": [2.5]}, {"moduli": [2]}], "modulus must be an integer, got 2.5"),
+            ([{"moduli": ["3"]}, {"moduli": [2]}], "modulus must be an integer, got '3'"),
+            ([{"moduli": [True]}, {"moduli": [2]}], "modulus must be an integer, got True"),
+            ([{"moduli": [0]}, {"moduli": [2]}], "moduli must be positive integers, got [0]"),
+            ([{"moduli": []}, {"moduli": [2]}], "moduli must be positive integers, got []"),
+            ([{"moduli": 3}, {"moduli": [2]}], shape),
+            ([5, {"moduli": [2]}], shape),
+            ({"factors": 5}, "factor specs must be a list"),
+            ("abc", "factor specs must be a list"),
+            ([], "at least one factor required"),
+            ([{"moduli": [1]}] * 27, "at most 26 factors, got 27"),
         ]
-        for spec in bad_nilprod_specs:
+        for spec, message in bad_nilprod_specs:
             proc = run_cli("nilprod", write_spec(tmp_path, "bad_nilprod.json", spec))
-            assert proc.returncode == 2, (spec, proc.stderr)
-            assert "Traceback" not in proc.stderr
+            assert (proc.returncode, proc.stderr) == (2, f"error: {message}\n"), spec
 
     @pytest.mark.parametrize(
         "args,index",
@@ -346,7 +353,7 @@ class TestExitCodes:
         def broken(spec, cap):
             raise KeyError("internal")
 
-        monkeypatch.setattr(cli, "group_from_spec", broken)
+        monkeypatch.setattr(specs, "group_from_spec", broken)
         spec = write_spec(tmp_path, "c3.json", {"kind": "cyclic", "n": 3})
         with pytest.raises(KeyError, match="internal"):
             cli.main(["pw", spec])
@@ -487,11 +494,12 @@ class TestDirectProductTables:
     def test_pw_builds_no_product_table(self, tmp_path, capsys, monkeypatch):
         built = []
 
-        def recording(spec, cap):
-            built.append(group_from_spec(spec, cap=cap))
-            return built[-1]
+        def recording(path, cap):
+            G, raw = specs.read_group(path, cap)
+            built.append(G)
+            return G, raw
 
-        monkeypatch.setattr(cli, "group_from_spec", recording)
+        monkeypatch.setattr(cli, "read_group", recording)
         path = write_spec(tmp_path, "s3_5.json", self.S3_5)
         expected = {"word": [1, 1458, 3888, 6318, 7533, 7776], "group": [1, 7776]}
         for notion, layers in expected.items():

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from groupwidths import cli
 from groupwidths.decompose import s3_wreath_context
-from groupwidths.finite_groups import group_from_spec
+from groupwidths.specs import group_from_spec
 from groupwidths.wreath import parse_wreath_element
 
 # a JSON value of any type

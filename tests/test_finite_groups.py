@@ -23,13 +23,11 @@ from groupwidths.finite_groups import (
     direct_product,
     evaluate,
     find_isomorphism,
-    group_from_spec,
-    group_to_spec,
-    spec_from_json,
     sym3_fink,
 )
 from groupwidths.free_words import MonoidWord, parse_monoid_word
 from groupwidths.pal_width import NOTIONS, palindromic_width
+from groupwidths.specs import group_from_spec, group_to_spec, spec_from_json
 
 from conftest import direct_products, moved_identity
 

@@ -16,8 +16,6 @@ from groupwidths.finite_groups import (
     cyclic,
     dihedral,
     direct_product,
-    group_from_spec,
-    group_to_spec,
     sym3_fink,
 )
 from groupwidths.nilprod import NilProdGroup, bound_report, nilprod2_multi
@@ -28,6 +26,7 @@ from groupwidths.pal_width import (
     palindromic_width,
     reachable_pairs,
 )
+from groupwidths.specs import group_from_spec, group_to_spec
 
 from conftest import bracketed, direct_products, traced_peak_mib
 from oracle import brute_width_data
