@@ -8,19 +8,28 @@ generator ids, products, evaluations) is a Python int.
 Every table is verified exactly, at every order, when it comes to exist:
 a group given by a table at construction, a direct product on the first
 read of its ``table`` (``direct_product`` derives everything else from
-its verified factors).  The checks are entries in range, a unique
-two-sided identity, unique two-sided inverses, a symmetric generating set
-that generates the whole group, and associativity by Light's test
-(Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961,
-section 1.2).  Light's test checks (x*a)*y == x*(a*y) for all x, y but
-only for each generator a, at O(order^2) cost per generator.  It is
-exact: the elements a that pass it are closed under products, since
+its verified factors).  The checks, in this order, are entries in range, a
+unique two-sided identity, unique two-sided inverses, a symmetric
+generating set, associativity by Light's test (Clifford & Preston, *The
+Algebraic Theory of Semigroups* I, 1961, section 1.2), and generation of
+the whole group.  Light's test checks (x*a)*y == x*(a*y) for all x, y but
+only for each generator a, at O(order^2) cost per generator.  The elements
+a that pass it are closed under products, since
 
     (x*(ab))*y = ((x*a)*b)*y = (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y),
 
-the identity passes, and the generation check reaches every element as a
-product of generators, so every element passes and the table is
-associative.
+and the identity passes.  So, once every generator has passed, the set S
+of products of generators (words multiplied out from the left) is closed
+under products: for s in S and a word t*a, s*(t*a) = (s*t)*a, as t passes.
+The generation check then runs the breadth-first search over the repeated
+squares a, a^2, a^4, ..., a^(2^j) of the generators, for 2^j < order.
+This is exact: each square is a product of two elements of S, so it lies
+in S, and the squares include the generators, so they generate S too.
+If S is the whole group, every element passes Light's test and the table
+is associative.  Any power a^e with e < order is a product of at most
+ceil(log2(order)) squares, one per binary digit of e, so a cyclic or
+dihedral table needs O(log order) layers, where the generators alone
+need order/2.
 
 Generator labels are the letters that words over the group are written in,
 so they round-trip through the text formats bit-exactly.
@@ -161,8 +170,6 @@ class FiniteGroup:
         lacking = ids[~np.isin(self.inverse[ids], ids)]
         if len(lacking):
             raise ValueError(f"generating set not symmetric: inverse of {lacking[0]} missing")
-        if sum(map(len, product_layers(self, ids))) != self.order:
-            raise ValueError("generators do not generate the group")
         # Light's test: (x*a)*y == x*(a*y), rows T[x*a] against columns
         # T[:, a*y], gathered into two buffers that every generator reuses
         # (np.take gathers columns far faster than T[:, idx]; entries are
@@ -174,6 +181,13 @@ class FiniteGroup:
             np.take(T, T[a], axis=1, out=right, mode="clip")
             if not np.array_equal(left, right):
                 raise ValueError(f"table is not associative (witness a={a})")
+        # the squares a^(2^j), 2^j < order, generate what the generators do
+        # (module docstring), so their BFS reaches the group in log2 layers
+        squares = [ids]
+        for _ in range((self.order - 1).bit_length() - 1):
+            squares.append(T[squares[-1], squares[-1]])
+        if sum(map(len, product_layers(self, np.concatenate(squares)))) != self.order:
+            raise ValueError("generators do not generate the group")
 
     # -- arithmetic ----------------------------------------------------
 
@@ -253,20 +267,39 @@ def product_layers(G: FiniteGroup, factors) -> list[np.ndarray]:
     With S_k = L_0 | ... | L_k this is exactly S_k * factors minus S_k, so
     each element is multiplied out once, not once per layer.  Layers are
     ascending id arrays; their union is the submonoid the factors generate.
+
+    The search returns as soon as every element is seen, so no last layer
+    multiplies out a frontier that can find nothing new.  A layer whose
+    frontier L_k is larger than the set U of unseen elements is pulled, not
+    pushed: an unseen x joins L_{k+1} when x*p^-1 lies in L_k for some
+    factor p, which takes |U| * |factors| products instead of
+    |L_k| * |factors| (the direction-optimizing BFS of Beamer, Asanovic &
+    Patterson, SC 2012).
     """
     T = G.table
     factors = np.asarray(factors, dtype=np.intp)
+    inverses = G.inverse[factors]
     seen = np.zeros(G.order, dtype=bool)
     seen[G.identity] = True
+    unseen = G.order - 1
     layers = [np.array([G.identity])]
-    while True:
-        hit = np.zeros(G.order, dtype=bool)
-        hit[T[layers[-1][:, None], factors]] = True
-        new = np.flatnonzero(hit & ~seen)
+    while unseen:
+        frontier = layers[-1]
+        if len(frontier) > unseen:
+            in_frontier = np.zeros(G.order, dtype=bool)
+            in_frontier[frontier] = True
+            rest = np.flatnonzero(~seen)
+            new = rest[in_frontier[T[rest[:, None], inverses]].any(axis=1)]
+        else:
+            hit = np.zeros(G.order, dtype=bool)
+            hit[T[frontier[:, None], factors]] = True
+            new = np.flatnonzero(hit & ~seen)
         if not len(new):
-            return layers
+            break
         seen[new] = True
+        unseen -= len(new)
         layers.append(new)
+    return layers
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +323,27 @@ def _paired_gens(elems: list[tuple[str, int]], table: np.ndarray) -> list[tuple[
     return out
 
 
+def _windows(ids: np.ndarray, m: int) -> np.ndarray:
+    """The m windows of length m of the contiguous ``ids``, row i starting
+    at ids[i], as one strided view of its buffer (what
+    ``sliding_window_view`` returns, without the Python-level checks that
+    cost more than copying a small table)."""
+    return np.ndarray((m, m), ids.dtype, ids, strides=ids.strides * 2)
+
+
+def _cyclic_table(m: int) -> np.ndarray:
+    """(i + k) mod m with no ``%``: row i is the window at i of the ids
+    0..m-1 followed by 0..m-2."""
+    i = np.arange(m, dtype=np.int32)
+    return _windows(np.concatenate((i, i[:-1])), m)
+
+
 def cyclic(m: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """Cyclic group of order m, generator label 'a'."""
     if m < 1:
         raise ValueError("order must be positive")
     _check_cap(m, cap, "cyclic")
-    ids = np.arange(m, dtype=np.int32)
-    table = (ids[:, None] + ids) % m
+    table = _cyclic_table(m)
     gens = _paired_gens([("a", 1)], table) if m > 1 else []
     return FiniteGroup(table, gens, name=f"C{m}")
 
@@ -308,7 +355,10 @@ def dihedral(m: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
         raise ValueError("m must be positive")
     _check_cap(2 * m, cap, "dihedral")
     i = np.arange(m, dtype=np.int32)
-    plus, minus = (i[:, None] + i) % m, (i[:, None] - i) % m
+    # (i + k) mod m and (i - k) mod m: row i of each is a window of a
+    # doubled id range, the second read backwards
+    plus = _cyclic_table(m)
+    minus = _windows(np.concatenate((i[1:], i)), m)[:, ::-1]
     # r^i s^j r^k s^l = r^(i + (-1)^j k) s^(j+l), one block per (j, l)
     table = np.block([[plus, plus + m], [minus + m, minus]])
     seed = ([("r", 1)] if m >= 2 else []) + [("s", m)]

@@ -8,7 +8,12 @@ the set R of pairs (value of w, value of reversed w) over all words w,
 which is the least set containing (1, 1) closed under (g, h) -> (g*a, a*h).
 ``reachable_pairs`` finds R by a frontier BFS over a flat boolean
 order*order array and returns it as an (|R|, 2) int array of (g, h) rows;
-the palindrome sets are gathers from the table at those rows.
+the palindrome sets are gathers from the table at those rows.  A state
+(g, h) is keyed g*order + h.  The search builds two arrays once, with one
+row per element and one column per generator a: g*a*order and a*h.  So a
+layer's successor keys are two whole-row gathers, at the frontier's g and
+at its h, and one addition; the keys not seen yet are deduplicated by an
+in-place sort.
 
 Widths are then computed by product-set covering: S_0 = {1} and
 S_{k+1} = S_k | S_k * P, where P is the palindrome element set.  Since
@@ -98,12 +103,22 @@ def reachable_pairs(G: FiniteGroup) -> ReachablePairs:
     """BFS closure of {(1, 1)} under (g, h) -> (g*a, a*h) for generators a."""
     n = G.order
     T, gens = G.table, G.gen_ids
+    # row g of right is g*a*n and row h of left is a*h, one column per a;
+    # both C-ordered, so that take gathers whole rows
+    right = T[:, gens].astype(np.intp, order="C") * n
+    left = np.ascontiguousarray(T[gens].T)
     seen = np.zeros(n * n, dtype=bool)
     g = h = np.array([G.identity])
     seen[G.identity * n + G.identity] = True
     while len(g):
-        keys = T[g[:, None], gens].astype(np.intp) * n + T[gens[:, None], h].T
-        keys = np.unique(keys[~seen[keys]])
+        keys = right.take(g, axis=0)
+        keys += left.take(h, axis=0)
+        keys = keys.ravel()
+        keys = keys[~seen[keys]]
+        keys.sort()
+        fresh = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        keys = keys[fresh]
         seen[keys] = True
         g, h = np.divmod(keys, n)
     return ReachablePairs(G, np.stack(np.divmod(np.flatnonzero(seen), n), axis=1))
@@ -142,7 +157,9 @@ def _factor_masks(G: FiniteGroup, notion: str) -> list[tuple[FiniteGroup, np.nda
         else:
             T = F.table
             even[T[g, h]] = True
-            odd[T[T[g[:, None], F.gen_ids], h[:, None]]] = True
+            # one generator at a time, so no gather is longer than R
+            for a in F.gen_ids:
+                odd[T[T[g, a], h]] = True
         masks.append((F, even, odd))
     return masks
 
@@ -210,7 +227,7 @@ def _word_layers(masks: list[tuple[FiniteGroup, np.ndarray, np.ndarray]]) -> lis
     """The word covering's layers as flat product ids, from each factor's
     (even, odd) palindrome masks.  Per layer, X is the layer times the
     palindromes that have used no odd factor yet, Y those that have used
-    exactly one."""
+    exactly one.  The covering stops once every grid point is seen."""
     # column a^-1 of F.table maps x to x*a^-1, so gathering the columns of
     # A^-1 along axis i and reducing over them shifts X to X*A on that axis
     columns = [
@@ -227,6 +244,8 @@ def _word_layers(masks: list[tuple[FiniteGroup, np.ndarray, np.ndarray]]) -> lis
     layers = []
     while layer.any():
         layers.append(np.flatnonzero(layer))
+        if seen.all():
+            break
         X, Y = layer, np.zeros_like(layer)
         for axis, (even, odd) in enumerate(columns):
             Y = shift(Y, even, axis) | shift(X, odd, axis)

@@ -1,6 +1,7 @@
 """Shared test helpers: seeded random words and wreath elements, groups
-with relabelled element ids, random nested direct products, free-word
-texts spelled out letter by letter, and a call's traced peak memory."""
+with relabelled element ids, small relabelled groups with random
+generating sets, random nested direct products, free-word texts spelled
+out letter by letter, and a call's traced peak memory."""
 
 from __future__ import annotations
 
@@ -13,10 +14,12 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from groupwidths.finite_groups import FiniteGroup, cyclic, dihedral, direct_product, sym3_fink
+from groupwidths.finite_groups import FiniteGroup, abelian_group, cyclic, dihedral, direct_product, sym3_fink
 from groupwidths.free_words import FreeWord
 from groupwidths.nilprod import NilProdGroup
 from groupwidths.wreath import WreathElement, WreathGroup
+
+from oracle import brute_layers
 
 # the CLI tests run `python -m groupwidths.cli` in a subprocess; put this
 # checkout's src/ on its path too, as pyproject's pythonpath does in-process
@@ -60,6 +63,36 @@ def relabel(G: FiniteGroup, perm: list[int]) -> FiniteGroup:
     table = np.empty_like(G.table)
     table[np.ix_(p, p)] = p[G.table]
     return FiniteGroup(table, [(label, perm[g]) for label, g in G.gens], name=G.name)
+
+
+# groups of order at most 24 for the brute-force comparisons of the closures
+SMALL_GROUPS = [cyclic(m) for m in range(1, 25)] + [dihedral(m) for m in range(1, 13)]
+SMALL_GROUPS += [sym3_fink()] + [direct_product(sym3_fink(), cyclic(m)) for m in (2, 3, 4)]
+SMALL_GROUPS += [direct_product(dihedral(4), cyclic(3)), direct_product(cyclic(2), abelian_group([2, 6]))]
+
+
+@st.composite
+def relabelled_small_groups(draw) -> FiniteGroup:
+    """A group of order at most 24 as a table whose ids are permuted at random."""
+    G = draw(st.sampled_from(SMALL_GROUPS))
+    return relabel(G, draw(st.permutations(range(G.order))))
+
+
+@st.composite
+def random_generating_sets(draw) -> FiniteGroup:
+    """A relabelled small group with a random symmetric generating set:
+    elements in random order, each with its inverse, until they generate,
+    then up to three more."""
+    G = draw(relabelled_small_groups())
+    ids = draw(st.permutations(range(G.order)))
+    chosen: set[int] = set()
+    k = 0
+    while sum(map(len, brute_layers(G, sorted(chosen)))) < G.order:
+        chosen |= {ids[k], int(G.inverse[ids[k]])}
+        k += 1
+    for x in ids[k:k + draw(st.integers(0, 3))]:
+        chosen |= {x, int(G.inverse[x])}
+    return FiniteGroup(G.table, [(f"g{x}", x) for x in sorted(chosen)], name=G.name)
 
 
 def moved_identity(G: FiniteGroup, seed: int) -> FiniteGroup:

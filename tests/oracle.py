@@ -19,6 +19,10 @@ sequences of length up to 2*order+1, checked with the literal palindrome
 predicate, and evaluated through the evaluation homomorphism.  Minimal
 palindrome-product lengths then come from a plain per-element BFS.  None
 of the production pair/covering formulas are used.
+
+``brute_layers`` is the breadth-first layers of {1} under right
+multiplication by a factor list, one product at a time over Python sets;
+it shares no code with ``product_layers``.
 """
 
 from __future__ import annotations
@@ -30,10 +34,12 @@ from groupwidths.free_words import FreeWord, MonoidWord, is_word_palindrome
 from groupwidths.wreath import WreathElement, WreathGroup, w_multiply
 
 
-def brute_width_data(
-    G: FiniteGroup, notion: str, max_half_len: int | None = None
-) -> tuple[set[int], dict[int, int], int]:
-    """(palindrome elements, per-element lengths, width) by enumeration."""
+def brute_pair_witnesses(
+    G: FiniteGroup, max_half_len: int | None = None
+) -> dict[tuple[int, int], tuple[str, ...]]:
+    """One shortest label word w per reachable state (value of w, value of
+    reversed w), the words grown letter by letter up to max_half_len
+    letters (the order by default)."""
     if max_half_len is None:
         max_half_len = G.order
     e = G.identity
@@ -51,7 +57,15 @@ def brute_width_data(
                     witness[state] = word
                     new.append((state, word))
         frontier = new
+    return witness
 
+
+def brute_width_data(
+    G: FiniteGroup, notion: str, max_half_len: int | None = None
+) -> tuple[set[int], dict[int, int], int]:
+    """(palindrome elements, per-element lengths, width) by enumeration."""
+    e = G.identity
+    witness = brute_pair_witnesses(G, max_half_len)
     pal: set[int] = set()
     if notion == "group":
         for (g, h), v in witness.items():
@@ -82,6 +96,20 @@ def brute_width_data(
                 queue.append(h)
     assert len(lengths) == G.order, "palindromes fail to generate the group"
     return pal, lengths, max(lengths.values())
+
+
+def brute_layers(G: FiniteGroup, factors) -> list[list[int]]:
+    """Layer 0 is [1]; layer k+1 is every x*p, x in layer k and p a factor,
+    that lies in no earlier layer; ascending lists, up to the first empty
+    layer."""
+    seen = {G.identity}
+    layers = [[G.identity]]
+    while True:
+        new = {int(G.table[x][p]) for x in layers[-1] for p in factors} - seen
+        if not new:
+            return layers
+        seen |= new
+        layers.append(sorted(new))
 
 
 def reference_evaluate_letters(

@@ -1,6 +1,7 @@
 """Constructors, table verification, evaluation, and commutator machinery."""
 
 import json
+import math
 import random
 import re
 import string
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupwidths import finite_groups
 from groupwidths.finite_groups import (
     CapExceeded,
     FiniteGroup,
@@ -23,13 +25,15 @@ from groupwidths.finite_groups import (
     direct_product,
     evaluate,
     find_isomorphism,
+    product_layers,
     sym3_fink,
 )
 from groupwidths.free_words import MonoidWord, parse_monoid_word
 from groupwidths.pal_width import NOTIONS, palindromic_width
 from groupwidths.specs import group_from_spec, group_to_spec, spec_from_json
 
-from conftest import direct_products, moved_identity
+from conftest import direct_products, moved_identity, relabelled_small_groups
+from oracle import brute_layers
 
 
 class TestConstructors:
@@ -78,6 +82,14 @@ class TestConstructors:
         assert G.order == 6 and G.is_abelian()
         assert sorted(G.labels) == ["a", "b", "b^-1"]
 
+    def test_tables_match_the_modular_formula(self):
+        for m in [*range(1, 65), 1024]:
+            i = np.arange(m)
+            plus, minus = (i[:, None] + i) % m, (i[:, None] - i) % m
+            assert np.array_equal(cyclic(m, cap=m).table, plus), m
+            dihedral_table = np.block([[plus, plus + m], [minus + m, minus]])
+            assert np.array_equal(dihedral(m, cap=2 * m).table, dihedral_table), m
+
     def test_cap(self):
         with pytest.raises(CapExceeded):
             cyclic(10, cap=4)
@@ -102,6 +114,40 @@ class TestTableVerification:
         G = abelian_group([2, 2])
         with pytest.raises(ValueError):
             FiniteGroup(G.table, [("a", G.labels["a"])])
+
+    def test_rejects_generators_of_a_proper_subgroup(self):
+        # the squares of a^2 and of r stay in <a^2> and <r>
+        C = cyclic(1024, cap=1024)
+        with pytest.raises(ValueError, match="generators do not generate the group"):
+            FiniteGroup(C.table, [("b", 2), ("b^-1", 1022)])
+        D = dihedral(384, cap=768)
+        with pytest.raises(ValueError, match="generators do not generate the group"):
+            FiniteGroup(D.table, [("r", D.labels["r"]), ("r^-1", D.labels["r^-1"])])
+
+    def test_associativity_is_checked_before_generation(self):
+        # {2} generates only {0, 2}, and a=2 is a witness: (1*2)*3 = 2 but
+        # 1*(2*3) = 1*1 = 3
+        table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+        table[1][1] = 3
+        with pytest.raises(ValueError, match=re.escape("table is not associative (witness a=2)")):
+            FiniteGroup(table, [("b", 2)])
+
+    def test_generation_check_takes_logarithmic_layers(self, monkeypatch):
+        # the generators alone take 513 layers on C1024 and 193 on D384
+        groups = [cyclic(1024, cap=1024), moved_identity(dihedral(384, cap=768), 0)]
+        layer_counts = []
+
+        def counting(G, factors):
+            layers = product_layers(G, factors)
+            layer_counts.append(len(layers))
+            return layers
+
+        monkeypatch.setattr(finite_groups, "product_layers", counting)
+        for G in groups:
+            layer_counts.clear()
+            FiniteGroup(G.table, G.gens)
+            assert len(layer_counts) == 1
+            assert layer_counts[0] <= 2 * math.log2(G.order) + 2, (G.name, layer_counts)
 
     def test_rejects_non_associative_at_order_1024(self):
         # identity and inverses survive the flip, so only associativity
@@ -189,6 +235,41 @@ class TestGeneratorReduction:
         except ValueError:
             accepted = False
         assert accepted == brute_force_is_group(table, {g for _, g in gens})
+
+
+class TestProductLayers:
+    """``product_layers`` against the oracle's one-product-at-a-time BFS,
+    on factor sets that take the push step (small frontiers), the pull
+    step (a frontier larger than the unseen rest) and the early return
+    (every element seen), and that generate the group, a proper subgroup
+    or nothing."""
+
+    @staticmethod
+    def _factors(G: FiniteGroup, kind: str, data) -> list[int]:
+        elements = list(range(G.order))
+        if kind == "all":
+            return elements
+        if kind == "one":
+            return [data.draw(st.sampled_from(elements))]
+        if kind == "subset":
+            return sorted(data.draw(st.sets(st.sampled_from(elements))))
+        if kind == "proper":
+            # a subset of the cyclic subgroup of an element of order below |G|
+            x = data.draw(st.sampled_from([g for g in elements if G.element_order(g) < G.order] or [G.identity]))
+            powers = [G.identity]
+            while (y := G.mul(powers[-1], x)) != G.identity:
+                powers.append(y)
+            return sorted(data.draw(st.sets(st.sampled_from(powers), min_size=1)))
+        if kind == "commutators":
+            return sorted(commutator_set(G))
+        return []
+
+    @settings(max_examples=200, deadline=None)
+    @given(relabelled_small_groups(), st.sampled_from(["all", "one", "subset", "proper", "commutators", "empty"]),
+           st.data())
+    def test_agrees_with_brute_force(self, G, kind, data):
+        factors = self._factors(G, kind, data)
+        assert [layer.tolist() for layer in product_layers(G, factors)] == brute_layers(G, factors)
 
 
 class TestEvaluate:

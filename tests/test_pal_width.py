@@ -28,8 +28,8 @@ from groupwidths.pal_width import (
 )
 from groupwidths.specs import group_from_spec, group_to_spec
 
-from conftest import bracketed, direct_products, traced_peak_mib
-from oracle import brute_width_data
+from conftest import bracketed, direct_products, random_generating_sets, traced_peak_mib
+from oracle import brute_pair_witnesses, brute_width_data
 
 
 def pair_set(reach):
@@ -184,6 +184,20 @@ class TestAgainstBruteForce:
                 assert pal == set(rep.palindromes.tolist()), (G.name, notion)
                 assert lengths == dict(enumerate(rep.length.tolist())), (G.name, notion)
                 assert width == rep.width, (G.name, notion)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_generating_sets())
+    def test_agreement_on_random_generating_sets(self, G):
+        # half-words are grown until no new state turns up
+        witnesses = brute_pair_witnesses(G, G.order**2)
+        assert pair_set(reachable_pairs(G)) == {(int(g), int(h)) for g, h in witnesses}, G.gens
+        for notion in NOTIONS:
+            rep = palindromic_width(G, notion)
+            pal, lengths, width = brute_width_data(G, notion, G.order**2)
+            assert pal == set(rep.palindromes.tolist()), (G.gens, notion)
+            assert lengths == dict(enumerate(rep.length.tolist())), (G.gens, notion)
+            assert width == rep.width, (G.gens, notion)
 
 
 def table_twin(G):
