@@ -8,19 +8,43 @@ generator ids, products, evaluations) is a Python int.
 Every table is verified exactly, at every order, when it comes to exist:
 a group given by a table at construction, a direct product on the first
 read of its ``table`` (``direct_product`` derives everything else from
-its verified factors).  The checks, in this order, are entries in range, a
-unique two-sided identity, unique two-sided inverses, a symmetric
-generating set, associativity by Light's test (Clifford & Preston, *The
-Algebraic Theory of Semigroups* I, 1961, section 1.2), and generation of
-the whole group.  Light's test checks (x*a)*y == x*(a*y) for all x, y but
-only for each generator a, at O(order^2) cost per generator.  The elements
-a that pass it are closed under products, since
+its verified factors).  The checks, in this order, are:
+
+- entries in range, by the table's minimum and maximum (the int32 copy
+  is allocated first, so a table too large to hold fails before any
+  scan);
+- a two-sided identity, looked for only among the candidates e with
+  e*0 == 0 == 0*e, each checked by one row and one column compare;
+- inverses, from one pass that marks the identity's entries: every row
+  must hold the identity exactly once, and that entry a*b must be
+  two-sided, b*a the identity too.  A group table is a Latin square, so
+  this rejects no group; a table that fails it is named by its first
+  such row;
+- a symmetric generating set;
+- associativity by Light's test (Clifford & Preston, *The Algebraic
+  Theory of Semigroups* I, 1961, section 1.2);
+- generation of the whole group.
+
+Light's test checks (x*a)*y == x*(a*y) for all x, y but only for
+generators a, at O(order^2) cost per generator.  The elements a that pass
+it are closed under products, since
 
     (x*(ab))*y = ((x*a)*b)*y = (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y),
 
-and the identity passes.  So, once every generator has passed, the set S
-of products of generators (words multiplied out from the left) is closed
-under products: for s in S and a word t*a, s*(t*a) = (s*t)*a, as t passes.
+and the identity passes.  It runs once per inverse pair, on the generators
+a with a <= a^-1, because a^-1 passes whenever a does.  If a passes,
+right multiplication by a is injective: x*a == z*a gives
+x = x*(a*a^-1) = (x*a)*a^-1 = (z*a)*a^-1 = z.  So it permutes the finite
+group, some power of it is the identity map, and the orbit 1, a, a^2, ...
+of the identity returns to 1: a^m = 1 for some m >= 1.  Then
+a^(m-1)*a = 1 = a^-1*a, and injectivity gives a^-1 = a^(m-1), a product of
+passing elements, which passes.  Failures thus come in inverse pairs
+within the symmetric generating set, so the smallest failing generator is
+always one that is tested, and the reported witness does not change.
+
+So, once every generator has passed, the set S of products of generators
+(words multiplied out from the left) is closed under products: for s in S
+and a word t*a, s*(t*a) = (s*t)*a, as t passes.
 The generation check then runs the breadth-first search over the repeated
 squares a, a^2, a^4, ..., a^(2^j) of the generators, for 2^j < order.
 This is exact: each square is a product of two elements of S, so it lies
@@ -149,34 +173,50 @@ class FiniteGroup:
         if T.dtype.kind not in "iu":
             raise ValueError(f"table entries must be integers, got {T.dtype}")
         n = self.order = T.shape[0]
-        outside = (T < 0) | (T >= n)
-        if outside.any():
+        # allocate the int32 copy before any scan: the strided window of a
+        # cyclic or dihedral table too large to hold fails here at once,
+        # where a scan of it would first walk all its order^2 entries
+        table = np.empty((n, n), dtype=np.int32)
+        if T.min() < 0 or T.max() >= n:
+            outside = (T < 0) | (T >= n)
             raise ValueError(f"table entry {T[outside][0]} out of range")
-        T = self.table = _frozen(T)
+        table[...] = T
+        table.flags.writeable = False
+        T = self.table = table
         ids = np.arange(n)
-        ones = np.flatnonzero((T == ids).all(axis=1) & (T == ids[:, None]).all(axis=0))
+        ones = np.flatnonzero((T[:, 0] == 0) & (T[0] == 0))
+        ones = ones[(T[ones] == ids).all(axis=1) & (T[:, ones] == ids[:, None]).all(axis=0)]
         if len(ones) != 1:
             raise ValueError("table has no unique two-sided identity")
-        self.identity = int(ones[0])
-        hits = T == self.identity
-        hits = hits & hits.T
-        lacking = np.flatnonzero(hits.sum(axis=1) != 1)
-        if len(lacking):
-            raise ValueError(f"element {lacking[0]} lacks a unique two-sided inverse")
-        self.inverse = _frozen(hits.argmax(axis=1))
+        e = self.identity = int(ones[0])
+        hits = T == e
+        inverse = hits.argmax(axis=1)
+        two_sided = hits[ids, inverse] & (T[inverse, ids] == e)
+        if np.count_nonzero(hits) != n or not two_sided.all():
+            counts = hits.sum(axis=1)
+            a = int(np.flatnonzero((counts != 1) | ~two_sided)[0])
+            if counts[a] != 1:
+                raise ValueError(f"row {a} of the table holds the identity {counts[a]} times, not once")
+            raise ValueError(f"element {a} lacks a two-sided inverse: {a}*{inverse[a]} is the identity, "
+                             f"{inverse[a]}*{a} is not")
+        self.inverse = _frozen(inverse)
 
     def _verify_gens(self) -> None:
         T, ids = self.table, self.gen_ids
-        lacking = ids[~np.isin(self.inverse[ids], ids)]
+        inverses = self.inverse[ids]
+        is_gen = np.zeros(self.order, dtype=bool)
+        is_gen[ids] = True
+        lacking = ids[~is_gen[inverses]]
         if len(lacking):
             raise ValueError(f"generating set not symmetric: inverse of {lacking[0]} missing")
         # Light's test: (x*a)*y == x*(a*y), rows T[x*a] against columns
         # T[:, a*y], gathered into two buffers that every generator reuses
         # (np.take gathers columns far faster than T[:, idx]; entries are
         # in range, so mode="clip" changes nothing and lets out= be written
-        # in place, where the default mode gathers into a fresh copy first)
+        # in place, where the default mode gathers into a fresh copy first),
+        # once per inverse pair: a^-1 passes if a does (module docstring)
         left, right = np.empty_like(T), np.empty_like(T)
-        for a in ids:
+        for a in ids[ids <= inverses]:
             np.take(T, T[:, a], axis=0, out=left, mode="clip")
             np.take(T, T[a], axis=1, out=right, mode="clip")
             if not np.array_equal(left, right):
@@ -446,23 +486,29 @@ def abelian_group(moduli: list[int], cap: int = DEFAULT_CAP) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 
+def _commutator_ids(G: FiniteGroup) -> np.ndarray:
+    """The ascending ids of the commutators [g, h] = g^-1 h^-1 g h, marked
+    in a boolean mask over the order."""
+    T, inv, ids = G.table, G.inverse, np.arange(G.order)
+    is_comm = np.zeros(G.order, dtype=bool)
+    is_comm[T[T[T[inv[:, None], inv], ids[:, None]], ids]] = True
+    return np.flatnonzero(is_comm)
+
+
 def commutator_set(G: FiniteGroup) -> set[int]:
     """{[g, h] : g, h in G} with [g, h] = g^-1 h^-1 g h."""
-    T, inv, ids = G.table, G.inverse, np.arange(G.order)
-    comms = T[T[T[inv[:, None], inv], ids[:, None]], ids]
-    return set(np.unique(comms).tolist())
+    return set(_commutator_ids(G).tolist())
 
 
 def commutator_subgroup(G: FiniteGroup) -> set[int]:
     """Subgroup generated by all commutators (closure under products)."""
-    layers = product_layers(G, sorted(commutator_set(G)))
-    return set(np.concatenate(layers).tolist())
+    return set(np.concatenate(product_layers(G, _commutator_ids(G))).tolist())
 
 
 def commutator_width(G: FiniteGroup) -> int:
     """Exact commutator width by product-set covering of the derived
     subgroup; 0 when the derived subgroup is trivial."""
-    return len(product_layers(G, sorted(commutator_set(G)))) - 1
+    return len(product_layers(G, _commutator_ids(G))) - 1
 
 
 def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> list[int] | None:

@@ -121,7 +121,12 @@ def reachable_pairs(G: FiniteGroup) -> ReachablePairs:
         keys = keys[fresh]
         seen[keys] = True
         g, h = np.divmod(keys, n)
-    return ReachablePairs(G, np.stack(np.divmod(np.flatnonzero(seen), n), axis=1))
+    # divmod writes both columns in place, so no stacked copy of its
+    # outputs is ever held beside them
+    keys = np.flatnonzero(seen)
+    pairs = np.empty((len(keys), 2), dtype=keys.dtype)
+    np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
+    return ReachablePairs(G, pairs)
 
 
 def palindrome_elements(G: FiniteGroup, notion: str) -> np.ndarray:

@@ -160,6 +160,38 @@ class TestTableVerification:
         with pytest.raises(ValueError, match=re.escape("not associative (witness a=1)")):
             group_from_spec(spec_from_json(json.dumps(spec)), cap=2048)
 
+    def test_a_row_with_a_second_identity_entry_is_named(self):
+        # C4 with 2*1 = 0: the identity 0 keeps its row and column, and
+        # 2*2 = 0 stays two-sided, so only the row count can catch it
+        table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+        table[2][1] = 0
+        with pytest.raises(ValueError, match=r"^row 2 of the table holds the identity 2 times, not once$"):
+            FiniteGroup(table, [("a", 1), ("a^-1", 3)])
+        table[2][1] = 3
+        table[2][2] = 1
+        with pytest.raises(ValueError, match=r"^row 2 of the table holds the identity 0 times, not once$"):
+            FiniteGroup(table, [("a", 1), ("a^-1", 3)])
+
+    def test_a_one_sided_inverse_is_named(self):
+        # C4 with 3*1 = 2 and 3*2 = 0: row 1 still holds the identity once,
+        # at 1*3, but 3*1 is no longer the identity
+        table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+        table[3][1], table[3][2] = 2, 0
+        with pytest.raises(ValueError, match=re.escape(
+                "element 1 lacks a two-sided inverse: 1*3 is the identity, 3*1 is not")):
+            FiniteGroup(table, [("a", 1), ("a^-1", 3)])
+
+    def test_lights_test_runs_once_per_inverse_pair(self, monkeypatch):
+        # one table compare per tested generator: a of {a, a^-1} on C1024,
+        # r and s of {r, r^-1, s} on D384, s1, s2 and c of {s1, s2, c, c^-1}
+        groups = [(cyclic(1024, cap=1024), 1), (dihedral(384, cap=768), 2), (sym3_fink(), 3)]
+        equal, compares = np.array_equal, []
+        monkeypatch.setattr(np, "array_equal", lambda a, b: compares.append(1) or equal(a, b))
+        for G, tested in groups:
+            compares.clear()
+            FiniteGroup(G.table, G.gens)
+            assert len(compares) == tested, G.name
+
     def test_table_is_read_only_int32(self):
         G = direct_product(dihedral(5), cyclic(3))
         assert G.table.dtype == np.int32 and G.table.flags.c_contiguous
@@ -224,6 +256,23 @@ def brute_force_is_group(table, gen_ids) -> bool:
         reached = grown
 
 
+def brute_force_has_inverses(table, gen_ids) -> bool:
+    """A two-sided identity e, every row holding e exactly once, at a
+    two-sided inverse, and an inverse-closed generating set."""
+    n = len(table)
+    ones = [e for e in range(n) if all(table[e][g] == g == table[g][e] for g in range(n))]
+    if not ones:
+        return False
+    e = ones[0]
+    inverse = {}
+    for g in range(n):
+        hs = [h for h in range(n) if table[g][h] == e]
+        if len(hs) != 1 or table[hs[0]][g] != e:
+            return False
+        inverse[g] = hs[0]
+    return all(inverse[g] in gen_ids for g in gen_ids)
+
+
 class TestGeneratorReduction:
     @settings(max_examples=300, deadline=None)
     @given(labeled_magmas())
@@ -235,6 +284,28 @@ class TestGeneratorReduction:
         except ValueError:
             accepted = False
         assert accepted == brute_force_is_group(table, {g for _, g in gens})
+
+    @settings(max_examples=300, deadline=None)
+    @given(labeled_magmas())
+    def test_names_the_smallest_non_associative_generator(self, magma):
+        # Light's test runs on one generator of each inverse pair, yet a
+        # refused table names the smallest generator a of all with some
+        # (x*a)*y != x*(a*y); a table that passes the identity, inverse
+        # and symmetry checks is refused for associativity if one exists
+        table, gens = magma
+        r = range(len(table))
+        failing = [a for a in sorted({g for _, g in gens})
+                   if any(table[table[x][a]][y] != table[x][table[a][y]] for x in r for y in r)]
+        try:
+            FiniteGroup(table, gens)
+            error = ""
+        except ValueError as exc:
+            error = str(exc)
+        witness = re.fullmatch(r"table is not associative \(witness a=(\d+)\)", error)
+        if witness:
+            assert failing and int(witness[1]) == failing[0]
+        elif brute_force_has_inverses(table, {g for _, g in gens}):
+            assert not failing, error
 
 
 class TestProductLayers:
