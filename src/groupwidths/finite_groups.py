@@ -55,6 +55,16 @@ ceil(log2(order)) squares, one per binary digit of e, so a cyclic or
 dihedral table needs O(log order) layers, where the generators alone
 need order/2.
 
+The same layers give ``section``, read by ``pal_width``: an array h0 with
+(g, h0[g]) = (value of w, value of reversed w) for some word w over the
+generators.  A square q = a^(2^j) is the value of the palindromic word
+a...a, so (q, q) is such a pair, and pairs multiply as
+(g, h)(q, q) = (g*q, q*h).  So h0[1] = 1, and each x of layer k+1 takes a
+square q with x*q^-1 in layer k and h0[x] = q*h0[x*q^-1]: one gather per
+layer, on the first read of ``section``.  A direct product's section is
+its factors' sections, coordinate by coordinate, since letters of
+different factors commute.
+
 Generator labels are the letters that words over the group are written in,
 so they round-trip through the text formats bit-exactly.
 
@@ -111,7 +121,9 @@ class FiniteGroup:
     element id); for every generator the inverse element is also present,
     labeled either the same (for involutions) or with a ``^-1`` suffix.
     ``gen_ids`` holds the distinct generator ids in ascending order.
-    Construction verifies the table and the generators.
+    Construction verifies the table and the generators.  ``section`` is a
+    read-only int32 vector like ``inverse``, built on first read: the value
+    of the reversal of one word for each element (module docstring).
 
     ``factors`` is read-only.  For a group built by ``direct_product`` it
     holds the atomic factors in mixed-radix id order: the id of
@@ -226,8 +238,46 @@ class FiniteGroup:
         squares = [ids]
         for _ in range((self.order - 1).bit_length() - 1):
             squares.append(T[squares[-1], squares[-1]])
-        if sum(map(len, product_layers(self, np.concatenate(squares)))) != self.order:
+        squares = np.concatenate(squares)
+        layers = product_layers(self, squares)
+        if sum(map(len, layers)) != self.order:
             raise ValueError("generators do not generate the group")
+        # kept for ``section``, so that a group whose section is never read
+        # pays nothing for it
+        self._square_layers = layers, squares
+
+    @cached_property
+    def section(self) -> np.ndarray:
+        """h0 (module docstring), built on first read: along the generation
+        check's layers, or for a direct product from its factors' sections.
+        Each x of layer k+1 takes the first square q with x*q^-1 in layer k,
+        and h0[x] = q*h0[x*q^-1]."""
+        if self._factors:
+            section = self._factors[0].section
+            for F in self._factors[1:]:
+                section = (section[:, None] * F.order + F.section).ravel()
+            return _frozen(section)
+        if self.order == 1:
+            return _frozen([self.identity])
+        T, (layers, squares) = self.table, self._square_layers
+        section = np.empty(self.order, dtype=np.int32)
+        section[self.identity] = self.identity
+        depth = np.empty(self.order, dtype=np.intp)
+        for k, layer in enumerate(layers):
+            depth[layer] = k
+        # every later element's step and parent at once, then one gather
+        # per layer, whose parents' values the layer before has set
+        later = np.concatenate(layers[1:])
+        back = T[later[:, None], self.inverse[squares]]
+        step = (depth[back] == (depth[later] - 1)[:, None]).argmax(axis=1)
+        steps, parents = squares[step], back[np.arange(len(later)), step]
+        start = 0
+        for layer in layers[1:]:
+            end = start + len(layer)
+            section[layer] = T[steps[start:end], section[parents[start:end]]]
+            start = end
+        section.flags.writeable = False
+        return section
 
     # -- arithmetic ----------------------------------------------------
 

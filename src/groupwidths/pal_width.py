@@ -3,17 +3,41 @@
 A word palindrome is a word equal to its own letter reversal; an element
 is a word palindrome if some representative word is one.  An element is a
 group palindrome if some representative word's reversal evaluates to the
-same element.  Both element sets fall out of one reachability computation:
-the set R of pairs (value of w, value of reversed w) over all words w,
-which is the least set containing (1, 1) closed under (g, h) -> (g*a, a*h).
-``reachable_pairs`` finds R by a frontier BFS over a flat boolean
-order*order array and returns it as an (|R|, 2) int array of (g, h) rows;
-the palindrome sets are gathers from the table at those rows.  A state
-(g, h) is keyed g*order + h.  The search builds two arrays once, with one
-row per element and one column per generator a: g*a*order and a*h.  So a
-layer's successor keys are two whole-row gathers, at the frontier's g and
-at its h, and one addition; the keys not seen yet are deduplicated by an
-in-place sort.
+same element.  Both element sets are read off one structure: the set R of
+pairs (value of w, value of reversed w) over all words w.
+
+*R is a subgroup.*  w -> (value of w, value of reversed w) is a monoid
+homomorphism into G x G^op, generated by the pairs (a, a) of the
+generators.  Its image R is a finite submonoid of a group, so a subgroup,
+and both its projections are all of G.  So R meets {1} x G in {1} x N
+for a normal subgroup N, the *reversal defect* (conjugating (1, n) by
+(g, h) in R gives (1, h^-1*n*h)), and the fibre of R over g is the coset
+h0(g)*N for any section h0 with (g, h0(g)) in R.  |N| = 1 exactly when
+word reversal induces an anti-automorphism of G that fixes the
+generators, as in an abelian group or one generated by involutions.
+
+*N from Schreier generators.*  ``FiniteGroup.section`` is such an h0,
+with h0(1) = 1.  By Schreier's lemma (Holt, Eick & O'Brien, *Handbook of
+Computational Group Theory*, 2005, ch. 4), applied to R with the
+transversal g -> (g, h0(g)) and the generators (a, a), N is generated by
+the defects h0(g*a)^-1 * a * h0(g) over all order * |gens| edges (g, a),
+one gather.  N is grown one defect at a time: a defect not yet in N is
+added and N re-closed by ``product_layers``.  Each addition at least
+doubles N, so there are at most log2 |N| closures.
+
+*Palindromes from the N-cosets.*  Each coset is labelled by its least
+element, by a min over the columns of N when |N|^2 <= order and coset by
+coset otherwise, so in O(order * min(|N|, order/|N|)) work.  Then
+
+- the group palindromes are the g with (g, g) in R, that is
+  g^-1 * h0(g) in N;
+- the even word palindromes u*reverse(u) take the values g*h with (g, h)
+  in R: the cosets of the g*h0(g);
+- the odd ones u*a*reverse(u) take the values g*a*h: the cosets of the
+  g*a*h0(g).
+
+``reachable_pairs`` lists R as the pairs (g, h0(g)*n), an array of
+order * |N| rows; the width path never builds it.
 
 Widths are then computed by product-set covering: S_0 = {1} and
 S_{k+1} = S_k | S_k * P, where P is the palindrome element set.  Since
@@ -29,14 +53,14 @@ factor moves no mixed-radix id, so it is dropped; the trivial group has
 no factors.  Nothing is computed from a product's table or its order^2
 pair space.  Two facts make that exact.
 
-*Pairs factor.*  Each letter lies in one factor, and letters of different
+*N factors.*  Each letter lies in one factor, and letters of different
 factors commute in the value of a word and in the value of its reversal.
-So R(F_1 x ... x F_k) = R(F_1) x ... x R(F_k), and ``reachable_pairs``
-runs once per factor.  The group palindromes are then the product set
-P_1 x ... x P_k, and each P_i contains 1.  Hence P^m = P_1^m x ... x P_k^m
-with P_i^m growing in m: an element's group length is the maximum of its
-coordinates' lengths, and the group width is the maximum of the factor
-widths.  An atomic group is the one-factor case.
+So R(F_1 x ... x F_k) = R(F_1) x ... x R(F_k) and N = N_1 x ... x N_k:
+N and the masks are computed once per factor.  The group palindromes are
+then the product set P_1 x ... x P_k, and each P_i contains 1.  Hence
+P^m = P_1^m x ... x P_k^m with P_i^m growing in m: an element's group
+length is the maximum of its coordinates' lengths, and the group width is
+the maximum of the factor widths.  An atomic group is the one-factor case.
 
 *Word palindromes couple only through parity.*  Let E_i and O_i be the
 values of the even- and odd-length word palindromes of F_i.  The word
@@ -93,40 +117,60 @@ NOTIONS = ("word", "group")
 @dataclass(eq=False)
 class ReachablePairs:
     """All pairs (value of w, value of reversed w) over words w in the
-    generator letters, as the rows of an (|R|, 2) int array."""
+    generator letters: the reversal defect N as its ascending ids, and
+    ``pairs``, the (|R|, 2) int array of the (g, h0(g)*n) in ascending
+    order, built on each read."""
 
     group: FiniteGroup
-    pairs: np.ndarray
+    defect: np.ndarray
+
+    @property
+    def pairs(self) -> np.ndarray:
+        G, N = self.group, self.defect
+        fibres = np.sort(G.table[G.section[:, None], N], axis=1)
+        return np.stack((np.repeat(np.arange(G.order), len(N)), fibres.ravel()), axis=1)
 
 
 def reachable_pairs(G: FiniteGroup) -> ReachablePairs:
-    """BFS closure of {(1, 1)} under (g, h) -> (g*a, a*h) for generators a."""
-    n = G.order
-    T, gens = G.table, G.gen_ids
-    # row g of right is g*a*n and row h of left is a*h, one column per a;
-    # both C-ordered, so that take gathers whole rows
-    right = T[:, gens].astype(np.intp, order="C") * n
-    left = np.ascontiguousarray(T[gens].T)
-    seen = np.zeros(n * n, dtype=bool)
-    g = h = np.array([G.identity])
-    seen[G.identity * n + G.identity] = True
-    while len(g):
-        keys = right.take(g, axis=0)
-        keys += left.take(h, axis=0)
-        keys = keys.ravel()
-        keys = keys[~seen[keys]]
-        keys.sort()
-        fresh = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-        keys = keys[fresh]
-        seen[keys] = True
-        g, h = np.divmod(keys, n)
-    # divmod writes both columns in place, so no stacked copy of its
-    # outputs is ever held beside them
-    keys = np.flatnonzero(seen)
-    pairs = np.empty((len(keys), 2), dtype=keys.dtype)
-    np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
-    return ReachablePairs(G, pairs)
+    """R as its section and reversal defect; reads G's table."""
+    return ReachablePairs(G, np.flatnonzero(_reversal_defect(G)))
+
+
+def _reversal_defect(F: FiniteGroup) -> np.ndarray:
+    """The mask of N over F's ids: closed one Schreier generator
+    h0(g*a)^-1 * a * h0(g) at a time, each one not yet in N."""
+    T, h0, gens = F.table, F.section, F.gen_ids
+    found = np.zeros(F.order, dtype=bool)
+    found[T[F.inverse[h0[T[:, gens]]], T[gens, h0[:, None]]]] = True
+    in_N = np.zeros(F.order, dtype=bool)
+    in_N[F.identity] = True
+    outside, closing = np.flatnonzero(found & ~in_N), []
+    while len(outside):
+        closing.append(outside[0])
+        # the closure contains the last N, so marking it only adds
+        in_N[np.concatenate(product_layers(F, closing))] = True
+        outside = outside[~in_N[outside]]
+    return in_N
+
+
+def _coset_labels(F: FiniteGroup, N: np.ndarray) -> np.ndarray:
+    """The least element of x*N for every x, N a normal subgroup's ids."""
+    if len(N) ** 2 <= F.order:
+        return F.table[:, N].min(axis=1)
+    # fewer cosets than elements of N: the least unlabelled element is
+    # the least of its coset
+    label = np.full(F.order, -1, dtype=np.int32)
+    for _ in range(F.order // len(N)):
+        g = int((label < 0).argmax())
+        label[F.table[g, N]] = g
+    return label
+
+
+def _cosets_of(label: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """The mask of the union of the cosets that hold ``elements``."""
+    hit = np.zeros(len(label), dtype=bool)
+    hit[label[elements]] = True
+    return hit[label]
 
 
 def palindrome_elements(G: FiniteGroup, notion: str) -> np.ndarray:
@@ -147,24 +191,21 @@ def palindrome_elements(G: FiniteGroup, notion: str) -> np.ndarray:
 
 def _factor_masks(G: FiniteGroup, notion: str) -> list[tuple[FiniteGroup, np.ndarray, np.ndarray]]:
     """G's atomic factors of order above 1, each with its (even, odd) masks:
-    the values of u*reverse(u) and of u*a*reverse(u) in the word notion;
-    the g with (g, g) in R and nothing in the group notion."""
+    the cosets of the g*h0(g) and of the g*a*h0(g) in the word notion; the
+    g with g^-1 * h0(g) in N and nothing in the group notion."""
     if notion not in NOTIONS:
         raise ValueError(f"notion must be one of {NOTIONS}, got {notion!r}")
     masks = []
     for F in G.factors or (G,):
         if F.order == 1:
             continue
-        g, h = reachable_pairs(F).pairs.T
-        even, odd = np.zeros((2, F.order), dtype=bool)
+        T, h0, in_N = F.table, F.section, _reversal_defect(F)
         if notion == "group":
-            even[g[g == h]] = True
+            even, odd = in_N[T[F.inverse, h0]], np.zeros(F.order, dtype=bool)
         else:
-            T = F.table
-            even[T[g, h]] = True
-            # one generator at a time, so no gather is longer than R
-            for a in F.gen_ids:
-                odd[T[T[g, a], h]] = True
+            label = _coset_labels(F, np.flatnonzero(in_N))
+            even = _cosets_of(label, T[np.arange(F.order), h0])
+            odd = _cosets_of(label, T[T[:, F.gen_ids], h0[:, None]])
         masks.append((F, even, odd))
     return masks
 

@@ -1,13 +1,18 @@
 """The package's public API: what ``groupwidths`` exports, and the
 README's library sketch."""
 
+import importlib
+import importlib.util
 import re
 import types
 from pathlib import Path
 
 import groupwidths
+from groupwidths.finite_groups import sym3_fink
+from groupwidths.pal_width import reachable_pairs
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_all_names_resolve_and_none_is_a_submodule():
@@ -33,3 +38,22 @@ def test_specs_owns_the_json_code():
         assert not hasattr(finite_groups, name), name
     assert finite_groups.group_from_spec is specs.group_from_spec
     assert "group_from_spec" not in finite_groups.__all__
+
+
+def test_benchmark_traced_names_resolve():
+    # the benchmark's tracer patches these names by string; one deleted
+    # from the library would fail only a traced benchmark run
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for name, (module_name, path) in tracing.TRACED.items():
+        target = importlib.import_module(f"groupwidths.{module_name}")
+        for attr in path.split("."):
+            target = getattr(target, attr)
+        assert callable(target), name
+    G = sym3_fink()
+    reach = reachable_pairs(G)
+    assert reach.pairs.shape == (G.order * len(reach.defect), 2)
+    for counter, amount in tracing.WORK["pal_width.reachable_pairs"]:
+        assert amount((G,), reach) == len(reach.pairs), counter

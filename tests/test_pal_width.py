@@ -1,4 +1,5 @@
-"""Pair reachability, palindrome element sets, and exact widths."""
+"""Reachable pairs and the reversal defect, palindrome element sets, and
+exact widths."""
 
 import contextlib
 import functools
@@ -96,7 +97,8 @@ class TestWidths:
         assert palindromic_width(G, "group").width == 1
 
     def test_pair_space_over_four_million_states(self):
-        # 2048^2 = 4,194,304 pair states: the order cap bounds the search
+        # a pair space of 2048^2 = 4,194,304 states, which the width path
+        # reads through N = {1} without listing it
         G = cyclic(2048, cap=2048)
         assert palindromic_width(G, "word").width == 1
         assert palindromic_width(G, "group").width == 1
@@ -200,9 +202,95 @@ class TestAgainstBruteForce:
             assert width == rep.width, (G.gens, notion)
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(random_generating_sets())
+    def test_section_and_defect_on_random_generating_sets(self, G):
+        # every (g, h0[g]) is the (value, reversed value) of a literal word,
+        # and N is the fibre of the brute-force pairs over the identity
+        witnesses = brute_pair_witnesses(G, G.order**2)
+        for g, h in enumerate(G.section.tolist()):
+            assert (g, h) in witnesses, (G.gens, g, h)
+        fibre = {int(h) for g, h in witnesses if g == G.identity}
+        assert set(reachable_pairs(G).defect.tolist()) == fibre, G.gens
+
+
+def permutation_group(cycles: list[str], degree: int) -> FiniteGroup:
+    """The group the permutations generate, as a table with
+    (p*q)(k) = p(q(k)); each generator that is not an involution gets a
+    ``^-1`` partner.  The elements are closed by BFS from the identity
+    (id 0), and column b of the table is column a gathered at column
+    parent(b), since x*b = (x*parent(b))*a."""
+    gens = []
+    for i, text in enumerate(cycles):
+        p = list(range(degree))
+        for cycle in text[1:-1].split(")("):
+            points = [int(c) for c in cycle]
+            for a, b in zip(points, points[1:] + points[:1]):
+                p[a] = b
+        gens.append((f"p{i}", tuple(p)))
+        inverse = tuple(np.argsort(p).tolist())
+        if inverse != tuple(p):
+            gens.append((f"p{i}^-1", inverse))
+    elements, parent = [tuple(range(degree))], [None]
+    index = {elements[0]: 0}
+    for x in elements:
+        for j, (_, a) in enumerate(gens):
+            y = tuple(x[k] for k in a)
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+                parent.append((index[x], j))
+    perms = np.array(elements)
+    # column j: x -> x*a_j, found by sorted base-degree keys
+    weights = degree ** np.arange(degree)
+    keys = perms @ weights
+    order_of_keys = np.argsort(keys)
+    cols = [order_of_keys[np.searchsorted(keys, perms[:, list(a)] @ weights, sorter=order_of_keys)]
+            for _, a in gens]
+    columns = np.empty((len(elements), len(elements)), dtype=np.int32)
+    columns[0] = np.arange(len(elements))
+    for b in range(1, len(elements)):
+        p, j = parent[b]
+        columns[b] = cols[j][columns[p]]
+    return FiniteGroup(columns.T, [(label, index[a]) for label, a in gens], name="perm")
+
+
+class TestReversalDefect:
+    def test_library_generators(self):
+        # reversal is an anti-automorphism fixing the generators of an
+        # abelian group and of one generated by r, r^-1 and a reflection
+        groups = [cyclic(m, cap=m) for m in (2, 3, 12, 1024)]
+        groups += [dihedral(m, cap=2 * m) for m in (1, 2, 3, 8, 384)]
+        for G in groups:
+            defect = reachable_pairs(G).defect
+            assert defect.tolist() == [G.identity], G.name
+        # Fink's S3: the words c and s1*s2 both evaluate to c, their
+        # reversals to c and c^-1, so N holds the rotations
+        S = sym3_fink()
+        defect = reachable_pairs(S).defect.tolist()
+        assert len(defect) == 3
+        assert set(defect) == {S.identity, S.labels["c"], S.labels["c^-1"]}
+
+    def test_product_defect_is_the_factors(self):
+        S, D = sym3_fink(), dihedral(4)
+        G = direct_product(S, D)
+        expected = [s * D.order + D.identity for s in reachable_pairs(S).defect.tolist()]
+        assert reachable_pairs(G).defect.tolist() == expected
+
+    def test_a7_table(self):
+        G = permutation_group(["(0123456)", "(124)(365)", "(06)(23)"], 7)
+        assert G.order == 2520 and G.factors == ()
+        assert len(reachable_pairs(G).defect) == 2520
+        for notion in NOTIONS:
+            rep, peak = traced_peak_mib(lambda: palindromic_width(G, notion))
+            assert rep.width == 1 and rep.layers == [1, 2520], notion
+            # no array of order^2 bytes, let alone entries
+            assert peak < G.order**2 / 2**20, (notion, peak)
+
+
 def table_twin(G):
     """G rebuilt from its table spec: the same group with no factors, so
-    its width runs the pair BFS on its own table."""
+    its width reads the reversal defect of its own table."""
     twin = group_from_spec(group_to_spec(G), cap=G.order)
     assert twin.factors == ()
     return twin
@@ -229,7 +317,7 @@ class TestProductsFromFactors:
         assert S.factors == ()
 
     def test_s3_x_d4_report_equals_its_table_twin(self):
-        # the product's pairs (48^2 states) are searched as 6^2 and 8^2 per factor
+        # the product's defect and masks are read per factor, of orders 6 and 8
         G = direct_product(sym3_fink(), dihedral(4))
         twin = table_twin(G)
         for notion in NOTIONS:
