@@ -57,10 +57,13 @@ def cmd_pw(args: argparse.Namespace) -> dict:
     G, raw = read_group(args.group_spec, args.cap)
     report = palindromic_width(G, args.notion)
     result = report.to_json(include_lengths=args.lengths)
+    # width, layers and palindromes are read off the length array, so these
+    # flags test that array against the group: the formal inverse of a
+    # palindrome is a palindrome, and each generator is one
     verification = {
         "identity_length_zero": bool(report.length[G.identity] == 0),
-        "lengths_within_width": bool(report.length.max() <= report.width),
-        "palindromes_have_length_le_1": bool((report.length[report.palindromes] <= 1).all()),
+        "inverses_have_equal_length": bool((report.length[G.inverse] == report.length).all()),
+        "generators_have_length_le_1": bool((report.length[G.gen_ids] <= 1).all()),
     }
     return {
         "command": "pw",

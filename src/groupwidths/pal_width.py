@@ -80,18 +80,37 @@ u_1 ... u_k c reverse(u_k) ... reverse(u_1) is a palindrome whose
 F_i-subword is w_i for every i.  So the values are exactly the tuples
 with every coordinate in E_i and at most one coordinate in O_i instead.
 
-Covering by a product set A_1 x ... x A_k is separable: multiplying a
-k-dimensional boolean layer by it is one shift per axis,
-X -> {x : x_i in X_i * A_i}, a gather of F_i's table columns.  The word
-covering carries two arrays, X (no odd factor used yet) and Y (one used),
-and for each axis i sets Y <- Y*E_i | X*O_i, then X <- X*E_i; X | Y is
-then the layer times P.  Only the word notion with two or more factors
-needs this grid; every other case is covered factor by factor, as for the
-group notion.  ``palindrome_elements`` builds P by outer products of the
-masks, with O_i empty in the group notion.  Per-element data are
-read-only arrays over the group's mixed-radix ids: a report's one length
-array, and the ascending id array of the palindromes (the elements of
-length at most 1), which both entry points return.
+*E*O = O*E.*  For any group and symmetric generating set, the values E
+of the even word palindromes and O of the odd ones satisfy E*O = O*E, and
+E and O are closed under inverses.  Take e = u*reverse(u) and
+o = v*a*reverse(v).  With y = u*reverse(u)*v, the word y*a*reverse(y) is
+an odd palindrome worth e*o*e.  Let z be the formal inverse of reverse(u)
+(reverse it and invert each letter); then z*reverse(z) is an even
+palindrome worth e^-1, so e*o = (e*o*e)*e^-1 lies in O*E.  Likewise, with
+z the formal inverse of reverse(v), z*a^-1*reverse(z) is an odd palindrome
+worth o^-1.  Inverting E*O <= O*E then gives O*E <= E*O.
+
+*Word lengths from odd counts.*  By the lemma, a product of m palindromes
+of F_i with o odd ones, in any positions, takes exactly the values
+A_i(m, o) = E_i^(m-o) * O_i^o.  Let c_i(m, x) be the least o with x in
+A_i(m, o), infinite where there is none.  A palindrome of the product has
+at most one odd coordinate, so g is a product of m palindromes exactly
+when sum_i c_i(m, g_i) <= m: each coordinate's odd factors then take
+their own slots among the m.  g's word length is the number of m with
+sum_i c_i(m, g_i) > m.  Per factor, A(m, o) = A(m-1, o)*E | A(m-1, o-1)*O,
+so c(m, y) = min(c(m-1, y*e^-1), c(m-1, y*p^-1) + 1) over e in E and p in
+O: one pull through F's table columns per m.  Each m takes one flat outer
+sum of the rows c_i(m, .), and the covering stops at the first m where
+every sum is at most m, so no factor is expanded past the product's
+width.  In the group notion O_i is empty and c_i is 0 or infinite, which
+is the largest-coordinate rule above; that rule, and a single factor, keep
+their own covering by ``product_layers``.
+
+``palindrome_elements`` builds P by outer products of the masks, with O_i
+empty in the group notion.  Per-element data are read-only arrays over the
+group's mixed-radix ids: a report's one length array, and the ascending id
+array of the palindromes (the elements of length at most 1), which both
+entry points return.
 """
 
 from __future__ import annotations
@@ -245,17 +264,19 @@ class WidthReport:
 
 
 def palindromic_width(G: FiniteGroup, notion: str) -> WidthReport:
-    """Exact lengths by layered covering: each factor by its own palindromes,
-    an element's length the largest of its coordinates', except that the
-    word notion with two or more factors covers the parity grid."""
+    """Exact lengths by layered covering.  Each factor is covered by its own
+    palindromes and an element's length is the largest of its coordinates',
+    except in the word notion with two or more factors: there an element's
+    length is the number of m where the factors' odd counts sum past m."""
     masks = _factor_masks(G, notion)
     if notion == "word" and len(masks) >= 2:
-        return WidthReport(notion, _lengths(_word_layers(masks), G.order))
-    # a flat outer product appends a factor's id as the lowest mixed-radix digit
+        return WidthReport(notion, _lengths(_odd_count_layers(masks, G.order), G.order))
+    # a flat outer product prepends a factor's id as the highest mixed-radix
+    # digit; the long axis last keeps numpy's inner loop long
     length = np.zeros(1, dtype=np.intp)
-    for F, even, odd in masks:
+    for F, even, odd in reversed(masks):
         own = _lengths(product_layers(F, np.flatnonzero(even | odd)), F.order)
-        length = np.maximum(length[:, None], own).ravel()
+        length = np.maximum(own[:, None], length).ravel()
     return WidthReport(notion, length)
 
 
@@ -269,33 +290,30 @@ def _lengths(layers: list[np.ndarray], order: int) -> np.ndarray:
     return length
 
 
-def _word_layers(masks: list[tuple[FiniteGroup, np.ndarray, np.ndarray]]) -> list[np.ndarray]:
-    """The word covering's layers as flat product ids, from each factor's
-    (even, odd) palindrome masks.  Per layer, X is the layer times the
-    palindromes that have used no odd factor yet, Y those that have used
-    exactly one.  The covering stops once every grid point is seen."""
-    # column a^-1 of F.table maps x to x*a^-1, so gathering the columns of
-    # A^-1 along axis i and reducing over them shifts X to X*A on that axis
-    columns = [
-        tuple(F.table[:, F.inverse[np.flatnonzero(mask)]] for mask in (even, odd))
-        for F, even, odd in masks
-    ]
+def _odd_counts(F: FiniteGroup, even: np.ndarray, odd: np.ndarray):
+    """Yields the rows c(m, .) over F's ids for m = 0, 1, ...: the least o
+    with x in E^(m-o)*O^o, inf where there is none."""
+    # column p^-1 of F.table maps y to y*p^-1
+    by_even, by_odd = (F.table[:, F.inverse[np.flatnonzero(mask)]] for mask in (even, odd))
+    # float32 holds inf, and every sum of counts below 2^24 exactly
+    counts = np.full(F.order, np.inf, dtype=np.float32)
+    counts[F.identity] = 0
+    while True:
+        yield counts
+        counts = np.minimum(counts[by_even].min(axis=1), counts[by_odd].min(axis=1) + 1)
 
-    def shift(X: np.ndarray, cols: np.ndarray, axis: int) -> np.ndarray:
-        return np.take(X, cols, axis=axis).any(axis=axis + 1)
 
-    layer = np.zeros(tuple(F.order for F, _, _ in masks), dtype=bool)
-    layer[tuple(F.identity for F, _, _ in masks)] = True
-    seen = layer.copy()
-    layers = []
-    while layer.any():
-        layers.append(np.flatnonzero(layer))
-        if seen.all():
-            break
-        X, Y = layer, np.zeros_like(layer)
-        for axis, (even, odd) in enumerate(columns):
-            Y = shift(Y, even, axis) | shift(X, odd, axis)
-            X = shift(X, even, axis)
-        layer = (X | Y) & ~seen
-        seen |= layer
-    return layers
+def _odd_count_layers(masks: list[tuple[FiniteGroup, np.ndarray, np.ndarray]], order: int) -> list[np.ndarray]:
+    """The word covering's layers over flat product ids: layer m holds the
+    g first with sum_i c_i(m, g_i) <= m, one outer sum of the factors' rows
+    per m.  The covering stops once every element is seen, or at a layer
+    that finds nothing new."""
+    layers, unseen = [], np.ones(order, dtype=bool)
+    for m, rows in enumerate(zip(*(_odd_counts(*mask) for mask in masks))):
+        total = np.zeros(1, dtype=np.float32)
+        for counts in reversed(rows):
+            total = (counts[:, None] + total).ravel()
+        layers.append(np.flatnonzero(unseen & (total <= m)))
+        unseen[layers[-1]] = False
+        if not len(layers[-1]) or not unseen.any():
+            return layers

@@ -1,7 +1,8 @@
 """Shared test helpers: seeded random words and wreath elements, groups
 with relabelled element ids, small relabelled groups with random
-generating sets, random nested direct products, free-word texts spelled
-out letter by letter, and a call's traced peak memory."""
+generating sets and their products, random nested direct products,
+free-word texts spelled out letter by letter, and a call's traced peak
+memory."""
 
 from __future__ import annotations
 
@@ -140,6 +141,23 @@ def direct_products(draw, max_order: int, max_factors: int = 4) -> FiniteGroup:
         fits = [F for F in PRODUCT_FACTORS if order * F.order <= max_order]
         factors.append(draw(st.sampled_from(fits)))
         order *= factors[-1].order
+    return draw(bracketed(factors, max_order))
+
+
+@st.composite
+def products_of_generating_sets(draw, max_order: int, max_factors: int = 3) -> FiniteGroup:
+    """A direct product of 2..max_factors groups from ``random_generating_sets``,
+    bracketed at random: factors are drawn while the order stays at most
+    max_order, so two always fit when max_order >= 24^2, the small groups
+    having order at most 24.  Each factor's labels carry their own letter,
+    so none collide."""
+    factors, order = [], 1
+    for letter in "abcdefgh"[:draw(st.integers(2, max_factors))]:
+        F = draw(random_generating_sets())
+        if order * F.order > max_order:
+            break
+        factors.append(FiniteGroup(F.table, [(f"{letter}{x}", x) for _, x in F.gens], name=F.name))
+        order *= F.order
     return draw(bracketed(factors, max_order))
 
 

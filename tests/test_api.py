@@ -8,8 +8,8 @@ import types
 from pathlib import Path
 
 import groupwidths
-from groupwidths.finite_groups import sym3_fink
-from groupwidths.pal_width import reachable_pairs
+from groupwidths.finite_groups import cyclic, direct_product, sym3_fink
+from groupwidths.pal_width import NOTIONS, palindrome_elements, palindromic_width, reachable_pairs
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -57,3 +57,11 @@ def test_benchmark_traced_names_resolve():
     assert reach.pairs.shape == (G.order * len(reach.defect), 2)
     for counter, amount in tracing.WORK["pal_width.reachable_pairs"]:
         assert amount((G,), reach) == len(reach.pairs), counter
+    # every width counter, on the results of a two-factor product
+    product = direct_product(G, cyclic(4))
+    for notion in NOTIONS:
+        for name, call in (("pal_width.palindromic_width", palindromic_width),
+                           ("pal_width.palindrome_elements", palindrome_elements)):
+            result = call(product, notion)
+            for counter, amount in tracing.WORK[name]:
+                assert amount((product, notion), result) > 0, (counter, notion)

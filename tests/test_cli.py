@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from groupwidths import cli, specs
 from groupwidths.finite_groups import direct_product, cyclic, sym3_fink
+from groupwidths.pal_width import WidthReport
 from groupwidths.specs import group_from_spec, group_to_spec
 from groupwidths.wreath import WreathGroup, format_wreath_element, q_sequence
 
@@ -46,6 +47,18 @@ class TestPw:
         report = report_of(run_cli("pw", spec, "--notion", "word"))
         assert report["result"]["width"] == 1
         assert all(report["verification"].values())
+
+    def test_verification_flags_can_fail(self, tmp_path, monkeypatch, capsys):
+        # C5 = <a>, ids a^k = k: one length array breaks each flag, a^2
+        # longer than its inverse a^3, or the generators a, a^-1 longer than 1
+        spec = write_spec(tmp_path, "c5.json", {"kind": "cyclic", "n": 5})
+        broken = {"inverses_have_equal_length": [0, 1, 2, 1, 1],
+                  "generators_have_length_le_1": [0, 2, 1, 1, 2]}
+        for flag, length in broken.items():
+            monkeypatch.setattr(cli, "palindromic_width", lambda G, notion: WidthReport(notion, length))
+            assert cli.main(["pw", spec]) == 0
+            verification = json.loads(capsys.readouterr().out)["verification"]
+            assert [name for name, ok in verification.items() if not ok] == [flag]
 
     def test_z4_squared_both_notions(self, tmp_path):
         spec = write_spec(

@@ -4,13 +4,14 @@ exact widths."""
 import contextlib
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupwidths import finite_groups
+from groupwidths import finite_groups, pal_width
 from groupwidths.finite_groups import (
     FiniteGroup,
     abelian_group,
@@ -23,13 +24,20 @@ from groupwidths.nilprod import NilProdGroup, bound_report, nilprod2_multi
 from groupwidths.pal_width import (
     NOTIONS,
     WidthReport,
+    _factor_masks,
     palindrome_elements,
     palindromic_width,
     reachable_pairs,
 )
 from groupwidths.specs import group_from_spec, group_to_spec
 
-from conftest import bracketed, direct_products, random_generating_sets, traced_peak_mib
+from conftest import (
+    bracketed,
+    direct_products,
+    products_of_generating_sets,
+    random_generating_sets,
+    traced_peak_mib,
+)
 from oracle import brute_pair_witnesses, brute_width_data
 
 
@@ -127,20 +135,54 @@ class TestWidths:
             assert palindromic_width(G, "group").width <= palindromic_width(G, "word").width
 
 
+class TestOddCounts:
+    @settings(max_examples=100, deadline=None)
+    @given(random_generating_sets())
+    def test_even_and_odd_palindromes_commute_and_invert(self, G):
+        # the lemma under the word rule for products: E*O = O*E, and E and
+        # O are closed under inverses, for any symmetric generating set
+        for F, even, odd in _factor_masks(G, "word"):
+            E, O = np.flatnonzero(even).tolist(), np.flatnonzero(odd).tolist()
+            assert {F.table[e][o] for e in E for o in O} == {F.table[o][e] for e in E for o in O}, G.gens
+            for X in (E, O):
+                assert {F.inverse[x] for x in X} == set(X), G.gens
+
+    def test_a_covering_that_never_finishes_is_an_assertion(self, monkeypatch):
+        # masks whose palindromes are the identity alone cover nothing more,
+        # on either path: the odd counts of a product and a factor's layers
+        G = direct_product(cyclic(2), cyclic(2))
+        stuck = [(F, np.arange(2) == F.identity, np.arange(2) == F.identity) for F in G.factors]
+        monkeypatch.setattr(pal_width, "_factor_masks", lambda G, notion: stuck)
+        for notion in NOTIONS:
+            with pytest.raises(AssertionError, match="stalled"):
+                palindromic_width(G, notion)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_s3_power_closed_form(self, k):
+        # in Fink's S3 every element is a word palindrome and E is the
+        # rotations, so a nonidentity element of S3^k has length the larger
+        # of 1 and its number of odd coordinates
+        G = functools.reduce(lambda A, B: direct_product(A, B, cap=6**k), [sym3_fink()] * k)
+        rep = palindromic_width(G, "word")
+        assert rep.width == k
+        assert rep.layers == [1] + [3**k * sum(math.comb(k, j) for j in range(m + 1)) for m in range(1, k + 1)]
+        assert len(rep.palindromes) == (k + 1) * 3**k
+
+
 class TestPerElementArrays:
     # S3^7, order 279,936: a report holds one length array, and neither
     # entry point builds a Python object per element
     S3_7 = functools.reduce(lambda G, H: direct_product(G, H, cap=6**7), [sym3_fink()] * 7)
 
     def test_width_report_memory(self):
-        rep, peak = traced_peak_mib(lambda: palindromic_width(self.S3_7, "group"))
-        assert peak < 16, peak
-        assert rep.width == palindromic_width(sym3_fink(), "group").width
-        assert rep.layers[-1] == self.S3_7.order
-        for array in (rep.length, rep.palindromes):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 1
+        for notion, width in (("group", palindromic_width(sym3_fink(), "group").width), ("word", 7)):
+            rep, peak = traced_peak_mib(lambda: palindromic_width(self.S3_7, notion))
+            assert peak < 16, (notion, peak)
+            assert rep.width == width and rep.layers[-1] == self.S3_7.order, notion
+            for array in (rep.length, rep.palindromes):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 1
 
     def test_palindrome_elements_memory(self):
         pal, peak = traced_peak_mib(lambda: palindrome_elements(self.S3_7, "group"))
@@ -297,8 +339,10 @@ def table_twin(G):
 
 
 class TestProductsFromFactors:
-    @settings(max_examples=50, deadline=None)
-    @given(direct_products(max_order=1300))
+    # the table twin is one factor, covered without the odd counts of a
+    # product; random generating sets give E and O that overlap
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(direct_products(max_order=1300), products_of_generating_sets(max_order=1300)))
     def test_agrees_with_the_table_path(self, G):
         assert len(G.factors) >= 2
         twin = table_twin(G)
