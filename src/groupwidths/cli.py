@@ -22,7 +22,7 @@ import time
 from .finite_groups import DEFAULT_CAP, CapExceeded
 from .free_words import format_monoid_word, is_word_palindrome
 from .nilprod import bound_report, nilprod2_multi
-from .pal_width import palindromic_width
+from .pal_width import NOTIONS, palindromic_width
 from .specs import read_factor_moduli, read_group
 from .wreath import (
     WreathGroup,
@@ -132,7 +132,7 @@ def cmd_decompose(args: argparse.Namespace) -> dict:
     return {
         "command": "decompose",
         "input_digest": _digest(args.element.encode("utf-8")),
-        "input": {"rank": 2, "top": "S3"},
+        "input": {"rank": ctx.group.rank, "top": ctx.group.top.name},
         "result": result,
         "verification": cert.flags,
     }
@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pw", help="exact palindromic width of a finite group")
     p.add_argument("group_spec", help="path to a group spec JSON file")
-    p.add_argument("--notion", choices=("word", "group"), default="word")
+    p.add_argument("--notion", choices=NOTIONS, default="word")
     p.add_argument("--lengths", action="store_true", help="include per-element lengths")
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=cmd_pw)

@@ -60,7 +60,6 @@ MAX_FACTORS = 20
 MAX_FACTOR_LETTERS = 10**7
 
 R_LETTERS = ("c", "s1", "s2", "s1", "s2")
-R_INV_LETTERS = ("s2", "s1", "s2", "s1", "c^-1")
 
 # conjugating words over the involutions s1, s2, one per S3 element;
 # the reversal of each word evaluates to the inverse of its value
@@ -82,7 +81,7 @@ class S3WreathContext:
     top_letters: dict[str, int]
     alphabet: tuple[str, ...]  # every factor is a code array over it
     r: np.ndarray  # R_LETTERS
-    r_inv: np.ndarray  # R_INV_LETTERS
+    r_inv: np.ndarray  # the formal inverse of R_LETTERS
     conjugators: dict[int, np.ndarray]  # S3 element id -> word over {s1, s2}
     top_words: dict[int, np.ndarray]  # S3 element id -> palindromic letter word
 
@@ -96,7 +95,9 @@ class S3WreathContext:
         return evaluate_letters(self.group, w, self.base_letters, self.top_letters)
 
 
-def _build_context() -> S3WreathContext:
+@lru_cache(maxsize=1)
+def s3_wreath_context() -> S3WreathContext:
+    """The F_2-by-S3 context, built and checked once per process."""
     K = sym3_fink()
     W = WreathGroup(2, K)
     base_letters = {"x": (1, 1), "x^-1": (1, -1), "y": (2, 1), "y^-1": (2, -1)}
@@ -142,15 +143,10 @@ def _build_context() -> S3WreathContext:
         top_letters,
         alphabet,
         coded(R_LETTERS),
-        coded(R_INV_LETTERS),
+        coded(tuple(label_of[K.inverse[top_letters[a]]] for a in reversed(R_LETTERS))),
         {g: coded(word) for g, word in conjugators.items()},
         {g: coded(word) for g, word in top_words.items()},
     )
-
-
-@lru_cache(maxsize=1)
-def s3_wreath_context() -> S3WreathContext:
-    return _build_context()
 
 
 def _require_s3_wreath(g: WreathElement, ctx: S3WreathContext) -> None:

@@ -23,8 +23,8 @@ the direct product and the plain sum of factor widths is an upper bound.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
-from itertools import product as iter_product
+from dataclasses import asdict, dataclass, field
+from itertools import accumulate, product as iter_product
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -81,12 +81,7 @@ class NilProdGroup:
         self.radix = [m for mod in self.factor_moduli for m in mod] + self.tensor_moduli
         self.order = prod(self.radix)
         _check_cap(self.order, self.cap, "nilpotent product")
-        self._offsets = []
-        off = 0
-        for mod in self.factor_moduli:
-            self._offsets.append(off)
-            off += len(mod)
-        self._tensor_offset = off
+        *self._offsets, self._tensor_offset = accumulate(map(len, self.factor_moduli), initial=0)
         self.group = self._build_group()
 
     # -- coordinate plumbing -------------------------------------------
@@ -112,17 +107,15 @@ class NilProdGroup:
         mod = self.factor_moduli[i]
         if len(vector) != len(mod):
             raise ValueError("vector length does not match the factor")
-        coords = [0] * len(self.radix)
         off = self._offsets[i]
-        for u, x in enumerate(vector):
-            coords[off + u] = x % mod[u]
+        coords = [0] * len(self.radix)
+        coords[off : off + len(mod)] = vector
         return self.encode(tuple(coords))
 
     def central(self, tensor: tuple[int, ...]) -> int:
         if len(tensor) != len(self.tensor_moduli):
             raise ValueError("tensor vector length mismatch")
-        coords = [0] * self._tensor_offset + [t % m for t, m in zip(tensor, self.tensor_moduli)]
-        return self.encode(tuple(coords))
+        return self.encode((0,) * self._tensor_offset + tuple(tensor))
 
     def tensor_part(self, coords: tuple[int, ...]) -> tuple[int, ...]:
         return coords[self._tensor_offset :]
@@ -132,19 +125,10 @@ class NilProdGroup:
 
     # -- export ----------------------------------------------------------
 
-    def _gen_labels(self) -> list[tuple[str, int]]:
-        # one generator per nontrivial summand: coordinate 1 there and 0
-        # elsewhere, which is that coordinate's mixed-radix stride
-        gens: list[tuple[str, int]] = []
-        for i, mod in enumerate(self.factor_moduli):
-            letter = string.ascii_lowercase[i]
-            for u, m in enumerate(mod):
-                if m > 1:
-                    label = letter if len(mod) == 1 else f"{letter}{u + 1}"
-                    gens.append((label, prod(self.radix[self._offsets[i] + u + 1 :])))
-        return gens
-
     def _build_group(self) -> FiniteGroup:
+        # the mixed-radix stride of each coordinate: an element's id is the
+        # sum of its coordinates times their strides
+        strides = [prod(self.radix[k + 1 :]) for k in range(len(self.radix))]
         # g indexes rows and h columns; each coordinate of g*h (g's plus h's,
         # less h_i (x) g_j if a tensor one) adds itself times its stride
         # into one int32 table, through one int32 scratch array (entries
@@ -154,32 +138,29 @@ class NilProdGroup:
                   for (i, j, u, v), pos in self.tensor_index.items()}
         table = np.zeros((self.order, self.order), dtype=np.int32)
         value = np.empty_like(table)
-        for k, m in enumerate(self.radix):
+        for k, (m, stride) in enumerate(zip(self.radix, strides)):
             np.add.outer(coords[k], coords[k], out=value)
             if k in tensor:
                 value -= np.multiply.outer(*(coords[c] for c in tensor[k]))
             value %= m
-            value *= prod(self.radix[k + 1 :])
+            value *= stride
             table += value
         del value  # free the scratch before FiniteGroup verifies the table
+        # one generator per nontrivial summand: coordinate 1 there and 0
+        # elsewhere, whose id is that coordinate's stride
+        gens = [(letter if len(mod) == 1 else f"{letter}{u + 1}", strides[off + u])
+                for letter, mod, off in zip(string.ascii_lowercase, self.factor_moduli, self._offsets)
+                for u, m in enumerate(mod) if m > 1]
         name = "(2){" + ",".join("x".join(map(str, m)) for m in self.factor_moduli) + "}"
-        return FiniteGroup(table, _paired_gens(self._gen_labels(), table), name=name)
+        return FiniteGroup(table, _paired_gens(gens, table), name=name)
 
     # -- structure ---------------------------------------------------------
 
     def centralizer_moduli(self, i: int) -> list[int]:
         """Per summand u of factor i, the least L with L*e_u central; the
         centralizer of the other factors consists of the multiples."""
-        out = []
-        for u, mu in enumerate(self.factor_moduli[i]):
-            L = 1
-            for j in range(self.s):
-                if j == i:
-                    continue
-                for mv in self.factor_moduli[j]:
-                    L = lcm(L, gcd(mu, mv))
-            out.append(L)
-        return out
+        others = [mv for j, mod in enumerate(self.factor_moduli) if j != i for mv in mod]
+        return [lcm(*(gcd(mu, mv) for mv in others)) for mu in self.factor_moduli[i]]
 
     def centralizer_factor(self, i: int) -> set[tuple[int, ...]]:
         """Elements of factor i commuting with every other factor."""
@@ -214,19 +195,11 @@ class BoundReport:
     exact: int | None = None
 
     def holds(self) -> bool:
-        if self.lower > self.upper:
-            return False
-        return self.exact is None or self.lower <= self.exact <= self.upper
+        inside = self.exact is None or self.lower <= self.exact <= self.upper
+        return self.lower <= self.upper and inside
 
     def to_json(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "exact": self.exact,
-            "branch": self.branch,
-            "component_widths": list(self.component_widths),
-            "m": list(self.m),
-        }
+        return asdict(self)
 
 
 def width_bounds(component_widths: list[int], m: list[int]) -> BoundReport:
@@ -238,11 +211,8 @@ def width_bounds(component_widths: list[int], m: list[int]) -> BoundReport:
     """
     if len(component_widths) != len(m):
         raise ValueError("component_widths and m must align")
-    lower = max(component_widths, default=0)
-    total = sum(component_widths)
-    if all(mi == 0 for mi in m):
-        return BoundReport(lower, total, "ii", list(component_widths), list(m))
-    return BoundReport(lower, total + 3 * sum(m), "i", list(component_widths), list(m))
+    lower, upper = max(component_widths, default=0), sum(component_widths) + 3 * sum(m)
+    return BoundReport(lower, upper, "i" if any(m) else "ii", list(component_widths), list(m))
 
 
 def bound_report(np_group: NilProdGroup, include_exact: bool = True) -> BoundReport:

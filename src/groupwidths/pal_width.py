@@ -99,12 +99,23 @@ when sum_i c_i(m, g_i) <= m: each coordinate's odd factors then take
 their own slots among the m.  g's word length is the number of m with
 sum_i c_i(m, g_i) > m.  Per factor, A(m, o) = A(m-1, o)*E | A(m-1, o-1)*O,
 so c(m, y) = min(c(m-1, y*e^-1), c(m-1, y*p^-1) + 1) over e in E and p in
-O: one pull through F's table columns per m.  Each m takes one flat outer
-sum of the rows c_i(m, .), and the covering stops at the first m where
-every sum is at most m, so no factor is expanded past the product's
-width.  In the group notion O_i is empty and c_i is 0 or infinite, which
-is the largest-coordinate rule above; that rule, and a single factor, keep
-their own covering by ``product_layers``.
+O: one pull through F's table columns per m.  c(1) is 0 on E, 1 on O
+outside E and infinite elsewhere, so it is read off the masks.
+
+*One pull per N-coset.*  From m = 1 on, each row c(m, .) is constant on
+the N-cosets.  c(1) is, since E and O are unions of N-cosets.  If c(m-1)
+is, then for n in N both y*n*e^-1 and y*(e*n)^-1 lie in the coset of
+y*e^-1, as N is normal; so c(m) is constant on cosets too, and e*n pulls
+the values that e pulls.  So from m = 2 on the pull runs through one
+element of each N-coset in E and in O, its label, at |F| entries per
+coset rather than per element: one column for A7, where N is the whole
+group.
+
+Each m takes one flat outer sum of the rows c_i(m, .), and the covering
+stops at the first m where every sum is at most m, so no factor is
+expanded past the product's width.  In the group notion O_i is empty and
+c_i is 0 or infinite, which is the largest-coordinate rule above; that
+rule, and a single factor, keep their own covering by ``product_layers``.
 
 ``palindrome_elements`` builds P by outer products of the masks, with O_i
 empty in the group notion.  Per-element data are read-only arrays over the
@@ -201,17 +212,20 @@ def palindrome_elements(G: FiniteGroup, notion: str) -> np.ndarray:
     (E_1 x ... x O_j x ... x E_k), by outer products."""
     # X: every coordinate so far in its E_i; Y: exactly one in its O_j instead
     X, Y = np.ones(1, dtype=bool), np.zeros(1, dtype=bool)
-    for _, even, odd in _factor_masks(G, notion):
+    for _, even, odd, _ in _factor_masks(G, notion):
         X, Y = (X[:, None] & even).ravel(), ((Y[:, None] & even) | (X[:, None] & odd)).ravel()
     palindromes = np.flatnonzero(X | Y)
     palindromes.flags.writeable = False
     return palindromes
 
 
-def _factor_masks(G: FiniteGroup, notion: str) -> list[tuple[FiniteGroup, np.ndarray, np.ndarray]]:
-    """G's atomic factors of order above 1, each with its (even, odd) masks:
-    the cosets of the g*h0(g) and of the g*a*h0(g) in the word notion; the
-    g with g^-1 * h0(g) in N and nothing in the group notion."""
+def _factor_masks(
+    G: FiniteGroup, notion: str
+) -> list[tuple[FiniteGroup, np.ndarray, np.ndarray, np.ndarray | None]]:
+    """G's atomic factors of order above 1, each with its (even, odd) masks
+    and N-coset labels: the cosets of the g*h0(g) and of the g*a*h0(g) in
+    the word notion; the g with g^-1 * h0(g) in N, nothing, and no labels
+    in the group notion."""
     if notion not in NOTIONS:
         raise ValueError(f"notion must be one of {NOTIONS}, got {notion!r}")
     masks = []
@@ -220,12 +234,12 @@ def _factor_masks(G: FiniteGroup, notion: str) -> list[tuple[FiniteGroup, np.nda
             continue
         T, h0, in_N = F.table, F.section, _reversal_defect(F)
         if notion == "group":
-            even, odd = in_N[T[F.inverse, h0]], np.zeros(F.order, dtype=bool)
+            even, odd, label = in_N[T[F.inverse, h0]], np.zeros(F.order, dtype=bool), None
         else:
             label = _coset_labels(F, np.flatnonzero(in_N))
             even = _cosets_of(label, T[np.arange(F.order), h0])
             odd = _cosets_of(label, T[T[:, F.gen_ids], h0[:, None]])
-        masks.append((F, even, odd))
+        masks.append((F, even, odd, label))
     return masks
 
 
@@ -274,7 +288,7 @@ def palindromic_width(G: FiniteGroup, notion: str) -> WidthReport:
     # a flat outer product prepends a factor's id as the highest mixed-radix
     # digit; the long axis last keeps numpy's inner loop long
     length = np.zeros(1, dtype=np.intp)
-    for F, even, odd in reversed(masks):
+    for F, even, odd, _ in reversed(masks):
         own = _lengths(product_layers(F, np.flatnonzero(even | odd)), F.order)
         length = np.maximum(own[:, None], length).ravel()
     return WidthReport(notion, length)
@@ -290,20 +304,27 @@ def _lengths(layers: list[np.ndarray], order: int) -> np.ndarray:
     return length
 
 
-def _odd_counts(F: FiniteGroup, even: np.ndarray, odd: np.ndarray):
+def _odd_counts(F: FiniteGroup, even: np.ndarray, odd: np.ndarray, label: np.ndarray):
     """Yields the rows c(m, .) over F's ids for m = 0, 1, ...: the least o
-    with x in E^(m-o)*O^o, inf where there is none."""
+    with x in E^(m-o)*O^o, inf where there is none.  Rows from m = 2 on
+    are pulled through the N-cosets' labels in E and in O."""
+    heads = np.flatnonzero(label == np.arange(F.order))
     # column p^-1 of F.table maps y to y*p^-1
-    by_even, by_odd = (F.table[:, F.inverse[np.flatnonzero(mask)]] for mask in (even, odd))
+    by_even, by_odd = (F.table[:, F.inverse[heads[mask[heads]]]] for mask in (even, odd))
     # float32 holds inf, and every sum of counts below 2^24 exactly
     counts = np.full(F.order, np.inf, dtype=np.float32)
     counts[F.identity] = 0
+    yield counts
+    counts = np.full(F.order, np.inf, dtype=np.float32)
+    counts[odd], counts[even] = 1, 0
     while True:
         yield counts
         counts = np.minimum(counts[by_even].min(axis=1), counts[by_odd].min(axis=1) + 1)
 
 
-def _odd_count_layers(masks: list[tuple[FiniteGroup, np.ndarray, np.ndarray]], order: int) -> list[np.ndarray]:
+def _odd_count_layers(
+    masks: list[tuple[FiniteGroup, np.ndarray, np.ndarray, np.ndarray]], order: int
+) -> list[np.ndarray]:
     """The word covering's layers over flat product ids: layer m holds the
     g first with sum_i c_i(m, g_i) <= m, one outer sum of the factors' rows
     per m.  The covering stops once every element is seen, or at a layer

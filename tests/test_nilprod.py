@@ -12,7 +12,7 @@ from groupwidths.finite_groups import (
     cyclic,
     dihedral,
 )
-from groupwidths.nilprod import NilProdGroup, bound_report, nilprod2_multi, width_bounds
+from groupwidths.nilprod import BoundReport, NilProdGroup, bound_report, nilprod2_multi, width_bounds
 from groupwidths.pal_width import palindromic_width
 from conftest import traced_peak_mib
 from oracle import tensor_of
@@ -239,6 +239,79 @@ class TestMulti:
             y = np3.embed(j, (1,))
             c = commutator(G, x, y)
             assert c != G.identity and G.element_order(c) == 2
+
+
+PLUMBING_FACTORS = [[[2, 2], [2]], [[4], [2], [2]], [[1], [3]]]
+
+
+class TestCoordinatePlumbing:
+    @pytest.mark.parametrize("factors", PLUMBING_FACTORS)
+    def test_encode_inverts_decode(self, factors):
+        np_group = NilProdGroup(factors)
+        for e in range(np_group.order):
+            assert np_group.encode(np_group.decode(e)) == e
+
+    @pytest.mark.parametrize("factors", PLUMBING_FACTORS)
+    def test_embed_and_central_reduce_their_entries(self, factors):
+        np_group = NilProdGroup(factors)
+        for i, moduli in enumerate(np_group.factor_moduli):
+            for vec in np_group.factor_elements(i):
+                for k in (-3, -1, 2):
+                    shifted = tuple(x + k * m for x, m in zip(vec, moduli))
+                    assert np_group.embed(i, shifted) == np_group.embed(i, vec)
+        tensors = itertools.product(*(range(m) for m in np_group.tensor_moduli))
+        for vec in tensors:
+            for k in (-2, 1, 5):
+                shifted = tuple(x + k * m for x, m in zip(vec, np_group.tensor_moduli))
+                assert np_group.central(shifted) == np_group.central(vec)
+                assert np_group.tensor_part(np_group.decode(np_group.central(shifted))) == vec
+
+    @pytest.mark.parametrize("factors", PLUMBING_FACTORS)
+    def test_generators_are_unit_vectors_at_their_summands(self, factors):
+        np_group = NilProdGroup(factors)
+        # summand u of factor i sits at coordinate len(factors[:i]) + u
+        summands = [(i, u) for i, mod in enumerate(factors) for u in range(len(mod))]
+        expected = {}
+        for pos, (i, u) in enumerate(summands):
+            m = factors[i][u]
+            if m > 1:
+                label = "abc"[i] if len(factors[i]) == 1 else f"{'abc'[i]}{u + 1}"
+                unit = [0] * len(np_group.radix)
+                unit[pos] = 1
+                expected[label] = tuple(unit)
+                unit[pos] = m - 1
+                expected[label + "^-1"] = tuple(unit)
+        for label, g in np_group.group.gens:
+            assert np_group.decode(g) == expected.pop(label), label
+        # the involutions have no ^-1 partner
+        assert all(label.endswith("^-1") for label in expected)
+        for label, v in expected.items():
+            assert v == np_group.decode(np_group.group.labels[label[:-3]]), label
+
+
+class TestBoundReportJson:
+    @pytest.mark.parametrize("m,branch", [([1, 0], "i"), ([0, 0], "ii")])
+    @pytest.mark.parametrize("exact", [None, 2])
+    def test_to_json_is_the_fields(self, m, branch, exact):
+        rep = width_bounds([1, 2], m)
+        rep.exact = exact
+        upper = 3 + 3 * sum(m)
+        out = rep.to_json()
+        assert out == {"lower": 2, "upper": upper, "branch": branch,
+                       "component_widths": [1, 2], "m": m, "exact": exact}
+        assert list(out) == ["lower", "upper", "branch", "component_widths", "m", "exact"]
+        # the lists are copies: editing the JSON leaves the report alone
+        out["component_widths"].append(7)
+        out["m"].append(7)
+        assert (rep.component_widths, rep.m) == ([1, 2], m)
+
+    def test_holds(self):
+        assert width_bounds([1, 2], [1, 0]).holds()
+        for exact, ok in ((1, False), (2, True), (6, True), (7, False)):
+            rep = width_bounds([1, 2], [1, 0])
+            rep.exact = exact
+            assert rep.holds() is ok, exact
+        assert not BoundReport(3, 2, "ii", [3], [0]).holds()
 
 
 class TestBounds:

@@ -141,7 +141,7 @@ class TestOddCounts:
     def test_even_and_odd_palindromes_commute_and_invert(self, G):
         # the lemma under the word rule for products: E*O = O*E, and E and
         # O are closed under inverses, for any symmetric generating set
-        for F, even, odd in _factor_masks(G, "word"):
+        for F, even, odd, _ in _factor_masks(G, "word"):
             E, O = np.flatnonzero(even).tolist(), np.flatnonzero(odd).tolist()
             assert {F.table[e][o] for e in E for o in O} == {F.table[o][e] for e in E for o in O}, G.gens
             for X in (E, O):
@@ -150,8 +150,10 @@ class TestOddCounts:
     def test_a_covering_that_never_finishes_is_an_assertion(self, monkeypatch):
         # masks whose palindromes are the identity alone cover nothing more,
         # on either path: the odd counts of a product and a factor's layers
+        # (each element its own coset label, as for a trivial N)
         G = direct_product(cyclic(2), cyclic(2))
-        stuck = [(F, np.arange(2) == F.identity, np.arange(2) == F.identity) for F in G.factors]
+        identity = [np.arange(2) == F.identity for F in G.factors]
+        stuck = [(F, e, e, np.arange(2)) for F, e in zip(G.factors, identity)]
         monkeypatch.setattr(pal_width, "_factor_masks", lambda G, notion: stuck)
         for notion in NOTIONS:
             with pytest.raises(AssertionError, match="stalled"):
@@ -323,11 +325,14 @@ class TestReversalDefect:
         G = permutation_group(["(0123456)", "(124)(365)", "(06)(23)"], 7)
         assert G.order == 2520 and G.factors == ()
         assert len(reachable_pairs(G).defect) == 2520
-        for notion in NOTIONS:
-            rep, peak = traced_peak_mib(lambda: palindromic_width(G, notion))
-            assert rep.width == 1 and rep.layers == [1, 2520], notion
-            # no array of order^2 bytes, let alone entries
-            assert peak < G.order**2 / 2**20, (notion, peak)
+        # A7 x C2 runs the word notion's odd counts, which pull one column
+        # per N-coset of A7 rather than one per element
+        GC = direct_product(G, cyclic(2), cap=5040)
+        for H, notion in itertools.product((G, GC), NOTIONS):
+            rep, peak = traced_peak_mib(lambda: palindromic_width(H, notion))
+            assert rep.width == 1 and rep.layers == [1, H.order], (H.name, notion)
+            # no array of A7's order^2 bytes, let alone entries
+            assert peak < G.order**2 / 2**20, (H.name, notion, peak)
 
 
 def table_twin(G):

@@ -25,3 +25,20 @@ def test_width_survey():
     lines = out.splitlines()
     assert "(2){2,2}         |G|=8    [1 <= 2 <= 8]  branch i (3*sum(m)=6)" in lines
     assert "C2xC4        |G|=8    pw(word)=2  pw(group)=1  |P_word|=6   |P_group|=8" in lines
+
+
+def test_code_lines():
+    lines = run_script("code_lines.py").splitlines()
+    counts = {name: int(count) for name, count in map(str.split, lines)}
+    total = counts.pop("total")
+    assert "nilprod.py" in counts and "__init__.py" in counts
+    assert total == sum(counts.values()) > 0
+
+
+def test_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
+    (tmp_path / "m.py").write_text(
+        '"""Module\ndocstring."""\n\n# a comment\n'
+        'def f(x):\n    """Doc."""\n    s = """not a\n    docstring"""  # trailing\n'
+        '    return (x,\n            s)\n'
+    )
+    assert run_script("code_lines.py", str(tmp_path)).split() == ["m.py", "5", "total", "5"]
