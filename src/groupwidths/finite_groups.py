@@ -95,8 +95,6 @@ __all__ = [
     "commutator_set",
     "commutator_subgroup",
     "commutator_width",
-    "find_isomorphism",
-    "are_isomorphic",
 ]
 
 DEFAULT_CAP = 512
@@ -280,12 +278,6 @@ class FiniteGroup:
         return section
 
     # -- arithmetic ----------------------------------------------------
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self.inverse[a])
 
     def elements(self) -> range:
         return range(self.order)
@@ -559,77 +551,6 @@ def commutator_width(G: FiniteGroup) -> int:
     """Exact commutator width by product-set covering of the derived
     subgroup; 0 when the derived subgroup is trivial."""
     return len(product_layers(G, _commutator_ids(G))) - 1
-
-
-def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> list[int] | None:
-    """An isomorphism G -> H as an id permutation, or None.
-
-    Backtracks over images of G's generators among H-elements of equal
-    order, extending each partial assignment multiplicatively.  Intended
-    for small orders (the sandwich and identification checks).
-    """
-    if G.order != H.order:
-        return None
-    if sorted(map(G.element_order, G.elements())) != sorted(map(H.element_order, H.elements())):
-        return None
-    gen_ids: list[int] = []
-    for _, g in G.gens:
-        if g not in gen_ids:
-            gen_ids.append(g)
-    by_order: dict[int, list[int]] = {}
-    for h in H.elements():
-        by_order.setdefault(H.element_order(h), []).append(h)
-
-    def close(assign: dict[int, int]) -> dict[int, int] | None:
-        # close the partial generator map under products; None on clash
-        phi = {G.identity: H.identity}
-        used = {H.identity}
-        queue = deque([G.identity])
-        while queue:
-            x = queue.popleft()
-            for g, h in assign.items():
-                xg, yh = G.mul(x, g), H.mul(phi[x], h)
-                if xg in phi:
-                    if phi[xg] != yh:
-                        return None
-                elif yh in used:
-                    return None
-                else:
-                    phi[xg] = yh
-                    used.add(yh)
-                    queue.append(xg)
-        return phi
-
-    def search(k: int, assign: dict[int, int]) -> list[int] | None:
-        phi = close(assign)
-        if phi is None:
-            return None
-        if k == len(gen_ids):
-            if len(phi) < G.order:
-                return None
-            perm = np.array([phi[g] for g in range(G.order)])
-            ok = np.array_equal(H.table[perm[:, None], perm], perm[G.table])
-            return perm.tolist() if ok else None
-        g = gen_ids[k]
-        if g in phi:
-            # image already forced by earlier assignments
-            assign[g] = phi[g]
-            result = search(k + 1, assign)
-            del assign[g]
-            return result
-        for h in by_order[G.element_order(g)]:
-            assign[g] = h
-            result = search(k + 1, assign)
-            if result is not None:
-                return result
-            del assign[g]
-        return None
-
-    return search(0, {})
-
-
-def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
-    return find_isomorphism(G, H) is not None
 
 
 # perfbench builds groups by ``finite_groups.group_from_spec`` and traces

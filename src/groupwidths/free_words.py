@@ -169,9 +169,10 @@ def is_word_palindrome(w: MonoidWord) -> bool:
     return np.array_equal(w.codes, w.codes[::-1])
 
 
-# letter of a free-group alphabet: x<i> or x<i>^-1, with x/y aliases for
-# rank 2; indices are ASCII digits only, not any Unicode digit
-_FREE_LETTER_RE = re.compile(r"x([0-9]+)(\^-1)?")
+# syllable x<i> or x<i>^<e>, with x/y aliases for rank 2; indices and
+# exponents are ASCII digits only, not any Unicode digit.  A letter of a
+# free-group alphabet is a syllable whose exponent is absent or exactly -1
+_SYLLABLE_RE = re.compile(r"x([0-9]+)(?:\^(-?[0-9]+))?")
 _LETTER_ALIASES = {"x": "x1", "y": "x2", "x^-1": "x1^-1", "y^-1": "x2^-1"}
 
 # generator indices are int64, so a rank is at most this
@@ -182,9 +183,8 @@ _SMALL_EXP = 2**31
 
 
 def _letter_to_syllable(letter: str) -> tuple[int, int]:
-    letter = _LETTER_ALIASES.get(letter, letter)
-    m = _FREE_LETTER_RE.fullmatch(letter)
-    if m is None:
+    m = _SYLLABLE_RE.fullmatch(_LETTER_ALIASES.get(letter, letter))
+    if m is None or m.group(2) not in (None, "-1"):
         raise ValueError(f"not a free-group letter: {letter!r}")
     return int(m.group(1)), -1 if m.group(2) else 1
 
@@ -507,10 +507,6 @@ def format_free_word(w: FreeWord) -> str:
     return " ".join(
         f"x{g}" if e == 1 else f"x{g}^{e}" for g, e in zip(w.gens.tolist(), w.exps.tolist())
     )
-
-
-# indices and exponents are ASCII digits only
-_SYLLABLE_RE = re.compile(r"x([0-9]+)(?:\^(-?[0-9]+))?")
 
 
 def _split_commutator(text: str) -> tuple[str, str]:

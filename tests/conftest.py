@@ -1,5 +1,6 @@
 """Shared test helpers: seeded random words and wreath elements, groups
-with relabelled element ids, small relabelled groups with random
+with relabelled element ids, maps between groups named by label words,
+small relabelled groups with random
 generating sets and their products, random nested direct products,
 free-word texts spelled out letter by letter, and a call's traced peak
 memory."""
@@ -64,6 +65,12 @@ def relabel(G: FiniteGroup, perm: list[int]) -> FiniteGroup:
     table = np.empty_like(G.table)
     table[np.ix_(p, p)] = p[G.table]
     return FiniteGroup(table, [(label, perm[g]) for label, g in G.gens], name=G.name)
+
+
+def label_map(G: FiniteGroup, H: FiniteGroup, words: dict[str, str]) -> dict[int, int]:
+    """A map named by label words: the value in G of each '*'-joined word
+    to the value in H of its image."""
+    return {G.element_from_label_word(u): H.element_from_label_word(v) for u, v in words.items()}
 
 
 # groups of order at most 24 for the brute-force comparisons of the closures

@@ -23,11 +23,18 @@ of the production pair/covering formulas are used.
 ``brute_layers`` is the breadth-first layers of {1} under right
 multiplication by a factor list, one product at a time over Python sets;
 it shares no code with ``product_layers``.
+
+``extends_to_isomorphism`` checks a named isomorphism: a map given on
+generating elements, extended along products and compared against both
+tables.  It searches for nothing, so a test that identifies two groups
+states the map that identifies them.
 """
 
 from __future__ import annotations
 
 from collections import deque
+
+import numpy as np
 
 from groupwidths.finite_groups import FiniteGroup, evaluate
 from groupwidths.free_words import FreeWord, MonoidWord, is_word_palindrome
@@ -110,6 +117,28 @@ def brute_layers(G: FiniteGroup, factors) -> list[list[int]]:
             return layers
         seen |= new
         layers.append(sorted(new))
+
+
+def extends_to_isomorphism(G: FiniteGroup, H: FiniteGroup, images: dict[int, int]) -> bool:
+    """True iff the map g -> images[g], on elements g of G, extends to an
+    isomorphism G -> H.  The map, with 1 -> 1 unless ``images`` says
+    otherwise, is closed breadth-first under right multiplication: x*g
+    takes phi(x)*images[g] when first reached.  The result must cover G
+    (the g generate it), be a bijection onto H, and be multiplicative on
+    the whole table, which makes it agree on every other path too."""
+    phi = {G.identity: H.identity, **images}
+    queue = deque(phi)
+    while queue:
+        x = queue.popleft()
+        for g, h in images.items():
+            xg = int(G.table[x][g])
+            if xg not in phi:
+                phi[xg] = int(H.table[phi[x]][h])
+                queue.append(xg)
+    if len(phi) != G.order or sorted(phi.values()) != list(range(H.order)):
+        return False
+    perm = np.array([phi[x] for x in range(G.order)])
+    return np.array_equal(H.table[perm[:, None], perm], perm[G.table])
 
 
 def reference_evaluate_letters(

@@ -13,7 +13,6 @@ import numpy as np
 
 from groupwidths.decompose import decompose, s3_wreath_context
 from groupwidths.finite_groups import (
-    are_isomorphic,
     cyclic,
     dihedral,
     direct_product,
@@ -32,8 +31,8 @@ from groupwidths.wreath import (
     w_multiply,
 )
 
-from conftest import random_reduced_word, random_wreath_element
-from oracle import brute_width_data
+from conftest import label_map, random_reduced_word, random_wreath_element
+from oracle import brute_width_data, extends_to_isomorphism
 
 def report(criterion: int, ok: bool, budget_s: float, elapsed: float, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
@@ -157,7 +156,8 @@ def test_criterion_5_width_oracle_suite():
 
 def test_criterion_6_nilpotent_product_suite():
     start = time.perf_counter()
-    ok = are_isomorphic(NilProdGroup([[2], [2]]).group, dihedral(4))
+    Z2Z2, D4 = NilProdGroup([[2], [2]]).group, dihedral(4)
+    ok = extends_to_isomorphism(Z2Z2, D4, label_map(Z2Z2, D4, {"a": "s", "b": "r*s"}))
     factors = [[2], [3], [4], [2, 2]]
     for A, B in itertools.product(factors, repeat=2):
         np2 = NilProdGroup([A, B])

@@ -16,7 +16,6 @@ from groupwidths.finite_groups import (
     CapExceeded,
     FiniteGroup,
     abelian_group,
-    are_isomorphic,
     commutator_set,
     commutator_subgroup,
     commutator_width,
@@ -24,7 +23,6 @@ from groupwidths.finite_groups import (
     dihedral,
     direct_product,
     evaluate,
-    find_isomorphism,
     product_layers,
     sym3_fink,
 )
@@ -32,8 +30,8 @@ from groupwidths.free_words import MonoidWord, parse_monoid_word
 from groupwidths.pal_width import NOTIONS, palindromic_width
 from groupwidths.specs import group_from_spec, group_to_spec, spec_from_json
 
-from conftest import direct_products, moved_identity, relabelled_small_groups
-from oracle import brute_layers
+from conftest import SMALL_GROUPS, direct_products, label_map, moved_identity, relabel, relabelled_small_groups
+from oracle import brute_layers, extends_to_isomorphism
 
 
 class TestConstructors:
@@ -197,7 +195,7 @@ class TestTableVerification:
         assert G.table.dtype == np.int32 and G.table.flags.c_contiguous
         with pytest.raises(ValueError):
             G.table[0, 0] = 1
-        scalars = [G.identity, G.order, G.mul(1, 2), G.inv(1), *G.labels.values()]
+        scalars = [G.identity, G.order, *G.labels.values()]
         scalars += [g for _, g in G.gens]
         scalars += [evaluate(G, parse_monoid_word("r s a")), G.element_from_label_word("r*a")]
         assert all(type(x) is int for x in scalars)
@@ -328,7 +326,7 @@ class TestProductLayers:
             # a subset of the cyclic subgroup of an element of order below |G|
             x = data.draw(st.sampled_from([g for g in elements if G.element_order(g) < G.order] or [G.identity]))
             powers = [G.identity]
-            while (y := G.mul(powers[-1], x)) != G.identity:
+            while (y := int(G.table[powers[-1], x])) != G.identity:
                 powers.append(y)
             return sorted(data.draw(st.sets(st.sampled_from(powers), min_size=1)))
         if kind == "commutators":
@@ -491,17 +489,43 @@ class TestLazyProductTable:
 
 
 class TestIsomorphism:
+    """The oracle's check of a named isomorphism, with negative controls."""
+
     def test_self(self):
         G = dihedral(4)
-        assert find_isomorphism(G, G) is not None
+        assert extends_to_isomorphism(G, G, {g: g for _, g in G.gens})
 
     def test_rejects(self):
-        assert not are_isomorphic(cyclic(4), abelian_group([2, 2]))
-        assert not are_isomorphic(dihedral(3), cyclic(6))
+        for G, H, words in [
+            # a generator sent to an element of another order: onto too
+            # few elements, then onto all of H but not multiplicatively
+            (cyclic(4), abelian_group([2, 2]), {"a": "a"}),
+            (cyclic(4), abelian_group([2, 2]), {"a": "a", "a*a": "b"}),
+            (dihedral(3), cyclic(6), {"r": "a*a", "s": "a*a*a"}),
+            # a homomorphism that is not onto
+            (cyclic(6), cyclic(6), {"a": "a*a"}),
+            # images of elements that do not generate G, onto H or not
+            (cyclic(6), cyclic(6), {"a*a": "a*a"}),
+            (cyclic(6), cyclic(3), {"a*a": "a"}),
+            # the identity sent elsewhere
+            (cyclic(2), cyclic(2), {"1": "a", "a": "a"}),
+        ]:
+            assert not extends_to_isomorphism(G, H, label_map(G, H, words)), (G.name, H.name, words)
 
     def test_accepts(self):
-        assert are_isomorphic(dihedral(3), sym3_fink())
-        assert are_isomorphic(abelian_group([2, 3]), cyclic(6))
+        D3, S3 = dihedral(3), sym3_fink()
+        assert extends_to_isomorphism(D3, S3, label_map(D3, S3, {"r": "c", "s": "s1"}))
+        A, C = abelian_group([2, 3]), cyclic(6)
+        assert extends_to_isomorphism(A, C, label_map(A, C, {"a": "a*a*a", "b": "a*a"}))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(SMALL_GROUPS), st.data())
+    def test_relabelling_is_an_isomorphism(self, G, data):
+        perm = data.draw(st.permutations(range(G.order)))
+        H = relabel(G, perm)
+        assert extends_to_isomorphism(G, H, {g: perm[g] for _, g in G.gens})
+        if G.order > 1:
+            assert not extends_to_isomorphism(G, H, {g: H.identity for _, g in G.gens})
 
 
 class TestSpecs:

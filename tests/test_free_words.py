@@ -117,6 +117,15 @@ class TestReduce:
             reduce_word(MonoidWord(("x3", "x3^-1")), rank=2)
         assert reduce_word(MonoidWord(("x3", "x3^-1"))).rank == 3
 
+    @pytest.mark.parametrize("letter", ["x1^1", "x1^2", "x1^-2", "x1^-01", "x^2", "y^1", "x1^0", "x1^-0", "x1^+1"])
+    def test_a_letter_takes_no_exponent_but_minus_one(self, letter):
+        # a syllable is not a letter: its exponent is absent or exactly -1
+        with pytest.raises(ValueError, match="not a free-group letter"):
+            reduce_word(MonoidWord((letter,)))
+
+    def test_an_index_may_have_leading_zeros(self):
+        assert reduce_word(MonoidWord(("x01", "x1^-1", "x001^-1"))).syllables == ((1, -1),)
+
     @given(monoid_words)
     def test_idempotent(self, w):
         reduced = reduce_word(w, rank=2)

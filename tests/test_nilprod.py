@@ -8,14 +8,13 @@ import pytest
 from groupwidths.finite_groups import (
     CapExceeded,
     abelian_group,
-    are_isomorphic,
     cyclic,
     dihedral,
 )
 from groupwidths.nilprod import BoundReport, NilProdGroup, bound_report, nilprod2_multi, width_bounds
 from groupwidths.pal_width import palindromic_width
-from conftest import traced_peak_mib
-from oracle import tensor_of
+from conftest import label_map, traced_peak_mib
+from oracle import extends_to_isomorphism, tensor_of
 
 PAIR_FACTORS = [[2], [3], [4], [2, 2]]
 
@@ -48,13 +47,16 @@ class TestConstruction:
         assert np2.order == 8
         assert not np2.group.is_abelian()
         assert all(np2.group.element_order(g) == 2 for _, g in np2.group.gens)
-        assert are_isomorphic(np2.group, dihedral(4))
+        # two involutions whose product has order 4
+        D = dihedral(4)
+        assert extends_to_isomorphism(np2.group, D, label_map(np2.group, D, {"a": "s", "b": "r*s"}))
 
     def test_coprime_factors_give_direct_product(self):
         np2 = NilProdGroup([[2], [3]])
         assert np2.order == 6
         assert np2.group.is_abelian()
-        assert are_isomorphic(np2.group, cyclic(6))
+        C = cyclic(6)
+        assert extends_to_isomorphism(np2.group, C, label_map(np2.group, C, {"a": "a*a*a", "b": "a*a"}))
 
     def test_z3_z3_heisenberg_type(self):
         np2 = NilProdGroup([[3], [3]])
@@ -216,19 +218,23 @@ class TestMulti:
     def test_single_factor(self):
         np1 = nilprod2_multi([[2, 3]])
         assert np1.order == 6
-        assert are_isomorphic(np1.group, abelian_group([2, 3]))
+        A = abelian_group([2, 3])
+        assert extends_to_isomorphism(np1.group, A, label_map(np1.group, A, {"a1": "a", "a2": "b"}))
 
     def test_three_z2(self):
         assert nilprod2_multi([[2], [2], [2]]).order == 64
 
     def test_coprime_pair(self):
-        assert are_isomorphic(nilprod2_multi([[2], [3]]).group, cyclic(6))
+        G, C = nilprod2_multi([[2], [3]]).group, cyclic(6)
+        assert extends_to_isomorphism(G, C, label_map(G, C, {"a": "a*a*a", "b": "a*a"}))
 
     def test_commutative_up_to_isomorphism(self):
         a = nilprod2_multi([[2], [2], [3]])
         b = nilprod2_multi([[3], [2], [2]])
         assert a.order == b.order == 24
-        assert are_isomorphic(a.group, b.group)
+        # the factors' generators follow the factors
+        images = label_map(a.group, b.group, {"a": "b", "b": "c", "c": "a"})
+        assert extends_to_isomorphism(a.group, b.group, images)
 
     def test_pairwise_tensors(self):
         np3 = nilprod2_multi([[2], [2], [2]])
