@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import importlib
 import json
 import os
@@ -23,7 +22,7 @@ from .finite_groups import DEFAULT_CAP, CapExceeded
 from .free_words import format_monoid_word, is_word_palindrome
 from .nilprod import bound_report, nilprod2_multi
 from .pal_width import NOTIONS, palindromic_width
-from .specs import read_factor_moduli, read_group
+from .specs import _digest, read_factor_moduli, read_group
 from .wreath import (
     WreathGroup,
     certify_cw_lower_bound,
@@ -44,17 +43,13 @@ EXIT_CAP = 3
 EXIT_INVARIANT = 4
 
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _emit(report: dict, pretty: bool) -> None:
     json.dump(report, sys.stdout, indent=2 if pretty else None, sort_keys=True)
     sys.stdout.write("\n")
 
 
 def cmd_pw(args: argparse.Namespace) -> dict:
-    G, raw = read_group(args.group_spec, args.cap)
+    G, digest = read_group(args.group_spec, args.cap)
     report = palindromic_width(G, args.notion)
     result = report.to_json(include_lengths=args.lengths)
     # width, layers and palindromes are read off the length array, so these
@@ -67,7 +62,7 @@ def cmd_pw(args: argparse.Namespace) -> dict:
     }
     return {
         "command": "pw",
-        "input_digest": _digest(raw),
+        "input_digest": digest,
         "input": {"group": G.name, "order": G.order, "notion": args.notion},
         "result": result,
         "verification": verification,
@@ -139,13 +134,13 @@ def cmd_decompose(args: argparse.Namespace) -> dict:
 
 
 def cmd_nilprod(args: argparse.Namespace) -> dict:
-    moduli, raw = read_factor_moduli(args.specs)
+    moduli, digest = read_factor_moduli(args.specs)
     np_group = nilprod2_multi(moduli, cap=args.cap)
     report = bound_report(np_group, include_exact=not args.no_exact)
     verification = {"bounds_ordered": report.lower <= report.upper, "sandwich": report.holds()}
     return {
         "command": "nilprod",
-        "input_digest": _digest(raw),
+        "input_digest": digest,
         "input": {"factors": np_group.factor_moduli, "order": np_group.order},
         "result": report.to_json(),
         "verification": verification,

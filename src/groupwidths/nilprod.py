@@ -29,7 +29,7 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from .finite_groups import DEFAULT_CAP, FiniteGroup, _check_cap, _paired_gens
+from .finite_groups import DEFAULT_CAP, FiniteGroup, _block_rows, _check_cap, _paired_gens
 from .pal_width import palindromic_width
 from .specs import _json_int
 
@@ -131,21 +131,27 @@ class NilProdGroup:
         strides = [prod(self.radix[k + 1 :]) for k in range(len(self.radix))]
         # g indexes rows and h columns; each coordinate of g*h (g's plus h's,
         # less h_i (x) g_j if a tensor one) adds itself times its stride
-        # into one int32 table, through one int32 scratch array (entries
-        # stay below the order, and FiniteGroup stores int32)
+        # into the int32 table (entries stay below the order), one block of
+        # rows at a time through two block-sized scratch arrays
         coords = [c.astype(np.int32) for c in np.unravel_index(np.arange(self.order), self.radix)]
         tensor = {self._tensor_offset + pos: (self._offsets[j] + v, self._offsets[i] + u)
                   for (i, j, u, v), pos in self.tensor_index.items()}
         table = np.zeros((self.order, self.order), dtype=np.int32)
-        value = np.empty_like(table)
-        for k, (m, stride) in enumerate(zip(self.radix, strides)):
-            np.add.outer(coords[k], coords[k], out=value)
-            if k in tensor:
-                value -= np.multiply.outer(*(coords[c] for c in tensor[k]))
-            value %= m
-            value *= stride
-            table += value
-        del value  # free the scratch before FiniteGroup verifies the table
+        step = _block_rows(self.order)
+        value, product = (np.empty((step, self.order), dtype=np.int32) for _ in range(2))
+        for r in range(0, self.order, step):
+            rows = table[r : r + step]
+            g = slice(r, r + len(rows))
+            for k, (m, stride) in enumerate(zip(self.radix, strides)):
+                v = np.add.outer(coords[k][g], coords[k], out=value[: len(rows)])
+                if k in tensor:
+                    a, b = tensor[k]
+                    v -= np.multiply.outer(coords[a][g], coords[b], out=product[: len(rows)])
+                v %= m
+                v *= stride
+                rows += v
+        # handed over frozen, so FiniteGroup keeps it rather than copying
+        table.flags.writeable = False
         # one generator per nontrivial summand: coordinate 1 there and 0
         # elsewhere, whose id is that coordinate's stride
         gens = [(letter if len(mod) == 1 else f"{letter}{u + 1}", strides[off + u])

@@ -223,6 +223,21 @@ class TestDecompose:
         assert report_of(run_cli("decompose", target))["result"] == report["result"]
 
 
+class TestInputDigest:
+    def test_pw_and_nilprod_digest_the_files_bytes(self, tmp_path, capsys):
+        # the readers hash the file's bytes and free them before parsing
+        inputs = [
+            ("pw", group_to_spec(direct_product(sym3_fink(), cyclic(2)))),
+            ("pw", {"kind": "cyclic", "n": 4}),
+            ("nilprod", [{"moduli": [2]}, {"moduli": [4]}]),
+        ]
+        for i, (command, payload) in enumerate(inputs):
+            path = write_spec(tmp_path, f"in{i}.json", payload)
+            assert cli.main([command, path]) == 0
+            digest = json.loads(capsys.readouterr().out)["input_digest"]
+            assert digest == hashlib.sha256((tmp_path / f"in{i}.json").read_bytes()).hexdigest()
+
+
 class TestNilprod:
     def test_z2_z2(self, tmp_path):
         path = write_spec(tmp_path, "np.json", [{"moduli": [2]}, {"moduli": [2]}])
@@ -508,9 +523,9 @@ class TestDirectProductTables:
         built = []
 
         def recording(path, cap):
-            G, raw = specs.read_group(path, cap)
+            G, digest = specs.read_group(path, cap)
             built.append(G)
-            return G, raw
+            return G, digest
 
         monkeypatch.setattr(cli, "read_group", recording)
         path = write_spec(tmp_path, "s3_5.json", self.S3_5)

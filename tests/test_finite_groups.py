@@ -5,13 +5,14 @@ import math
 import random
 import re
 import string
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupwidths import finite_groups
+from groupwidths import finite_groups, specs
 from groupwidths.finite_groups import (
     CapExceeded,
     FiniteGroup,
@@ -30,7 +31,15 @@ from groupwidths.free_words import MonoidWord, parse_monoid_word
 from groupwidths.pal_width import NOTIONS, palindromic_width
 from groupwidths.specs import group_from_spec, group_to_spec, spec_from_json
 
-from conftest import SMALL_GROUPS, direct_products, label_map, moved_identity, relabel, relabelled_small_groups
+from conftest import (
+    SMALL_GROUPS,
+    direct_products,
+    label_map,
+    moved_identity,
+    relabel,
+    relabelled_small_groups,
+    traced_peak_mib,
+)
 from oracle import brute_layers, extends_to_isomorphism
 
 
@@ -180,15 +189,18 @@ class TestTableVerification:
             FiniteGroup(table, [("a", 1), ("a^-1", 3)])
 
     def test_lights_test_runs_once_per_inverse_pair(self, monkeypatch):
-        # one table compare per tested generator: a of {a, a^-1} on C1024,
-        # r and s of {r, r^-1, s} on D384, s1, s2 and c of {s1, s2, c, c^-1}
-        groups = [(cyclic(1024, cap=1024), 1), (dihedral(384, cap=768), 2), (sym3_fink(), 3)]
-        equal, compares = np.array_equal, []
-        monkeypatch.setattr(np, "array_equal", lambda a, b: compares.append(1) or equal(a, b))
-        for G, tested in groups:
-            compares.clear()
+        # one test per inverse pair, of its smaller id: a of {a, a^-1} on
+        # C1024, r and s of {r, r^-1, s} on D384, s1, s2 and c of
+        # {s1, s2, c, c^-1}
+        groups = [(cyclic(1024, cap=1024), ["a"]), (dihedral(384, cap=768), ["r", "s"]),
+                  (sym3_fink(), ["s1", "s2", "c"])]
+        light, tested = finite_groups._associative_at, []
+        monkeypatch.setattr(finite_groups, "_associative_at",
+                            lambda T, a, *buffers: tested.append(int(a)) or light(T, a, *buffers))
+        for G, labels in groups:
+            tested.clear()
             FiniteGroup(G.table, G.gens)
-            assert len(compares) == tested, G.name
+            assert tested == [G.labels[label] for label in labels], G.name
 
     def test_table_is_read_only_int32(self):
         G = direct_product(dihedral(5), cyclic(3))
@@ -199,6 +211,83 @@ class TestTableVerification:
         scalars += [g for _, g in G.gens]
         scalars += [evaluate(G, parse_monoid_word("r s a")), G.element_from_label_word("r*a")]
         assert all(type(x) is int for x in scalars)
+
+
+def c8_with(faults: dict[tuple[int, int], int]) -> list[list[int]]:
+    """The C8 table with the given entries overwritten."""
+    table = [[(i + j) % 8 for j in range(8)] for i in range(8)]
+    for (i, j), x in faults.items():
+        table[i][j] = x
+    return table
+
+
+class TestBlockedTables:
+    """Verification runs over blocks of rows, and a table read from a spec
+    or handed over frozen is kept, not copied."""
+
+    # each fault sits in the last rows of C8, so with blocks of one or two
+    # rows it is first read in the last block
+    FAULTS = [
+        # 7*2 = 0 as well as 7*1: row 7 holds the identity twice
+        ({(7, 2): 0}, "row 7 of the table holds the identity 2 times, not once"),
+        # 7*1 = 2 and 7*2 = 0: row 1 still holds the identity at 1*7, but
+        # 7*1 is no longer the identity
+        ({(7, 1): 2, (7, 2): 0}, "element 1 lacks a two-sided inverse: 1*7 is the identity, 7*1 is not"),
+        # row 7 swaps 7*2 and 7*3: identity and inverses survive, so only
+        # Light's test on a = 1 can catch it
+        ({(7, 2): 2, (7, 3): 1}, "table is not associative (witness a=1)"),
+        # the first entry out of range in row-major order is named
+        ({(7, 2): 20, (7, 5): -3}, "table entry 20 out of range"),
+    ]
+
+    @pytest.mark.parametrize("faults, message", FAULTS)
+    @pytest.mark.parametrize("block_bytes", [1, 64, finite_groups._VERIFY_BLOCK])
+    def test_messages_name_the_same_row_generator_and_entry(self, monkeypatch, faults, message, block_bytes):
+        # 1 and 64 bytes give blocks of one and two rows of C8
+        monkeypatch.setattr(finite_groups, "_VERIFY_BLOCK", block_bytes)
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            FiniteGroup(c8_with(faults), [("a", 1), ("a^-1", 7)])
+
+    def test_a_writable_array_or_a_view_is_copied(self):
+        # a read-only view does not own its memory, so it is copied too
+        table = np.array(cyclic(5).table)
+        view = table[:]
+        view.flags.writeable = False
+        groups = [FiniteGroup(t, cyclic(5).gens) for t in (table, view)]
+        table[0, 0] = 3
+        for G in groups:
+            assert G.table[0, 0] == 0 and not np.shares_memory(G.table, table)
+
+    def test_a_frozen_int32_array_is_kept_so_unfreezing_it_reaches_the_group(self):
+        # the keep rule reads flags alone: a caller who sets a handed-over
+        # table writeable again and changes it changes the group's table,
+        # which is why the docstring forbids it
+        table = np.array(cyclic(5).table, dtype=np.int32)
+        table.flags.writeable = False
+        G = FiniteGroup(table, cyclic(5).gens)
+        assert G.table is table
+        table.flags.writeable = True
+        table[0, 0] = 3
+        assert G.table[0, 0] == 3
+
+    def test_a_table_read_from_a_spec_is_shared(self):
+        read = spec_from_json(json.dumps(group_to_spec(dihedral(5))))
+        G = group_from_spec(read)
+        assert np.shares_memory(G.table, read["table"])
+        assert G.table.dtype == np.int32 and not G.table.flags.writeable
+
+    def test_read_group_of_an_order_768_spec_peaks_below_9_mib(self, tmp_path):
+        # the relabelled D384 spec is 2.9 MB of text and 2.25 MiB as a table
+        D = dihedral(384, cap=768)
+        path = tmp_path / "d384.json"
+        path.write_text(json.dumps(group_to_spec(relabel(D, random.Random(5).sample(range(768), 768)))))
+        (G, _), peak = traced_peak_mib(lambda: specs.read_group(str(path), 768))
+        assert G.order == 768 and peak <= 9, peak
+
+    def test_verifying_a_frozen_order_1024_table_peaks_below_1_mib(self):
+        C = cyclic(1024, cap=1024)
+        G, peak = traced_peak_mib(lambda: FiniteGroup(C.table, C.gens))
+        assert G.table is C.table and peak <= 1, peak
 
 
 # real groups of orders 2-6 as tables with identity 0
@@ -576,9 +665,10 @@ class TestSpecs:
         assert G.shortest_label_word(1) == label
         assert G.element_from_label_word(G.shortest_label_word(1)) == 1
 
-    @pytest.mark.parametrize("entry", [10**30, -(10**30), 2**63, -(2**63) - 1])
+    @pytest.mark.parametrize("entry", [10**30, -(10**30), 2**63, -(2**63) - 1, 2**31, -(2**31) - 1, 10**17])
     def test_an_entry_past_int64_is_named_out_of_range(self, entry):
-        # as a list, and as text, which the reader leaves to json (19+ digits)
+        # as a list, and as text, which the reader leaves to json (an entry
+        # past int32)
         spec = {"kind": "table", "table": [[0, 1], [1, entry]], "gens": [["a", 1]]}
         for read in (spec, spec_from_json(json.dumps(spec))):
             with pytest.raises(ValueError, match=re.escape(f"table entry {entry} out of range")):
@@ -632,9 +722,11 @@ def spec_texts(draw, depth: int = 0):
 
 
 def as_lists(value, key=None):
-    """``value`` with its arrays as lists; only a "table" key holds one."""
+    """``value`` with its arrays as lists; only a "table" key holds one,
+    and it is a read-only int32 array."""
     if isinstance(value, np.ndarray):
-        assert key == "table" and value.ndim == 2 and value.dtype == np.int64
+        assert key == "table" and value.ndim == 2 and value.dtype == np.int32
+        assert not value.flags.writeable
         return value.tolist()
     if isinstance(value, dict):
         return {k: as_lists(v, k) for k, v in value.items()}
@@ -643,18 +735,30 @@ def as_lists(value, key=None):
     return value
 
 
+def reads_what_json_loads_reads(text):
+    try:
+        expected = json.loads(text)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as raised:
+            spec_from_json(text)
+        assert str(raised.value) == str(exc)
+        return
+    assert as_lists(spec_from_json(text)) == expected
+
+
 class TestSpecFromJson:
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(spec_texts(), table_texts()))
     def test_reads_what_json_loads_reads(self, text):
-        try:
-            expected = json.loads(text)
-        except ValueError as exc:
-            with pytest.raises(type(exc)) as raised:
-                spec_from_json(text)
-            assert str(raised.value) == str(exc)
-            return
-        assert as_lists(spec_from_json(text)) == expected
+        reads_what_json_loads_reads(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(spec_texts(), table_texts()), st.integers(1, 8))
+    def test_reads_what_json_loads_reads_in_blocks_of_a_few_bytes(self, text, block):
+        # a block ends at the first row end past its first few bytes, so
+        # every drawn table of two or more rows is read in several blocks
+        with mock.patch.object(specs, "_READ_BLOCK", block):
+            reads_what_json_loads_reads(text)
 
     @pytest.mark.parametrize("indent", [None, 0, 2, "\t"])
     @pytest.mark.parametrize("separators", [None, (",", ":"), (" , ", " :\r\n")])

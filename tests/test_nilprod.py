@@ -87,9 +87,10 @@ class TestConstruction:
 
     def test_construction_memory(self):
         # order 2,048 over 11 radix coordinates, six of them tensor ones:
-        # the table is accumulated in one order^2 array, not one per coordinate
+        # the 16 MiB table is the one order^2 array, filled in row blocks
+        # and kept by FiniteGroup, not copied
         G, peak = traced_peak_mib(lambda: NilProdGroup([[2, 2, 2], [2, 2]], cap=4096))
-        assert peak < 100, peak
+        assert peak <= 24, peak
         assert (G.order, len(G.radix), len(G.tensor_moduli)) == (2048, 11, 6)
         for a in G.factor_elements(0):
             for b in G.factor_elements(1):
