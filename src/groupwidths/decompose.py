@@ -12,8 +12,9 @@ most 20 letter palindromes (19 with this construction):
   r = c s1 s2 s1 s2.  r evaluates to the identity while its reversal does
   not, which makes the reversal of w evaluate to the identity: the letter
   blocks of reverse(w) pile up on two fixed coordinates where their
-  exponent sums vanish.  This cancellation is re-verified by wreath
-  arithmetic for every instance and a failure is a fatal invariant breach;
+  exponent sums vanish.  This cancellation, and that w evaluates to the
+  part, are re-verified by wreath arithmetic for every instance, and a
+  failure is a fatal invariant breach naming the coordinate;
 * at most one palindrome for the top component (every S3 element is a
   palindromic word in these letters).
 
@@ -24,11 +25,16 @@ factors' total letter count follows from the exponent rows and syllables,
 so an element asking for more than ``MAX_FACTOR_LETTERS`` is refused with
 ``CapExceeded`` before any word is built.
 
-The resulting certificate is machine-checked before it is returned.
+The construction checks of every coordinate run as one segmented scan
+per element: the words reverse(w) and w of all coordinates go to one
+``evaluate_words`` call, which evaluates each on its own.  The resulting
+certificate is machine-checked before it is returned, by one more scan of
+the factors joined end to end, so an element costs two word scans.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,7 +42,7 @@ import numpy as np
 
 from .finite_groups import CapExceeded, evaluate, sym3_fink
 from .free_words import FreeWord, MonoidWord, _join, format_monoid_word, is_word_palindrome
-from .wreath import WreathElement, WreathGroup, evaluate_letters
+from .wreath import WreathElement, WreathGroup, evaluate_letters, evaluate_words
 
 __all__ = [
     "InvariantViolation",
@@ -163,13 +169,17 @@ def split_abelian_commutator(
     _require_s3_wreath(g, ctx)
     exponents: list[tuple[int, int]] = []
     parts: list[FreeWord] = []
-    for f in g.base:
+    for c, f in enumerate(g.base):
         a, b = f.exponent_sum(1), f.exponent_sum(2)
         prefix_syllables = tuple(s for s in ((1, a), (2, b)) if s[1] != 0)
         prefix = FreeWord(2, prefix_syllables)
         rest = prefix.inverse() * f
-        assert rest.exponent_sum(1) == 0 and rest.exponent_sum(2) == 0
-        assert prefix * rest == f
+        if rest.exponent_sum(1) != 0 or rest.exponent_sum(2) != 0:
+            raise InvariantViolation(f"remainder at coordinate {c} has nonzero exponent sums")
+        if prefix * rest != f:
+            raise InvariantViolation(
+                f"x^a y^b times the remainder is not the word at coordinate {c}"
+            )
         exponents.append((a, b))
         parts.append(rest)
     return exponents, tuple(parts), g.top
@@ -235,17 +245,9 @@ def _pair_exponents(g: FreeWord) -> np.ndarray:
     return padded.reshape(-1, 2)
 
 
-def derived_part_palindrome(
-    coord: int, part: FreeWord, ctx: S3WreathContext | None = None
-) -> MonoidWord | None:
-    """One palindrome w reverse(w) carrying a zero-exponent-sum word at the
-    coordinate of S3 element ``coord``; None when the word is trivial.
-
-    The reversal of w must evaluate to the wreath identity; that identity
-    is the construction's load-bearing cancellation and is re-checked here
-    for every instance.
-    """
-    ctx = ctx or s3_wreath_context()
+def _derived_word(coord: int, part: FreeWord, ctx: S3WreathContext) -> np.ndarray | None:
+    # the codes of w, whose palindrome w reverse(w) carries the part at the
+    # coordinate; None when the part is trivial
     ctx.group._top_id(coord, "coordinate")
     if part.rank != 2:
         raise ValueError("derived parts live in the rank-2 free group")
@@ -267,17 +269,41 @@ def derived_part_palindrome(
     counts = np.ones(tokens.shape, np.int64)
     counts[:, nr], counts[:, -1] = np.abs(a), np.abs(b)
     inner = np.repeat(tokens.ravel(), counts.ravel())
-    w = np.concatenate((u, inner, u[::-1]))
-    if not ctx.eval_word(ctx.word(w[::-1])).is_identity():
-        raise InvariantViolation(
-            "reversal of the derived-part word did not evaluate to the identity; "
-            f"witness word: {format_monoid_word(ctx.word(w))}"
-        )
-    if ctx.eval_word(ctx.word(w)) != ctx.group.from_base_word(part, coord):
-        raise InvariantViolation(
-            f"derived-part word evaluates off target at coordinate {coord}"
-        )
-    return ctx.word(np.concatenate((w, w[::-1])))
+    return np.concatenate((u, inner, u[::-1]))
+
+
+def _derived_part_palindromes(
+    parts: Iterable[tuple[int, FreeWord]], ctx: S3WreathContext
+) -> list[MonoidWord]:
+    # the palindromes of the nontrivial (coordinate, part) pairs, in order,
+    # after every instance's two construction checks in one evaluate_words
+    built = [(c, part, w) for c, part in parts if (w := _derived_word(c, part, ctx)) is not None]
+    checks = [ctx.word(v) for _, _, w in built for v in (w[::-1], w)]
+    values = evaluate_words(ctx.group, checks, ctx.base_letters, ctx.top_letters)
+    for (c, part, w), reversal, value in zip(built, values[0::2], values[1::2]):
+        if not reversal.is_identity():
+            raise InvariantViolation(
+                f"reversal of the derived-part word at coordinate {c} did not evaluate "
+                f"to the identity; witness word: {format_monoid_word(ctx.word(w))}"
+            )
+        if value != ctx.group.from_base_word(part, c):
+            raise InvariantViolation(f"derived-part word evaluates off target at coordinate {c}")
+    return [ctx.word(np.concatenate((w, w[::-1]))) for _, _, w in built]
+
+
+def derived_part_palindrome(
+    coord: int, part: FreeWord, ctx: S3WreathContext | None = None
+) -> MonoidWord | None:
+    """One palindrome w reverse(w) carrying a zero-exponent-sum word at the
+    coordinate of S3 element ``coord``; None when the word is trivial.
+
+    The reversal of w must evaluate to the wreath identity, and w to the
+    word at the coordinate; the first identity is the construction's
+    load-bearing cancellation.  Both are re-checked for every instance:
+    here for one, in ``decompose`` for every coordinate in one scan.
+    """
+    palindromes = _derived_part_palindromes([(coord, part)], ctx or s3_wreath_context())
+    return palindromes[0] if palindromes else None
 
 
 def top_palindromes(s: int, ctx: S3WreathContext | None = None) -> list[MonoidWord]:
@@ -337,10 +363,7 @@ def decompose(g: WreathElement, ctx: S3WreathContext | None = None) -> Decomposi
     for c, (_, b) in enumerate(exponents):
         if b:
             factors.append(coordinate_power_palindrome(c, "y", b, ctx))
-    for c, part in enumerate(parts):
-        factor = derived_part_palindrome(c, part, ctx)
-        if factor is not None:
-            factors.append(factor)
+    factors.extend(_derived_part_palindromes(enumerate(parts), ctx))
     factors.extend(top_palindromes(top, ctx))
     cert = DecompositionCertificate(g, factors, len(factors))
     cert.flags = cert.verification(ctx)

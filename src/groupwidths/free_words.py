@@ -156,11 +156,20 @@ def _code_type(alphabet: tuple[str, ...]) -> np.dtype:
 def _join(words: Sequence[MonoidWord], alphabet: tuple[str, ...]) -> MonoidWord:
     # the words end to end, each recoded into one alphabet: the given one
     # first, then the words' other labels in order of first occurrence;
-    # one concatenate, so k words of L letters in all cost O(L), not O(k L)
+    # one concatenate, so k words of L letters in all cost O(L), not O(k L).
+    # A word whose alphabet is a prefix of the merged one keeps its codes,
+    # which the concatenate widens if need be; one word is not copied
     merged = tuple(dict.fromkeys(alphabet + tuple(a for w in words for a in w.alphabet)))
     index = {a: i for i, a in enumerate(merged)}
     code = _code_type(merged)
-    pieces = [np.array([index[a] for a in w.alphabet], code).take(w.codes) for w in words]
+    pieces = [
+        w.codes
+        if w.alphabet == merged[: len(w.alphabet)]
+        else np.array([index[a] for a in w.alphabet], code).take(w.codes)
+        for w in words
+    ]
+    if len(pieces) == 1:
+        return MonoidWord.from_codes(pieces[0], merged)
     return MonoidWord.from_codes(np.concatenate([np.empty(0, code), *pieces]), merged)
 
 

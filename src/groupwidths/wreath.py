@@ -22,6 +22,7 @@ length lower bounds that grow without bound along the q_j sequence.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,7 @@ from .finite_groups import FiniteGroup
 from .free_words import (
     FreeWord,
     MonoidWord,
+    _join,
     _reduce_runs,
     _tr_sum,
     format_free_word,
@@ -51,6 +53,7 @@ __all__ = [
     "commutator_length_bound",
     "certify_cw_lower_bound",
     "evaluate_letters",
+    "evaluate_words",
     "parse_wreath_element",
     "format_wreath_element",
 ]
@@ -222,39 +225,45 @@ def _prefix_products(flat: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def evaluate_letters(
+def evaluate_words(
     W: WreathGroup,
-    word: MonoidWord,
+    words: Sequence[MonoidWord],
     base_letters: dict[str, tuple[int, int]],
     top_letters: dict[str, int],
-) -> WreathElement:
-    """Evaluate a letter word into the wreath group.
+) -> list[WreathElement]:
+    """Evaluate each of a list of letter words into the wreath group.
 
     ``base_letters`` maps a letter to (generator index, exponent) placed at
     the coordinate of the running top value; ``top_letters`` maps a letter
     to a top-group element.  A letter in both maps is a base letter.  Every
     map entry is checked up front (generator in 1..rank, nonzero exponent
     below 2**31 in absolute value, top element in range): a bad entry is a
-    ``ValueError`` even when its letters would cancel.
+    ``ValueError`` even when its letters would cancel, or there are no words.
 
-    Python takes no step per letter.  The word is a code array over its
-    own alphabet, so the maps are translated once per alphabet label into
-    per-code arrays (top value, base flag, generator, exponent), and one
-    ``take`` per array reads them per letter.  A label in neither map is a
-    ``ValueError`` only when it occurs in the word.  The running top is
-    the inclusive prefix product of the letters' top values, base letters
-    being the identity: a pairwise scan of O(len) table lookups in
-    O(log len) numpy calls.  The base letters are stably sorted by
-    coordinate and summed per run of one generator within one coordinate
-    (``np.add.reduceat``); the runs stay arrays.  A coordinate with no
-    zero run is its slice of the runs; otherwise the stretches between
-    zero runs are joined, and the reduction takes Python steps only at a
-    zero run and at each cancellation it sets off (``_reduce_runs``).
-    Each coordinate's word is then checked by ``FreeWord`` with a few
-    array reductions.  A word of L letters over an alphabet of A labels,
-    in a top of order n, with r runs of which z sum to zero and set off c
-    cancellations, costs O(L) numpy work and O(A + n + z + c) Python
-    steps; no Python step is taken per run or per syllable.
+    Python takes no step per letter.  The words are joined end to end
+    into one code array (``_join``), so the maps are translated once per
+    alphabet label into per-code arrays (top value, base flag, generator,
+    exponent), and one ``take`` per array reads them per letter.  A label
+    in neither map is a ``ValueError`` naming its first letter in the list.
+    The running top is the inclusive prefix product of the letters' top
+    values, base letters being the identity: one pairwise scan of O(len)
+    table lookups in O(log len) numpy calls over the joined words.  A
+    word's own running top is inv(p) times the scan, p being the scan
+    before the word, which is one more table lookup per base letter and
+    per word.  The base letters are stably sorted by word * n + coordinate,
+    in the narrowest unsigned type that holds S * n - 1 for S words in a
+    top of order n, and summed per run of one generator within one
+    (word, coordinate) pair by one ``np.add.reduceat``; the runs stay
+    arrays.  A pair with no zero run is its slice of the runs; otherwise
+    the stretches between zero runs are joined, and the reduction takes
+    Python steps only at a zero run and at each cancellation it sets off
+    (``_reduce_runs``).  Each pair's word is then checked by ``FreeWord``
+    with a few array reductions.  S words of L letters in all over
+    alphabets of A labels, in a top of order n, with p nonempty pairs and
+    r runs of which z sum to zero and set off c cancellations, cost O(L)
+    numpy work and O(A + S + p + z + c) Python steps, besides the S * n
+    coordinates of the results; no Python step is taken per run or per
+    syllable.
     """
     n = W.size
     for letter, (gen, exp) in base_letters.items():
@@ -272,13 +281,17 @@ def evaluate_letters(
     for letter, k in top_letters.items():
         if _json_int(k, f"top element of letter {letter!r}") not in range(n):
             raise ValueError(f"top element of letter {letter!r} is {k}, out of range 0..{n - 1}")
+    if not words:
+        return []
 
     # the top table flattened row-major, in the narrowest unsigned type that
     # holds n*n - 1, so a*n + b indexes it without overflow
     flat = W.top.table.ravel().astype(np.min_scalar_type(n * n - 1))
-    # per-code values over the word's alphabet, as lists: each label costs
+    inv = W.top.inverse.astype(flat.dtype)
+    # per-code values over the joined alphabet, as lists: each label costs
     # a few Python steps and the arrays are built once
-    alphabet = word.alphabet
+    joined = _join(words, ())
+    alphabet, codes = joined.alphabet, joined.codes
     top_of_code = [W.top.identity] * len(alphabet)
     is_base = [False] * len(alphabet)
     gen_exp = [(0, 0)] * len(alphabet)
@@ -290,7 +303,6 @@ def evaluate_letters(
             top_of_code[i] = top_letters[a]
         else:
             unknown.append(i)
-    codes = word.codes
     if unknown:
         hits = np.flatnonzero(np.isin(codes, unknown))
         if len(hits):
@@ -298,33 +310,70 @@ def evaluate_letters(
                 f"letter {alphabet[codes[hits[0]]]!r} is neither a base nor a top generator"
             )
 
-    running = _prefix_products(flat, n, np.array(top_of_code, flat.dtype).take(codes))
-    top = int(running[-1]) if len(running) else W.top.identity
+    # the scan after a leading identity: running[i] is the top value of the
+    # joined letters before letter i, and offsets[w] is where word w starts
+    x = np.empty(len(codes) + 1, flat.dtype)
+    x[0] = W.top.identity
+    # the codes lie in the alphabet, so clipping never acts; it spares the
+    # buffered copy that the default mode makes of ``out``
+    np.array(top_of_code, flat.dtype).take(codes, out=x[1:], mode="clip")
+    running = _prefix_products(flat, n, x)
+    offsets = np.cumsum([0] + [len(w) for w in words])
+    at_bounds = running.take(offsets)
+    # each word's own top, from the scan at its ends
+    before = inv.take(at_bounds[:-1])
+    tops = flat.take(before * n + at_bounds[1:]).tolist()
 
-    base = [FreeWord.identity(W.rank)] * n
+    S = len(words)
+    one = FreeWord.identity(W.rank)
+    bases = [[one] * n for _ in range(S)]
     at = np.flatnonzero(np.array(is_base).take(codes))
     if len(at):
-        # a base letter sits at the coordinate of the running top before
-        # it, which is the running top at it, since it is the identity
-        at = at[np.argsort(running[at], kind="stable")]
-        coords, codes = running[at], codes[at]
+        # a base letter sits at the coordinate of its word's running top
+        # before it, which is the scan at it, since it is the identity
+        key_type = np.min_scalar_type(S * n - 1)
+        keys = running[1:].take(at)
+        if S > 1:
+            # per base letter its word, then its coordinate within the word
+            words_of = np.repeat(
+                np.arange(S, dtype=key_type), np.diff(np.searchsorted(at, offsets))
+            )
+            keys = flat.take(before.take(words_of) * n + keys).astype(key_type)
+            keys += words_of * n
+        else:
+            keys = keys.astype(key_type, copy=False)
+        order = np.argsort(keys, kind="stable")
+        keys, codes = keys[order], codes.take(at[order])
         # per base letter its generator, in the narrowest type that holds
         # the rank, and its exponent in int32; the run sums are int64
         gen_of_code, exp_of_code = zip(*gen_exp)
         gens = np.array(gen_of_code, np.min_scalar_type(W.rank)).take(codes)
         exps = np.array(exp_of_code, np.int32).take(codes)
         starts = np.flatnonzero(
-            np.concatenate(([True], (coords[1:] != coords[:-1]) | (gens[1:] != gens[:-1])))
+            np.concatenate(([True], (keys[1:] != keys[:-1]) | (gens[1:] != gens[:-1])))
         )
-        bounds = np.searchsorted(coords[starts], np.arange(n + 1)).tolist()
+        run_keys = keys[starts]
         run_gens = gens[starts].astype(np.int64)
         run_exps = np.add.reduceat(exps, starts, dtype=np.int64)
-        for c in range(n):
-            lo, hi = bounds[c], bounds[c + 1]
-            if lo < hi:
-                reduced = _reduce_runs(run_gens[lo:hi], run_exps[lo:hi])
-                base[c] = FreeWord.from_arrays(W.rank, *reduced)
-    return WreathElement(W, tuple(base), top)
+        # the runs of each nonempty (word, coordinate) pair
+        firsts = np.flatnonzero(np.concatenate(([True], run_keys[1:] != run_keys[:-1])))
+        bounds = firsts.tolist() + [len(run_keys)]
+        for key, lo, hi in zip(run_keys[firsts].tolist(), bounds, bounds[1:]):
+            w, c = divmod(key, n)
+            reduced = _reduce_runs(run_gens[lo:hi], run_exps[lo:hi])
+            bases[w][c] = FreeWord.from_arrays(W.rank, *reduced)
+    return [WreathElement(W, tuple(base), top) for base, top in zip(bases, tops)]
+
+
+def evaluate_letters(
+    W: WreathGroup,
+    word: MonoidWord,
+    base_letters: dict[str, tuple[int, int]],
+    top_letters: dict[str, int],
+) -> WreathElement:
+    """Evaluate one letter word into the wreath group: the one-word case of
+    ``evaluate_words``, with its maps, checks and costs."""
+    return evaluate_words(W, (word,), base_letters, top_letters)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Palindromic decomposition certificates over F2 wr S3."""
 
 import contextlib
+import dataclasses
 import hashlib
 import importlib
 import io
 import json
 import random
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -34,7 +37,13 @@ from groupwidths.free_words import (
     is_word_palindrome,
     parse_free_word,
 )
-from groupwidths.wreath import WreathElement, evaluate_letters, parse_wreath_element, w_multiply
+from groupwidths.wreath import (
+    WreathElement,
+    evaluate_letters,
+    evaluate_words,
+    parse_wreath_element,
+    w_multiply,
+)
 
 from conftest import random_reduced_word, random_wreath_element
 
@@ -98,6 +107,38 @@ class TestSplit:
                 prefix = FreeWord(2, tuple(s for s in ((1, a), (2, b)) if s[1]))
                 assert prefix * part == f
                 assert part.exponent_sum(1) == 0 and part.exponent_sum(2) == 0
+
+    # FreeWord.inverse broken two ways: the identity (the remainder keeps the
+    # exponent sums), or negated in place (sums vanish, the product is off)
+    BROKEN_INVERSES = {
+        "has nonzero exponent sums": lambda w: w,
+        "is not the word at coordinate": lambda w: FreeWord.from_arrays(w.rank, w.gens, -w.exps),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(BROKEN_INVERSES))
+    def test_a_broken_identity_names_its_coordinate(self, ctx, monkeypatch, capsys, fault):
+        text = "[1; 1; 1; x1 x2; 1; 1] 1"
+        g = parse_wreath_element(ctx.group, text)
+        (k,) = [c for c, f in enumerate(g.base) if len(f)]
+        monkeypatch.setattr(FreeWord, "inverse", self.BROKEN_INVERSES[fault])
+        with pytest.raises(InvariantViolation, match=rf"coordinate {k}\b") as caught:
+            split_abelian_commutator(g, ctx)
+        assert fault in str(caught.value)
+        assert cli.main(["decompose", text]) == cli.EXIT_INVARIANT
+        assert f"invariant breach: {caught.value}" in capsys.readouterr().err
+
+    def test_the_checks_hold_under_python_O(self):
+        # bare asserts would vanish under -O; the checks must not
+        script = (
+            "from groupwidths import cli\n"
+            "from groupwidths.free_words import FreeWord\n"
+            "assert False, 'unreachable under -O'\n"
+            "FreeWord.inverse = lambda w: w\n"
+            "raise SystemExit(cli.main(['decompose', '[x1; 1; 1; 1; 1; 1] 1']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+        assert proc.returncode == cli.EXIT_INVARIANT, proc.stderr
+        assert "remainder at coordinate 0 has nonzero exponent sums" in proc.stderr
 
 
 class TestCoordinatePalindromes:
@@ -259,17 +300,23 @@ def fold_of_factor_values(factors, ctx):
 
 
 class TestOneEvaluation:
-    """``verification`` evaluates the factors joined end to end, once."""
+    """``verification`` evaluates the factors joined end to end, once, and
+    ``decompose`` runs every construction check in one more scan."""
 
     @pytest.fixture
     def evaluations(self, monkeypatch):
+        # one entry per scan: a value, or the list of values of a word list
         values = []
 
-        def spy(*args):
-            values.append(evaluate_letters(*args))
-            return values[-1]
+        def spy(evaluate):
+            def scan(*args):
+                values.append(evaluate(*args))
+                return values[-1]
 
-        monkeypatch.setattr(decompose_module, "evaluate_letters", spy)
+            return scan
+
+        monkeypatch.setattr(decompose_module, "evaluate_letters", spy(evaluate_letters))
+        monkeypatch.setattr(decompose_module, "evaluate_words", spy(evaluate_words))
         return values
 
     def test_the_product_is_the_fold_of_the_factor_values(self, ctx, evaluations):
@@ -317,15 +364,42 @@ class TestOneEvaluation:
             assert not flags["product_equals_target"]
             assert flags["factors_palindromic"] and flags["count_consistent"]
 
-    def test_a_dense_element_costs_13_evaluations_and_no_fold(self, ctx, evaluations, monkeypatch):
-        # two construction checks per derived part, one for the certificate
+    def test_a_dense_element_costs_2_evaluations_and_no_fold(self, ctx, evaluations, monkeypatch):
+        # one scan for the construction checks of all six derived parts, one
+        # for the certificate
         def no_fold(*args):
             raise AssertionError("w_multiply called")
 
         monkeypatch.setattr(wreath_module, "w_multiply", no_fold)
         assert not hasattr(decompose_module, "w_multiply")
         cert = decompose(dense_target(ctx), ctx)
-        assert all(cert.flags.values()) and len(evaluations) == 13
+        assert all(cert.flags.values()) and len(evaluations) == 2
+        checks, product = evaluations
+        assert len(checks) == 12 and product == dense_target(ctx)
+        assert all(reversal.is_identity() for reversal in checks[0::2])
+        parts = split_abelian_commutator(dense_target(ctx), ctx)[1]
+        assert checks[1::2] == [ctx.group.from_base_word(part, c) for c, part in enumerate(parts)]
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_one_scan_checks_each_coordinate_on_its_own(self, ctx, k):
+        # coordinate k's conjugator is the next coordinate's, so its word
+        # lands one coordinate off while every other coordinate's is right
+        conjugators = dict(ctx.conjugators)
+        conjugators[k] = ctx.conjugators[(k + 1) % 6]
+        bad = dataclasses.replace(ctx, conjugators=conjugators)
+        with pytest.raises(InvariantViolation, match=rf"off target at coordinate {k}$"):
+            decompose(dense_target(ctx), bad)
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_a_reversal_that_does_not_cancel_names_its_coordinate(self, ctx, k):
+        # a wrong r^-1 breaks the cancellation; only coordinate k holds a part
+        bad = dataclasses.replace(ctx, r_inv=ctx.r[::-1].copy())
+        base = [FreeWord.identity(2)] * 6
+        base[k] = free_commutator(FreeWord.generator(2, 1), FreeWord.generator(2, 2))
+        g = WreathElement(ctx.group, tuple(base), ctx.group.top.identity)
+        assert decompose(g, ctx).factor_count == 1
+        with pytest.raises(InvariantViolation, match=rf"word at coordinate {k} did not evaluate"):
+            decompose(g, bad)
 
 
 class TestLetterCap:
@@ -429,10 +503,22 @@ class TestReport:
         assert cert.flags is None and all(cert.verification(ctx).values())
 
 
+def report_digest(stdout: str) -> str:
+    body = re.sub(r'"wall_time_s": [0-9.e-]+', '"wall_time_s": 0', stdout)
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("text", sorted(GOLDEN_REPORTS))
 def test_report_matches_the_recorded_bytes(text):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["decompose", "--", text]) == 0
-    body = re.sub(r'"wall_time_s": [0-9.e-]+', '"wall_time_s": 0', out.getvalue())
-    assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN_REPORTS[text]
+    assert report_digest(out.getvalue()) == GOLDEN_REPORTS[text]
+
+
+def test_the_report_is_the_same_under_python_O():
+    text = "[x y x^-1 y^-1 x1^3; x2 x1^-2 x2^2 x; 1; [x,y]; y; x1^-2 x2^5] s1"
+    cmd = [sys.executable, "-O", "-m", "groupwidths.cli", "decompose", "--", text]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert report_digest(proc.stdout) == GOLDEN_REPORTS[text]

@@ -34,6 +34,7 @@ from groupwidths.wreath import (
     _prefix_products,
     delta,
     evaluate_letters,
+    evaluate_words,
     format_wreath_element,
     in_derived_subgroup,
     parse_wreath_element,
@@ -382,22 +383,27 @@ class TestMovedIdentityTops:
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.GOLDEN
 
 
-# wreath groups for the evaluator properties: S3 (Fink's generators), C2 and
-# D4 (order 8) tops, and S3 and D4 with the identity moved off id 0, at
-# ranks 2 and 3, built once so their tables are reused
+# wreath groups for the evaluator properties: S3 (Fink's generators), C2,
+# D4 (order 8) and D10 (order 20) tops, and S3 and D4 with the identity
+# moved off id 0, at ranks 2 and 3, built once so their tables are reused
 EVAL_GROUPS = {
     (name, rank): WreathGroup(rank, top)
-    for name, top in (("sym3_fink", sym3_fink()), ("C2", cyclic(2)), ("D4", dihedral(4)), *MOVED_TOPS.items())
+    for name, top in (
+        ("sym3_fink", sym3_fink()),
+        ("C2", cyclic(2)),
+        ("D4", dihedral(4)),
+        ("D10", dihedral(10)),
+        *MOVED_TOPS.items(),
+    )
     for rank in (2, 3)
 }
 
 
 @st.composite
-def letter_words(draw):
-    """(W, word, base_letters, top_letters): base letters b<g>/B<g> with
+def letter_maps(draw):
+    """(W, base_letters, top_letters, inverse): base letters b<g>/B<g> with
     exponents +-e (e in 1..3), a top letter t<k> per element, one base
-    letter shadowed by a top entry, and a word u v^-1 w whose middle
-    cancels a random prefix of u's inverse, letter by letter."""
+    letter shadowed by a top entry, and each letter's inverse letter."""
     W = EVAL_GROUPS[draw(st.sampled_from(sorted(EVAL_GROUPS)))]
     K = W.top
     base, inverse = {}, {}
@@ -409,10 +415,41 @@ def letter_words(draw):
     inverse.update({f"t{k}": f"t{int(K.inverse[k])}" for k in K.elements()})
     # in both maps: the base entry wins
     top[draw(st.sampled_from(sorted(base)))] = draw(st.sampled_from(list(K.elements())))
-    letters = st.lists(st.sampled_from(sorted(inverse)), max_size=40)
+    return W, base, top, inverse
+
+
+def draw_word(draw, inverse, max_size=40):
+    """A word u v^-1 w whose middle cancels a random prefix of u's
+    inverse, letter by letter."""
+    letters = st.lists(st.sampled_from(sorted(inverse)), max_size=max_size)
     u, w = draw(letters), draw(letters)
     cancel = tuple(inverse[a] for a in reversed(u))[: draw(st.integers(0, len(u)))]
-    return W, MonoidWord(tuple(u) + cancel + tuple(w)), base, top
+    return MonoidWord(tuple(u) + cancel + tuple(w))
+
+
+@st.composite
+def letter_words(draw):
+    """(W, word, base_letters, top_letters), the word as ``draw_word``."""
+    W, base, top, inverse = draw(letter_maps())
+    return W, draw_word(draw, inverse), base, top
+
+
+@st.composite
+def letter_word_lists(draw):
+    """(W, words, base_letters, top_letters): up to six words as
+    ``draw_word``, empty ones included, each over its own alphabet in order
+    of first occurrence or recoded over a shuffled one holding a label
+    that never occurs."""
+    W, base, top, inverse = draw(letter_maps())
+    words = []
+    for _ in range(draw(st.integers(0, 6))):
+        word = draw_word(draw, inverse, max_size=draw(st.sampled_from([0, 3, 20])))
+        if draw(st.booleans()):
+            alphabet = draw(st.permutations(word.alphabet + ("unused",)))
+            recode = np.array([alphabet.index(a) for a in word.alphabet], np.int64)
+            word = MonoidWord.from_codes(recode[word.codes], tuple(alphabet))
+        words.append(word)
+    return W, words, base, top
 
 
 class TestEvaluateLetters:
@@ -500,6 +537,63 @@ class TestEvaluateLetters:
     def test_top_element_out_of_range_is_a_value_error(self, W, k):
         with pytest.raises(ValueError, match="top element"):
             evaluate_letters(W, MonoidWord(("x", "k")), self.X, {"k": k})
+
+
+class TestEvaluateWords:
+    @given(letter_word_lists())
+    def test_matches_the_reference_fold_per_word(self, case):
+        W, words, base, top = case
+        expected = [reference_evaluate_letters(W, w, base, top) for w in words]
+        assert evaluate_words(W, words, base, top) == expected
+
+    @given(letter_word_lists(), st.data())
+    def test_the_first_unknown_letter_in_the_list_is_named(self, case, data):
+        # a label in neither map, in one or two of the words: the error names
+        # the first of them across the list, as a fold word by word would
+        W, words, base, top = case
+        words = words or [MonoidWord()]
+        for label in data.draw(st.lists(st.sampled_from(["q", "Q"]), min_size=1, max_size=2)):
+            i = data.draw(st.integers(0, len(words) - 1))
+            letters = list(words[i].letters)
+            letters.insert(data.draw(st.integers(0, len(letters))), label)
+            words[i] = MonoidWord(tuple(letters))
+        with pytest.raises(ValueError, match="neither a base nor a top generator") as reference:
+            for w in words:
+                reference_evaluate_letters(W, w, base, top)
+        with pytest.raises(ValueError) as caught:
+            evaluate_words(W, words, base, top)
+        assert str(caught.value) == str(reference.value)
+
+    def test_an_empty_list_still_checks_the_maps(self, W):
+        assert evaluate_words(W, [], {"x": (1, 1)}, {"s1": 1}) == []
+        with pytest.raises(ValueError, match="top element"):
+            evaluate_words(W, [], {"x": (1, 1)}, {"k": 6})
+        with pytest.raises(ValueError, match="exponent"):
+            evaluate_words(W, [], {"x": (1, 0)}, {})
+
+    @pytest.mark.parametrize(
+        "key,count",
+        [(("sym3_fink", 2), 200), (("D10", 2), 3_300), (("C2", 2), 40_000)],
+        ids=["S3x200", "D10x3300", "C2x40000"],
+    )
+    def test_many_tiny_words_widen_the_sort_key(self, key, count):
+        # words times top order past 255 and past 65,535: the sort key takes
+        # two and then four bytes, and every word still gets its own value
+        W = EVAL_GROUPS[key]
+        base = {"x": (1, 1), "X": (1, -1), "y": (2, 2)}
+        top = {f"t{k}": k for k in W.top.elements()}
+        labels = sorted(base) + sorted(top)
+        rng = random.Random(count)
+        words = [MonoidWord(rng.choices(labels, k=rng.randrange(4))) for _ in range(count)]
+        assert len(words) * W.size > (255 if count < 1000 else 65_535)
+        # the reference is a fold per word; equal words share one fold
+        reference = {}
+        for w in words:
+            if w.letters not in reference:
+                reference[w.letters] = reference_evaluate_letters(W, w, base, top)
+        got = evaluate_words(W, words, base, top)
+        assert len(got) == count
+        assert all(g == reference[w.letters] for g, w in zip(got, words))
 
 
 def stack_reduce_runs(gens, exps):
