@@ -332,16 +332,10 @@ def evaluate_words(
         # a base letter sits at the coordinate of its word's running top
         # before it, which is the scan at it, since it is the identity
         key_type = np.min_scalar_type(S * n - 1)
-        keys = running[1:].take(at)
-        if S > 1:
-            # per base letter its word, then its coordinate within the word
-            words_of = np.repeat(
-                np.arange(S, dtype=key_type), np.diff(np.searchsorted(at, offsets))
-            )
-            keys = flat.take(before.take(words_of) * n + keys).astype(key_type)
-            keys += words_of * n
-        else:
-            keys = keys.astype(key_type, copy=False)
+        # per base letter its word, then its coordinate within the word
+        words_of = np.repeat(np.arange(S, dtype=key_type), np.diff(np.searchsorted(at, offsets)))
+        keys = flat.take(before.take(words_of) * n + running[1:].take(at)).astype(key_type)
+        keys += words_of * n
         order = np.argsort(keys, kind="stable")
         keys, codes = keys[order], codes.take(at[order])
         # per base letter its generator, in the narrowest type that holds
