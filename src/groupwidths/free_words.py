@@ -32,6 +32,7 @@ from __future__ import annotations
 import operator
 import re
 from collections.abc import Iterable, Sequence
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -95,14 +96,19 @@ class MonoidWord:
 
         Codes already in the narrowest type are wrapped in a read-only view,
         not copied, so the caller must not write to the array afterwards.
+        The alphabet check is cached for the last 64 distinct alphabets.
         """
         alphabet = tuple(alphabet)
-        if not all(isinstance(a, str) for a in alphabet) or len(set(alphabet)) != len(alphabet):
-            raise ValueError("alphabet must be distinct strings")
+        try:
+            _check_alphabet(alphabet)
+        except TypeError:  # an unhashable label, which the cache cannot hold
+            raise ValueError("alphabet must be distinct strings") from None
         codes = np.asarray(codes)
         if codes.ndim != 1 or (len(codes) and codes.dtype.kind not in "ui"):
             raise ValueError("codes must be a one-dimensional integer array")
-        if len(codes) and not 0 <= codes.min() <= codes.max() < len(alphabet):
+        if len(codes) and (
+            _max(codes) >= len(alphabet) or (codes.dtype.kind == "i" and _min(codes) < 0)
+        ):
             raise ValueError(f"codes must lie in 0..{len(alphabet) - 1}")
         word = cls.__new__(cls)
         word._set(codes.astype(_code_type(alphabet), copy=False), alphabet)
@@ -148,6 +154,13 @@ class MonoidWord:
         return MonoidWord.from_codes(self.codes[::-1], self.alphabet)
 
 
+@lru_cache(maxsize=64)
+def _check_alphabet(alphabet: tuple[str, ...]) -> None:
+    # raises, and so caches nothing, unless the labels are distinct strings
+    if not all(isinstance(a, str) for a in alphabet) or len(set(alphabet)) != len(alphabet):
+        raise ValueError("alphabet must be distinct strings")
+
+
 def _code_type(alphabet: tuple[str, ...]) -> np.dtype:
     # the narrowest unsigned type that holds every code of the alphabet
     return np.min_scalar_type(max(len(alphabet) - 1, 0))
@@ -174,8 +187,10 @@ def _join(words: Sequence[MonoidWord], alphabet: tuple[str, ...]) -> MonoidWord:
 
 
 def is_word_palindrome(w: MonoidWord) -> bool:
-    """True iff the letter sequence equals its own reversal."""
-    return np.array_equal(w.codes, w.codes[::-1])
+    """True iff the letter sequence equals its own reversal: the first half
+    of the codes against the reversed second half."""
+    half = len(w.codes) // 2
+    return np.array_equal(w.codes[:half], w.codes[::-1][:half])
 
 
 # syllable x<i> or x<i>^<e>, with x/y aliases for rank 2; indices and

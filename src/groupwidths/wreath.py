@@ -236,37 +236,47 @@ def evaluate_words(
     ``base_letters`` maps a letter to (generator index, exponent) placed at
     the coordinate of the running top value; ``top_letters`` maps a letter
     to a top-group element.  A letter in both maps is a base letter.  Every
-    map entry is checked up front (generator in 1..rank, nonzero exponent
-    below 2**31 in absolute value, top element in range): a bad entry is a
-    ``ValueError`` even when its letters would cancel, or there are no words.
+    map entry is checked up front (base letter a string, generator in
+    1..rank, nonzero exponent below 2**31 in absolute value, top element in
+    range): a bad entry is a ``ValueError`` even when its letters would
+    cancel, or there are no words.
 
-    Python takes no step per letter.  The words are joined end to end
-    into one code array (``_join``), so the maps are translated once per
-    alphabet label into per-code arrays (top value, base flag, generator,
-    exponent), and one ``take`` per array reads them per letter.  A label
-    in neither map is a ``ValueError`` naming its first letter in the list.
-    The running top is the inclusive prefix product of the letters' top
-    values, base letters being the identity: one pairwise scan of O(len)
-    table lookups in O(log len) numpy calls over the joined words.  A
-    word's own running top is inv(p) times the scan, p being the scan
-    before the word, which is one more table lookup per base letter and
-    per word.  The base letters are stably sorted by word * n + coordinate,
-    in the narrowest unsigned type that holds S * n - 1 for S words in a
-    top of order n, and summed per run of one generator within one
-    (word, coordinate) pair by one ``np.add.reduceat``; the runs stay
-    arrays.  A pair with no zero run is its slice of the runs; otherwise
-    the stretches between zero runs are joined, and the reduction takes
-    Python steps only at a zero run and at each cancellation it sets off
+    Python takes no step per letter or per letter run.  The words are
+    joined end to end into one code array over an alphabet that starts
+    with the base letters (``_join``), so a letter is a base letter iff its
+    code is below the number of base letters, and the other labels are
+    translated once each into per-code top values.  A label in neither map
+    is a ``ValueError`` naming its first letter in the list.  The running
+    top is the inclusive prefix product of the top letters alone: one
+    pairwise scan of O(T) table lookups in O(log T) numpy calls over the T
+    top letters, after a leading identity.  The top value before position
+    p is scan[p - b], b being the number of base letters before p; a
+    word's own running top is inv(q) times it, q being the value before
+    the word.
+    The base letters fall into r letter runs, maximal stretches of one
+    base letter within one word, each at one coordinate: a run costs one
+    table lookup for its coordinate and one sort key, word * n +
+    coordinate, in the narrowest unsigned type that holds S * n - 1 for S
+    words in a top of order n, and carries its exponent times its length
+    in int64.  The runs are stably sorted by key, and neighbours of one
+    generator at one (word, coordinate) pair are summed by one
+    ``np.add.reduceat``.  One more array pass finds the pairs that hold a
+    zero sum.  Any other pair is its slice of the sums; in these pairs the
+    stretches between zero sums are joined, the reduction taking Python
+    steps only at a zero sum and at each cancellation it sets off
     (``_reduce_runs``).  Each pair's word is then checked by ``FreeWord``
-    with a few array reductions.  S words of L letters in all over
-    alphabets of A labels, in a top of order n, with p nonempty pairs and
-    r runs of which z sum to zero and set off c cancellations, cost O(L)
-    numpy work and O(A + S + p + z + c) Python steps, besides the S * n
-    coordinates of the results; no Python step is taken per run or per
-    syllable.
+    with a few array reductions.  S words of L letters in all, T of them
+    top letters, over alphabets of A labels, with p nonempty pairs, r
+    letter runs and z zero sums setting off c cancellations, cost O(L)
+    numpy work in O(log T) calls, a scan over T letters, a sort over r
+    keys, and O(A + S + p + z + c) Python steps, besides the S * n
+    coordinates of the results.
     """
     n = W.size
     for letter, (gen, exp) in base_letters.items():
+        # the base letters head the joined alphabet, whose labels are strings
+        if not isinstance(letter, str):
+            raise ValueError(f"base letter {letter!r} is not a string")
         if _json_int(gen, f"generator of base letter {letter!r}") not in range(1, W.rank + 1):
             raise ValueError(
                 f"generator of base letter {letter!r} is {gen}, out of range 1..{W.rank}"
@@ -288,18 +298,16 @@ def evaluate_words(
     # holds n*n - 1, so a*n + b indexes it without overflow
     flat = W.top.table.ravel().astype(np.min_scalar_type(n * n - 1))
     inv = W.top.inverse.astype(flat.dtype)
-    # per-code values over the joined alphabet, as lists: each label costs
-    # a few Python steps and the arrays are built once
-    joined = _join(words, ())
+    # the words over one alphabet that starts with the base letters, so a
+    # letter is a base letter iff its code is below nb; the other labels
+    # are translated once into per-code top values
+    nb = len(base_letters)
+    joined = _join(words, tuple(base_letters))
     alphabet, codes = joined.alphabet, joined.codes
     top_of_code = [W.top.identity] * len(alphabet)
-    is_base = [False] * len(alphabet)
-    gen_exp = [(0, 0)] * len(alphabet)
     unknown = []
-    for i, a in enumerate(alphabet):
-        if a in base_letters:
-            is_base[i], gen_exp[i] = True, base_letters[a]
-        elif a in top_letters:
+    for i, a in enumerate(alphabet[nb:], nb):
+        if a in top_letters:
             top_of_code[i] = top_letters[a]
         else:
             unknown.append(i)
@@ -310,16 +318,23 @@ def evaluate_words(
                 f"letter {alphabet[codes[hits[0]]]!r} is neither a base nor a top generator"
             )
 
-    # the scan after a leading identity: running[i] is the top value of the
-    # joined letters before letter i, and offsets[w] is where word w starts
-    x = np.empty(len(codes) + 1, flat.dtype)
+    # the scan of the top letters after a leading identity: scan[j] is the
+    # product of the first j top letters of the joined words
+    is_base = codes < nb
+    top_codes = np.compress(~is_base, codes)
+    x = np.empty(len(top_codes) + 1, flat.dtype)
     x[0] = W.top.identity
     # the codes lie in the alphabet, so clipping never acts; it spares the
     # buffered copy that the default mode makes of ``out``
-    np.array(top_of_code, flat.dtype).take(codes, out=x[1:], mode="clip")
-    running = _prefix_products(flat, n, x)
+    np.array(top_of_code, flat.dtype).take(top_codes, out=x[1:], mode="clip")
+    scan = _prefix_products(flat, n, x)
+    # the top value before position p is the scan at the number of top
+    # letters before p, which is p less the base letters before p; word w
+    # starts at offsets[w], after firsts[w] base letters
+    at = np.flatnonzero(is_base)
     offsets = np.cumsum([0] + [len(w) for w in words])
-    at_bounds = running.take(offsets)
+    firsts = np.searchsorted(at, offsets)
+    at_bounds = scan.take(offsets - firsts)
     # each word's own top, from the scan at its ends
     before = inv.take(at_bounds[:-1])
     tops = flat.take(before * n + at_bounds[1:]).tolist()
@@ -327,35 +342,50 @@ def evaluate_words(
     S = len(words)
     one = FreeWord.identity(W.rank)
     bases = [[one] * n for _ in range(S)]
-    at = np.flatnonzero(np.array(is_base).take(codes))
     if len(at):
-        # a base letter sits at the coordinate of its word's running top
-        # before it, which is the scan at it, since it is the identity
+        # the letter runs: maximal stretches of adjacent base letters of one
+        # code within one word, each at one coordinate
+        base_codes = codes.take(at)
+        is_first = np.empty(len(at), bool)
+        is_first[0] = True
+        np.not_equal(base_codes[1:], base_codes[:-1], out=is_first[1:])
+        is_first[1:] |= np.diff(at) != 1
+        is_first[firsts[firsts < len(at)]] = True
+        run_at = np.flatnonzero(is_first)
+        lengths = np.diff(run_at, append=len(at))
+        # a run sits at the coordinate of its word's running top before it,
+        # the scan at its first letter; per run its word, then that coordinate
         key_type = np.min_scalar_type(S * n - 1)
-        # per base letter its word, then its coordinate within the word
-        words_of = np.repeat(np.arange(S, dtype=key_type), np.diff(np.searchsorted(at, offsets)))
-        keys = flat.take(before.take(words_of) * n + running[1:].take(at)).astype(key_type)
-        keys += words_of * n
+        words_of = np.repeat(
+            np.arange(S, dtype=key_type), np.diff(np.searchsorted(run_at, firsts))
+        )
+        keys = flat.take(before.take(words_of) * n + scan.take(at.take(run_at) - run_at))
+        keys = keys.astype(key_type) + words_of * n
         order = np.argsort(keys, kind="stable")
-        keys, codes = keys[order], codes.take(at[order])
-        # per base letter its generator, in the narrowest type that holds
-        # the rank, and its exponent in int32; the run sums are int64
-        gen_of_code, exp_of_code = zip(*gen_exp)
-        gens = np.array(gen_of_code, np.min_scalar_type(W.rank)).take(codes)
-        exps = np.array(exp_of_code, np.int32).take(codes)
+        keys, run_codes = keys[order], base_codes.take(run_at[order])
+        # per run its generator, in the narrowest type that holds the rank,
+        # and its exponent times its length in int64
+        gen_of_code, exp_of_code = zip(*base_letters.values())
+        gens = np.array(gen_of_code, np.min_scalar_type(W.rank)).take(run_codes)
+        exps = np.array(exp_of_code, np.int64).take(run_codes) * lengths.take(order)
+        # the runs of one generator at one (word, coordinate) pair merge
         starts = np.flatnonzero(
             np.concatenate(([True], (keys[1:] != keys[:-1]) | (gens[1:] != gens[:-1])))
         )
         run_keys = keys[starts]
         run_gens = gens[starts].astype(np.int64)
-        run_exps = np.add.reduceat(exps, starts, dtype=np.int64)
-        # the runs of each nonempty (word, coordinate) pair
-        firsts = np.flatnonzero(np.concatenate(([True], run_keys[1:] != run_keys[:-1])))
-        bounds = firsts.tolist() + [len(run_keys)]
-        for key, lo, hi in zip(run_keys[firsts].tolist(), bounds, bounds[1:]):
+        run_exps = np.add.reduceat(exps, starts)
+        # the merged runs of each nonempty (word, coordinate) pair, and
+        # whether one of them sums to zero
+        pairs = np.flatnonzero(np.concatenate(([True], run_keys[1:] != run_keys[:-1])))
+        has_zero = np.logical_or.reduceat(run_exps == 0, pairs).tolist()
+        bounds = pairs.tolist() + [len(run_keys)]
+        for key, lo, hi, zero in zip(run_keys[pairs].tolist(), bounds, bounds[1:], has_zero):
             w, c = divmod(key, n)
-            reduced = _reduce_runs(run_gens[lo:hi], run_exps[lo:hi])
-            bases[w][c] = FreeWord.from_arrays(W.rank, *reduced)
+            syllables = run_gens[lo:hi], run_exps[lo:hi]
+            bases[w][c] = FreeWord.from_arrays(
+                W.rank, *(_reduce_runs(*syllables) if zero else syllables)
+            )
     return [WreathElement(W, tuple(base), top) for base, top in zip(bases, tops)]
 
 

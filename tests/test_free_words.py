@@ -1,5 +1,6 @@
 """Free-word arithmetic, palindrome predicate, and the quasi-lengths."""
 
+import contextlib
 import pickle
 import random
 import re
@@ -529,9 +530,23 @@ class TestCodeArrayWord:
 
     @pytest.mark.parametrize(
         "codes,alphabet",
-        [([0, 2], ("a", "b")), ([-1], ("a",)), ([0], ("a", "a")), ([0], (1,)), ([[0]], ("a",)), ([0.0], ("a",))],
+        [
+            ([0, 2], ("a", "b")),
+            ([-1], ("a",)),
+            ([0], ("a", "a")),
+            ([0], (1,)),
+            ([[0]], ("a",)),
+            ([0.0], ("a",)),
+            ([0], (["a"],)),
+            (np.array([0, 0, 3], np.uint8), ("b", "c", "d")),
+        ],
     )
     def test_from_codes_rejects_bad_input(self, codes, alphabet):
+        # each alphabet is checked once and then cached: the codes are still
+        # checked over one accepted just before, and an unhashable label is
+        # a ValueError like any other bad label
+        with contextlib.suppress(ValueError):
+            MonoidWord.from_codes(np.zeros(0, np.uint8), alphabet)
         with pytest.raises(ValueError):
             MonoidWord.from_codes(np.array(codes), alphabet)
 

@@ -437,13 +437,17 @@ def letter_words(draw):
 @st.composite
 def letter_word_lists(draw):
     """(W, words, base_letters, top_letters): up to six words as
-    ``draw_word``, empty ones included, each over its own alphabet in order
-    of first occurrence or recoded over a shuffled one holding a label
-    that never occurs."""
+    ``draw_word``, empty ones included, now and then with each letter
+    repeated 1-5 times so that letter runs occur, each over its own
+    alphabet in order of first occurrence or recoded over a shuffled one
+    holding a label that never occurs."""
     W, base, top, inverse = draw(letter_maps())
     words = []
     for _ in range(draw(st.integers(0, 6))):
         word = draw_word(draw, inverse, max_size=draw(st.sampled_from([0, 3, 20])))
+        if draw(st.booleans()):
+            repeats = st.lists(st.integers(1, 5), min_size=len(word), max_size=len(word))
+            word = MonoidWord(a for a, k in zip(word.letters, draw(repeats)) for _ in range(k))
         if draw(st.booleans()):
             alphabet = draw(st.permutations(word.alphabet + ("unused",)))
             recode = np.array([alphabet.index(a) for a in word.alphabet], np.int64)
@@ -523,6 +527,10 @@ class TestEvaluateLetters:
         with pytest.raises(ValueError, match="out of range"):
             evaluate_letters(W, MonoidWord(letters), base, {})
 
+    def test_a_base_letter_that_is_not_a_string_is_a_value_error(self, W):
+        with pytest.raises(ValueError, match="base letter 1 is not a string"):
+            evaluate_letters(W, MonoidWord(("x",)), {**self.X, 1: (1, 1)}, {})
+
     @pytest.mark.parametrize("letters", [("z",), ("x", "z"), ("z", "x^-1"), ()])
     def test_zero_exponent_is_rejected_whatever_its_neighbour(self, W, letters):
         with pytest.raises(ValueError, match="exponent"):
@@ -594,6 +602,61 @@ class TestEvaluateWords:
         got = evaluate_words(W, words, base, top)
         assert len(got) == count
         assert all(g == reference[w.letters] for g, w in zip(got, words))
+
+    # letter runs, maximal stretches of one base letter within one word, at
+    # their boundaries; each case against the reference fold
+    BASE = {"x": (1, 1), "x^-1": (1, -1), "y": (2, 1), "y^-1": (2, -1)}
+
+    @staticmethod
+    def check(W, words, base, top):
+        got = evaluate_words(W, words, base, top)
+        assert got == [reference_evaluate_letters(W, w, base, top) for w in words]
+        return got
+
+    def test_a_run_across_a_word_bound_stays_two_runs(self, W):
+        # x x ends the first word and starts the second: each word holds its
+        # own x^2, at the coordinate of its own running top
+        words = [MonoidWord(("s1", "x", "x")), MonoidWord(("x", "x", "s2")), MonoidWord(("x",))]
+        got = self.check(W, words, self.BASE, dict(W.top.labels))
+        assert [[w.syllables for w in g.base if not w.is_identity()] for g in got] == [
+            [((1, 2),)],
+            [((1, 2),)],
+            [((1, 1),)],
+        ]
+
+    def test_a_run_broken_by_an_identity_top_letter_merges(self, W):
+        top = {**W.top.labels, "e": W.top.identity}
+        (got,) = self.check(W, [MonoidWord(("x", "x", "e", "x", "e", "e", "x^-1"))], self.BASE, top)
+        assert got.base[W.top.identity].syllables == ((1, 2),)
+
+    def test_a_letter_in_both_maps_inside_a_run(self, W):
+        # z is a base letter: it splits the run of x but lands at its coordinate
+        base = {**self.BASE, "z": (1, 3)}
+        top = {**W.top.labels, "z": 1}
+        words = [MonoidWord(("c", "x", "x", "z", "z", "x", "y", "z"))]
+        (got,) = self.check(W, words, base, top)
+        assert got.base[3].syllables == ((1, 9), (2, 1), (1, 3))
+
+    def test_a_word_that_does_not_start_with_the_base_letters_is_recoded(self, W):
+        words = [MonoidWord(("s1", "y", "y", "x^-1")), MonoidWord(("c", "x", "x"))]
+        assert all(w.alphabet[: len(self.BASE)] != tuple(self.BASE) for w in words)
+        self.check(W, words, self.BASE, dict(W.top.labels))
+
+    def test_an_empty_base_map(self, W):
+        words = [MonoidWord(("s1", "c", "c")), MonoidWord(), MonoidWord(("s2",))]
+        got = self.check(W, words, {}, dict(W.top.labels))
+        assert all(all(w.is_identity() for w in g.base) for g in got)
+
+    def test_a_run_of_100_000_letters(self, W):
+        # the run's exponent times its length passes int32; the reference
+        # folds the same word with the run written as one letter
+        m, e = 10**5, 2**31 - 1
+        top = dict(W.top.labels)
+        long = MonoidWord(("s1",) + ("x",) * m + ("c", "x^-1"))
+        short = MonoidWord(("s1", "X", "c", "x^-1"))
+        (got,) = evaluate_words(W, [long], {"x": (1, e), "x^-1": (1, -1)}, top)
+        assert got == reference_evaluate_letters(W, short, {"X": (1, e * m), "x^-1": (1, -1)}, top)
+        assert got.base[1].syllables == ((1, e * m),)
 
 
 def stack_reduce_runs(gens, exps):
