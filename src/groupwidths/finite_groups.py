@@ -94,9 +94,6 @@ __all__ = [
     "abelian_group",
     "evaluate",
     "product_layers",
-    "commutator_set",
-    "commutator_subgroup",
-    "commutator_width",
 ]
 
 DEFAULT_CAP = 512
@@ -341,20 +338,44 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def is_abelian(self) -> bool:
-        return np.array_equal(self.table, self.table.T)
-
     @cached_property
     def derived_subgroup(self) -> frozenset[int]:
-        """The derived subgroup [G, G], computed on first use."""
-        return frozenset(commutator_subgroup(self))
+        """The derived subgroup [G, G], computed on first use.
 
-    def element_order(self, g: int) -> int:
-        n, x = 1, g
-        while x != self.identity:
-            x = self.table[x, g]
-            n += 1
-        return n
+        [G, G] is the normal closure of the commutators
+        [a, b] = a^-1 b^-1 a b of generators a, b: it contains them and is
+        normal, and modulo their normal closure the generators commute, so
+        the quotient is abelian.  H starts as the subgroup these
+        commutators generate (``product_layers``).  H is normal when it is
+        trivial or of index at most 2.  Otherwise each round takes every
+        conjugate a^-1 h a, h in H and a a generator, in one gather; H is
+        normal when none falls outside it (a^-1 H a lies in H for every
+        generator, hence for every element).  Otherwise, for each
+        generator, the first conjugate outside H joins the factors and H is
+        closed again.  The new H properly contains the old one, so its
+        order at least doubles and there are at most log2(order) rounds,
+        each O(order * |factors|) for the closure and O(|H| * |gens|) for
+        the gather.  The factors are the |gens|^2 commutators plus at most
+        |gens| per round, and no array grows with order^2.
+        """
+        T, gens = self.table, self.gen_ids
+        inverses = self.inverse[gens]
+        # [a, b] with a down the rows and b across
+        factors = T[T[T[inverses[:, None], inverses], gens[:, None]], gens].ravel()
+        inside = np.zeros(self.order, dtype=bool)
+        while True:
+            H = np.concatenate(product_layers(self, factors))
+            if len(H) == 1 or 2 * len(H) >= self.order:
+                break
+            inside[H] = True
+            conjugates = T[T[inverses[:, None], H], gens[:, None]]
+            outside = ~inside[conjugates]
+            rows = np.flatnonzero(outside.any(axis=1))
+            if not len(rows):
+                break
+            # each generator's first conjugate outside H
+            factors = np.concatenate((factors, conjugates[rows, outside[rows].argmax(axis=1)]))
+        return frozenset(H.tolist())
 
     def shortest_label_word(self, g: int) -> str:
         """Canonical product expression for g: '*'-joined generator labels
@@ -581,36 +602,6 @@ def abelian_group(moduli: list[int], cap: int = DEFAULT_CAP) -> FiniteGroup:
     for m in moduli[1:]:
         G = direct_product(G, cyclic(m, cap=cap), cap=cap)
     return G
-
-
-# ---------------------------------------------------------------------------
-# commutators
-# ---------------------------------------------------------------------------
-
-
-def _commutator_ids(G: FiniteGroup) -> np.ndarray:
-    """The ascending ids of the commutators [g, h] = g^-1 h^-1 g h, marked
-    in a boolean mask over the order."""
-    T, inv, ids = G.table, G.inverse, np.arange(G.order)
-    is_comm = np.zeros(G.order, dtype=bool)
-    is_comm[T[T[T[inv[:, None], inv], ids[:, None]], ids]] = True
-    return np.flatnonzero(is_comm)
-
-
-def commutator_set(G: FiniteGroup) -> set[int]:
-    """{[g, h] : g, h in G} with [g, h] = g^-1 h^-1 g h."""
-    return set(_commutator_ids(G).tolist())
-
-
-def commutator_subgroup(G: FiniteGroup) -> set[int]:
-    """Subgroup generated by all commutators (closure under products)."""
-    return set(np.concatenate(product_layers(G, _commutator_ids(G))).tolist())
-
-
-def commutator_width(G: FiniteGroup) -> int:
-    """Exact commutator width by product-set covering of the derived
-    subgroup; 0 when the derived subgroup is trivial."""
-    return len(product_layers(G, _commutator_ids(G))) - 1
 
 
 # perfbench builds groups by ``finite_groups.group_from_spec`` and traces

@@ -8,8 +8,8 @@ in or goes out.
 code array over a tuple of letter labels: the codes take the narrowest
 unsigned type for the alphabet, and reversal, concatenation and the
 palindrome test are array operations.  Strings appear only in the
-constructor from letters, ``parse_monoid_word``, ``format_monoid_word``
-and the derived ``letters`` view.  Palindromicity is a property of the
+constructor from letters, ``format_monoid_word`` and the derived
+``letters`` view.  Palindromicity is a property of the
 letter sequence as written, so it belongs to this type.
 
 ``FreeWord`` is the canonical reduced form of a free-group element: its
@@ -42,23 +42,12 @@ __all__ = [
     "FreeWord",
     "reduce_word",
     "is_word_palindrome",
-    "tr",
     "ql",
     "free_commutator",
-    "parse_monoid_word",
     "format_monoid_word",
     "parse_free_word",
     "format_free_word",
 ]
-
-# index of tr(m) by the mathematical residue m mod 3 (0, 1, 2 -> 0, 1, -1)
-_TR_BY_RESIDUE = (0, 1, -1)
-
-
-def tr(m: int) -> int:
-    """Ternary residue sign: 0, 1 or -1 according to m mod 3."""
-    return _TR_BY_RESIDUE[m % 3]
-
 
 class MonoidWord:
     """A finite letter sequence; not reduced, compared letter by letter.
@@ -395,14 +384,6 @@ class FreeWord:
     def exponent_sum(self, gen: int) -> int:
         return int(self.exps[self.gens == gen].sum())
 
-    def to_letters(self) -> MonoidWord:
-        """Spell the word out letter by letter over x1, x1^-1, x2, ..."""
-        # one letter per syllable, then each repeated |exponent| times
-        word = MonoidWord(
-            f"x{g}" if e > 0 else f"x{g}^-1" for g, e in zip(self.gens.tolist(), self.exps.tolist())
-        )
-        return MonoidWord.from_codes(np.repeat(word.codes, np.abs(self.exps)), word.alphabet)
-
 
 def _reduce_runs(gens: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduced syllables of a sequence of runs, whose neighbours are on
@@ -487,8 +468,9 @@ def reduce_word(w: MonoidWord, rank: int | None = None) -> FreeWord:
 
 
 def ql(w: FreeWord | MonoidWord) -> int:
-    """Quasi-length: the sum of tr over the syllable exponents of the
-    reduced form.  Unreduced input is reduced first."""
+    """Quasi-length: the sum of tr(e) over the syllable exponents e of the
+    reduced form, where tr(e) is 0, 1 or -1 as e mod 3 is 0, 1 or 2.
+    Unreduced input is reduced first."""
     if isinstance(w, MonoidWord):
         w = reduce_word(w)
     return _tr_sum(w.exps)
@@ -507,8 +489,8 @@ def free_commutator(u: FreeWord, v: FreeWord) -> FreeWord:
 # ---------------------------------------------------------------------------
 # plain-text formats
 #
-# MonoidWord: letters separated by spaces, inverse letters carry a ^-1
-# suffix; the empty word prints as "1".
+# MonoidWord (output only): letters separated by spaces, inverse letters
+# carry a ^-1 suffix; the empty word prints as "1".
 # FreeWord: syllables like x1^-3, exponent suffix omitted when it is 1;
 # "[u,v]" is accepted on input as commutator shorthand.
 # ---------------------------------------------------------------------------
@@ -516,13 +498,6 @@ def free_commutator(u: FreeWord, v: FreeWord) -> FreeWord:
 
 def format_monoid_word(w: MonoidWord) -> str:
     return " ".join(w.letters) if len(w) else "1"
-
-
-def parse_monoid_word(text: str) -> MonoidWord:
-    text = text.strip()
-    if text in ("", "1"):
-        return MonoidWord()
-    return MonoidWord(text.split())
 
 
 def format_free_word(w: FreeWord) -> str:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import asdict, dataclass, field
-from itertools import accumulate, product as iter_product
+from itertools import accumulate
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -84,45 +84,6 @@ class NilProdGroup:
         *self._offsets, self._tensor_offset = accumulate(map(len, self.factor_moduli), initial=0)
         self.group = self._build_group()
 
-    # -- coordinate plumbing -------------------------------------------
-
-    def decode(self, eid: int) -> tuple[int, ...]:
-        coords = []
-        for m in reversed(self.radix):
-            eid, r = divmod(eid, m)
-            coords.append(r)
-        return tuple(reversed(coords))
-
-    def encode(self, coords: tuple[int, ...]) -> int:
-        eid = 0
-        for m, c in zip(self.radix, coords):
-            eid = eid * m + (c % m)
-        return eid
-
-    def factor_slice(self, coords: tuple[int, ...], i: int) -> tuple[int, ...]:
-        off = self._offsets[i]
-        return coords[off : off + len(self.factor_moduli[i])]
-
-    def embed(self, i: int, vector: tuple[int, ...]) -> int:
-        mod = self.factor_moduli[i]
-        if len(vector) != len(mod):
-            raise ValueError("vector length does not match the factor")
-        off = self._offsets[i]
-        coords = [0] * len(self.radix)
-        coords[off : off + len(mod)] = vector
-        return self.encode(tuple(coords))
-
-    def central(self, tensor: tuple[int, ...]) -> int:
-        if len(tensor) != len(self.tensor_moduli):
-            raise ValueError("tensor vector length mismatch")
-        return self.encode((0,) * self._tensor_offset + tuple(tensor))
-
-    def tensor_part(self, coords: tuple[int, ...]) -> tuple[int, ...]:
-        return coords[self._tensor_offset :]
-
-    def factor_elements(self, i: int) -> list[tuple[int, ...]]:
-        return [tuple(v) for v in iter_product(*(range(m) for m in self.factor_moduli[i]))]
-
     # -- export ----------------------------------------------------------
 
     def _build_group(self) -> FiniteGroup:
@@ -167,15 +128,6 @@ class NilProdGroup:
         centralizer of the other factors consists of the multiples."""
         others = [mv for j, mod in enumerate(self.factor_moduli) if j != i for mv in mod]
         return [lcm(*(gcd(mu, mv) for mv in others)) for mu in self.factor_moduli[i]]
-
-    def centralizer_factor(self, i: int) -> set[tuple[int, ...]]:
-        """Elements of factor i commuting with every other factor."""
-        Ls = self.centralizer_moduli(i)
-        return {
-            vec
-            for vec in self.factor_elements(i)
-            if all(x % L == 0 for x, L in zip(vec, Ls))
-        }
 
     def quotient_generator_count(self, i: int) -> int:
         """Number of factor-i generators with nontrivial image modulo the

@@ -44,8 +44,6 @@ __all__ = [
     "WreathElement",
     "CommutatorCertificate",
     "w_multiply",
-    "w_invert",
-    "w_commutator",
     "base_action",
     "delta",
     "q_sequence",
@@ -127,17 +125,6 @@ def w_multiply(g: WreathElement, h: WreathElement) -> WreathElement:
     moved = base_action(W, h.base, g.top)
     base = tuple(a * b for a, b in zip(g.base, moved))
     return WreathElement(W, base, int(W.top.table[g.top, h.top]))
-
-
-def w_invert(g: WreathElement) -> WreathElement:
-    W = g.group
-    kinv = int(W.top.inverse[g.top])
-    inverted = tuple(w.inverse() for w in g.base)
-    return WreathElement(W, base_action(W, inverted, kinv), kinv)
-
-
-def w_commutator(g: WreathElement, h: WreathElement) -> WreathElement:
-    return w_multiply(w_multiply(w_invert(g), w_invert(h)), w_multiply(g, h))
 
 
 def delta(g: WreathElement) -> int:

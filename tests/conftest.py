@@ -1,9 +1,10 @@
 """Shared test helpers: seeded random words and wreath elements, groups
 with relabelled element ids, maps between groups named by label words,
-small relabelled groups with random
-generating sets and their products, random nested direct products,
-free-word texts spelled out letter by letter, and a call's traced peak
-memory."""
+small relabelled groups with random generating sets and their products,
+random nested direct products, permutation groups as tables, free-word
+texts and free words spelled out letter by letter, the centralizer
+vectors of a nilpotent product's factor, the palindromes ``decompose``
+builds for derived parts, and a call's traced peak memory."""
 
 from __future__ import annotations
 
@@ -16,12 +17,13 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+from groupwidths.decompose import _derived_part_palindromes
 from groupwidths.finite_groups import FiniteGroup, abelian_group, cyclic, dihedral, direct_product, sym3_fink
-from groupwidths.free_words import FreeWord
+from groupwidths.free_words import FreeWord, MonoidWord
 from groupwidths.nilprod import NilProdGroup
 from groupwidths.wreath import WreathElement, WreathGroup
 
-from oracle import brute_layers
+from oracle import brute_layers, factor_elements
 
 # the CLI tests run `python -m groupwidths.cli` in a subprocess; put this
 # checkout's src/ on its path too, as pyproject's pythonpath does in-process
@@ -56,6 +58,19 @@ def random_reduced_word(rng: random.Random, rank: int, max_letters: int) -> Free
 def random_wreath_element(rng: random.Random, W: WreathGroup, max_letters: int) -> WreathElement:
     base = tuple(random_reduced_word(rng, W.rank, max_letters) for _ in range(W.size))
     return WreathElement(W, base, rng.randrange(W.top.order))
+
+
+def centralizer_vectors(np_group: NilProdGroup, i: int) -> set[tuple[int, ...]]:
+    """The vectors of factor i that ``centralizer_moduli`` calls central:
+    each entry a multiple of its summand's modulus there."""
+    moduli = np_group.centralizer_moduli(i)
+    return {v for v in factor_elements(np_group, i) if all(x % L == 0 for x, L in zip(v, moduli))}
+
+
+def derived_palindromes(parts, ctx) -> list[MonoidWord]:
+    """The palindromes ``decompose`` builds for (coordinate, derived part)
+    pairs, one per nontrivial part in order, each construction checked."""
+    return _derived_part_palindromes(parts, ctx)
 
 
 def relabel(G: FiniteGroup, perm: list[int]) -> FiniteGroup:
@@ -101,6 +116,47 @@ def random_generating_sets(draw) -> FiniteGroup:
     for x in ids[k:k + draw(st.integers(0, 3))]:
         chosen |= {x, int(G.inverse[x])}
     return FiniteGroup(G.table, [(f"g{x}", x) for x in sorted(chosen)], name=G.name)
+
+
+def permutation_group(cycles: list[str], degree: int) -> FiniteGroup:
+    """The group the permutations generate, as a table with
+    (p*q)(k) = p(q(k)); each generator that is not an involution gets a
+    ``^-1`` partner.  The elements are closed by BFS from the identity
+    (id 0), and column b of the table is column a gathered at column
+    parent(b), since x*b = (x*parent(b))*a."""
+    gens = []
+    for i, text in enumerate(cycles):
+        p = list(range(degree))
+        for cycle in text[1:-1].split(")("):
+            points = [int(c) for c in cycle]
+            for a, b in zip(points, points[1:] + points[:1]):
+                p[a] = b
+        gens.append((f"p{i}", tuple(p)))
+        inverse = tuple(np.argsort(p).tolist())
+        if inverse != tuple(p):
+            gens.append((f"p{i}^-1", inverse))
+    elements, parent = [tuple(range(degree))], [None]
+    index = {elements[0]: 0}
+    for x in elements:
+        for j, (_, a) in enumerate(gens):
+            y = tuple(x[k] for k in a)
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+                parent.append((index[x], j))
+    perms = np.array(elements)
+    # column j: x -> x*a_j, found by sorted base-degree keys
+    weights = degree ** np.arange(degree)
+    keys = perms @ weights
+    order_of_keys = np.argsort(keys)
+    cols = [order_of_keys[np.searchsorted(keys, perms[:, list(a)] @ weights, sorter=order_of_keys)]
+            for _, a in gens]
+    columns = np.empty((len(elements), len(elements)), dtype=np.int32)
+    columns[0] = np.arange(len(elements))
+    for b in range(1, len(elements)):
+        p, j = parent[b]
+        columns[b] = cols[j][columns[p]]
+    return FiniteGroup(columns.T, [(label, index[a]) for label, a in gens], name="perm")
 
 
 def moved_identity(G: FiniteGroup, seed: int) -> FiniteGroup:
@@ -171,6 +227,11 @@ def products_of_generating_sets(draw, max_order: int, max_factors: int = 3) -> F
 def invert_letters(letters: tuple[str, ...]) -> tuple[str, ...]:
     """The inverse of a letter word over x<i>, x<i>^-1."""
     return tuple(l[:-3] if l.endswith("^-1") else l + "^-1" for l in reversed(letters))
+
+
+def spelled_out(w: FreeWord) -> MonoidWord:
+    """A free word letter by letter over x<i>, x<i>^-1."""
+    return MonoidWord(l for g, e in w.syllables for l in [f"x{g}" if e > 0 else f"x{g}^-1"] * abs(e))
 
 
 def _syllable_atom(gen_exp: tuple[int, int]) -> tuple[str, tuple[str, ...]]:

@@ -11,6 +11,21 @@ breaks the normal form, and the syllable text.
 
 ``tensor_of`` is the reference tensor a (x) b of a two-factor nilpotent
 product, written from the bilinear formula rather than the group table.
+``decode``, ``encode``, ``embed``, ``central``, ``split_coords`` and
+``factor_elements`` read a ``NilProdGroup`` element id as its mixed-radix
+coordinates (factor vectors, then tensor coordinates) and back, from
+``radix``, ``factor_moduli`` and ``tensor_moduli`` alone.
+
+``commutator`` is g^-1 h^-1 g h one table entry at a time;
+``brute_commutator_set``, ``brute_derived_subgroup`` and
+``brute_commutator_width`` take every commutator in Python loops over the
+table and close the set under products with ``brute_layers``.
+``element_order`` multiplies an element by itself until the identity.
+
+``tr`` is the summand of a quasi-length, by a residue lookup.
+``w_invert`` inverts a wreath element coordinate by coordinate and moves
+the words by the inverse top; ``w_commutator`` multiplies the inverses
+and the elements out by ``w_multiply``.
 
 The width oracle works with literal words only: half-words are grown letter by letter (one
 witness word per (value, reversed-value) state, which prunes nothing from
@@ -33,12 +48,13 @@ states the map that identifies them.
 from __future__ import annotations
 
 from collections import deque
+from itertools import accumulate, product
 
 import numpy as np
 
 from groupwidths.finite_groups import FiniteGroup, evaluate
 from groupwidths.free_words import FreeWord, MonoidWord, is_word_palindrome
-from groupwidths.wreath import WreathElement, WreathGroup, w_multiply
+from groupwidths.wreath import WreathElement, WreathGroup, base_action, w_multiply
 
 
 def brute_pair_witnesses(
@@ -206,3 +222,102 @@ def tensor_of(np_group, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ..
     for (_, _, u, v), pos in np_group.tensor_index.items():
         out[pos] = (a[u] * b[v]) % np_group.tensor_moduli[pos]
     return tuple(out)
+
+
+def decode(np_group, eid: int) -> tuple[int, ...]:
+    """The mixed-radix coordinates of an element id, the last coordinate
+    least significant."""
+    coords = []
+    for m in reversed(np_group.radix):
+        eid, r = divmod(eid, m)
+        coords.append(r)
+    return tuple(reversed(coords))
+
+
+def encode(np_group, coords) -> int:
+    """The element id of coordinates, each reduced modulo its radix."""
+    eid = 0
+    for m, c in zip(np_group.radix, coords):
+        eid = eid * m + c % m
+    return eid
+
+
+def _starts(np_group) -> list[int]:
+    # the first coordinate of each factor, then of the tensor part
+    return list(accumulate(map(len, np_group.factor_moduli), initial=0))
+
+
+def embed(np_group, i: int, vector) -> int:
+    """The id of a vector of factor i: its coordinates there, 0 elsewhere."""
+    assert len(vector) == len(np_group.factor_moduli[i])
+    coords = [0] * len(np_group.radix)
+    start = _starts(np_group)[i]
+    coords[start : start + len(vector)] = vector
+    return encode(np_group, coords)
+
+
+def central(np_group, tensor) -> int:
+    """The id of a tensor vector: 0 in every factor coordinate."""
+    assert len(tensor) == len(np_group.tensor_moduli)
+    return encode(np_group, (0,) * _starts(np_group)[-1] + tuple(tensor))
+
+
+def split_coords(np_group, coords) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+    """(the factor vectors, the tensor vector) of coordinates."""
+    starts = _starts(np_group)
+    return [tuple(coords[a:b]) for a, b in zip(starts, starts[1:])], tuple(coords[starts[-1]:])
+
+
+def factor_elements(np_group, i: int) -> list[tuple[int, ...]]:
+    """Every vector of factor i."""
+    return list(product(*map(range, np_group.factor_moduli[i])))
+
+
+def commutator(G: FiniteGroup, g: int, h: int) -> int:
+    """[g, h] = g^-1 h^-1 g h, one table entry at a time."""
+    T, inv = G.table, G.inverse
+    return int(T[T[T[inv[g]][inv[h]]][g]][h])
+
+
+def brute_commutator_set(G: FiniteGroup) -> set[int]:
+    """Every commutator [g, h], over all pairs of elements."""
+    return {commutator(G, g, h) for g in range(G.order) for h in range(G.order)}
+
+
+def brute_derived_subgroup(G: FiniteGroup) -> set[int]:
+    """[G, G]: every commutator, closed under products."""
+    return {x for layer in brute_layers(G, sorted(brute_commutator_set(G))) for x in layer}
+
+
+def brute_commutator_width(G: FiniteGroup) -> int:
+    """The least k with every element of [G, G] a product of at most k
+    commutators (the commutators are closed under inverses, as
+    [g, h]^-1 = [h, g]); 0 when [G, G] is trivial."""
+    return len(brute_layers(G, sorted(brute_commutator_set(G)))) - 1
+
+
+def element_order(G: FiniteGroup, g: int) -> int:
+    """The least n >= 1 with g^n = 1."""
+    n, x = 1, g
+    while x != G.identity:
+        x = int(G.table[x][g])
+        n += 1
+    return n
+
+
+def tr(m: int) -> int:
+    """0, 1 or -1 as m mod 3 is 0, 1 or 2."""
+    return (0, 1, -1)[m % 3]
+
+
+def w_invert(g: WreathElement) -> WreathElement:
+    """g^-1 = (k^-1 acting on the inverted words, k^-1) for g = (p, k)."""
+    W = g.group
+    kinv = int(W.top.inverse[g.top])
+    inverted = tuple(w.inverse() for w in g.base)
+    return WreathElement(W, base_action(W, inverted, kinv), kinv)
+
+
+def w_commutator(g: WreathElement, h: WreathElement) -> WreathElement:
+    """[g, h] = g^-1 h^-1 g h in a wreath group."""
+    return w_multiply(w_multiply(w_invert(g), w_invert(h)), w_multiply(g, h))

@@ -1,6 +1,7 @@
 """The package's public API: what ``groupwidths`` exports, and the
 README's library sketch."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -37,6 +38,49 @@ def test_all_names_resolve_and_none_is_a_submodule():
     for name in groupwidths.__all__:
         value = getattr(groupwidths, name)
         assert not isinstance(value, types.ModuleType), name
+
+
+# specs.group_to_spec is the spec writer README documents, for saving a
+# group built in Python as a "table" spec; the commands only read specs,
+# so nothing in the package calls it
+READ_ONLY_BY_USERS = {"specs.group_to_spec"}
+
+
+def unread_exports() -> list[str]:
+    """Every "module.name" of a groupwidths module's ``__all__`` that no
+    code in src/, scripts/ or perfbench/ reads besides its definition and
+    its ``__all__`` entry.  A read is a name or an attribute that is not
+    assigned to, or, in the benchmark's tracer, which patches what it
+    traces by name, a "module.name" string."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for tree in ("src", "scripts", "perfbench") for path in sorted((ROOT / tree).rglob("*.py"))}
+    read = set()
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif path.name == "tracing.py" and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.update(node.value.split(".")[1:])
+    unread = []
+    for path, tree in trees.items():
+        if path.parent.name != "groupwidths":
+            continue
+        # the package's own __all__ is the union of these lists, built by a
+        # comprehension rather than written out
+        for node in tree.body:
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
+                    and [getattr(t, "id", None) for t in node.targets] == ["__all__"]):
+                names = ast.literal_eval(node.value)
+                unread += [f"{path.stem}.{name}" for name in names if name not in read]
+    return unread
+
+
+def test_every_export_is_read_outside_the_tests():
+    # a name that only tests read belongs in tests/ (oracle.py or
+    # conftest.py), not in the package's API
+    assert sorted(unread_exports()) == sorted(READ_ONLY_BY_USERS)
 
 
 def test_readme_library_sketch_runs():

@@ -45,7 +45,7 @@ from groupwidths.wreath import (
     w_multiply,
 )
 
-from conftest import random_reduced_word, random_wreath_element
+from conftest import derived_palindromes, random_reduced_word, random_wreath_element
 
 # the package rebinds the name ``decompose`` to the function
 decompose_module = importlib.import_module("groupwidths.decompose")
@@ -176,7 +176,7 @@ class TestCoordinatePalindromes:
 
 class TestDerivedPart:
     def test_commutator_word_matches_construction(self, ctx):
-        w = derived_part_palindrome(0, parse_free_word("[x,y]", rank=2), ctx)
+        [w] = derived_palindromes([(0, parse_free_word("[x,y]", rank=2))], ctx)
         half = (
             "c s1 s2 s1 s2 x^-1 s2 s1 s2 s1 c^-1 y^-1 "
             "c s1 s2 s1 s2 x s2 s1 s2 s1 c^-1 y"
@@ -186,24 +186,34 @@ class TestDerivedPart:
         assert ctx.eval_word(w) == commutator_target(ctx)
 
     def test_trivial_part_no_factor(self, ctx):
-        assert derived_part_palindrome(0, FreeWord.identity(2), ctx) is None
+        assert derived_palindromes([(0, FreeWord.identity(2))], ctx) == []
 
     def test_arbitrary_derived_words(self, ctx):
+        # one call for every part, as decompose makes it: one palindrome per
+        # nontrivial part, in order
         rng = random.Random(17)
+        parts = []
         for _ in range(60):
             coord = rng.randrange(6)
             w = random_reduced_word(rng, 2, 10)
             prefix = FreeWord(2, tuple(s for s in ((1, w.exponent_sum(1)), (2, w.exponent_sum(2))) if s[1]))
-            part = prefix.inverse() * w  # zero exponent sums by construction
-            if part.is_identity():
-                continue
-            factor = derived_part_palindrome(coord, part, ctx)
+            parts.append((coord, prefix.inverse() * w))  # zero exponent sums by construction
+        factors = derived_palindromes(parts, ctx)
+        nontrivial = [(coord, part) for coord, part in parts if not part.is_identity()]
+        assert len(factors) == len(nontrivial) == 34
+        for factor, (coord, part) in zip(factors, nontrivial):
             assert is_word_palindrome(factor)
             assert ctx.eval_word(factor) == ctx.group.from_base_word(part, coord)
 
     def test_nonzero_exponent_sum_rejected(self, ctx):
         with pytest.raises(ValueError):
-            derived_part_palindrome(0, FreeWord.generator(2, 1), ctx)
+            derived_palindromes([(0, FreeWord.generator(2, 1))], ctx)
+
+    def test_the_one_part_form_is_the_list_form(self, ctx):
+        # derived_part_palindrome stays while the benchmark traces it by name
+        part = parse_free_word("[x,y] [y^-1,x]", rank=2)
+        assert derived_part_palindrome(4, part, ctx) == derived_palindromes([(4, part)], ctx)[0]
+        assert derived_part_palindrome(4, FreeWord.identity(2)) is None
 
 
 class TestTopPalindromes:
@@ -280,7 +290,7 @@ def test_ids_out_of_range_are_named(ctx, k):
         coordinate_power_palindrome(k, "x", 1, ctx)
     for derived in (part, FreeWord.identity(2)):
         with pytest.raises(ValueError, match=rf"^coordinate {k} is out of range 0\.\.5$"):
-            derived_part_palindrome(k, derived, ctx)
+            derived_palindromes([(k, derived)], ctx)
     with pytest.raises(ValueError, match=rf"^top element {k} is out of range 0\.\.5$"):
         top_palindromes(k, ctx)
 

@@ -1,4 +1,4 @@
-"""Constructors, table verification, evaluation, and commutator machinery."""
+"""Constructors, table verification, evaluation, and the derived subgroup."""
 
 import json
 import math
@@ -17,9 +17,6 @@ from groupwidths.finite_groups import (
     CapExceeded,
     FiniteGroup,
     abelian_group,
-    commutator_set,
-    commutator_subgroup,
-    commutator_width,
     cyclic,
     dihedral,
     direct_product,
@@ -27,7 +24,7 @@ from groupwidths.finite_groups import (
     product_layers,
     sym3_fink,
 )
-from groupwidths.free_words import MonoidWord, parse_monoid_word
+from groupwidths.free_words import MonoidWord
 from groupwidths.pal_width import NOTIONS, palindromic_width
 from groupwidths.specs import group_from_spec, group_to_spec, spec_from_json
 
@@ -36,11 +33,21 @@ from conftest import (
     direct_products,
     label_map,
     moved_identity,
+    permutation_group,
+    random_generating_sets,
     relabel,
     relabelled_small_groups,
     traced_peak_mib,
 )
-from oracle import brute_layers, extends_to_isomorphism
+from oracle import (
+    brute_commutator_set,
+    brute_commutator_width,
+    brute_derived_subgroup,
+    brute_layers,
+    commutator,
+    element_order,
+    extends_to_isomorphism,
+)
 
 
 class TestConstructors:
@@ -58,7 +65,7 @@ class TestConstructors:
         assert G.order == 6
         labels = dict(G.gens)
         assert G.table[labels["s1"]][labels["s2"]] == labels["c"]
-        assert G.element_order(labels["c"]) == 3
+        assert element_order(G, labels["c"]) == 3
         assert G.inverse[labels["c"]] == labels["c^-1"]
 
     def test_direct_product_labels(self):
@@ -79,14 +86,14 @@ class TestConstructors:
     def test_dihedral(self):
         G = dihedral(4)
         assert G.order == 8
-        assert not G.is_abelian()
         s, r = G.labels["s"], G.labels["r"]
+        assert G.derived_subgroup == {G.identity, G.table[r][r]}
         # s r s = r^-1
         assert G.table[G.table[s][r]][s] == G.inverse[r]
 
     def test_abelian_group(self):
         G = abelian_group([2, 3])
-        assert G.order == 6 and G.is_abelian()
+        assert G.order == 6 and G.derived_subgroup == {G.identity}
         assert sorted(G.labels) == ["a", "b", "b^-1"]
 
     def test_tables_match_the_modular_formula(self):
@@ -209,7 +216,7 @@ class TestTableVerification:
             G.table[0, 0] = 1
         scalars = [G.identity, G.order, *G.labels.values()]
         scalars += [g for _, g in G.gens]
-        scalars += [evaluate(G, parse_monoid_word("r s a")), G.element_from_label_word("r*a")]
+        scalars += [evaluate(G, MonoidWord(("r", "s", "a"))), G.element_from_label_word("r*a")]
         assert all(type(x) is int for x in scalars)
 
 
@@ -413,13 +420,13 @@ class TestProductLayers:
             return sorted(data.draw(st.sets(st.sampled_from(elements))))
         if kind == "proper":
             # a subset of the cyclic subgroup of an element of order below |G|
-            x = data.draw(st.sampled_from([g for g in elements if G.element_order(g) < G.order] or [G.identity]))
+            x = data.draw(st.sampled_from([g for g in elements if element_order(G, g) < G.order] or [G.identity]))
             powers = [G.identity]
             while (y := int(G.table[powers[-1], x])) != G.identity:
                 powers.append(y)
             return sorted(data.draw(st.sets(st.sampled_from(powers), min_size=1)))
         if kind == "commutators":
-            return sorted(commutator_set(G))
+            return sorted(brute_commutator_set(G))
         return []
 
     @settings(max_examples=200, deadline=None)
@@ -433,15 +440,15 @@ class TestProductLayers:
 class TestEvaluate:
     def test_involution(self):
         G = sym3_fink()
-        assert evaluate(G, parse_monoid_word("s1 s1")) == G.identity
+        assert evaluate(G, MonoidWord(("s1", "s1"))) == G.identity
 
     def test_relator_vs_its_reversal(self):
         G = sym3_fink()
-        r = parse_monoid_word("c s1 s2 s1 s2")
+        r = MonoidWord("c s1 s2 s1 s2".split())
         assert evaluate(G, r) == G.identity
         rbar = evaluate(G, r.reverse())
         assert rbar != G.identity
-        assert G.element_order(rbar) == 3
+        assert element_order(G, rbar) == 3
 
     def test_homomorphism_random(self):
         G = dihedral(5)
@@ -458,34 +465,64 @@ class TestEvaluate:
             evaluate(cyclic(3), MonoidWord(("zz",)))
 
 
-class TestCommutators:
-    def test_cyclic_width_zero(self):
-        assert commutator_width(cyclic(6)) == 0
+# C2 wr C4 on eight points: the top cycles the four pairs {2i, 2i+1}, the
+# base flips them
+C2_WR_C4 = permutation_group(["(0246)(1357)", "(01)"], 8)
+
+
+class TestDerivedSubgroup:
+    """``derived_subgroup`` by normal closure, against the oracle's closure
+    of every commutator."""
+
+    def test_cyclic_derived_subgroup_is_trivial(self):
+        G = cyclic(6)
+        assert G.derived_subgroup == {G.identity}
+        assert brute_commutator_width(G) == 0
 
     def test_sym3_derived_subgroup(self):
         G = sym3_fink()
-        # brute force over all 36 commutators
-        brute = {
-            G.table[G.table[G.table[G.inverse[g]][G.inverse[h]]][g]][h]
-            for g in G.elements()
-            for h in G.elements()
-        }
         expected = {G.identity, G.labels["c"], G.labels["c^-1"]}
-        assert brute == expected
-        assert commutator_subgroup(G) == expected
-        assert commutator_set(G) == expected  # every derived element is one commutator
-        assert commutator_width(G) == 1
+        assert expected == {0, 3, 4}
+        assert G.derived_subgroup == brute_derived_subgroup(G) == expected
+        # every derived element is one commutator
+        assert brute_commutator_set(G) == expected
+        assert brute_commutator_width(G) == 1
 
-    def test_dihedral4_width(self):
+    def test_dihedral4_derived_subgroup(self):
         G = dihedral(4)
-        assert commutator_width(G) == 1
-        assert len(commutator_subgroup(G)) == 2
+        assert len(G.derived_subgroup) == 2
+        assert brute_commutator_width(G) == 1
+
+    def test_the_generators_commutators_need_their_conjugates(self):
+        # the commutators of the generators generate a subgroup of order 4
+        # that is not normal; the derived subgroup, the vectors of even
+        # weight in the base C2^4, has order 8
+        G = C2_WR_C4
+        assert G.order == 64
+        gens = G.gen_ids.tolist()
+        S = sorted({commutator(G, a, b) for a in gens for b in gens})
+        assert sum(map(len, brute_layers(G, S))) == 4
+        assert G.derived_subgroup == brute_derived_subgroup(G)
+        assert len(G.derived_subgroup) == 8
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(relabelled_small_groups(), random_generating_sets(), direct_products(max_order=96),
+                     st.permutations(range(64)).map(lambda perm: relabel(C2_WR_C4, perm))))
+    def test_agrees_with_the_brute_force_closure(self, G):
+        assert G.derived_subgroup == brute_derived_subgroup(G)
+
+    def test_a7_is_perfect_and_its_closure_holds_no_order_squared_array(self):
+        G = permutation_group(["(0123456)", "(124)(365)", "(06)(23)"], 7)
+        assert G.order == 2520
+        derived, peak = traced_peak_mib(lambda: G.derived_subgroup)
+        assert derived == frozenset(range(G.order))
+        assert peak < 1, peak
 
     def test_derived_subgroup_is_computed_once_on_first_use(self):
         for G in (cyclic(6), dihedral(4), sym3_fink(), direct_product(sym3_fink(), dihedral(3))):
             assert "derived_subgroup" not in vars(G)
             derived = G.derived_subgroup
-            assert type(derived) is frozenset and derived == commutator_subgroup(G)
+            assert type(derived) is frozenset and derived == brute_derived_subgroup(G)
             assert G.derived_subgroup is derived
 
 

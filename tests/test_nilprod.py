@@ -13,18 +13,25 @@ from groupwidths.finite_groups import (
 )
 from groupwidths.nilprod import BoundReport, NilProdGroup, bound_report, nilprod2_multi, width_bounds
 from groupwidths.pal_width import palindromic_width
-from conftest import label_map, traced_peak_mib
-from oracle import extends_to_isomorphism, tensor_of
+from conftest import centralizer_vectors, label_map, traced_peak_mib
+from oracle import (
+    central,
+    commutator,
+    decode,
+    element_order,
+    embed,
+    encode,
+    extends_to_isomorphism,
+    factor_elements,
+    split_coords,
+    tensor_of,
+)
 
 PAIR_FACTORS = [[2], [3], [4], [2, 2]]
 
 
 def embedded(np_group, i):
-    return {np_group.embed(i, v) for v in np_group.factor_elements(i)}
-
-
-def commutator(G, x, y):
-    return G.table[G.table[G.table[G.inverse[x]][G.inverse[y]]][x]][y]
+    return {embed(np_group, i, v) for v in factor_elements(np_group, i)}
 
 
 def normal_closure(G, S):
@@ -45,8 +52,8 @@ class TestConstruction:
     def test_z2_z2_is_dihedral8(self):
         np2 = NilProdGroup([[2], [2]])
         assert np2.order == 8
-        assert not np2.group.is_abelian()
-        assert all(np2.group.element_order(g) == 2 for _, g in np2.group.gens)
+        assert len(np2.group.derived_subgroup) == 2
+        assert all(element_order(np2.group, g) == 2 for _, g in np2.group.gens)
         # two involutions whose product has order 4
         D = dihedral(4)
         assert extends_to_isomorphism(np2.group, D, label_map(np2.group, D, {"a": "s", "b": "r*s"}))
@@ -54,16 +61,16 @@ class TestConstruction:
     def test_coprime_factors_give_direct_product(self):
         np2 = NilProdGroup([[2], [3]])
         assert np2.order == 6
-        assert np2.group.is_abelian()
+        assert np2.group.derived_subgroup == {np2.group.identity}
         C = cyclic(6)
         assert extends_to_isomorphism(np2.group, C, label_map(np2.group, C, {"a": "a*a*a", "b": "a*a"}))
 
     def test_z3_z3_heisenberg_type(self):
         np2 = NilProdGroup([[3], [3]])
         assert np2.order == 27
-        assert not np2.group.is_abelian()
+        assert len(np2.group.derived_subgroup) == 3
         assert all(
-            np2.group.element_order(g) == 3
+            element_order(np2.group, g) == 3
             for g in np2.group.elements()
             if g != np2.group.identity
         )
@@ -92,9 +99,9 @@ class TestConstruction:
         G, peak = traced_peak_mib(lambda: NilProdGroup([[2, 2, 2], [2, 2]], cap=4096))
         assert peak <= 24, peak
         assert (G.order, len(G.radix), len(G.tensor_moduli)) == (2048, 11, 6)
-        for a in G.factor_elements(0):
-            for b in G.factor_elements(1):
-                assert commutator(G.group, G.embed(0, a), G.embed(1, b)) == G.central(tensor_of(G, a, b))
+        for a in factor_elements(G, 0):
+            for b in factor_elements(G, 1):
+                assert commutator(G.group, embed(G, 0, a), embed(G, 1, b)) == central(G, tensor_of(G, a, b))
 
     def test_moduli_are_integers(self):
         # floats and bools are rejected, not truncated by int()
@@ -112,16 +119,16 @@ class TestConstruction:
         for A, B in itertools.product(PAIR_FACTORS, repeat=2):
             np2 = NilProdGroup([A, B])
             G = np2.group
-            for a in np2.factor_elements(0):
-                for b in np2.factor_elements(1):
-                    lhs = commutator(G, np2.embed(0, a), np2.embed(1, b))
-                    assert lhs == np2.central(tensor_of(np2, a, b))
+            for a in factor_elements(np2, 0):
+                for b in factor_elements(np2, 1):
+                    lhs = commutator(G, embed(np2, 0, a), embed(np2, 1, b))
+                    assert lhs == central(np2, tensor_of(np2, a, b))
 
     def test_tensor_bilinearity(self):
         np2 = NilProdGroup([[4, 2], [6]])
-        for a in np2.factor_elements(0):
-            for a2 in np2.factor_elements(0):
-                for b in np2.factor_elements(1):
+        for a in factor_elements(np2, 0):
+            for a2 in factor_elements(np2, 0):
+                for b in factor_elements(np2, 1):
                     asum = tuple((x + y) % m for x, y, m in zip(a, a2, np2.factor_moduli[0]))
                     lhs = tensor_of(np2, asum, b)
                     rhs = tuple(
@@ -145,10 +152,8 @@ class TestStructuralProperties:
         np2 = NilProdGroup([A, B])
         G = np2.group
         for e in G.elements():
-            coords = np2.decode(e)
-            a = np2.embed(0, np2.factor_slice(coords, 0))
-            b = np2.embed(1, np2.factor_slice(coords, 1))
-            t = np2.central(np2.tensor_part(coords))
+            (u, v), tensor = split_coords(np2, decode(np2, e))
+            a, b, t = embed(np2, 0, u), embed(np2, 1, v), central(np2, tensor)
             assert G.table[G.table[a][b]][t] == e
 
     @pytest.mark.parametrize("A,B", list(itertools.product(PAIR_FACTORS, repeat=2)))
@@ -166,10 +171,10 @@ class TestStructuralProperties:
     def test_centralizer_products_meet_tensor_trivially(self, A, B):
         np2 = NilProdGroup([A, B])
         G = np2.group
-        CA, CB = np2.centralizer_factor(0), np2.centralizer_factor(1)
-        prods = {G.table[np2.embed(0, a)][np2.embed(1, b)] for a in CA for b in CB}
+        CA, CB = centralizer_vectors(np2, 0), centralizer_vectors(np2, 1)
+        prods = {G.table[embed(np2, 0, a)][embed(np2, 1, b)] for a in CA for b in CB}
         tensor = {
-            np2.central(t)
+            central(np2, t)
             for t in itertools.product(*(range(m) for m in np2.tensor_moduli))
         }
         assert prods & tensor == {G.identity}
@@ -178,17 +183,17 @@ class TestStructuralProperties:
 class TestCentralizers:
     def test_coprime_everything_central(self):
         np2 = NilProdGroup([[2], [3]])
-        CA, CB = np2.centralizer_factor(0), np2.centralizer_factor(1)
-        assert CA == set(np2.factor_elements(0))
-        assert CB == set(np2.factor_elements(1))
+        CA, CB = centralizer_vectors(np2, 0), centralizer_vectors(np2, 1)
+        assert CA == set(factor_elements(np2, 0))
+        assert CB == set(factor_elements(np2, 1))
 
     def test_z2_z2_trivial(self):
-        CA = NilProdGroup([[2], [2]]).centralizer_factor(0)
+        CA = centralizer_vectors(NilProdGroup([[2], [2]]), 0)
         assert CA == {(0,)}
 
     def test_z4_z2_index_two(self):
         np2 = NilProdGroup([[4], [2]])
-        CA, CB = np2.centralizer_factor(0), np2.centralizer_factor(1)
+        CA, CB = centralizer_vectors(np2, 0), centralizer_vectors(np2, 1)
         assert CA == {(0,), (2,)}
         assert CB == {(0,)}
 
@@ -199,17 +204,17 @@ class TestCentralizers:
         emb_b = embedded(np2, 1)
         brute = {
             v
-            for v in np2.factor_elements(0)
-            if all(G.table[np2.embed(0, v)][b] == G.table[b][np2.embed(0, v)] for b in emb_b)
+            for v in factor_elements(np2, 0)
+            if all(G.table[embed(np2, 0, v)][b] == G.table[b][embed(np2, 0, v)] for b in emb_b)
         }
-        assert np2.centralizer_factor(0) == brute
+        assert centralizer_vectors(np2, 0) == brute
 
     @pytest.mark.parametrize("A,B", list(itertools.product(PAIR_FACTORS, repeat=2)))
     def test_centralizers_normal(self, A, B):
         np2 = NilProdGroup([A, B])
         G = np2.group
         for i in (0, 1):
-            sub = {np2.embed(i, v) for v in np2.centralizer_factor(i)}
+            sub = {embed(np2, i, v) for v in centralizer_vectors(np2, i)}
             assert all(
                 G.table[G.table[G.inverse[g]][s]][g] in sub for s in sub for g in G.elements()
             )
@@ -242,10 +247,10 @@ class TestMulti:
         G = np3.group
         # each unordered factor pair contributes one central involution
         for i, j in itertools.combinations(range(3), 2):
-            x = np3.embed(i, (1,))
-            y = np3.embed(j, (1,))
+            x = embed(np3, i, (1,))
+            y = embed(np3, j, (1,))
             c = commutator(G, x, y)
-            assert c != G.identity and G.element_order(c) == 2
+            assert c != G.identity and element_order(G, c) == 2
 
 
 PLUMBING_FACTORS = [[[2, 2], [2]], [[4], [2], [2]], [[1], [3]]]
@@ -256,22 +261,21 @@ class TestCoordinatePlumbing:
     def test_encode_inverts_decode(self, factors):
         np_group = NilProdGroup(factors)
         for e in range(np_group.order):
-            assert np_group.encode(np_group.decode(e)) == e
+            assert encode(np_group, decode(np_group, e)) == e
 
     @pytest.mark.parametrize("factors", PLUMBING_FACTORS)
-    def test_embed_and_central_reduce_their_entries(self, factors):
+    def test_table_follows_the_product_formula(self, factors):
+        # (v, t) * (v', t') = (v + v', t + t' - sum_{i<j} v'_i (x) v_j), with
+        # the (u, v) entry of v'_i (x) v_j the product v'_i[u] * v_j[v]
         np_group = NilProdGroup(factors)
-        for i, moduli in enumerate(np_group.factor_moduli):
-            for vec in np_group.factor_elements(i):
-                for k in (-3, -1, 2):
-                    shifted = tuple(x + k * m for x, m in zip(vec, moduli))
-                    assert np_group.embed(i, shifted) == np_group.embed(i, vec)
-        tensors = itertools.product(*(range(m) for m in np_group.tensor_moduli))
-        for vec in tensors:
-            for k in (-2, 1, 5):
-                shifted = tuple(x + k * m for x, m in zip(vec, np_group.tensor_moduli))
-                assert np_group.central(shifted) == np_group.central(vec)
-                assert np_group.tensor_part(np_group.decode(np_group.central(shifted))) == vec
+        coords = [decode(np_group, e) for e in range(np_group.order)]
+        vectors = [split_coords(np_group, c)[0] for c in coords]
+        start = len(np_group.radix) - len(np_group.tensor_moduli)
+        for g, h in itertools.product(range(np_group.order), repeat=2):
+            expected = [x + y for x, y in zip(coords[g], coords[h])]
+            for (i, j, u, v), pos in np_group.tensor_index.items():
+                expected[start + pos] -= vectors[h][i][u] * vectors[g][j][v]
+            assert np_group.group.table[g, h] == encode(np_group, expected), (g, h)
 
     @pytest.mark.parametrize("factors", PLUMBING_FACTORS)
     def test_generators_are_unit_vectors_at_their_summands(self, factors):
@@ -289,11 +293,11 @@ class TestCoordinatePlumbing:
                 unit[pos] = m - 1
                 expected[label + "^-1"] = tuple(unit)
         for label, g in np_group.group.gens:
-            assert np_group.decode(g) == expected.pop(label), label
+            assert decode(np_group, g) == expected.pop(label), label
         # the involutions have no ^-1 partner
         assert all(label.endswith("^-1") for label in expected)
         for label, v in expected.items():
-            assert v == np_group.decode(np_group.group.labels[label[:-3]]), label
+            assert v == decode(np_group, np_group.group.labels[label[:-3]]), label
 
 
 class TestBoundReportJson:

@@ -34,6 +34,7 @@ from groupwidths.specs import group_from_spec, group_to_spec
 from conftest import (
     bracketed,
     direct_products,
+    permutation_group,
     products_of_generating_sets,
     random_generating_sets,
     traced_peak_mib,
@@ -256,47 +257,6 @@ class TestAgainstBruteForce:
             assert (g, h) in witnesses, (G.gens, g, h)
         fibre = {int(h) for g, h in witnesses if g == G.identity}
         assert set(reachable_pairs(G).defect.tolist()) == fibre, G.gens
-
-
-def permutation_group(cycles: list[str], degree: int) -> FiniteGroup:
-    """The group the permutations generate, as a table with
-    (p*q)(k) = p(q(k)); each generator that is not an involution gets a
-    ``^-1`` partner.  The elements are closed by BFS from the identity
-    (id 0), and column b of the table is column a gathered at column
-    parent(b), since x*b = (x*parent(b))*a."""
-    gens = []
-    for i, text in enumerate(cycles):
-        p = list(range(degree))
-        for cycle in text[1:-1].split(")("):
-            points = [int(c) for c in cycle]
-            for a, b in zip(points, points[1:] + points[:1]):
-                p[a] = b
-        gens.append((f"p{i}", tuple(p)))
-        inverse = tuple(np.argsort(p).tolist())
-        if inverse != tuple(p):
-            gens.append((f"p{i}^-1", inverse))
-    elements, parent = [tuple(range(degree))], [None]
-    index = {elements[0]: 0}
-    for x in elements:
-        for j, (_, a) in enumerate(gens):
-            y = tuple(x[k] for k in a)
-            if y not in index:
-                index[y] = len(elements)
-                elements.append(y)
-                parent.append((index[x], j))
-    perms = np.array(elements)
-    # column j: x -> x*a_j, found by sorted base-degree keys
-    weights = degree ** np.arange(degree)
-    keys = perms @ weights
-    order_of_keys = np.argsort(keys)
-    cols = [order_of_keys[np.searchsorted(keys, perms[:, list(a)] @ weights, sorter=order_of_keys)]
-            for _, a in gens]
-    columns = np.empty((len(elements), len(elements)), dtype=np.int32)
-    columns[0] = np.arange(len(elements))
-    for b in range(1, len(elements)):
-        p, j = parent[b]
-        columns[b] = cols[j][columns[p]]
-    return FiniteGroup(columns.T, [(label, index[a]) for label, a in gens], name="perm")
 
 
 class TestReversalDefect:
