@@ -139,9 +139,6 @@ class MonoidWord:
     def __mul__(self, other: "MonoidWord") -> "MonoidWord":
         return _join((self, other), self.alphabet)
 
-    def reverse(self) -> "MonoidWord":
-        return MonoidWord.from_codes(self.codes[::-1], self.alphabet)
-
 
 @lru_cache(maxsize=64)
 def _check_alphabet(alphabet: tuple[str, ...]) -> None:
@@ -340,10 +337,6 @@ class FreeWord:
     @staticmethod
     def identity(rank: int) -> "FreeWord":
         return FreeWord.from_arrays(rank, _EMPTY, _EMPTY)
-
-    @staticmethod
-    def generator(rank: int, gen: int, exp: int = 1) -> "FreeWord":
-        return FreeWord(rank, ((gen, exp),) if exp else ())
 
     def is_identity(self) -> bool:
         return not len(self.gens)

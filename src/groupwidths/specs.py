@@ -16,16 +16,18 @@ and no Python object per entry, and leaves every other text to the
 standard ``json`` code, so the inputs accepted, the values and the error
 messages are those of ``json.loads``.  The text is read in blocks of about
 ``_READ_BLOCK`` characters cut at row ends, so no temporary grows with
-the table.  ``group_from_spec`` checks such an array's cap, and
-``FiniteGroup`` verifies it like any table and keeps it without a copy.
-The file's bytes are hashed and freed before the text is parsed, so a
-read holds one copy of the text.  On a relabelled D384 table spec (order
-768, 2.87 MB) reading takes a median 24-35 ms at a 3.0 MiB peak
-(``tracemalloc``) and building the group 2.3-2.4 ms, against 28-48 ms at
-18.0 MiB and 3.3 ms when the table was read whole into int64 and copied
-(four runs of 15 or 60 reads, alternated in one process, faster in each),
-and 73-75 and 61-63 ms through ``json.loads`` and lists; ``read_group``
-peaks at 5.7 MiB, against 23.4 (2-vCPU Xeon VM, Python 3.11, numpy 2.4).
+the table.  A block's separators are located once and compared with a
+row template, and its numbers are decoded from the 8-byte words that end
+at their last bytes, with no number parser and no Python work per row.
+``group_from_spec`` checks such an array's cap, and ``FiniteGroup``
+verifies it like any table and keeps it without a copy.  The file's
+bytes are hashed and freed before the text is parsed, so a read holds
+one copy of the text.  On a relabelled D384 table spec (order 768, 2.87
+MB) reading the file (hash, decode and parse) takes a median 21.9 ms,
+against 30.8 ms when numpy's string parser read each block's numbers (a
+median paired ratio of 0.72 over 40 reads each, alternated in one
+process, faster in each), at the same 2.9 MiB peak (``tracemalloc``);
+``read_group`` peaks at 5.7 MiB (2-vCPU Xeon VM, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -86,58 +88,133 @@ def _label(value) -> str:
 
 _JSON_WS = " \t\n\r"
 # an array whose first element is an array whose first character starts a
-# number, and the first "]]" (whitespace allowed between) after it
+# number
 _TABLE_START = re.compile(r"[ \t\n\r]*\[[ \t\n\r]*[-0-9]")
-_TABLE_END = re.compile(r"\][ \t\n\r]*\]")
 
 
 # The reader decodes a table's text in blocks of about this many characters,
-# cut at row ends, so that its temporaries (a block's bytes, its byte masks
-# and its int64 values) stay in cache and none grows with the table.  On the
-# relabelled D384 spec, blocks of 64, 128 and 256 KiB read within noise of
-# each other and 16 and 512 KiB slower (medians of 15 reads, alternated);
-# the smallest of the three keeps the temporaries smallest.
+# cut at row ends, so that its temporaries (a block's bytes, the separators'
+# offsets and the numbers' words) stay in cache and none grows with the
+# table.  On the relabelled D384 spec, blocks of 16, 32, 256 and 1024 KiB
+# read 7, 1, 3 and 28 % slower than 64 KiB (median paired ratios of 20
+# reads, alternated).
 _READ_BLOCK = 64 * 1024
-_INT32 = np.iinfo(np.int32)
+# A number's digits are read from the little-endian 8-byte word that ends
+# at its last byte, so a block's bytes follow this many bytes of padding and
+# the word that starts at a byte's offset ends just before it.
+_PAD = 8
+# The steps of _digit_values as uint64 scalars, which numpy applies faster
+# than Python ints: each multiplier adds to every 1-, 2- and then 4-byte
+# lane 10, 100 and then 10000 times the lane below it, the digits before
+# it, and the shift and mask keep the upper lane of each pair.
+_FOLD = [
+    (np.uint64(10 << 8 | 1), np.uint64(8), np.uint64(0x00FF00FF00FF00FF)),
+    (np.uint64(100 << 16 | 1), np.uint64(16), np.uint64(0x0000FFFF0000FFFF)),
+    (np.uint64(10000 << 32 | 1), np.uint64(32), None),
+]
+# Both tables are read at a number's count of digits d plus one (the step
+# between the separators around it, less one for a '-'), clipped to 10:
+# the word mask that keeps its top d bytes, and the least value of d
+# digits with no leading zero (1 for none, a lone "-"; index 0 is never
+# read).  A number of 9 or more digits is at least 10**8, out of range for
+# any table that fits in memory, and is left to json: no word reaches its
+# least value.
+_DIGIT_BYTES = np.array([0] + [(1 << 64) - (1 << 8 * (8 - d)) for d in range(9)] + [0], dtype=np.uint64)
+_LEAST = np.array([1, 1, 0] + [10 ** (d - 1) for d in range(2, 9)] + [1 << 32], dtype=np.uint64)
 
 
-def _block_values(flat: bytes) -> np.ndarray | None:
-    """The integers of ``flat`` as int64, if ``flat`` is "," then JSON
-    integers -?(0|[1-9][0-9]*) joined by "," then "," and each fits in
-    int32; else None."""
-    a = np.frombuffer(flat, np.uint8)
-    digit = a - ord("0") < 10  # uint8 arithmetic wraps below "0"
-    comma, minus = a == ord(","), a == ord("-")
-    if not (digit | comma | minus).all():
-        return None
-    # a comma ends a number, so follows a digit; a minus starts one, so
-    # follows a comma; a zero that starts one is not followed by a digit
-    if (comma[1:] & ~digit[:-1]).any() or (minus[1:] & ~comma[:-1]).any():
-        return None
-    if ((a[1:-1] == ord("0")) & ~digit[:-2] & digit[2:]).any():
-        return None
-    # a value past 18 digits would overflow int64 in np.fromstring, and one
-    # past int32 needs 10 digits.  Only a run of 7 or more digits fills an
-    # aligned 4-byte word of the digit mask, so only a block with one is
-    # searched for a run of 19 and range-checked.  On the relabelled D384
-    # spec the word test takes 4 us a 64 KiB block and the bytes search
-    # 45 us: searching every block read it in a median 30.3-31.3 ms against
-    # 27.2-28.1 ms (30 reads, alternated).  Range-checking every block read
-    # the T-S3xC12 spec 2.6 % slower (median paired ratio of 200 rounds)
-    long = (digit[: len(digit) // 4 * 4].view(np.uint32) == 0x01010101).any()
-    if long and b"\x01" * 19 in digit.tobytes():
-        return None
-    values = np.fromstring(flat[1:-1], dtype=np.int64, sep=",")
-    if long and (values.min() < _INT32.min or values.max() > _INT32.max):
-        return None
-    return values
+def _table_close(s: str, end: int, stop: int) -> tuple[int, int] | None:
+    """The index of the first "]" in ``s[end:stop]`` that whitespace and a
+    "]" follow there, and the index after that second "]"; None if none
+    does."""
+    i = s.find("]", end, stop)
+    while i >= 0:
+        j = i + 1
+        while j < stop and s[j] in _JSON_WS:
+            j += 1
+        if j < stop and s[j] == "]":
+            return i, j + 1
+        i = s.find("]", j, stop)
+    return None
 
 
 def _number_runs(raw: bytes) -> int:
-    """How many maximal runs of number characters (digits and '-') the
-    text, which does not start with one and holds no '.' or '/', holds."""
+    """How many maximal runs of digits and '-' the text, which does not
+    start with one and holds no '.' or '/', holds."""
     inside = np.frombuffer(raw, np.uint8) - ord("-") < 13  # '-' to '9'
     return int(np.count_nonzero(inside[1:] > inside[:-1]))
+
+
+def _digit_values(words: np.ndarray) -> np.ndarray:
+    """The numbers that the little-endian words spell, in place: each byte
+    holds a digit's value 0-9, the first byte the leading digit and the
+    last the units, and three multiply-shift-mask steps join neighbouring
+    bytes, then pairs, then fours."""
+    for multiplier, shift, mask in _FOLD:
+        words *= multiplier
+        words >>= shift
+        if mask is not None:
+            words &= mask
+    return words
+
+
+def _block_values(raw: bytes, n: int, last: bool) -> np.ndarray | None:
+    """The rows of the block ``raw`` as an (rows, n) integer array, if with
+    its whitespace deleted it is "[" for the first block (n = 0: its first
+    row gives n) or "," for a later one, then rows "[...]" of n JSON
+    integers of at most 8 digits joined by ",", then "]" if it is the last
+    block; else None."""
+    # '.' and '/' sort between '-' and '0', which bound the number bytes
+    if b"." in raw or b"/" in raw:
+        return None
+    text = bytes(_PAD) + raw.translate(None, b" \t\n\r")
+    a = np.frombuffer(text, np.uint8)[_PAD:]
+    # the separators are the bytes other than digits and '-', so one
+    # compare with the row template checks every bracket, comma, row length
+    # and stray byte
+    at = (a - ord("-") >= 13).nonzero()[0]
+    seps = a[at].tobytes()
+    head = b"," if n else b"["
+    n = n or seps.find(b"]") - 1
+    if n < 1:
+        return None
+    rows = (len(seps) - last) // (n + 2)
+    template = head + (b"[" + b"," * (n - 1) + b"],") * rows
+    if at[0] or seps != template[:-1] + (b"]" if last else b""):
+        return None
+    # Each number lies between two separators, so its runs of number bytes
+    # in the text are at least the rows * n gaps that hold a number, and
+    # as many exactly when every other gap is empty and deleting whitespace
+    # joined no two runs into one.  An empty gap where a number belongs
+    # fails the leading-zero test below.
+    if _number_runs(raw) != rows * n:
+        return None
+    # row r's separators are [",", "[", n - 1 ",", "]"], the first row's
+    # "," the block's head, and its numbers lie between the 2nd and the last
+    grid = at[: rows * (n + 2)].reshape(rows, n + 2)
+    before, after = grid[:, 1:-1], grid[:, 2:]
+    # the step between the separators around each number, its length plus
+    # one, and less a leading '-', its count of digits plus one
+    places = after - before
+    minus = None
+    if b"-" in raw:
+        minus = a[before + 1] == ord("-")
+        if np.count_nonzero(minus) != raw.count(b"-"):
+            return None  # a '-' that does not start a number
+        places -= minus
+    # the 8 bytes that end at each number's last byte, its digits in the
+    # top ones (indexed, as take would first copy every window of the
+    # block, 8 bytes a byte); XOR maps a digit to its value, and an empty
+    # number keeps no byte, so it reads as 0 and fails the leading-zero
+    # test below
+    words = np.ndarray((len(text) - 7,), "<u8", text, 0, (1,))[after]
+    words ^= 0x3030303030303030
+    words &= _DIGIT_BYTES.take(places, mode="clip")
+    values = _digit_values(words)
+    # a leading zero makes a value smaller than its digits allow
+    if (values < _LEAST.take(places, mode="clip")).any():
+        return None
+    return values if minus is None else values.view(np.int64) * (1 - 2 * minus)
 
 
 def _is_table_key(s: str, bracket: int) -> bool:
@@ -158,8 +235,8 @@ def _is_table_key(s: str, bracket: int) -> bool:
 def _read_table(s: str, end: int) -> tuple[np.ndarray, int] | None:
     """The array opening at ``s[end - 1]`` as a square read-only int32
     array and the index after it, if it is a "table" value written as n
-    rows of n JSON integers that fit in int32, in ASCII, with whitespace
-    only between tokens; else None.
+    rows of n JSON integers of at most 8 digits, in ASCII, with
+    whitespace only between tokens; else None.
 
     The text read is bounded by the next '"', so no two calls read the
     same text and a document costs time linear in its length.  It is read
@@ -169,11 +246,11 @@ def _read_table(s: str, end: int) -> tuple[np.ndarray, int] | None:
     if not (_TABLE_START.match(s, end) and _is_table_key(s, end - 1)):
         return None
     stop = s.find('"', end)
-    close = _TABLE_END.search(s, end, len(s) if stop < 0 else stop)
+    close = _table_close(s, end, len(s) if stop < 0 else stop)
     if close is None:
         return None
-    last, finish = close.start(), close.end()  # the last row's "]", the index after the table
-    out = None
+    last, finish = close  # the last row's "]", the index after the table
+    out, n = None, 0
     start = end - 1
     while start < finish:
         # the next row end past a block, short of the last row's; the last
@@ -183,34 +260,20 @@ def _read_table(s: str, end: int) -> tuple[np.ndarray, int] | None:
             raw = s[start:cut].encode("ascii")
         except UnicodeEncodeError:
             return None
-        # "[" opens the first block and "," each later one; "]" closes the
-        # last; what is left must be rows "[...]" joined by ","
-        compact = raw.translate(None, b" \t\n\r")
-        if compact[:1] != (b"[" if out is None else b","):
-            return None
-        body = compact[1:-1] if cut == finish else compact[1:]
-        if body[:1] != b"[" or body[-1:] != b"]":
-            return None
-        rows = body[1:-1].split(b"],[")
-        commas = {row.count(b",") for row in rows}
-        if len(commas) != 1:
+        values = _block_values(raw, n, cut == finish)
+        if values is None:
             return None
         if out is None:
-            n = commas.pop() + 1
+            n = values.shape[1]
             # each entry takes a digit and a separator, so a text too short
             # for n rows of n is not one
             if 2 * n * n > finish - end:
                 return None
             out, filled = np.empty((n, n), dtype=np.int32), 0
-        elif commas.pop() + 1 != n:
+        if filled + len(values) > n:
             return None
-        # a bracket left inside a row fails the number check
-        values = _block_values(b",".join([b"", *rows, b""]))
-        # deleting whitespace must not have joined two runs into one number
-        if values is None or len(values) != _number_runs(raw) or filled + len(rows) > n:
-            return None
-        out[filled : filled + len(rows)] = values.reshape(len(rows), n)
-        filled += len(rows)
+        out[filled : filled + len(values)] = values
+        filled += len(values)
         start = cut
     if filled != n:
         return None
@@ -234,16 +297,19 @@ class _SpecDecoder(json.JSONDecoder):
 
 def spec_from_json(text: str):
     """``json.loads(text)``, except that the value of a "table" key written
-    as n rows of n integers that fit in int32 comes back as one read-only
+    as n rows of n integers of at most 8 digits comes back as one read-only
     n x n int32 array that owns its memory, with no Python object per
     entry, which ``FiniteGroup`` keeps without a copy.  Everything else, a
     "table" value written any other way included, is read by the standard
     library's own code, so the inputs accepted, the values and the error
-    messages are the same.  A text with no literal ``"table"`` holds no
-    such key written plainly, so it goes to plain ``json.loads`` and its C
-    scanner; a key written with an escape (``"\\u0074able"``) then comes
-    back as lists, which ``group_from_spec`` checks in full.  JSON nested
-    too deeply to read is a ``ValueError``."""
+    messages are the same.  An integer of 9 or more digits is at least
+    10**8 in size, out of range for any table that fits in memory, so its
+    table comes back as lists, and ``group_from_spec`` names the entry out
+    of range as it would in an array.  A text with no literal ``"table"``
+    holds no such key written plainly, so it goes to plain ``json.loads``
+    and its C scanner; a key written with an escape (``"\\u0074able"``)
+    then comes back as lists, which ``group_from_spec`` checks in full.
+    JSON nested too deeply to read is a ``ValueError``."""
     decoder = _SpecDecoder if '"table"' in text else None
     try:
         return json.loads(text, cls=decoder)

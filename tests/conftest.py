@@ -2,7 +2,8 @@
 with relabelled element ids, maps between groups named by label words,
 small relabelled groups with random generating sets and their products,
 random nested direct products, permutation groups as tables, free-word
-texts and free words spelled out letter by letter, the centralizer
+texts and free words spelled out letter by letter, reversed monoid words
+and free generators, the centralizer
 vectors of a nilpotent product's factor, the palindromes ``decompose``
 builds for derived parts, and a call's traced peak memory."""
 
@@ -227,6 +228,16 @@ def products_of_generating_sets(draw, max_order: int, max_factors: int = 3) -> F
 def invert_letters(letters: tuple[str, ...]) -> tuple[str, ...]:
     """The inverse of a letter word over x<i>, x<i>^-1."""
     return tuple(l[:-3] if l.endswith("^-1") else l + "^-1" for l in reversed(letters))
+
+
+def reversed_word(w: MonoidWord) -> MonoidWord:
+    """The word's letters in reverse order: a view of its codes."""
+    return MonoidWord.from_codes(w.codes[::-1], w.alphabet)
+
+
+def free_generator(rank: int, gen: int, exp: int = 1) -> FreeWord:
+    """The free word x_gen^exp of the given rank, the identity if exp is 0."""
+    return FreeWord(rank, ((gen, exp),) if exp else ())
 
 
 def spelled_out(w: FreeWord) -> MonoidWord:

@@ -94,7 +94,7 @@ def brute_width_data(
         for (g, h), v in witness.items():
             if g == h:
                 w = MonoidWord(v)
-                assert evaluate(G, w) == g and evaluate(G, w.reverse()) == g
+                assert evaluate(G, w) == g and evaluate(G, MonoidWord(v[::-1])) == g
                 pal.add(g)
     elif notion == "word":
         for (_, _), v in witness.items():
@@ -171,7 +171,7 @@ def reference_evaluate_letters(
     for letter in word.letters:
         if letter in base_letters:
             gen, exp = base_letters[letter]
-            h = W.from_base_word(FreeWord.generator(W.rank, gen, exp))
+            h = W.from_base_word(FreeWord(W.rank, ((gen, exp),) if exp else ()))
         elif letter in top_letters:
             h = W.from_top(top_letters[letter])
         else:

@@ -18,7 +18,7 @@ from groupwidths.finite_groups import (
     direct_product,
     sym3_fink,
 )
-from groupwidths.free_words import FreeWord, free_commutator, is_word_palindrome, ql
+from groupwidths.free_words import free_commutator, is_word_palindrome, ql
 from groupwidths.nilprod import NilProdGroup, bound_report
 from groupwidths.pal_width import palindrome_elements, palindromic_width
 from groupwidths.wreath import (
@@ -29,7 +29,7 @@ from groupwidths.wreath import (
     w_multiply,
 )
 
-from conftest import centralizer_vectors, label_map, random_reduced_word, random_wreath_element
+from conftest import centralizer_vectors, free_generator, label_map, random_reduced_word, random_wreath_element
 from oracle import (
     brute_width_data,
     central,
@@ -123,7 +123,7 @@ def test_criterion_4_decomposition_suite():
         ok &= cert.factor_count <= 20
         ok &= all(is_word_palindrome(f) for f in cert.factors)
         worst = max(worst, cert.factor_count)
-    xy = free_commutator(FreeWord.generator(2, 1), FreeWord.generator(2, 2))
+    xy = free_commutator(free_generator(2, 1), free_generator(2, 2))
     ok &= decompose(ctx.group.from_base_word(xy), ctx).factor_count == 1
     elapsed = time.perf_counter() - start
     report(4, ok, 60, elapsed, f"1000 verified certificates, worst factor count {worst} (cap 20)")

@@ -46,12 +46,11 @@ def test_all_names_resolve_and_none_is_a_submodule():
 READ_ONLY_BY_USERS = {"specs.group_to_spec"}
 
 
-def unread_exports() -> list[str]:
-    """Every "module.name" of a groupwidths module's ``__all__`` that no
-    code in src/, scripts/ or perfbench/ reads besides its definition and
-    its ``__all__`` entry.  A read is a name or an attribute that is not
-    assigned to, or, in the benchmark's tracer, which patches what it
-    traces by name, a "module.name" string."""
+def package_reads() -> tuple[dict, set[str]]:
+    """The parsed modules of src/, scripts/ and perfbench/, and every name
+    their code reads: a name or an attribute that is not assigned to, or,
+    in the benchmark's tracer, which patches what it traces by name, a part
+    after the first of a "module.name" string."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for tree in ("src", "scripts", "perfbench") for path in sorted((ROOT / tree).rglob("*.py"))}
     read = set()
@@ -63,6 +62,14 @@ def unread_exports() -> list[str]:
                 read.add(node.attr)
             elif path.name == "tracing.py" and isinstance(node, ast.Constant) and isinstance(node.value, str):
                 read.update(node.value.split(".")[1:])
+    return trees, read
+
+
+def unread_exports() -> list[str]:
+    """Every "module.name" of a groupwidths module's ``__all__`` that no
+    code in src/, scripts/ or perfbench/ reads besides its definition and
+    its ``__all__`` entry."""
+    trees, read = package_reads()
     unread = []
     for path, tree in trees.items():
         if path.parent.name != "groupwidths":
@@ -77,10 +84,29 @@ def unread_exports() -> list[str]:
     return unread
 
 
+def unread_methods() -> list[str]:
+    """Every "module.Class.method" of a public method (properties and
+    static methods included) of a class in a groupwidths module whose name
+    no code in src/, scripts/ or perfbench/ reads.  A read of another
+    class's attribute of the same name counts too, so the test misses such
+    a method but names none wrongly."""
+    trees, read = package_reads()
+    return [f"{path.stem}.{cls.name}.{node.name}"
+            for path, tree in trees.items() if path.parent.name == "groupwidths"
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in read]
+
+
 def test_every_export_is_read_outside_the_tests():
     # a name that only tests read belongs in tests/ (oracle.py or
     # conftest.py), not in the package's API
     assert sorted(unread_exports()) == sorted(READ_ONLY_BY_USERS)
+
+
+def test_every_public_method_is_read_outside_the_tests():
+    # as for exports: a method that only tests call belongs in tests/
+    assert unread_methods() == []
 
 
 def test_readme_library_sketch_runs():

@@ -45,7 +45,7 @@ from groupwidths.wreath import (
     w_multiply,
 )
 
-from conftest import derived_palindromes, random_reduced_word, random_wreath_element
+from conftest import derived_palindromes, free_generator, random_reduced_word, random_wreath_element
 
 # the package rebinds the name ``decompose`` to the function
 decompose_module = importlib.import_module("groupwidths.decompose")
@@ -58,7 +58,7 @@ def ctx():
 
 
 def commutator_target(ctx):
-    xy = free_commutator(FreeWord.generator(2, 1), FreeWord.generator(2, 2))
+    xy = free_commutator(free_generator(2, 1), free_generator(2, 2))
     return ctx.group.from_base_word(xy)
 
 
@@ -161,7 +161,7 @@ class TestCoordinatePalindromes:
                 for e in (-2, 1, 3):
                     w = coordinate_power_palindrome(coord, letter, e, ctx)
                     assert is_word_palindrome(w)
-                    expected = ctx.group.from_base_word(FreeWord.generator(2, gen, e), coord)
+                    expected = ctx.group.from_base_word(free_generator(2, gen, e), coord)
                     assert ctx.eval_word(w) == expected
 
     def test_distinct_coordinates_commute(self, ctx):
@@ -207,7 +207,7 @@ class TestDerivedPart:
 
     def test_nonzero_exponent_sum_rejected(self, ctx):
         with pytest.raises(ValueError):
-            derived_palindromes([(0, FreeWord.generator(2, 1))], ctx)
+            derived_palindromes([(0, free_generator(2, 1))], ctx)
 
     def test_the_one_part_form_is_the_list_form(self, ctx):
         # derived_part_palindrome stays while the benchmark traces it by name
@@ -285,7 +285,7 @@ class TestDecompose:
 
 @pytest.mark.parametrize("k", [6, -1])
 def test_ids_out_of_range_are_named(ctx, k):
-    part = free_commutator(FreeWord.generator(2, 1), FreeWord.generator(2, 2))
+    part = free_commutator(free_generator(2, 1), free_generator(2, 2))
     with pytest.raises(ValueError, match=rf"^coordinate {k} is out of range 0\.\.5$"):
         coordinate_power_palindrome(k, "x", 1, ctx)
     for derived in (part, FreeWord.identity(2)):
@@ -405,7 +405,7 @@ class TestOneEvaluation:
         # a wrong r^-1 breaks the cancellation; only coordinate k holds a part
         bad = dataclasses.replace(ctx, r_inv=ctx.r[::-1].copy())
         base = [FreeWord.identity(2)] * 6
-        base[k] = free_commutator(FreeWord.generator(2, 1), FreeWord.generator(2, 2))
+        base[k] = free_commutator(free_generator(2, 1), free_generator(2, 2))
         g = WreathElement(ctx.group, tuple(base), ctx.group.top.identity)
         assert decompose(g, ctx).factor_count == 1
         with pytest.raises(InvariantViolation, match=rf"word at coordinate {k} did not evaluate"):

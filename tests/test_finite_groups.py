@@ -37,6 +37,7 @@ from conftest import (
     random_generating_sets,
     relabel,
     relabelled_small_groups,
+    reversed_word,
     traced_peak_mib,
 )
 from oracle import (
@@ -446,7 +447,7 @@ class TestEvaluate:
         G = sym3_fink()
         r = MonoidWord("c s1 s2 s1 s2".split())
         assert evaluate(G, r) == G.identity
-        rbar = evaluate(G, r.reverse())
+        rbar = evaluate(G, reversed_word(r))
         assert rbar != G.identity
         assert element_order(G, rbar) == 3
 
@@ -713,12 +714,32 @@ class TestSpecs:
 
 
 # JSON whitespace, and entries of a table that are not JSON integers, or
-# not JSON at all
+# not JSON at all; the second line holds flaws that each byte alone would
+# let through: signs, digits and separators out of place, and non-ASCII
+# digits
 json_ws = st.text(alphabet=" \t\n\r", max_size=2)
-flawed_entries = st.sampled_from([
+FLAWED_ENTRIES = [
     "-0", "00", "01", "-01", "0.5", "1.0", "1e3", "2E-1", "-", "--1", "1-2", "1 2", "- 1",
+    "+1", "1_0", "0x1", "\u0661", "--0", "0-", "1\u0000", "-00", "0/1", "1.",
     "true", "null", "[1]", "[]", "1,", "", '"1"', "é", str(10**18), str(-(10**18) + 1),
+]
+flawed_entries = st.sampled_from(FLAWED_ENTRIES)
+# integers on either side of the 8 digits the reader decodes, around the
+# bounds of int32, and -0
+edge_integers = st.sampled_from([
+    "99999999", "100000000", "-99999999", "-100000000", "10000000", "-9999999", "12345678",
+    str(2**31 - 1), str(-(2**31)), str(2**31), "-0",
 ])
+
+
+@st.composite
+def integers_of_each_length(draw):
+    """A JSON integer written with 1 to 11 characters, a '-' included."""
+    length = draw(st.integers(1, 11))
+    minus = length > 1 and draw(st.booleans())
+    digits = length - minus
+    value = draw(st.integers(10 ** (digits - 1) if digits > 1 else 0, 10**digits - 1))
+    return "-" * minus + str(value)
 
 
 @st.composite
@@ -728,8 +749,14 @@ def table_texts(draw):
     ``flawed_entries``, a row of another length (empty included), or a
     trailing comma."""
     n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    numbers = st.sampled_from([st.integers(-3, 30), st.integers(-3, 30), st.integers(-(10**19), 10**19)])
-    entry = draw(numbers).map(str)
+    numbers = st.sampled_from([
+        st.integers(-3, 30).map(str),
+        st.integers(-3, 30).map(str),
+        st.integers(-(10**19), 10**19).map(str),
+        integers_of_each_length(),
+        st.one_of(edge_integers, integers_of_each_length()),
+    ])
+    entry = draw(numbers)
     rows = [[draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
     flaw = draw(st.sampled_from([None, None, None, "entry", "row", "comma"]))
     if flaw == "entry":
@@ -806,6 +833,44 @@ class TestSpecFromJson:
         table = read["factors"][0]["table"]
         assert isinstance(table, np.ndarray) and np.array_equal(table, G.table)
         assert np.array_equal(group_from_spec(read).table, direct_product(G, cyclic(2)).table)
+
+    @pytest.mark.parametrize("indent", [None, 0, 2, "\t"])
+    @pytest.mark.parametrize("separators", [None, (",", ":"), (" , ", " :\r\n")])
+    def test_a_table_of_several_blocks_reads_back_equal(self, indent, separators):
+        # order 320 in every layout is more than four blocks of text, read
+        # at the real block size
+        G = relabel(dihedral(160, cap=320), random.Random(3).sample(range(320), 320))
+        text = json.dumps(group_to_spec(G), indent=indent, separators=separators)
+        assert len(text) > 4 * specs._READ_BLOCK
+        table = spec_from_json(text)["table"]
+        assert isinstance(table, np.ndarray) and table.dtype == np.int32
+        assert np.array_equal(table, G.table)
+
+    def test_integers_of_up_to_8_digits_read_as_an_array_and_longer_ones_as_lists(self):
+        for digits in range(1, 12):
+            for sign in ("", "-"):
+                text = f'{{"table": [[0, {sign}{"9" * digits}], [{sign}1{"0" * (digits - 1)}, 7]]}}'
+                read = spec_from_json(text)
+                assert as_lists(read) == json.loads(text)
+                assert isinstance(read["table"], np.ndarray) == (digits <= 8)
+
+    @pytest.mark.parametrize("entry", FLAWED_ENTRIES)
+    @pytest.mark.parametrize("block", [1, specs._READ_BLOCK])
+    def test_each_flawed_entry_is_read_as_json_reads_it(self, entry, block):
+        # alone, and at the start and the end of a later block
+        with mock.patch.object(specs, "_READ_BLOCK", block):
+            for table in (f"[[{entry}]]", f"[[0, 1], [{entry}, 0]]", f"[[0, 1], [1, {entry}]]"):
+                reads_what_json_loads_reads('{"table": ' + table + "}")
+
+    @pytest.mark.parametrize("table", [
+        "[[1, 2]5, [3, 4]]", "[[1, 2], 5[3, 4]]", "[[1, 2] 5, [3, 4]]", "[[1, 2], [3, 4]5]",
+        "[[1, 2], [3, 4] 5]", "[[1, 2],, [3, 4]]", "[[1, 2] [3, 4]]", "[[1, 2], [3 4, 5]]",
+    ])
+    @pytest.mark.parametrize("block", [1, 6, specs._READ_BLOCK])
+    def test_a_number_or_comma_out_of_place_is_left_to_json(self, table, block):
+        # with a block of a byte or a row, each flaw opens or closes a block
+        with mock.patch.object(specs, "_READ_BLOCK", block):
+            reads_what_json_loads_reads('{"table": ' + table + "}")
 
     def test_minus_zero_and_a_non_ascii_name_still_read_as_an_array(self):
         spec = dict(group_to_spec(dihedral(3)), name="Dé₃")

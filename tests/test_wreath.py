@@ -17,7 +17,6 @@ from groupwidths.finite_groups import (
     sym3_fink,
 )
 from groupwidths.free_words import (
-    FreeWord,
     MonoidWord,
     format_free_word,
     free_commutator,
@@ -42,6 +41,7 @@ from groupwidths.wreath import (
 )
 
 from conftest import (
+    free_generator,
     moved_identity,
     random_reduced_word,
     random_wreath_element,
@@ -84,15 +84,15 @@ class TestArithmetic:
         # (x at identity coordinate, top c) * (y at identity coordinate)
         # leaves x at the identity coordinate and puts y at coordinate c
         c = W.top.labels["c"]
-        g = WreathElement(W, W.from_base_word(FreeWord.generator(2, 1)).base, c)
-        h = W.from_base_word(FreeWord.generator(2, 2))
+        g = WreathElement(W, W.from_base_word(free_generator(2, 1)).base, c)
+        h = W.from_base_word(free_generator(2, 2))
         gh = w_multiply(g, h)
         assert gh.top == c
-        assert gh.base[W.top.identity] == FreeWord.generator(2, 1)
-        assert gh.base[c] == FreeWord.generator(2, 2)
+        assert gh.base[W.top.identity] == free_generator(2, 1)
+        assert gh.base[c] == free_generator(2, 2)
         # and k * (f at identity) * k^-1 holds f at coordinate k
         conj = w_multiply(w_multiply(W.from_top(c), h), W.from_top(W.top.inverse[c]))
-        assert conj == W.from_base_word(FreeWord.generator(2, 2), c)
+        assert conj == W.from_base_word(free_generator(2, 2), c)
 
     def test_commutator_self_trivial(self, W):
         rng = random.Random(2)
@@ -126,7 +126,7 @@ class TestArithmetic:
     @pytest.mark.parametrize("k", [6, 99, -1])
     def test_ids_out_of_range_are_named(self, W, k):
         with pytest.raises(ValueError, match=rf"^coordinate {k} is out of range 0\.\.5$"):
-            W.from_base_word(FreeWord.generator(2, 1), k)
+            W.from_base_word(free_generator(2, 1), k)
         with pytest.raises(ValueError, match=rf"^top element {k} is out of range 0\.\.5$"):
             W.from_top(k)
 
@@ -269,7 +269,7 @@ class TestCertificates:
         W = WreathGroup(2**62, sym3_fink())
         word = parse_free_word(f"x{2**62} x1^-1", rank=W.rank)
         assert not in_derived_subgroup(W.from_base_word(word))
-        assert in_derived_subgroup(W.from_base_word(free_commutator(word, FreeWord.generator(W.rank, 2))))
+        assert in_derived_subgroup(W.from_base_word(free_commutator(word, free_generator(W.rank, 2))))
 
     def test_unbounded_in_j(self, W):
         bounds = []
@@ -362,15 +362,15 @@ class TestMovedIdentityTops:
     @pytest.mark.parametrize("name", sorted(MOVED_TOPS))
     def test_conjugation_moves_the_identity_coordinate_to_k(self, name):
         W = WreathGroup(2, MOVED_TOPS[name])
-        f = FreeWord.generator(2, 2)
+        f = free_generator(2, 2)
         for k in W.top.elements():
             conj = w_multiply(w_multiply(W.from_top(k), W.from_base_word(f)), W.from_top(W.top.inverse[k]))
             assert conj == W.from_base_word(f, k)
 
     def test_text_lists_the_identity_coordinate_first(self):
         W = WreathGroup(2, MOVED_TOPS["D4_moved"])
-        g = W.from_base_word(FreeWord.generator(2, 1))
-        assert W.top.identity == 5 and g.base[5] == FreeWord.generator(2, 1)
+        g = W.from_base_word(free_generator(2, 1))
+        assert W.top.identity == 5 and g.base[5] == free_generator(2, 1)
         assert format_wreath_element(g) == "[x1; 1; 1; 1; 1; 1; 1; 1] 1"
 
     # sha256 of the formatted products and inverses below, recorded before
