@@ -25,11 +25,14 @@ factors' total letter count follows from the exponent rows and syllables,
 so an element asking for more than ``MAX_FACTOR_LETTERS`` is refused with
 ``CapExceeded`` before any word is built.
 
-The construction checks of every coordinate run as one segmented scan
-per element: the words reverse(w) and w of all coordinates go to one
-``evaluate_words`` call, which evaluates each on its own.  The resulting
-certificate is machine-checked before it is returned, by one more scan of
-the factors joined end to end, so an element costs two word scans.
+Every factor is built first, the palindromes w reverse(w) unchecked,
+and then an element costs one word scan: the factors, each split at its
+midpoint, go to one ``evaluate_words`` call.  A factor w reverse(w)
+splits into exactly w and reverse(w), so the values of its halves are
+the construction checks of its coordinate, each evaluated on its own,
+and the value of all halves joined end to end is the product of the
+factors, which the certificate's flags compare with the target.  A
+certificate built by hand is checked by the same scan.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .finite_groups import CapExceeded, evaluate, sym3_fink
-from .free_words import FreeWord, MonoidWord, _join, format_monoid_word, is_word_palindrome
+from .free_words import FreeWord, MonoidWord, _halves, format_monoid_word, is_word_palindrome
 from .wreath import WreathElement, WreathGroup, evaluate_letters, evaluate_words
 
 __all__ = [
@@ -245,9 +248,9 @@ def _pair_exponents(g: FreeWord) -> np.ndarray:
     return padded.reshape(-1, 2)
 
 
-def _derived_word(coord: int, part: FreeWord, ctx: S3WreathContext) -> np.ndarray | None:
-    # the codes of w, whose palindrome w reverse(w) carries the part at the
-    # coordinate; None when the part is trivial
+def _derived_palindrome(coord: int, part: FreeWord, ctx: S3WreathContext) -> MonoidWord | None:
+    # the palindrome w reverse(w) that carries the part at the coordinate,
+    # unchecked; None when the part is trivial
     ctx.group._top_id(coord, "coordinate")
     if part.rank != 2:
         raise ValueError("derived parts live in the rank-2 free group")
@@ -269,26 +272,8 @@ def _derived_word(coord: int, part: FreeWord, ctx: S3WreathContext) -> np.ndarra
     counts = np.ones(tokens.shape, np.int64)
     counts[:, nr], counts[:, -1] = np.abs(a), np.abs(b)
     inner = np.repeat(tokens.ravel(), counts.ravel())
-    return np.concatenate((u, inner, u[::-1]))
-
-
-def _derived_part_palindromes(
-    parts: Iterable[tuple[int, FreeWord]], ctx: S3WreathContext
-) -> list[MonoidWord]:
-    # the palindromes of the nontrivial (coordinate, part) pairs, in order,
-    # after every instance's two construction checks in one evaluate_words
-    built = [(c, part, w) for c, part in parts if (w := _derived_word(c, part, ctx)) is not None]
-    checks = [ctx.word(v) for _, _, w in built for v in (w[::-1], w)]
-    values = evaluate_words(ctx.group, checks, ctx.base_letters, ctx.top_letters)
-    for (c, part, w), reversal, value in zip(built, values[0::2], values[1::2]):
-        if not reversal.is_identity():
-            raise InvariantViolation(
-                f"reversal of the derived-part word at coordinate {c} did not evaluate "
-                f"to the identity; witness word: {format_monoid_word(ctx.word(w))}"
-            )
-        if value != ctx.group.from_base_word(part, c):
-            raise InvariantViolation(f"derived-part word evaluates off target at coordinate {c}")
-    return [ctx.word(np.concatenate((w, w[::-1]))) for _, _, w in built]
+    w = np.concatenate((u, inner, u[::-1]))
+    return ctx.word(np.concatenate((w, w[::-1])))
 
 
 def derived_part_palindrome(
@@ -299,11 +284,14 @@ def derived_part_palindrome(
 
     The reversal of w must evaluate to the wreath identity, and w to the
     word at the coordinate; the first identity is the construction's
-    load-bearing cancellation.  Both are re-checked for every instance:
-    here for one, in ``decompose`` for every coordinate in one scan.
+    load-bearing cancellation.  Both are re-checked for every instance,
+    here for one, by the scan ``decompose`` runs over every factor.
     """
-    palindromes = _derived_part_palindromes([(coord, part)], ctx or s3_wreath_context())
-    return palindromes[0] if palindromes else None
+    ctx = ctx or s3_wreath_context()
+    if (palindrome := _derived_palindrome(coord, part, ctx)) is not None:
+        target = ctx.group.from_base_word(part, coord)
+        _verify(DecompositionCertificate(target, [palindrome], 1), ctx, [(0, coord, part)])
+    return palindrome
 
 
 def top_palindromes(s: int, ctx: S3WreathContext | None = None) -> list[MonoidWord]:
@@ -317,8 +305,9 @@ def top_palindromes(s: int, ctx: S3WreathContext | None = None) -> list[MonoidWo
 @dataclass
 class DecompositionCertificate:
     """Palindromic factors whose product provably equals the target;
-    ``flags`` are those of the ``verification`` that ``decompose`` ran
-    (None on a certificate built by hand)."""
+    ``flags`` are those ``decompose`` computed in the scan that also ran
+    its construction checks, the scan ``verification`` reruns (None on a
+    certificate built by hand)."""
 
     target: WreathElement
     factors: list[MonoidWord]
@@ -328,20 +317,40 @@ class DecompositionCertificate:
     def verification(self, ctx: S3WreathContext | None = None) -> dict[str, bool]:
         """Recompute every certificate invariant from scratch.
 
-        The product of the factors is one evaluation of the factors joined
-        end to end: evaluating a letter word into the wreath group is a
-        monoid homomorphism, so the value of a concatenation is the
-        product, in order, of the values of its pieces.  One word scan
-        thus replaces an evaluation per factor and a fold of products.
+        The product is one evaluation of the factors' halves joined end to
+        end, each factor split at its midpoint, as ``decompose`` checks
+        them.  Evaluating a letter word into the wreath group is a monoid
+        homomorphism, and the halves joined in order are the factors
+        joined in order, so their value is the product, in order, of the
+        values of the factors.  One word scan thus replaces an evaluation
+        per factor and a fold of products.
         """
-        ctx = ctx or s3_wreath_context()
-        product = ctx.eval_word(_join(self.factors, ctx.alphabet))
-        return {
-            "factors_palindromic": all(is_word_palindrome(f) for f in self.factors),
-            "product_equals_target": product == self.target,
-            "count_within_bound": self.factor_count <= MAX_FACTORS,
-            "count_consistent": self.factor_count == len(self.factors),
-        }
+        return _verify(self, ctx or s3_wreath_context())
+
+
+def _verify(
+    cert: DecompositionCertificate, ctx: S3WreathContext, derived: Iterable[tuple] = ()
+) -> dict[str, bool]:
+    # the certificate's flags, from one evaluate_words call over its factors
+    # split at their midpoints; first the construction checks of the derived
+    # factors, given as (factor index, coordinate, part), which read the
+    # values of their halves w and reverse(w)
+    halves = [half for f in cert.factors for half in _halves(f)]
+    values, product = evaluate_words(ctx.group, halves, ctx.base_letters, ctx.top_letters)
+    for i, c, part in derived:
+        if not values[2 * i + 1].is_identity():
+            raise InvariantViolation(
+                f"reversal of the derived-part word at coordinate {c} did not evaluate "
+                f"to the identity; witness word: {format_monoid_word(halves[2 * i])}"
+            )
+        if values[2 * i] != ctx.group.from_base_word(part, c):
+            raise InvariantViolation(f"derived-part word evaluates off target at coordinate {c}")
+    return {
+        "factors_palindromic": all(is_word_palindrome(f) for f in cert.factors),
+        "product_equals_target": product == cert.target,
+        "count_within_bound": cert.factor_count <= MAX_FACTORS,
+        "count_consistent": cert.factor_count == len(cert.factors),
+    }
 
 
 def decompose(g: WreathElement, ctx: S3WreathContext | None = None) -> DecompositionCertificate:
@@ -363,10 +372,14 @@ def decompose(g: WreathElement, ctx: S3WreathContext | None = None) -> Decomposi
     for c, (_, b) in enumerate(exponents):
         if b:
             factors.append(coordinate_power_palindrome(c, "y", b, ctx))
-    factors.extend(_derived_part_palindromes(enumerate(parts), ctx))
+    checks = []
+    for c, part in enumerate(parts):
+        if (palindrome := _derived_palindrome(c, part, ctx)) is not None:
+            checks.append((len(factors), c, part))
+            factors.append(palindrome)
     factors.extend(top_palindromes(top, ctx))
     cert = DecompositionCertificate(g, factors, len(factors))
-    cert.flags = cert.verification(ctx)
+    cert.flags = _verify(cert, ctx, checks)
     failed = [k for k, v in cert.flags.items() if not v]
     if failed:
         raise InvariantViolation(f"certificate verification failed: {failed}")

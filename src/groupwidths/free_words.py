@@ -172,6 +172,16 @@ def _join(words: Sequence[MonoidWord], alphabet: tuple[str, ...]) -> MonoidWord:
     return MonoidWord.from_codes(np.concatenate([np.empty(0, code), *pieces]), merged)
 
 
+def _halves(w: MonoidWord) -> tuple[MonoidWord, MonoidWord]:
+    # w split at its midpoint, the longer half second: views of its codes
+    # over its alphabet, so nothing is copied or checked again
+    mid = len(w) // 2
+    first, second = MonoidWord.__new__(MonoidWord), MonoidWord.__new__(MonoidWord)
+    first._set(w.codes[:mid], w.alphabet)
+    second._set(w.codes[mid:], w.alphabet)
+    return first, second
+
+
 def is_word_palindrome(w: MonoidWord) -> bool:
     """True iff the letter sequence equals its own reversal: the first half
     of the codes against the reversed second half."""

@@ -217,8 +217,9 @@ def evaluate_words(
     words: Sequence[MonoidWord],
     base_letters: dict[str, tuple[int, int]],
     top_letters: dict[str, int],
-) -> list[WreathElement]:
-    """Evaluate each of a list of letter words into the wreath group.
+) -> tuple[list[WreathElement], WreathElement]:
+    """Evaluate each of a list of letter words into the wreath group, and
+    the words joined end to end: (the values in order, their product).
 
     ``base_letters`` maps a letter to (generator index, exponent) placed at
     the coordinate of the running top value; ``top_letters`` maps a letter
@@ -241,23 +242,23 @@ def evaluate_words(
     word's own running top is inv(q) times it, q being the value before
     the word.
     The base letters fall into r letter runs, maximal stretches of one
-    base letter within one word, each at one coordinate: a run costs one
-    table lookup for its coordinate and one sort key, word * n +
-    coordinate, in the narrowest unsigned type that holds S * n - 1 for S
-    words in a top of order n, and carries its exponent times its length
-    in int64.  The runs are stably sorted by key, and neighbours of one
-    generator at one (word, coordinate) pair are summed by one
-    ``np.add.reduceat``.  One more array pass finds the pairs that hold a
-    zero sum.  Any other pair is its slice of the sums; in these pairs the
-    stretches between zero sums are joined, the reduction taking Python
-    steps only at a zero sum and at each cancellation it sets off
-    (``_reduce_runs``).  Each pair's word is then checked by ``FreeWord``
-    with a few array reductions.  S words of L letters in all, T of them
-    top letters, over alphabets of A labels, with p nonempty pairs, r
-    letter runs and z zero sums setting off c cancellations, cost O(L)
-    numpy work in O(log T) calls, a scan over T letters, a sort over r
-    keys, and O(A + S + p + z + c) Python steps, besides the S * n
-    coordinates of the results.
+    base letter within one word, each at one coordinate, and a run carries
+    its exponent times its length in int64.  A run's coordinate in the
+    product is the scan at its first letter, and in its own word it is
+    inv(q) times that: one table lookup per run.  The values come from one
+    stable sort of the runs by key, word * n + coordinate, in the narrowest
+    unsigned type that holds S * n - 1 for S words in a top of order n; the
+    product comes from a second stable sort of the same runs by their
+    coordinate in the product, where a word's last run and the next word's
+    first run merge if they share a generator and a coordinate.  Both sorts
+    end in the same merge and reduction (``_words_of_runs``).  For one word
+    the second sort is skipped: the product is that word's value.  S words
+    of L letters in all, T of them top letters, over alphabets of A labels,
+    with p nonempty (word, coordinate) pairs, r letter runs and z zero sums
+    setting off c cancellations in both sorts together, cost O(L) numpy
+    work in O(log T) calls, a scan over T letters, two sorts over r keys
+    (one for one word), and O(A + S + p + z + c) Python steps, besides the
+    (S + 1) * n coordinates of the results.
     """
     n = W.size
     for letter, (gen, exp) in base_letters.items():
@@ -279,7 +280,7 @@ def evaluate_words(
         if _json_int(k, f"top element of letter {letter!r}") not in range(n):
             raise ValueError(f"top element of letter {letter!r} is {k}, out of range 0..{n - 1}")
     if not words:
-        return []
+        return [], W.identity()
 
     # the top table flattened row-major, in the narrowest unsigned type that
     # holds n*n - 1, so a*n + b indexes it without overflow
@@ -327,8 +328,8 @@ def evaluate_words(
     tops = flat.take(before * n + at_bounds[1:]).tolist()
 
     S = len(words)
-    one = FreeWord.identity(W.rank)
-    bases = [[one] * n for _ in range(S)]
+    trivial = (FreeWord.identity(W.rank),) * n
+    bases, product_base = [trivial] * S, trivial
     if len(at):
         # the letter runs: maximal stretches of adjacent base letters of one
         # code within one word, each at one coordinate
@@ -339,41 +340,55 @@ def evaluate_words(
         is_first[1:] |= np.diff(at) != 1
         is_first[firsts[firsts < len(at)]] = True
         run_at = np.flatnonzero(is_first)
-        lengths = np.diff(run_at, append=len(at))
-        # a run sits at the coordinate of its word's running top before it,
-        # the scan at its first letter; per run its word, then that coordinate
-        key_type = np.min_scalar_type(S * n - 1)
-        words_of = np.repeat(
-            np.arange(S, dtype=key_type), np.diff(np.searchsorted(run_at, firsts))
-        )
-        keys = flat.take(before.take(words_of) * n + scan.take(at.take(run_at) - run_at))
-        keys = keys.astype(key_type) + words_of * n
-        order = np.argsort(keys, kind="stable")
-        keys, run_codes = keys[order], base_codes.take(run_at[order])
         # per run its generator, in the narrowest type that holds the rank,
         # and its exponent times its length in int64
+        run_codes = base_codes.take(run_at)
         gen_of_code, exp_of_code = zip(*base_letters.values())
         gens = np.array(gen_of_code, np.min_scalar_type(W.rank)).take(run_codes)
-        exps = np.array(exp_of_code, np.int64).take(run_codes) * lengths.take(order)
-        # the runs of one generator at one (word, coordinate) pair merge
-        starts = np.flatnonzero(
-            np.concatenate(([True], (keys[1:] != keys[:-1]) | (gens[1:] != gens[:-1])))
-        )
-        run_keys = keys[starts]
-        run_gens = gens[starts].astype(np.int64)
-        run_exps = np.add.reduceat(exps, starts)
-        # the merged runs of each nonempty (word, coordinate) pair, and
-        # whether one of them sums to zero
-        pairs = np.flatnonzero(np.concatenate(([True], run_keys[1:] != run_keys[:-1])))
-        has_zero = np.logical_or.reduceat(run_exps == 0, pairs).tolist()
-        bounds = pairs.tolist() + [len(run_keys)]
-        for key, lo, hi, zero in zip(run_keys[pairs].tolist(), bounds, bounds[1:], has_zero):
-            w, c = divmod(key, n)
-            syllables = run_gens[lo:hi], run_exps[lo:hi]
-            bases[w][c] = FreeWord.from_arrays(
-                W.rank, *(_reduce_runs(*syllables) if zero else syllables)
-            )
-    return [WreathElement(W, tuple(base), top) for base, top in zip(bases, tops)]
+        exps = np.array(exp_of_code, np.int64).take(run_codes) * np.diff(run_at, append=len(at))
+        # a run sits at the coordinate of the list's running top before it,
+        # the scan at its first letter; in its word, inv(before) times that
+        coords = scan.take(at.take(run_at) - run_at)
+        key_type = np.min_scalar_type(S * n - 1)
+        words_of = np.repeat(np.arange(S, dtype=key_type), np.diff(np.searchsorted(run_at, firsts)))
+        keys = flat.take(before.take(words_of) * n + coords).astype(key_type) + words_of * n
+        by_key = _words_of_runs(W.rank, S * n, keys, gens, exps)
+        bases = [by_key[i : i + n] for i in range(0, S * n, n)]
+        # one word's value is the product
+        product_base = _words_of_runs(W.rank, n, coords, gens, exps) if S > 1 else bases[0]
+    values = [WreathElement(W, tuple(base), top) for base, top in zip(bases, tops)]
+    return values, WreathElement(W, tuple(product_base), int(scan[-1]))
+
+
+def _words_of_runs(
+    rank: int, count: int, keys: np.ndarray, gens: np.ndarray, exps: np.ndarray
+) -> list[FreeWord]:
+    """The reduced word at each of the keys 0..count-1, from letter runs
+    given in order with their keys, generators and exponent sums.  The runs
+    are stably sorted by key, and neighbours of one generator at one key
+    are summed by one ``np.add.reduceat``.  One more array pass finds the
+    keys that hold a zero sum.  Any other key is its slice of the sums; in
+    these keys the stretches between zero sums are joined, the reduction
+    taking Python steps only at a zero sum and at each cancellation it sets
+    off (``_reduce_runs``).  Each key's word is then checked by
+    ``FreeWord`` with a few array reductions."""
+    order = np.argsort(keys, kind="stable")
+    keys, gens, exps = keys[order], gens[order], exps[order]
+    # the runs of one generator at one key merge
+    merges = (keys[1:] == keys[:-1]) & (gens[1:] == gens[:-1])
+    starts = np.flatnonzero(np.concatenate(([True], ~merges)))
+    run_keys = keys[starts]
+    run_gens = gens[starts].astype(np.int64)
+    run_exps = np.add.reduceat(exps, starts)
+    # the merged runs of each nonempty key, and whether one of them sums to zero
+    heads = np.flatnonzero(np.concatenate(([True], run_keys[1:] != run_keys[:-1])))
+    has_zero = np.logical_or.reduceat(run_exps == 0, heads).tolist()
+    bounds = heads.tolist() + [len(run_keys)]
+    words = [FreeWord.identity(rank)] * count
+    for key, lo, hi, zero in zip(run_keys[heads].tolist(), bounds, bounds[1:], has_zero):
+        syllables = run_gens[lo:hi], run_exps[lo:hi]
+        words[key] = FreeWord.from_arrays(rank, *(_reduce_runs(*syllables) if zero else syllables))
+    return words
 
 
 def evaluate_letters(
@@ -384,7 +399,7 @@ def evaluate_letters(
 ) -> WreathElement:
     """Evaluate one letter word into the wreath group: the one-word case of
     ``evaluate_words``, with its maps, checks and costs."""
-    return evaluate_words(W, (word,), base_letters, top_letters)[0]
+    return evaluate_words(W, (word,), base_letters, top_letters)[1]
 
 
 # ---------------------------------------------------------------------------

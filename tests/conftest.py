@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from groupwidths.decompose import _derived_part_palindromes
+from groupwidths.decompose import DecompositionCertificate, _derived_palindrome, _verify
 from groupwidths.finite_groups import FiniteGroup, abelian_group, cyclic, dihedral, direct_product, sym3_fink
 from groupwidths.free_words import FreeWord, MonoidWord
 from groupwidths.nilprod import NilProdGroup
@@ -70,8 +70,15 @@ def centralizer_vectors(np_group: NilProdGroup, i: int) -> set[tuple[int, ...]]:
 
 def derived_palindromes(parts, ctx) -> list[MonoidWord]:
     """The palindromes ``decompose`` builds for (coordinate, derived part)
-    pairs, one per nontrivial part in order, each construction checked."""
-    return _derived_part_palindromes(parts, ctx)
+    pairs, one per nontrivial part in order, each construction checked by
+    the one scan ``decompose`` runs."""
+    factors, checks = [], []
+    for c, part in parts:
+        if (palindrome := _derived_palindrome(c, part, ctx)) is not None:
+            checks.append((len(factors), c, part))
+            factors.append(palindrome)
+    _verify(DecompositionCertificate(ctx.group.identity(), factors, len(factors)), ctx, checks)
+    return factors
 
 
 def relabel(G: FiniteGroup, perm: list[int]) -> FiniteGroup:

@@ -310,8 +310,9 @@ def fold_of_factor_values(factors, ctx):
 
 
 class TestOneEvaluation:
-    """``verification`` evaluates the factors joined end to end, once, and
-    ``decompose`` runs every construction check in one more scan."""
+    """``decompose`` and ``verification`` evaluate the factors, each split
+    at its midpoint, in one scan: the construction checks read the halves
+    of the derived factors, and the flags the product of all halves."""
 
     @pytest.fixture
     def evaluations(self, monkeypatch):
@@ -338,7 +339,9 @@ class TestOneEvaluation:
             evaluations.clear()
             assert cert.verification(ctx) == cert.flags
             assert len(evaluations) == 1
-            assert evaluations[0] == fold_of_factor_values(cert.factors, ctx) == g
+            values, product = evaluations[0]
+            assert len(values) == 2 * len(cert.factors)
+            assert product == fold_of_factor_values(cert.factors, ctx) == g
 
     def test_factors_over_other_alphabets(self, ctx):
         # relettered in order of first occurrence, or recoded over a shuffled
@@ -374,21 +377,23 @@ class TestOneEvaluation:
             assert not flags["product_equals_target"]
             assert flags["factors_palindromic"] and flags["count_consistent"]
 
-    def test_a_dense_element_costs_2_evaluations_and_no_fold(self, ctx, evaluations, monkeypatch):
-        # one scan for the construction checks of all six derived parts, one
-        # for the certificate
+    def test_a_dense_element_costs_1_evaluation_and_no_fold(self, ctx, evaluations, monkeypatch):
+        # one scan of the 19 factors' halves: the halves of the six derived
+        # factors, 13th to 18th, are the construction checks, and the value
+        # of all halves joined is the product
         def no_fold(*args):
             raise AssertionError("w_multiply called")
 
         monkeypatch.setattr(wreath_module, "w_multiply", no_fold)
         assert not hasattr(decompose_module, "w_multiply")
         cert = decompose(dense_target(ctx), ctx)
-        assert all(cert.flags.values()) and len(evaluations) == 2
-        checks, product = evaluations
-        assert len(checks) == 12 and product == dense_target(ctx)
-        assert all(reversal.is_identity() for reversal in checks[0::2])
+        assert all(cert.flags.values()) and len(evaluations) == 1
+        ((values, product),) = evaluations
+        assert len(values) == 38 and product == dense_target(ctx)
+        checks = values[24:36]
+        assert all(reversal.is_identity() for reversal in checks[1::2])
         parts = split_abelian_commutator(dense_target(ctx), ctx)[1]
-        assert checks[1::2] == [ctx.group.from_base_word(part, c) for c, part in enumerate(parts)]
+        assert checks[0::2] == [ctx.group.from_base_word(part, c) for c, part in enumerate(parts)]
 
     @pytest.mark.parametrize("k", range(6))
     def test_one_scan_checks_each_coordinate_on_its_own(self, ctx, k):
@@ -484,18 +489,23 @@ class TestReport:
         return code, json.loads(captured.out) if code == 0 else captured.err
 
     def test_flags_are_the_checks_decompose_ran(self, monkeypatch, capsys):
-        # one verification per call: the report prints the certificate's flags
-        certificates = []
-        verification = DecompositionCertificate.verification
+        # one scan per call: the report prints the flags of that scan
+        scans, flags = [], []
+        verify, evaluate = decompose_module._verify, decompose_module.evaluate_words
 
-        def counted(cert, ctx=None):
-            certificates.append(cert)
-            return verification(cert, ctx)
+        def counted_verify(*args):
+            flags.append(verify(*args))
+            return flags[-1]
 
-        monkeypatch.setattr(DecompositionCertificate, "verification", counted)
+        def counted_evaluate(*args):
+            scans.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(decompose_module, "_verify", counted_verify)
+        monkeypatch.setattr(decompose_module, "evaluate_words", counted_evaluate)
         code, report = self.run(capsys)
-        assert code == 0 and len(certificates) == 1
-        assert report["verification"] == certificates[0].flags
+        assert code == 0 and len(flags) == len(scans) == 1
+        assert report["verification"] == flags[0]
         assert all(report["verification"].values()) and len(report["verification"]) == 4
 
     def test_reported_bound_is_the_checked_bound(self, monkeypatch, capsys):

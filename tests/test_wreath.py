@@ -562,7 +562,47 @@ class TestEvaluateWords:
     def test_matches_the_reference_fold_per_word(self, case):
         W, words, base, top = case
         expected = [reference_evaluate_letters(W, w, base, top) for w in words]
-        assert evaluate_words(W, words, base, top) == expected
+        values, _ = evaluate_words(W, words, base, top)
+        assert values == expected
+
+    @staticmethod
+    def fold(W, words, base, top):
+        """The reference values of the words, multiplied in order."""
+        product = W.identity()
+        for w in words:
+            product = w_multiply(product, reference_evaluate_letters(W, w, base, top))
+        return product
+
+    @given(letter_word_lists())
+    def test_the_product_is_the_reference_fold_over_the_list(self, case):
+        # the empty list gives the identity, and one word its own value
+        W, words, base, top = case
+        values, product = evaluate_words(W, words, base, top)
+        assert product == self.fold(W, words, base, top)
+        if len(words) == 1:
+            assert product == values[0]
+
+    @given(letter_maps(), st.data())
+    def test_words_that_cancel_across_word_bounds(self, maps, data):
+        # u then its formal inverse, cut into words at random points: the
+        # product is the identity wherever the cuts fall
+        W, base, top, inverse = maps
+        u = data.draw(st.lists(st.sampled_from(sorted(inverse)), min_size=1, max_size=20))
+        letters = u + [inverse[a] for a in reversed(u)]
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(letters)), max_size=4)))
+        words = [MonoidWord(letters[i:j]) for i, j in zip([0] + cuts, cuts + [len(letters)])]
+        _, product = evaluate_words(W, words, base, top)
+        assert product.is_identity() and product == self.fold(W, words, base, top)
+
+    def test_a_run_continued_by_the_next_word_cancels_in_the_product(self, W):
+        # x x ends the first word and x^-1 x^-1 starts the second, both at
+        # coordinate s1 in the product: each word holds its own power, at the
+        # coordinate of its own running top, and the product none
+        words = [MonoidWord(("s1", "x", "x")), MonoidWord(("x^-1", "x^-1", "s1"))]
+        values, product = evaluate_words(W, words, self.BASE, dict(W.top.labels))
+        assert values[0].base[W.top.labels["s1"]].syllables == ((1, 2),)
+        assert values[1].base[W.top.identity].syllables == ((1, -2),)
+        assert product.is_identity()
 
     @given(letter_word_lists(), st.data())
     def test_the_first_unknown_letter_in_the_list_is_named(self, case, data):
@@ -583,7 +623,7 @@ class TestEvaluateWords:
         assert str(caught.value) == str(reference.value)
 
     def test_an_empty_list_still_checks_the_maps(self, W):
-        assert evaluate_words(W, [], {"x": (1, 1)}, {"s1": 1}) == []
+        assert evaluate_words(W, [], {"x": (1, 1)}, {"s1": 1}) == ([], W.identity())
         with pytest.raises(ValueError, match="top element"):
             evaluate_words(W, [], {"x": (1, 1)}, {"k": 6})
         with pytest.raises(ValueError, match="exponent"):
@@ -609,7 +649,7 @@ class TestEvaluateWords:
         for w in words:
             if w.letters not in reference:
                 reference[w.letters] = reference_evaluate_letters(W, w, base, top)
-        got = evaluate_words(W, words, base, top)
+        got, _ = evaluate_words(W, words, base, top)
         assert len(got) == count
         assert all(g == reference[w.letters] for g, w in zip(got, words))
 
@@ -619,7 +659,7 @@ class TestEvaluateWords:
 
     @staticmethod
     def check(W, words, base, top):
-        got = evaluate_words(W, words, base, top)
+        got, _ = evaluate_words(W, words, base, top)
         assert got == [reference_evaluate_letters(W, w, base, top) for w in words]
         return got
 
@@ -664,7 +704,7 @@ class TestEvaluateWords:
         top = dict(W.top.labels)
         long = MonoidWord(("s1",) + ("x",) * m + ("c", "x^-1"))
         short = MonoidWord(("s1", "X", "c", "x^-1"))
-        (got,) = evaluate_words(W, [long], {"x": (1, e), "x^-1": (1, -1)}, top)
+        (got,), _ = evaluate_words(W, [long], {"x": (1, e), "x^-1": (1, -1)}, top)
         assert got == reference_evaluate_letters(W, short, {"X": (1, e * m), "x^-1": (1, -1)}, top)
         assert got.base[1].syllables == ((1, e * m),)
 
