@@ -18,33 +18,39 @@ most 20 letter palindromes (19 with this construction):
 * at most one palindrome for the top component (every S3 element is a
   palindromic word in these letters).
 
-Every word is a code array over the context's alphabet: the fixed words
-are precomputed code blocks, and a factor is a few concatenations and one
-``np.repeat``, with no Python step per letter or per syllable pair.  The
-factors' total letter count follows from the exponent rows and syllables,
-so an element asking for more than ``MAX_FACTOR_LETTERS`` is refused with
-``CapExceeded`` before any word is built.
+Every factor is laid out once, as two arrays: token codes over the
+context's alphabet, from precomputed code blocks, and their repeat counts.
+A power factor is u, z, reverse(u) with counts 1..., |a|, 1...; a derived
+factor is its half w, with counts 1..., |a_t|, 1..., |b_t| per syllable
+pair, mirrored once its tokens are repeated; a top factor is its word with
+every count 1.  The counts sum to the letters of a factor (of its half,
+for a derived one), exactly, since an exponent past 2**31 makes them
+Python ints, so an element asking for more than ``MAX_FACTOR_LETTERS``
+letters is refused with ``CapExceeded`` before any word is built.  Each
+word is then one ``np.repeat`` of the same arrays, with no Python step per
+letter or per syllable pair.
 
 Every factor is built first, the palindromes w reverse(w) unchecked,
-and then an element costs one word scan: the factors, each split at its
-midpoint, go to one ``evaluate_words`` call.  A factor w reverse(w)
-splits into exactly w and reverse(w), so the values of its halves are
-the construction checks of its coordinate, each evaluated on its own,
-and the value of all halves joined end to end is the product of the
-factors, which the certificate's flags compare with the target.  A
-certificate built by hand is checked by the same scan.
+and then an element costs one word scan, one ``evaluate_words`` call.
+Only the derived factors are split at their midpoints: a factor
+w reverse(w) splits into exactly w and reverse(w), so the values of its
+halves are the construction checks of its coordinate, each evaluated on
+its own.  Every other factor goes whole.  The value of all the words
+joined end to end is the product of the factors, which the certificate's
+flags compare with the target.  A certificate built by hand is checked
+by the same scan, with every factor whole.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .finite_groups import CapExceeded, evaluate, sym3_fink
-from .free_words import FreeWord, MonoidWord, _halves, format_monoid_word, is_word_palindrome
+from .free_words import _SMALL_EXP, FreeWord, MonoidWord, _halves, format_monoid_word, is_word_palindrome
 from .wreath import WreathElement, WreathGroup, evaluate_letters, evaluate_words
 
 __all__ = [
@@ -55,17 +61,14 @@ __all__ = [
     "s3_wreath_context",
     "DecompositionCertificate",
     "split_abelian_commutator",
-    "factor_letter_count",
-    "coordinate_power_palindrome",
     "derived_part_palindrome",
-    "top_palindromes",
     "decompose",
 ]
 
 MAX_FACTORS = 20
 
 # the most letters the factors of one decomposition may hold; the count is
-# known from the exponent rows and syllables before any word is built
+# the sum of the factors' repeat counts, known before any word is built
 MAX_FACTOR_LETTERS = 10**7
 
 R_LETTERS = ("c", "s1", "s2", "s1", "s2")
@@ -159,8 +162,16 @@ def s3_wreath_context() -> S3WreathContext:
 
 
 def _require_s3_wreath(g: WreathElement, ctx: S3WreathContext) -> None:
-    if g.group is not ctx.group:
+    # an element built by hand, not parsed, is checked here
+    W = ctx.group
+    if g.group is not W:
         raise ValueError("element does not belong to the F_2-by-S3 wreath group")
+    if len(g.base) != W.size:
+        raise ValueError(f"the base holds {len(g.base)} words, not {W.size}")
+    for c, f in enumerate(g.base):
+        if f.rank != W.rank:
+            raise ValueError(f"the word at coordinate {c} has rank {f.rank}, not {W.rank}")
+    W._top_id(g.top, "top element")
 
 
 def split_abelian_commutator(
@@ -188,92 +199,46 @@ def split_abelian_commutator(
     return exponents, tuple(parts), g.top
 
 
-def factor_letter_count(
-    exponents: list[tuple[int, int]],
-    parts: tuple[FreeWord, ...],
-    top: int,
-    ctx: S3WreathContext | None = None,
-) -> int:
-    """Total letters of the factors ``decompose`` builds from the rows of
-    ``split_abelian_commutator``, counted without building them."""
-    ctx = ctx or s3_wreath_context()
-    total = 0
-    for c, ((a, b), part) in enumerate(zip(exponents, parts)):
-        u = len(ctx.conjugators[c])
-        total += sum(2 * u + abs(e) for e in (a, b) if e)
-        if len(part):
-            # exact: int64 exponents are below 2**31, larger ones Python ints,
-            # so an exponent past int64 is counted, then capped
-            pairs = _pair_layout(part)[1]
-            powers = int(np.abs(part.exps).sum())
-            total += 2 * (2 * u + pairs * (len(ctx.r) + len(ctx.r_inv)) + powers)
-    if top != ctx.group.top.identity:
-        total += len(ctx.top_words[top])
-    return total
+def _power_layout(c: int, letter: str, exponent: int, ctx: S3WreathContext) -> tuple:
+    # u z^|a| reverse(u), z the letter or its inverse by the sign of a
+    u = ctx.conjugators[c]
+    z = ctx.code(letter if exponent > 0 else letter + "^-1")
+    # an exponent past 2**31 counts in Python ints, so the letter sum is exact
+    count = np.array([abs(exponent)], np.int64 if abs(exponent) < _SMALL_EXP else object)
+    return _sandwich(u, np.array([z], np.uint8), count)
 
 
-def _power(ctx: S3WreathContext, letter: str, exponent: int) -> np.ndarray:
-    code = ctx.code(letter if exponent > 0 else letter + "^-1")
-    return np.full(abs(exponent), code, np.uint8)
-
-
-def coordinate_power_palindrome(
-    coord: int, letter: str, exponent: int, ctx: S3WreathContext | None = None
-) -> MonoidWord:
-    """Palindrome u letter^exponent reverse(u) evaluating to the power at
-    the coordinate of S3 element ``coord``, trivial elsewhere, trivial top."""
-    ctx = ctx or s3_wreath_context()
-    ctx.group._top_id(coord, "coordinate")
-    if letter not in ("x", "y"):
-        raise ValueError("letter must be 'x' or 'y'")
-    if exponent == 0:
-        raise ValueError("exponent must be nonzero")
-    u = ctx.conjugators[coord]
-    return ctx.word(np.concatenate((u, _power(ctx, letter, exponent), u[::-1])))
-
-
-def _pair_layout(g: FreeWord) -> tuple[int, int]:
-    # (lead, rows): the syllables of a reduced nontrivial rank-2 word
-    # alternate between x and y, so they fill rows (a_t, b_t) of the word
-    # x^a1 y^b1 x^a2 ... after `lead` zero x-powers (one when it starts with y)
-    lead = int(g.gens[0] == 2)
-    return lead, (lead + len(g) + 1) // 2
-
-
-def _pair_exponents(g: FreeWord) -> np.ndarray:
-    # the (a_t, b_t) rows of _pair_layout, zero padded
-    lead, rows = _pair_layout(g)
-    padded = np.zeros(2 * rows, np.int64)
-    padded[lead : lead + len(g)] = g.exps
-    return padded.reshape(-1, 2)
-
-
-def _derived_palindrome(coord: int, part: FreeWord, ctx: S3WreathContext) -> MonoidWord | None:
-    # the palindrome w reverse(w) that carries the part at the coordinate,
-    # unchecked; None when the part is trivial
-    ctx.group._top_id(coord, "coordinate")
-    if part.rank != 2:
-        raise ValueError("derived parts live in the rank-2 free group")
-    if part.is_identity():
-        return None
-    if part.exponent_sum(1) != 0 or part.exponent_sum(2) != 0:
-        raise ValueError("derived part must have zero exponent sums")
-    u = ctx.conjugators[coord]
-    # per (a, b) pair the tokens r, x^+-1, r^-1, y^+-1; each letter of r
-    # and r^-1 is repeated once, the x and y tokens |a| and |b| times
-    pairs = _pair_exponents(part)
-    a, b = pairs[:, 0], pairs[:, 1]
+def _derived_layout(c: int, part: FreeWord, ctx: S3WreathContext) -> tuple:
+    # the half w of the palindrome w reverse(w) carrying a nontrivial part:
+    # the syllables of a reduced rank-2 word alternate between x and y, so
+    # they fill rows (a_t, b_t) of the word x^a1 y^b1 x^a2 ... after `lead`
+    # zero x-powers (one when it starts with y), and per row w holds the
+    # tokens r, x^+-1, r^-1, y^+-1, repeated 1..., |a_t|, 1..., |b_t| times
+    lead = int(part.gens[0] == 2)
+    exps = np.zeros(2 * ((lead + len(part) + 1) // 2), part.exps.dtype)
+    exps[lead : lead + len(part)] = part.exps
+    a, b = exps[0::2], exps[1::2]
     nr, ni = len(ctx.r), len(ctx.r_inv)
-    tokens = np.empty((len(pairs), nr + ni + 2), np.uint8)
+    tokens = np.empty((len(a), nr + ni + 2), np.uint8)
     tokens[:, :nr] = ctx.r
     tokens[:, nr] = np.where(a < 0, ctx.code("x^-1"), ctx.code("x"))
     tokens[:, nr + 1 : nr + 1 + ni] = ctx.r_inv
     tokens[:, -1] = np.where(b < 0, ctx.code("y^-1"), ctx.code("y"))
-    counts = np.ones(tokens.shape, np.int64)
+    counts = np.ones(tokens.shape, exps.dtype)
     counts[:, nr], counts[:, -1] = np.abs(a), np.abs(b)
-    inner = np.repeat(tokens.ravel(), counts.ravel())
-    w = np.concatenate((u, inner, u[::-1]))
-    return ctx.word(np.concatenate((w, w[::-1])))
+    return _sandwich(ctx.conjugators[c], tokens.ravel(), counts.ravel())
+
+
+def _sandwich(u: np.ndarray, tokens: np.ndarray, counts: np.ndarray) -> tuple:
+    # u tokens reverse(u), each letter of u once
+    ones = np.ones(len(u), counts.dtype)
+    return np.concatenate((u, tokens, u[::-1])), np.concatenate((ones, counts, ones))
+
+
+def _factor(ctx: S3WreathContext, tokens: np.ndarray, counts: np.ndarray, mirrored: bool) -> MonoidWord:
+    # the tokens repeated by their counts, then their reversal if mirrored
+    w = np.repeat(tokens, counts)
+    return ctx.word(np.concatenate((w, w[::-1])) if mirrored else w)
 
 
 def derived_part_palindrome(
@@ -288,18 +253,17 @@ def derived_part_palindrome(
     here for one, by the scan ``decompose`` runs over every factor.
     """
     ctx = ctx or s3_wreath_context()
-    if (palindrome := _derived_palindrome(coord, part, ctx)) is not None:
-        target = ctx.group.from_base_word(part, coord)
-        _verify(DecompositionCertificate(target, [palindrome], 1), ctx, [(0, coord, part)])
+    ctx.group._top_id(coord, "coordinate")
+    if part.rank != 2:
+        raise ValueError("derived parts live in the rank-2 free group")
+    if part.is_identity():
+        return None
+    if part.exponent_sum(1) != 0 or part.exponent_sum(2) != 0:
+        raise ValueError("derived part must have zero exponent sums")
+    palindrome = _factor(ctx, *_derived_layout(coord, part, ctx), True)
+    target = ctx.group.from_base_word(part, coord)
+    _verify(DecompositionCertificate(target, [palindrome], 1), ctx, [(0, coord, part)])
     return palindrome
-
-
-def top_palindromes(s: int, ctx: S3WreathContext | None = None) -> list[MonoidWord]:
-    """At most one palindromic word multiplying to the given top element."""
-    ctx = ctx or s3_wreath_context()
-    if ctx.group._top_id(s, "top element") == ctx.group.top.identity:
-        return []
-    return [ctx.word(ctx.top_words[s])]
 
 
 @dataclass
@@ -317,33 +281,35 @@ class DecompositionCertificate:
     def verification(self, ctx: S3WreathContext | None = None) -> dict[str, bool]:
         """Recompute every certificate invariant from scratch.
 
-        The product is one evaluation of the factors' halves joined end to
-        end, each factor split at its midpoint, as ``decompose`` checks
-        them.  Evaluating a letter word into the wreath group is a monoid
-        homomorphism, and the halves joined in order are the factors
-        joined in order, so their value is the product, in order, of the
-        values of the factors.  One word scan thus replaces an evaluation
-        per factor and a fold of products.
+        The product is one evaluation of the factors joined end to end.
+        Evaluating a letter word into the wreath group is a monoid
+        homomorphism, so the value of the factors joined in order is the
+        product, in order, of their values, also when ``decompose`` splits
+        its derived factors at their midpoints.  One word scan thus
+        replaces an evaluation per factor and a fold of products.
         """
         return _verify(self, ctx or s3_wreath_context())
 
 
 def _verify(
-    cert: DecompositionCertificate, ctx: S3WreathContext, derived: Iterable[tuple] = ()
+    cert: DecompositionCertificate, ctx: S3WreathContext, derived: Sequence[tuple] = ()
 ) -> dict[str, bool]:
-    # the certificate's flags, from one evaluate_words call over its factors
-    # split at their midpoints; first the construction checks of the derived
-    # factors, given as (factor index, coordinate, part), which read the
-    # values of their halves w and reverse(w)
-    halves = [half for f in cert.factors for half in _halves(f)]
-    values, product = evaluate_words(ctx.group, halves, ctx.base_letters, ctx.top_letters)
-    for i, c, part in derived:
-        if not values[2 * i + 1].is_identity():
+    # the certificate's flags, from one evaluate_words call over its factors;
+    # first the construction checks of the derived factors, given as (factor
+    # index, coordinate, part) in index order: each is split at its midpoint
+    # into w and reverse(w), whose values are read, and every other factor
+    # goes whole, so the k-th derived factor's w is word i + k
+    words = list(cert.factors)
+    for i, _, _ in reversed(derived):
+        words[i : i + 1] = _halves(words[i])
+    values, product = evaluate_words(ctx.group, words, ctx.base_letters, ctx.top_letters)
+    for k, (i, c, part) in enumerate(derived):
+        if not values[i + k + 1].is_identity():
             raise InvariantViolation(
                 f"reversal of the derived-part word at coordinate {c} did not evaluate "
-                f"to the identity; witness word: {format_monoid_word(halves[2 * i])}"
+                f"to the identity; witness word: {format_monoid_word(words[i + k])}"
             )
-        if values[2 * i] != ctx.group.from_base_word(part, c):
+        if values[i + k] != ctx.group.from_base_word(part, c):
             raise InvariantViolation(f"derived-part word evaluates off target at coordinate {c}")
     return {
         "factors_palindromic": all(is_word_palindrome(f) for f in cert.factors),
@@ -353,31 +319,35 @@ def _verify(
     }
 
 
-def decompose(g: WreathElement, ctx: S3WreathContext | None = None) -> DecompositionCertificate:
-    """Factor g into at most 20 letter palindromes (this construction
-    emits at most 19) and verify the certificate before returning it."""
-    ctx = ctx or s3_wreath_context()
-    _require_s3_wreath(g, ctx)
+def _factors(g: WreathElement, ctx: S3WreathContext) -> tuple[list[MonoidWord], list[tuple]]:
+    # the factors of g, and the checks of the derived ones as (factor index,
+    # coordinate, part); the layouts, 9 bytes per token, are dropped on
+    # return, before the scan.  A layout is (token codes, repeat counts,
+    # derived), derived the (coordinate, part) of a derived factor, whose
+    # layout is its half w
     exponents, parts, top = split_abelian_commutator(g, ctx)
-    letters = factor_letter_count(exponents, parts, top, ctx)
+    layouts = [(*_power_layout(c, "x", a, ctx), None) for c, (a, _) in enumerate(exponents) if a]
+    layouts += [(*_power_layout(c, "y", b, ctx), None) for c, (_, b) in enumerate(exponents) if b]
+    layouts += [
+        (*_derived_layout(c, part, ctx), (c, part)) for c, part in enumerate(parts) if len(part)
+    ]
+    if top != ctx.group.top.identity:
+        layouts.append((ctx.top_words[top], np.ones(len(ctx.top_words[top]), np.int64), None))
+    letters = sum((2 if derived else 1) * int(counts.sum()) for _, counts, derived in layouts)
     if letters > MAX_FACTOR_LETTERS:
         raise CapExceeded(
             f"the decomposition would hold {letters:,} factor letters, "
             f"over the cap of {MAX_FACTOR_LETTERS:,}"
         )
-    factors: list[MonoidWord] = []
-    for c, (a, _) in enumerate(exponents):
-        if a:
-            factors.append(coordinate_power_palindrome(c, "x", a, ctx))
-    for c, (_, b) in enumerate(exponents):
-        if b:
-            factors.append(coordinate_power_palindrome(c, "y", b, ctx))
-    checks = []
-    for c, part in enumerate(parts):
-        if (palindrome := _derived_palindrome(c, part, ctx)) is not None:
-            checks.append((len(factors), c, part))
-            factors.append(palindrome)
-    factors.extend(top_palindromes(top, ctx))
+    factors = [_factor(ctx, tokens, counts, bool(derived)) for tokens, counts, derived in layouts]
+    return factors, [(i, *derived) for i, (_, _, derived) in enumerate(layouts) if derived]
+
+
+def decompose(g: WreathElement, ctx: S3WreathContext | None = None) -> DecompositionCertificate:
+    """Factor g into at most 20 letter palindromes (this construction
+    emits at most 19) and verify the certificate before returning it."""
+    ctx = ctx or s3_wreath_context()
+    factors, checks = _factors(g, ctx)
     cert = DecompositionCertificate(g, factors, len(factors))
     cert.flags = _verify(cert, ctx, checks)
     failed = [k for k, v in cert.flags.items() if not v]

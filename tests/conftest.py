@@ -3,9 +3,8 @@ with relabelled element ids, maps between groups named by label words,
 small relabelled groups with random generating sets and their products,
 random nested direct products, permutation groups as tables, free-word
 texts and free words spelled out letter by letter, reversed monoid words
-and free generators, the centralizer
-vectors of a nilpotent product's factor, the palindromes ``decompose``
-builds for derived parts, and a call's traced peak memory."""
+and free generators, the centralizer vectors of a nilpotent product's
+factor, and a call's traced peak memory."""
 
 from __future__ import annotations
 
@@ -18,7 +17,6 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from groupwidths.decompose import DecompositionCertificate, _derived_palindrome, _verify
 from groupwidths.finite_groups import FiniteGroup, abelian_group, cyclic, dihedral, direct_product, sym3_fink
 from groupwidths.free_words import FreeWord, MonoidWord
 from groupwidths.nilprod import NilProdGroup
@@ -66,19 +64,6 @@ def centralizer_vectors(np_group: NilProdGroup, i: int) -> set[tuple[int, ...]]:
     each entry a multiple of its summand's modulus there."""
     moduli = np_group.centralizer_moduli(i)
     return {v for v in factor_elements(np_group, i) if all(x % L == 0 for x, L in zip(v, moduli))}
-
-
-def derived_palindromes(parts, ctx) -> list[MonoidWord]:
-    """The palindromes ``decompose`` builds for (coordinate, derived part)
-    pairs, one per nontrivial part in order, each construction checked by
-    the one scan ``decompose`` runs."""
-    factors, checks = [], []
-    for c, part in parts:
-        if (palindrome := _derived_palindrome(c, part, ctx)) is not None:
-            checks.append((len(factors), c, part))
-            factors.append(palindrome)
-    _verify(DecompositionCertificate(ctx.group.identity(), factors, len(factors)), ctx, checks)
-    return factors
 
 
 def relabel(G: FiniteGroup, perm: list[int]) -> FiniteGroup:

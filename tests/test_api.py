@@ -127,6 +127,23 @@ def test_specs_owns_the_json_code():
     assert "group_from_spec" not in finite_groups.__all__
 
 
+def test_decompose_exports_the_command_and_its_certificate():
+    # each factor's layout is private to decompose; derived_part_palindrome
+    # stays because the benchmark's tracer patches it by name
+    decompose = importlib.import_module("groupwidths.decompose")
+    assert decompose.__all__ == [
+        "InvariantViolation",
+        "MAX_FACTORS",
+        "MAX_FACTOR_LETTERS",
+        "S3WreathContext",
+        "s3_wreath_context",
+        "DecompositionCertificate",
+        "split_abelian_commutator",
+        "derived_part_palindrome",
+        "decompose",
+    ]
+
+
 def test_benchmark_traced_names_resolve(monkeypatch):
     # the benchmark's tracer patches these names by string; one deleted
     # from the library would fail only a traced benchmark run

@@ -20,13 +20,10 @@ from groupwidths.decompose import (
     MAX_FACTOR_LETTERS,
     DecompositionCertificate,
     InvariantViolation,
-    coordinate_power_palindrome,
     decompose,
     derived_part_palindrome,
-    factor_letter_count,
     s3_wreath_context,
     split_abelian_commutator,
-    top_palindromes,
 )
 from groupwidths.finite_groups import CapExceeded
 from groupwidths.free_words import (
@@ -45,7 +42,7 @@ from groupwidths.wreath import (
     w_multiply,
 )
 
-from conftest import derived_palindromes, free_generator, random_reduced_word, random_wreath_element
+from conftest import free_generator, random_reduced_word, random_wreath_element
 
 # the package rebinds the name ``decompose`` to the function
 decompose_module = importlib.import_module("groupwidths.decompose")
@@ -141,42 +138,53 @@ class TestSplit:
         assert "remainder at coordinate 0 has nonzero exponent sums" in proc.stderr
 
 
+def power_factor(ctx, coord, letter, exponent):
+    """The one factor ``decompose`` emits for letter^exponent at the
+    coordinate of S3 element ``coord``."""
+    g = ctx.group.from_base_word(free_generator(2, {"x": 1, "y": 2}[letter], exponent), coord)
+    (w,) = decompose(g, ctx).factors
+    return w
+
+
 class TestCoordinatePalindromes:
     def test_identity_coordinate(self, ctx):
-        w = coordinate_power_palindrome(0, "x", 3, ctx)
+        w = power_factor(ctx, 0, "x", 3)
         assert format_monoid_word(w) == "x x x"
 
     def test_s1_coordinate(self, ctx):
         i = ctx.group.top.labels["s1"]
-        assert format_monoid_word(coordinate_power_palindrome(i, "x", 2, ctx)) == "s1 x x s1"
+        assert format_monoid_word(power_factor(ctx, i, "x", 2)) == "s1 x x s1"
 
     def test_c_coordinate(self, ctx):
         i = ctx.group.top.labels["c"]
-        w = coordinate_power_palindrome(i, "y", -1, ctx)
+        w = power_factor(ctx, i, "y", -1)
         assert format_monoid_word(w) == "s1 s2 y^-1 s2 s1"
 
     def test_places_power_at_coordinate(self, ctx):
         for coord in range(6):
             for letter, gen in (("x", 1), ("y", 2)):
                 for e in (-2, 1, 3):
-                    w = coordinate_power_palindrome(coord, letter, e, ctx)
+                    w = power_factor(ctx, coord, letter, e)
                     assert is_word_palindrome(w)
                     expected = ctx.group.from_base_word(free_generator(2, gen, e), coord)
                     assert ctx.eval_word(w) == expected
 
     def test_distinct_coordinates_commute(self, ctx):
-        a = ctx.eval_word(coordinate_power_palindrome(1, "x", 2, ctx))
-        b = ctx.eval_word(coordinate_power_palindrome(4, "y", -3, ctx))
+        a = ctx.eval_word(power_factor(ctx, 1, "x", 2))
+        b = ctx.eval_word(power_factor(ctx, 4, "y", -3))
         assert w_multiply(a, b) == w_multiply(b, a)
 
-    def test_zero_exponent_rejected(self, ctx):
-        with pytest.raises(ValueError):
-            coordinate_power_palindrome(0, "x", 0, ctx)
+    def test_a_zero_exponent_sum_has_no_power_factor(self, ctx):
+        # x y x^-1 at coordinate 3: a y-power and a derived part, no x-power
+        g = ctx.group.from_base_word(parse_free_word("x y x^-1", rank=2), 3)
+        w, derived = decompose(g, ctx).factors
+        assert w == power_factor(ctx, 3, "y", 1)
+        assert derived == derived_part_palindrome(3, parse_free_word("y^-1 x y x^-1", rank=2), ctx)
 
 
 class TestDerivedPart:
     def test_commutator_word_matches_construction(self, ctx):
-        [w] = derived_palindromes([(0, parse_free_word("[x,y]", rank=2))], ctx)
+        w = derived_part_palindrome(0, parse_free_word("[x,y]", rank=2), ctx)
         half = (
             "c s1 s2 s1 s2 x^-1 s2 s1 s2 s1 c^-1 y^-1 "
             "c s1 s2 s1 s2 x s2 s1 s2 s1 c^-1 y"
@@ -186,11 +194,11 @@ class TestDerivedPart:
         assert ctx.eval_word(w) == commutator_target(ctx)
 
     def test_trivial_part_no_factor(self, ctx):
-        assert derived_palindromes([(0, FreeWord.identity(2))], ctx) == []
+        assert derived_part_palindrome(0, FreeWord.identity(2), ctx) is None
+        assert derived_part_palindrome(4, FreeWord.identity(2)) is None
 
     def test_arbitrary_derived_words(self, ctx):
-        # one call for every part, as decompose makes it: one palindrome per
-        # nontrivial part, in order
+        # one palindrome per nontrivial part, each checked by its own scan
         rng = random.Random(17)
         parts = []
         for _ in range(60):
@@ -198,34 +206,38 @@ class TestDerivedPart:
             w = random_reduced_word(rng, 2, 10)
             prefix = FreeWord(2, tuple(s for s in ((1, w.exponent_sum(1)), (2, w.exponent_sum(2))) if s[1]))
             parts.append((coord, prefix.inverse() * w))  # zero exponent sums by construction
-        factors = derived_palindromes(parts, ctx)
         nontrivial = [(coord, part) for coord, part in parts if not part.is_identity()]
-        assert len(factors) == len(nontrivial) == 34
-        for factor, (coord, part) in zip(factors, nontrivial):
+        assert len(nontrivial) == 34
+        for coord, part in nontrivial:
+            factor = derived_part_palindrome(coord, part, ctx)
             assert is_word_palindrome(factor)
             assert ctx.eval_word(factor) == ctx.group.from_base_word(part, coord)
 
     def test_nonzero_exponent_sum_rejected(self, ctx):
-        with pytest.raises(ValueError):
-            derived_palindromes([(0, free_generator(2, 1))], ctx)
+        with pytest.raises(ValueError, match="zero exponent sums"):
+            derived_part_palindrome(0, free_generator(2, 1), ctx)
 
-    def test_the_one_part_form_is_the_list_form(self, ctx):
+    def test_a_part_of_another_rank_is_rejected(self, ctx):
+        with pytest.raises(ValueError, match="rank-2"):
+            derived_part_palindrome(0, free_commutator(free_generator(3, 1), free_generator(3, 3)), ctx)
+
+    def test_the_one_part_form_is_the_factor_decompose_emits(self, ctx):
         # derived_part_palindrome stays while the benchmark traces it by name
         part = parse_free_word("[x,y] [y^-1,x]", rank=2)
-        assert derived_part_palindrome(4, part, ctx) == derived_palindromes([(4, part)], ctx)[0]
-        assert derived_part_palindrome(4, FreeWord.identity(2)) is None
+        g = ctx.group.from_base_word(part, 4)
+        assert decompose(g, ctx).factors == [derived_part_palindrome(4, part, ctx)]
 
 
 class TestTopPalindromes:
     def test_identity_empty(self, ctx):
-        assert top_palindromes(ctx.group.top.identity, ctx) == []
+        assert decompose(ctx.group.identity(), ctx).factors == []
 
     def test_single_palindrome_each(self, ctx):
         from groupwidths.finite_groups import evaluate
 
         K = ctx.group.top
         for s in K.elements():
-            words = top_palindromes(s, ctx)
+            words = decompose(ctx.group.from_top(s), ctx).factors
             assert len(words) <= 1
             if s != K.identity:
                 (w,) = words
@@ -234,9 +246,11 @@ class TestTopPalindromes:
 
     def test_c_is_one_letter(self, ctx):
         K = ctx.group.top
-        assert format_monoid_word(top_palindromes(K.labels["c"], ctx)[0]) == "c"
+        (c,) = decompose(ctx.group.from_top(K.labels["c"]), ctx).factors
+        assert format_monoid_word(c) == "c"
         long_top = K.table[K.table[K.labels["s1"]][K.labels["s2"]]][K.labels["s1"]]
-        assert format_monoid_word(top_palindromes(long_top, ctx)[0]) == "s1 s2 s1"
+        (w,) = decompose(ctx.group.from_top(long_top), ctx).factors
+        assert format_monoid_word(w) == "s1 s2 s1"
 
 
 class TestDecompose:
@@ -286,13 +300,34 @@ class TestDecompose:
 @pytest.mark.parametrize("k", [6, -1])
 def test_ids_out_of_range_are_named(ctx, k):
     part = free_commutator(free_generator(2, 1), free_generator(2, 2))
-    with pytest.raises(ValueError, match=rf"^coordinate {k} is out of range 0\.\.5$"):
-        coordinate_power_palindrome(k, "x", 1, ctx)
     for derived in (part, FreeWord.identity(2)):
         with pytest.raises(ValueError, match=rf"^coordinate {k} is out of range 0\.\.5$"):
-            derived_palindromes([(k, derived)], ctx)
+            derived_part_palindrome(k, derived, ctx)
+    g = WreathElement(ctx.group, ctx.group.identity().base, k)
     with pytest.raises(ValueError, match=rf"^top element {k} is out of range 0\.\.5$"):
-        top_palindromes(k, ctx)
+        decompose(g, ctx)
+
+
+class TestMalformedElement:
+    """An element built by hand, not parsed, is refused with a
+    ``ValueError`` naming its fault before any factor is built."""
+
+    def test_a_short_base(self, ctx):
+        g = dense_target(ctx)
+        with pytest.raises(ValueError, match=r"^the base holds 5 words, not 6$"):
+            decompose(WreathElement(ctx.group, g.base[:5], 1), ctx)
+
+    def test_a_word_of_another_rank(self, ctx):
+        base = list(dense_target(ctx).base)
+        base[2] = free_generator(3, 3)
+        with pytest.raises(ValueError, match=r"^the word at coordinate 2 has rank 3, not 2$"):
+            decompose(WreathElement(ctx.group, tuple(base), 1), ctx)
+
+    @pytest.mark.parametrize("top", [9, 6])
+    def test_a_top_out_of_range(self, ctx, top):
+        g = WreathElement(ctx.group, dense_target(ctx).base, top)
+        with pytest.raises(ValueError, match=rf"^top element {top} is out of range 0\.\.5$"):
+            decompose(g, ctx)
 
 
 def dense_target(ctx):
@@ -310,9 +345,10 @@ def fold_of_factor_values(factors, ctx):
 
 
 class TestOneEvaluation:
-    """``decompose`` and ``verification`` evaluate the factors, each split
-    at its midpoint, in one scan: the construction checks read the halves
-    of the derived factors, and the flags the product of all halves."""
+    """``decompose`` and ``verification`` evaluate the factors in one
+    scan: ``decompose`` splits its derived factors at their midpoints, and
+    its construction checks read their halves, while every other factor
+    goes whole; the flags read the product of all the words."""
 
     @pytest.fixture
     def evaluations(self, monkeypatch):
@@ -335,13 +371,16 @@ class TestOneEvaluation:
         targets = [parse_wreath_element(ctx.group, text) for text in sorted(GOLDEN_REPORTS)]
         targets += [random_wreath_element(rng, ctx.group, 12) for _ in range(100)]
         for g in targets:
-            cert = decompose(g, ctx)
             evaluations.clear()
+            cert = decompose(g, ctx)
+            derived = sum(1 for part in split_abelian_commutator(g, ctx)[1] if len(part))
             assert cert.verification(ctx) == cert.flags
-            assert len(evaluations) == 1
-            values, product = evaluations[0]
-            assert len(values) == 2 * len(cert.factors)
-            assert product == fold_of_factor_values(cert.factors, ctx) == g
+            # decompose: 2 words per derived factor, 1 per other factor;
+            # verification: 1 per factor
+            (values, product), (whole, again) = evaluations
+            assert len(values) == len(cert.factors) + derived
+            assert len(whole) == len(cert.factors)
+            assert product == again == fold_of_factor_values(cert.factors, ctx) == g
 
     def test_factors_over_other_alphabets(self, ctx):
         # relettered in order of first occurrence, or recoded over a shuffled
@@ -378,9 +417,10 @@ class TestOneEvaluation:
             assert flags["factors_palindromic"] and flags["count_consistent"]
 
     def test_a_dense_element_costs_1_evaluation_and_no_fold(self, ctx, evaluations, monkeypatch):
-        # one scan of the 19 factors' halves: the halves of the six derived
-        # factors, 13th to 18th, are the construction checks, and the value
-        # of all halves joined is the product
+        # one scan of 25 words: the 12 power factors whole, the halves of
+        # the six derived factors, 13th to 18th, which are the construction
+        # checks, and the top factor whole; the value of all joined is the
+        # product
         def no_fold(*args):
             raise AssertionError("w_multiply called")
 
@@ -389,8 +429,8 @@ class TestOneEvaluation:
         cert = decompose(dense_target(ctx), ctx)
         assert all(cert.flags.values()) and len(evaluations) == 1
         ((values, product),) = evaluations
-        assert len(values) == 38 and product == dense_target(ctx)
-        checks = values[24:36]
+        assert len(values) == 25 and product == dense_target(ctx)
+        checks = values[12:24]
         assert all(reversal.is_identity() for reversal in checks[1::2])
         parts = split_abelian_commutator(dense_target(ctx), ctx)[1]
         assert checks[0::2] == [ctx.group.from_base_word(part, c) for c, part in enumerate(parts)]
@@ -418,13 +458,18 @@ class TestOneEvaluation:
 
 
 class TestLetterCap:
-    def test_letter_count_is_exact(self, ctx):
+    def test_letter_count_is_exact(self, ctx, monkeypatch):
+        # a cap of the factors' total passes, one letter less is refused
         rng = random.Random(29)
         for _ in range(100):
             g = random_wreath_element(rng, ctx.group, 14)
-            cert = decompose(g, ctx)
-            rows = split_abelian_commutator(g, ctx)
-            assert factor_letter_count(*rows, ctx) == sum(map(len, cert.factors))
+            total = sum(map(len, decompose(g, ctx).factors))
+            monkeypatch.setattr(decompose_module, "MAX_FACTOR_LETTERS", total)
+            assert sum(map(len, decompose(g, ctx).factors)) == total
+            monkeypatch.setattr(decompose_module, "MAX_FACTOR_LETTERS", total - 1)
+            with pytest.raises(CapExceeded, match=f" {total:,} factor letters, over the cap of {total - 1:,}$"):
+                decompose(g, ctx)
+            monkeypatch.undo()
 
     def test_cap_is_inclusive(self, ctx, monkeypatch):
         # x1^100 at the identity coordinate: one factor of 100 letters
@@ -478,6 +523,23 @@ GOLDEN_REPORTS = {
     ),
     "[1; 1; 1; 1; 1; 1] c": "1352e00de340c21ada2aab4a3c1309a4887c876911fa5549832bd5eaa5803603",
 }
+
+# sha256 of the factor codes of 200 seeded random elements and the dense
+# target, recorded before each factor became one token layout
+FACTOR_DIGEST = "80d722134448ed14643d4ccefe69a1858b32018145cb3df8bb2aa0e01eda1d09"
+
+
+def test_the_factors_match_the_recorded_codes(ctx):
+    rng = random.Random(43)
+    targets = [random_wreath_element(rng, ctx.group, 30) for _ in range(200)] + [dense_target(ctx)]
+    digest = hashlib.sha256()
+    for g in targets:
+        factors = decompose(g, ctx).factors
+        digest.update(len(factors).to_bytes(1, "little"))
+        for f in factors:
+            assert f.alphabet == ctx.alphabet and f.codes.dtype == np.uint8
+            digest.update(len(f).to_bytes(8, "little") + f.codes.tobytes())
+    assert digest.hexdigest() == FACTOR_DIGEST
 
 
 class TestReport:
