@@ -162,16 +162,9 @@ def s3_wreath_context() -> S3WreathContext:
 
 
 def _require_s3_wreath(g: WreathElement, ctx: S3WreathContext) -> None:
-    # an element built by hand, not parsed, is checked here
-    W = ctx.group
-    if g.group is not W:
+    # WreathElement checks its own base and top
+    if g.group is not ctx.group:
         raise ValueError("element does not belong to the F_2-by-S3 wreath group")
-    if len(g.base) != W.size:
-        raise ValueError(f"the base holds {len(g.base)} words, not {W.size}")
-    for c, f in enumerate(g.base):
-        if f.rank != W.rank:
-            raise ValueError(f"the word at coordinate {c} has rank {f.rank}, not {W.rank}")
-    W._top_id(g.top, "top element")
 
 
 def split_abelian_commutator(

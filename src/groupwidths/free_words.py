@@ -19,8 +19,10 @@ normal form with a few array reductions; a product joins the arrays after
 a Python walk over the syllable pairs that cancel at the seam; inverse,
 exponent sums and the quasi-length are array operations.  Exponents are
 int64 while below 2**31 in absolute value and Python ints otherwise, so
-every sum stays exact.  The quasi-length ``ql`` is a syllable-level sum
-and is only well defined on the reduced form.
+every sum stays exact.  A free word comes in as syllables, as arrays or
+as text (``parse_free_word``), never as a letter word.  The quasi-length
+``ql`` is a syllable-level sum and is only well defined on the reduced
+form, so it takes a ``FreeWord``.
 
 In the free-word text, ``x``/``y`` (and ``x^-1``/``y^-1``) alias
 ``x1``/``x2`` only as whole atoms: ``x1^3`` is a syllable, ``x^3`` is not.
@@ -40,7 +42,6 @@ import numpy as np
 __all__ = [
     "MonoidWord",
     "FreeWord",
-    "reduce_word",
     "is_word_palindrome",
     "ql",
     "free_commutator",
@@ -190,8 +191,7 @@ def is_word_palindrome(w: MonoidWord) -> bool:
 
 
 # syllable x<i> or x<i>^<e>, with x/y aliases for rank 2; indices and
-# exponents are ASCII digits only, not any Unicode digit.  A letter of a
-# free-group alphabet is a syllable whose exponent is absent or exactly -1
+# exponents are ASCII digits only, not any Unicode digit
 _SYLLABLE_RE = re.compile(r"x([0-9]+)(?:\^(-?[0-9]+))?")
 _LETTER_ALIASES = {"x": "x1", "y": "x2", "x^-1": "x1^-1", "y^-1": "x2^-1"}
 
@@ -200,13 +200,6 @@ _MAX_RANK = 2**63 - 1
 # exponents below this in absolute value are stored as int64: a sum of fewer
 # than 2**32 of them is exact in int64
 _SMALL_EXP = 2**31
-
-
-def _letter_to_syllable(letter: str) -> tuple[int, int]:
-    m = _SYLLABLE_RE.fullmatch(_LETTER_ALIASES.get(letter, letter))
-    if m is None or m.group(2) not in (None, "-1"):
-        raise ValueError(f"not a free-group letter: {letter!r}")
-    return int(m.group(1)), -1 if m.group(2) else 1
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -439,43 +432,9 @@ def _reduce_syllables(gens: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, n
     return _reduce_runs(gens[starts], np.add.reduceat(exps, starts))
 
 
-def reduce_word(w: MonoidWord, rank: int | None = None) -> FreeWord:
-    """Canonical reduced form of a word over a free-group alphabet.
-
-    Idempotent in the sense that reducing the spelled-out form of the
-    result gives the result back; the empty word maps to the identity.
-    Each label that occurs is read and range-checked once, even where its
-    letters cancel, and the first letter of the word with a bad label is
-    named; the letters are then reduced as arrays.
-    """
-    alphabet, codes = w.alphabet, w.codes
-    gen_of = np.zeros(len(alphabet), np.int64)
-    exp_of = np.zeros(len(alphabet), np.int64)
-    faults: dict[int, ValueError] = {}
-    for i in np.flatnonzero(np.bincount(codes, minlength=len(alphabet))).tolist():
-        try:
-            gen, exp = _letter_to_syllable(alphabet[i])
-            if not 1 <= gen <= min(rank or _MAX_RANK, _MAX_RANK):
-                raise ValueError(f"generator index {gen} out of range")
-        except ValueError as fault:
-            faults[i] = fault
-            continue
-        gen_of[i], exp_of[i] = gen, exp
-    if faults:
-        raise faults[int(codes[np.flatnonzero(np.isin(codes, list(faults)))[0]])]
-    if rank is None:
-        rank = max(1, int(gen_of.max(initial=0)))
-    if not len(codes):
-        return FreeWord.identity(rank)
-    return FreeWord.from_arrays(rank, *_reduce_syllables(gen_of.take(codes), exp_of.take(codes)))
-
-
-def ql(w: FreeWord | MonoidWord) -> int:
+def ql(w: FreeWord) -> int:
     """Quasi-length: the sum of tr(e) over the syllable exponents e of the
-    reduced form, where tr(e) is 0, 1 or -1 as e mod 3 is 0, 1 or 2.
-    Unreduced input is reduced first."""
-    if isinstance(w, MonoidWord):
-        w = reduce_word(w)
+    reduced word, where tr(e) is 0, 1 or -1 as e mod 3 is 0, 1 or 2."""
     return _tr_sum(w.exps)
 
 

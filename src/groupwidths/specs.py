@@ -11,10 +11,12 @@ int (a bool included) as a JSON reader would.
 
 A ``table`` spec is read straight from its JSON text into its table:
 ``spec_from_json`` decodes the value of a "table" key written as n rows
-of n integers into one read-only int32 array, with byte and numpy checks
-and no Python object per entry, and leaves every other text to the
-standard ``json`` code, so the inputs accepted, the values and the error
-messages are those of ``json.loads``.  The text is read in blocks of about
+of n non-negative integers into one read-only int32 array, with byte and
+numpy checks and no Python object per entry, and leaves every other text
+(a table with a '-' in it included) to the standard ``json`` code, so the
+inputs accepted, the values and the error messages are those of
+``json.loads``.  A number is a run of ASCII digits and every other byte a
+separator, so no sign is decoded.  The text is read in blocks of about
 ``_READ_BLOCK`` characters cut at row ends, so no temporary grows with
 the table.  A block's separators are located once and compared with a
 row template, and its numbers are decoded from the 8-byte words that end
@@ -87,9 +89,8 @@ def _label(value) -> str:
 
 
 _JSON_WS = " \t\n\r"
-# an array whose first element is an array whose first character starts a
-# number
-_TABLE_START = re.compile(r"[ \t\n\r]*\[[ \t\n\r]*[-0-9]")
+# an array whose first element is an array whose first character is a digit
+_TABLE_START = re.compile(r"[ \t\n\r]*\[[ \t\n\r]*[0-9]")
 
 
 # The reader decodes a table's text in blocks of about this many characters,
@@ -113,12 +114,11 @@ _FOLD = [
     (np.uint64(10000 << 32 | 1), np.uint64(32), None),
 ]
 # Both tables are read at a number's count of digits d plus one (the step
-# between the separators around it, less one for a '-'), clipped to 10:
-# the word mask that keeps its top d bytes, and the least value of d
-# digits with no leading zero (1 for none, a lone "-"; index 0 is never
-# read).  A number of 9 or more digits is at least 10**8, out of range for
-# any table that fits in memory, and is left to json: no word reaches its
-# least value.
+# between the separators around it), clipped to 10: the word mask that
+# keeps its top d bytes, and the least value of d digits with no leading
+# zero (1 for none, an empty gap; index 0 is never read).  A number of 9
+# or more digits is at least 10**8, out of range for any table that fits
+# in memory, and is left to json: no word reaches its least value.
 _DIGIT_BYTES = np.array([0] + [(1 << 64) - (1 << 8 * (8 - d)) for d in range(9)] + [0], dtype=np.uint64)
 _LEAST = np.array([1, 1, 0] + [10 ** (d - 1) for d in range(2, 9)] + [1 << 32], dtype=np.uint64)
 
@@ -139,9 +139,9 @@ def _table_close(s: str, end: int, stop: int) -> tuple[int, int] | None:
 
 
 def _number_runs(raw: bytes) -> int:
-    """How many maximal runs of digits and '-' the text, which does not
-    start with one and holds no '.' or '/', holds."""
-    inside = np.frombuffer(raw, np.uint8) - ord("-") < 13  # '-' to '9'
+    """How many maximal runs of ASCII digits the text, which does not
+    start with a digit, holds."""
+    inside = np.frombuffer(raw, np.uint8) - ord("0") < 10
     return int(np.count_nonzero(inside[1:] > inside[:-1]))
 
 
@@ -162,17 +162,14 @@ def _block_values(raw: bytes, n: int, last: bool) -> np.ndarray | None:
     """The rows of the block ``raw`` as an (rows, n) integer array, if with
     its whitespace deleted it is "[" for the first block (n = 0: its first
     row gives n) or "," for a later one, then rows "[...]" of n JSON
-    integers of at most 8 digits joined by ",", then "]" if it is the last
-    block; else None."""
-    # '.' and '/' sort between '-' and '0', which bound the number bytes
-    if b"." in raw or b"/" in raw:
-        return None
+    integers, runs of at most 8 ASCII digits, joined by ",", then "]" if it
+    is the last block; else None."""
     text = bytes(_PAD) + raw.translate(None, b" \t\n\r")
     a = np.frombuffer(text, np.uint8)[_PAD:]
-    # the separators are the bytes other than digits and '-', so one
-    # compare with the row template checks every bracket, comma, row length
-    # and stray byte
-    at = (a - ord("-") >= 13).nonzero()[0]
+    # the separators are the bytes other than digits, so one compare with
+    # the row template checks every bracket, comma, row length and stray
+    # byte, a sign, a '.' or an exponent included
+    at = (a - ord("0") >= 10).nonzero()[0]
     seps = a[at].tobytes()
     head = b"," if n else b"["
     n = n or seps.find(b"]") - 1
@@ -182,7 +179,7 @@ def _block_values(raw: bytes, n: int, last: bool) -> np.ndarray | None:
     template = head + (b"[" + b"," * (n - 1) + b"],") * rows
     if at[0] or seps != template[:-1] + (b"]" if last else b""):
         return None
-    # Each number lies between two separators, so its runs of number bytes
+    # Each number lies between two separators, so its runs of digits
     # in the text are at least the rows * n gaps that hold a number, and
     # as many exactly when every other gap is empty and deleting whitespace
     # joined no two runs into one.  An empty gap where a number belongs
@@ -193,15 +190,9 @@ def _block_values(raw: bytes, n: int, last: bool) -> np.ndarray | None:
     # "," the block's head, and its numbers lie between the 2nd and the last
     grid = at[: rows * (n + 2)].reshape(rows, n + 2)
     before, after = grid[:, 1:-1], grid[:, 2:]
-    # the step between the separators around each number, its length plus
-    # one, and less a leading '-', its count of digits plus one
+    # the step between the separators around each number, its count of
+    # digits plus one
     places = after - before
-    minus = None
-    if b"-" in raw:
-        minus = a[before + 1] == ord("-")
-        if np.count_nonzero(minus) != raw.count(b"-"):
-            return None  # a '-' that does not start a number
-        places -= minus
     # the 8 bytes that end at each number's last byte, its digits in the
     # top ones (indexed, as take would first copy every window of the
     # block, 8 bytes a byte); XOR maps a digit to its value, and an empty
@@ -214,7 +205,7 @@ def _block_values(raw: bytes, n: int, last: bool) -> np.ndarray | None:
     # a leading zero makes a value smaller than its digits allow
     if (values < _LEAST.take(places, mode="clip")).any():
         return None
-    return values if minus is None else values.view(np.int64) * (1 - 2 * minus)
+    return values
 
 
 def _is_table_key(s: str, bracket: int) -> bool:
@@ -235,8 +226,8 @@ def _is_table_key(s: str, bracket: int) -> bool:
 def _read_table(s: str, end: int) -> tuple[np.ndarray, int] | None:
     """The array opening at ``s[end - 1]`` as a square read-only int32
     array and the index after it, if it is a "table" value written as n
-    rows of n JSON integers of at most 8 digits, in ASCII, with
-    whitespace only between tokens; else None.
+    rows of n non-negative JSON integers of at most 8 digits, in ASCII,
+    with whitespace only between tokens; else None.
 
     The text read is bounded by the next '"', so no two calls read the
     same text and a document costs time linear in its length.  It is read
@@ -297,14 +288,15 @@ class _SpecDecoder(json.JSONDecoder):
 
 def spec_from_json(text: str):
     """``json.loads(text)``, except that the value of a "table" key written
-    as n rows of n integers of at most 8 digits comes back as one read-only
-    n x n int32 array that owns its memory, with no Python object per
-    entry, which ``FiniteGroup`` keeps without a copy.  Everything else, a
-    "table" value written any other way included, is read by the standard
-    library's own code, so the inputs accepted, the values and the error
-    messages are the same.  An integer of 9 or more digits is at least
-    10**8 in size, out of range for any table that fits in memory, so its
-    table comes back as lists, and ``group_from_spec`` names the entry out
+    as n rows of n non-negative integers of at most 8 digits comes back as
+    one read-only n x n int32 array that owns its memory, with no Python
+    object per entry, which ``FiniteGroup`` keeps without a copy.
+    Everything else, a "table" value written any other way included, is
+    read by the standard library's own code, so the inputs accepted, the
+    values and the error messages are the same.  A table entry is an
+    element id, so a negative integer, or one of 9 or more digits (at
+    least 10**8, out of range for any table that fits in memory), sends
+    its table back as lists, and ``group_from_spec`` names the entry out
     of range as it would in an array.  A text with no literal ``"table"``
     holds no such key written plainly, so it goes to plain ``json.loads``
     and its C scanner; a key written with an escape (``"\\u0074able"``)

@@ -29,6 +29,7 @@ import numpy as np
 
 from .finite_groups import FiniteGroup
 from .free_words import (
+    _SMALL_EXP,
     FreeWord,
     MonoidWord,
     _join,
@@ -78,8 +79,6 @@ class WreathGroup:
     def from_base_word(self, word: FreeWord, coord: int | None = None) -> "WreathElement":
         """Embed a free word at the coordinate of top element ``coord``
         (default: the top identity)."""
-        if word.rank != self.rank:
-            raise ValueError("free-word rank does not match the wreath group")
         coord = self.top.identity if coord is None else self._top_id(coord, "coordinate")
         one = FreeWord.identity(self.rank)
         base = tuple(word if i == coord else one for i in range(self.size))
@@ -87,7 +86,7 @@ class WreathGroup:
 
     def from_top(self, k: int) -> "WreathElement":
         one = FreeWord.identity(self.rank)
-        return WreathElement(self, (one,) * self.size, self._top_id(k, "top element"))
+        return WreathElement(self, (one,) * self.size, k)
 
     def _top_id(self, k: int, what: str) -> int:
         # a top element id, which a coordinate also is
@@ -98,9 +97,21 @@ class WreathGroup:
 
 @dataclass(frozen=True, eq=False)
 class WreathElement:
+    """A base of ``group.size`` free words of the group's rank, one per
+    coordinate, and a top element id; construction refuses any other."""
+
     group: WreathGroup
     base: tuple[FreeWord, ...]
     top: int
+
+    def __post_init__(self) -> None:
+        W = self.group
+        if len(self.base) != W.size:
+            raise ValueError(f"the base holds {len(self.base)} words, not {W.size}")
+        for c, w in enumerate(self.base):
+            if w.rank != W.rank:
+                raise ValueError(f"the word at coordinate {c} has rank {w.rank}, not {W.rank}")
+        W._top_id(self.top, "top element")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WreathElement):
@@ -269,9 +280,9 @@ def evaluate_words(
             raise ValueError(
                 f"generator of base letter {letter!r} is {gen}, out of range 1..{W.rank}"
             )
-        # below 2**31, an exponent fits int32 and the int64 run sums cannot
-        # overflow on a word that fits in memory
-        if not 0 < abs(_json_int(exp, f"exponent of base letter {letter!r}")) < 2**31:
+        # below _SMALL_EXP (2**31), the bound of FreeWord's int64 exponents,
+        # the int64 run sums cannot overflow on a word that fits in memory
+        if not 0 < abs(_json_int(exp, f"exponent of base letter {letter!r}")) < _SMALL_EXP:
             raise ValueError(
                 f"exponent of base letter {letter!r} is {exp}; it must be nonzero "
                 "and below 2**31 in absolute value"

@@ -7,7 +7,9 @@ shares no code with the production evaluator.
 ``reference_reduce``, ``reference_fault`` and ``reference_format`` treat a
 free word as a plain tuple of (generator, exponent) pairs, one pair at a
 time, with no arrays: free reduction on a stack, the first pair that
-breaks the normal form, and the syllable text.
+breaks the normal form, and the syllable text.  ``reference_word`` reads
+a letter word over x<i>, x<i>^-1 as its pairs and reduces them on the
+stack.
 
 ``tensor_of`` is the reference tensor a (x) b of a two-factor nilpotent
 product, written from the bilinear formula rather than the group table.
@@ -191,6 +193,13 @@ def reference_reduce(syllables) -> tuple[tuple[int, int], ...]:
         if exp:
             stack.append((gen, exp))
     return tuple(stack)
+
+
+def reference_word(rank: int, letters) -> FreeWord:
+    """The reduced free word of the letters x<i> and x<i>^-1, each read as
+    the pair (i, 1) or (i, -1) and reduced by ``reference_reduce``."""
+    pairs = [(int(a[1:-3]), -1) if a.endswith("^-1") else (int(a[1:]), 1) for a in letters]
+    return FreeWord(rank, reference_reduce(pairs))
 
 
 def reference_fault(rank: int, syllables) -> str | None:

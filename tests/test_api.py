@@ -144,6 +144,24 @@ def test_decompose_exports_the_command_and_its_certificate():
     ]
 
 
+def test_free_words_exports_no_letter_word_reduction():
+    # a free word comes in as syllables, arrays or text; ql stays, taking a
+    # FreeWord only, because the benchmark's tracer patches it by name
+    free_words = importlib.import_module("groupwidths.free_words")
+    assert free_words.__all__ == [
+        "MonoidWord",
+        "FreeWord",
+        "is_word_palindrome",
+        "ql",
+        "free_commutator",
+        "format_monoid_word",
+        "parse_free_word",
+        "format_free_word",
+    ]
+    for name in ("reduce_word", "_letter_to_syllable"):
+        assert not hasattr(free_words, name), name
+
+
 def test_benchmark_traced_names_resolve(monkeypatch):
     # the benchmark's tracer patches these names by string; one deleted
     # from the library would fail only a traced benchmark run

@@ -442,6 +442,11 @@ class TestExitCodes:
         assert cli.main(["pw", write_spec(tmp_path, "big.json", spec)]) == 2
         assert capsys.readouterr().err == f"error: table entry {10**30} out of range\n"
 
+    def test_a_negative_table_entry_is_2_and_named(self, tmp_path, capsys):
+        spec = {"kind": "table", "table": [[0, 1], [1, -1]], "gens": [["a", 1]]}
+        assert cli.main(["pw", write_spec(tmp_path, "neg.json", spec)]) == 2
+        assert capsys.readouterr().err == "error: table entry -1 out of range\n"
+
     def test_missing_file_is_2(self):
         assert run_cli("pw", "/nonexistent/spec.json").returncode == 2
 

@@ -303,14 +303,14 @@ def test_ids_out_of_range_are_named(ctx, k):
     for derived in (part, FreeWord.identity(2)):
         with pytest.raises(ValueError, match=rf"^coordinate {k} is out of range 0\.\.5$"):
             derived_part_palindrome(k, derived, ctx)
-    g = WreathElement(ctx.group, ctx.group.identity().base, k)
     with pytest.raises(ValueError, match=rf"^top element {k} is out of range 0\.\.5$"):
-        decompose(g, ctx)
+        decompose(WreathElement(ctx.group, ctx.group.identity().base, k), ctx)
 
 
 class TestMalformedElement:
     """An element built by hand, not parsed, is refused with a
-    ``ValueError`` naming its fault before any factor is built."""
+    ``ValueError`` naming its fault when it is built, so ``decompose``
+    never sees it."""
 
     def test_a_short_base(self, ctx):
         g = dense_target(ctx)
@@ -325,9 +325,8 @@ class TestMalformedElement:
 
     @pytest.mark.parametrize("top", [9, 6])
     def test_a_top_out_of_range(self, ctx, top):
-        g = WreathElement(ctx.group, dense_target(ctx).base, top)
         with pytest.raises(ValueError, match=rf"^top element {top} is out of range 0\.\.5$"):
-            decompose(g, ctx)
+            decompose(WreathElement(ctx.group, dense_target(ctx).base, top), ctx)
 
 
 def dense_target(ctx):

@@ -846,13 +846,15 @@ class TestSpecFromJson:
         assert isinstance(table, np.ndarray) and table.dtype == np.int32
         assert np.array_equal(table, G.table)
 
-    def test_integers_of_up_to_8_digits_read_as_an_array_and_longer_ones_as_lists(self):
+    def test_unsigned_integers_of_up_to_8_digits_read_as_an_array_and_others_as_lists(self):
+        # a table entry is an element id, so a signed number of any length
+        # sends its table to json
         for digits in range(1, 12):
             for sign in ("", "-"):
                 text = f'{{"table": [[0, {sign}{"9" * digits}], [{sign}1{"0" * (digits - 1)}, 7]]}}'
                 read = spec_from_json(text)
                 assert as_lists(read) == json.loads(text)
-                assert isinstance(read["table"], np.ndarray) == (digits <= 8)
+                assert isinstance(read["table"], np.ndarray) == (digits <= 8 and not sign)
 
     @pytest.mark.parametrize("entry", FLAWED_ENTRIES)
     @pytest.mark.parametrize("block", [1, specs._READ_BLOCK])
@@ -872,14 +874,17 @@ class TestSpecFromJson:
         with mock.patch.object(specs, "_READ_BLOCK", block):
             reads_what_json_loads_reads('{"table": ' + table + "}")
 
-    def test_minus_zero_and_a_non_ascii_name_still_read_as_an_array(self):
+    def test_a_non_ascii_name_reads_as_an_array_and_minus_zero_as_lists(self):
         spec = dict(group_to_spec(dihedral(3)), name="Dé₃")
-        text = json.dumps(spec, ensure_ascii=False).replace("[0, ", "[-0, ")
-        assert '"table": [[-0, 1, ' in text
-        read = spec_from_json(text)
-        assert isinstance(read["table"], np.ndarray) and read["name"] == "Dé₃"
-        H = group_from_spec(read)
-        assert np.array_equal(H.table, dihedral(3).table) and H.gens == dihedral(3).gens
+        text = json.dumps(spec, ensure_ascii=False)
+        signed = text.replace("[0, ", "[-0, ")
+        assert '"table": [[-0, 1, ' in signed
+        for text, array in ((text, True), (signed, False)):
+            read = spec_from_json(text)
+            assert as_lists(read) == json.loads(text)
+            assert isinstance(read["table"], np.ndarray) == array and read["name"] == "Dé₃"
+            H = group_from_spec(read)
+            assert np.array_equal(H.table, dihedral(3).table) and H.gens == dihedral(3).gens
 
     def test_square_and_cap_checks_keep_their_messages(self):
         text = '{"kind": "table", "table": [[0, 1, 2], [1, 0, 2]], "gens": [["a", 1]]}'

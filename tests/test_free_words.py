@@ -19,15 +19,14 @@ from groupwidths.free_words import (
     is_word_palindrome,
     parse_free_word,
     ql,
-    reduce_word,
 )
 
 from conftest import free_generator, invert_letters, random_reduced_word, reversed_word, spelled_out, spelled_texts
-from oracle import reference_fault, reference_format, reference_reduce, tr
+from oracle import reference_fault, reference_format, reference_reduce, reference_word, tr
 
 letters_rank2 = st.sampled_from(["x1", "x1^-1", "x2", "x2^-1"])
 monoid_words = st.lists(letters_rank2, max_size=40).map(lambda ls: MonoidWord(tuple(ls)))
-free_words_rank2 = monoid_words.map(lambda w: reduce_word(w, rank=2))
+free_words_rank2 = monoid_words.map(lambda w: reference_word(2, w.letters))
 
 # text atoms with their spelled-out letters: syllables x<g>^<e> (e may be
 # 0), commutators [x<g>,x<h>] = x<g>^-1 x<h>^-1 x<g> x<h>, and "1"
@@ -96,46 +95,6 @@ class TestTr:
         assert tr(m + 3) == tr(m)
 
 
-class TestReduce:
-    def test_cancellation(self):
-        assert reduce_word(MonoidWord(("x1", "x1^-1"))).is_identity()
-
-    def test_already_reduced(self):
-        w = MonoidWord("x2^-1 x2^-1 x2^-1 x1^-1 x1^-1 x1^-1 x2 x1 x2 x1 x2 x1".split())
-        expected = ((2, -3), (1, -3), (2, 1), (1, 1), (2, 1), (1, 1), (2, 1), (1, 1))
-        assert reduce_word(w).syllables == expected
-
-    def test_syllable_merge(self):
-        assert reduce_word(MonoidWord(("x1", "x1", "x1", "x1", "x1"))).syllables == ((1, 5),)
-
-    def test_letters_are_range_checked(self):
-        # as in parse_free_word, a letter that cancels is checked too
-        with pytest.raises(ValueError):
-            reduce_word(MonoidWord(("x0", "x0^-1")))
-        with pytest.raises(ValueError):
-            reduce_word(MonoidWord(("x3", "x3^-1")), rank=2)
-        assert reduce_word(MonoidWord(("x3", "x3^-1"))).rank == 3
-
-    @pytest.mark.parametrize("letter", ["x1^1", "x1^2", "x1^-2", "x1^-01", "x^2", "y^1", "x1^0", "x1^-0", "x1^+1"])
-    def test_a_letter_takes_no_exponent_but_minus_one(self, letter):
-        # a syllable is not a letter: its exponent is absent or exactly -1
-        with pytest.raises(ValueError, match="not a free-group letter"):
-            reduce_word(MonoidWord((letter,)))
-
-    def test_an_index_may_have_leading_zeros(self):
-        assert reduce_word(MonoidWord(("x01", "x1^-1", "x001^-1"))).syllables == ((1, -1),)
-
-    @given(monoid_words)
-    def test_idempotent(self, w):
-        reduced = reduce_word(w, rank=2)
-        assert reduce_word(spelled_out(reduced), rank=2) == reduced
-
-    @given(monoid_words, monoid_words)
-    def test_retraction(self, u, v):
-        lhs = reduce_word(u * v, rank=2)
-        assert lhs == reduce_word(u, rank=2) * reduce_word(v, rank=2)
-
-
 class TestPalindromePredicate:
     def test_examples(self):
         assert is_word_palindrome(MonoidWord(("s1", "x", "s1")))
@@ -189,11 +148,10 @@ class TestGroupOps:
         # cancels that suffix across the seam and may merge one syllable
         letters = spelled_out(u).letters
         k = data.draw(st.integers(0, len(letters)))
-        suffix = reduce_word(MonoidWord(letters[k:]), rank=2)
+        suffix = reference_word(2, letters[k:])
         v = suffix.inverse() * w
-        expected = reduce_word(spelled_out(u) * spelled_out(v), rank=2)
-        assert u * v == expected
-        assert u * v == reduce_word(MonoidWord(letters[:k]) * spelled_out(w), rank=2)
+        assert u * v == reference_word(2, letters + spelled_out(v).letters)
+        assert u * v == reference_word(2, letters[:k] + spelled_out(w).letters)
 
     def test_group_axioms_random(self):
         rng = random.Random(11)
@@ -217,9 +175,6 @@ class TestQl:
     def test_hand_example(self):
         # tr(2) + tr(1) + tr(-1) = -1 + 1 - 1
         assert ql(parse_free_word("x1^2 x2 x1^-1")) == -1
-
-    def test_accepts_unreduced(self):
-        assert ql(MonoidWord(("x1", "x1^-1", "x2"))) == ql(parse_free_word("x2"))
 
     def test_quasi_morphism_bounds_random(self):
         rng = random.Random(23)
@@ -257,13 +212,13 @@ class TestTextFormats:
     def test_atoms_cancel_across_boundaries(self, atoms, data):
         # append the inverses of a random tail of the atoms (spelled as
         # plain syllables), then more atoms: the parse must reduce across
-        # every atom boundary exactly as reduce_word does on the letters
+        # every atom boundary exactly as the stack reduces the letters
         k = data.draw(st.integers(0, len(atoms)))
         tail = [inverse_atom(a) for a in reversed(atoms[k:])]
         atoms = atoms + tail + data.draw(st.lists(text_atoms, max_size=4))
         text = " ".join(t for t, _ in atoms) or "1"
         letters = tuple(l for _, ls in atoms for l in ls)
-        assert parse_free_word(text, rank=3) == reduce_word(MonoidWord(letters), rank=3)
+        assert parse_free_word(text, rank=3) == reference_word(3, letters)
 
     def test_cancelled_syllables_are_still_range_checked(self):
         with pytest.raises(ValueError):
@@ -295,7 +250,7 @@ class TestTextFormats:
     @given(spelled_texts())
     def test_spelled_texts_parse_to_their_letters(self, spelled):
         text, letters = spelled
-        assert parse_free_word(text, rank=3) == reduce_word(MonoidWord(letters), rank=3)
+        assert parse_free_word(text, rank=3) == reference_word(3, letters)
 
     @given(st.lists(st.sampled_from(["x1", "y^-2", "[", "]", ",", "1", " ", "x", "^", "-"]), max_size=30))
     def test_any_text_parses_or_raises_value_error(self, pieces):
@@ -318,16 +273,12 @@ class TestTextFormats:
         for text, atom in ((f"x{digit}^3 x2", f"x{digit}^3"), (f"x2 x1^{digit}", f"x1^{digit}")):
             with pytest.raises(ValueError, match=re.escape(f"not a syllable: {atom!r}")):
                 parse_free_word(text)
-        with pytest.raises(ValueError, match=re.escape(f"not a free-group letter: 'x{digit}'")):
-            reduce_word(MonoidWord(("x1", f"x{digit}")))
-        assert parse_free_word("x1^3 x2") == reduce_word(MonoidWord(("x1",) * 3 + ("x2",)))
+        assert parse_free_word("x1^3 x2") == reference_word(2, ("x1",) * 3 + ("x2",))
 
     def test_a_trailing_newline_is_no_part_of_a_syllable(self):
         # a regex ending in $ also matches before a final newline
         with pytest.raises(ValueError, match=re.escape("not a syllable: 'x1\\n'")):
             parse_free_word("x1\n x2")
-        with pytest.raises(ValueError, match=re.escape("not a free-group letter: 'x1\\n'")):
-            reduce_word(MonoidWord(["x1\n", "x2"]))
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):

@@ -17,12 +17,12 @@ from groupwidths.finite_groups import (
     sym3_fink,
 )
 from groupwidths.free_words import (
+    FreeWord,
     MonoidWord,
     format_free_word,
     free_commutator,
     _reduce_runs,
     parse_free_word,
-    reduce_word,
 )
 from groupwidths.wreath import (
     WreathElement,
@@ -53,6 +53,7 @@ from oracle import (
     brute_derived_subgroup,
     reference_evaluate_letters,
     reference_reduce,
+    reference_word,
     w_commutator,
     w_invert,
 )
@@ -71,6 +72,30 @@ def W():
 @pytest.fixture(scope="module")
 def W3():
     return WreathGroup(3, sym3_fink())
+
+
+class TestConstruction:
+    """An element holds group.size words of the group's rank and a top in
+    range, or is not built, so no product, text or delta sees another."""
+
+    @pytest.mark.parametrize("size", [0, 5, 7])
+    def test_a_base_of_another_size(self, W, size):
+        words = (FreeWord.identity(2),) * size
+        with pytest.raises(ValueError, match=rf"^the base holds {size} words, not 6$"):
+            WreathElement(W, words, 1)
+
+    def test_a_word_of_another_rank(self, W):
+        base = list(W.identity().base)
+        base[2] = free_generator(3, 3)
+        with pytest.raises(ValueError, match=r"^the word at coordinate 2 has rank 3, not 2$"):
+            WreathElement(W, tuple(base), 1)
+        with pytest.raises(ValueError, match=r"^the word at coordinate 4 has rank 3, not 2$"):
+            W.from_base_word(free_generator(3, 1), 4)
+
+    @pytest.mark.parametrize("top", [9, 6, -1])
+    def test_a_top_out_of_range(self, W, top):
+        with pytest.raises(ValueError, match=rf"^top element {top} is out of range 0\.\.5$"):
+            WreathElement(W, W.identity().base, top)
 
 
 class TestArithmetic:
@@ -314,7 +339,7 @@ class TestTextFormat:
     def test_spelled_coordinates_and_top_word(self, W3, coords, labels):
         text = f"[{';'.join(t for t, _ in coords)}] {'*'.join(labels) or '1'}"
         g = parse_wreath_element(W3, text)
-        assert g.base == tuple(reduce_word(MonoidWord(ls), rank=3) for _, ls in coords)
+        assert g.base == tuple(reference_word(3, ls) for _, ls in coords)
         assert g.top == evaluate(W3.top, MonoidWord(tuple(labels)))
 
     @given(st.lists(st.sampled_from(["x1", "y^-2", "[", "]", ",", "1", " ", ";", "*", "s1", "c"]), max_size=40))
