@@ -287,6 +287,56 @@ class TestTextFormats:
             parse_free_word("[x,y")
 
 
+def letter_text(letters) -> str:
+    return " ".join(letters) or "1"
+
+
+class TestLetterTexts:
+    """A word of letters x<i>, x<i>^-1 reaches the library as syllable
+    text; its parse is checked against the stack reduction of the letters."""
+
+    def test_cancellation(self):
+        assert parse_free_word("x1 x1^-1").is_identity()
+        assert parse_free_word("x2 x1 x1^-1 x2^-1", rank=2) == FreeWord.identity(2)
+
+    def test_a_reduced_text_keeps_its_syllables(self):
+        letters = "x2^-1 x2^-1 x2^-1 x1^-1 x1^-1 x1^-1 x2 x1 x2 x1 x2 x1".split()
+        expected = ((2, -3), (1, -3), (2, 1), (1, 1), (2, 1), (1, 1), (2, 1), (1, 1))
+        assert parse_free_word(letter_text(letters)).syllables == expected
+        assert parse_free_word(letter_text(letters)) == reference_word(2, letters)
+
+    def test_a_run_of_one_letter_merges(self):
+        assert parse_free_word("x1 x1 x1 x1 x1").syllables == ((1, 5),)
+
+    @pytest.mark.parametrize("exp", ["1", "2", "-2", "-1", "-01", "007", "0", "-0"])
+    def test_a_syllable_reads_as_its_run_of_letters(self, exp):
+        n = int(exp)
+        letters = ("x1" if n > 0 else "x1^-1",) * abs(n)
+        assert parse_free_word(f"x2 x1^{exp} x2", rank=2) == reference_word(2, ("x2",) + letters + ("x2",))
+
+    @pytest.mark.parametrize("atom", ["x1^+1", "x1^--1", "x1^1.0"])
+    def test_an_exponent_is_digits_after_at_most_one_minus(self, atom):
+        with pytest.raises(ValueError, match=re.escape(f"not a syllable: {atom!r}")):
+            parse_free_word(f"x2 {atom}")
+
+    def test_an_index_may_have_leading_zeros(self):
+        assert parse_free_word("x01 x1^-1 x001^-1").syllables == ((1, -1),)
+
+    @given(monoid_words)
+    def test_letter_texts_parse_as_the_stack_reduces(self, w):
+        assert parse_free_word(letter_text(w.letters), rank=2) == reference_word(2, w.letters)
+
+    @given(monoid_words)
+    def test_reparsing_the_spelled_letters_is_idempotent(self, w):
+        reduced = parse_free_word(letter_text(w.letters), rank=2)
+        assert parse_free_word(letter_text(spelled_out(reduced).letters), rank=2) == reduced
+
+    @given(monoid_words, monoid_words)
+    def test_the_parse_of_a_concatenation_is_the_product(self, u, v):
+        lhs = parse_free_word(letter_text(u.letters + v.letters), rank=2)
+        assert lhs == parse_free_word(letter_text(u.letters), rank=2) * parse_free_word(letter_text(v.letters), rank=2)
+
+
 class TestSyllableArrays:
     """The array FreeWord against plain tuples of (generator, exponent)."""
 
