@@ -14,7 +14,6 @@ import functools
 import importlib
 import json
 import os
-import re
 import sys
 import time
 
@@ -44,8 +43,9 @@ EXIT_INVARIANT = 4
 
 
 def _emit(report: dict, pretty: bool) -> None:
-    json.dump(report, sys.stdout, indent=2 if pretty else None, sort_keys=True)
-    sys.stdout.write("\n")
+    # json.dumps takes the C encoder where it can (compact output); json.dump
+    # never does, and writes the same bytes
+    sys.stdout.write(json.dumps(report, indent=2 if pretty else None, sort_keys=True) + "\n")
 
 
 def cmd_pw(args: argparse.Namespace) -> dict:
@@ -69,22 +69,14 @@ def cmd_pw(args: argparse.Namespace) -> dict:
     }
 
 
-def _wreath_group_for(args: argparse.Namespace) -> WreathGroup:
+def cmd_qh(args: argparse.Namespace) -> dict:
     if args.top is not None:
         K, _ = read_group(args.top, args.cap)
     else:
         K = decomposition.s3_wreath_context().group.top
-    rank = args.rank
-    if rank is None:
-        # coordinates only (they end at the last ']'); one int() per index
-        indices = set(re.findall(r"x([0-9]+)", args.element.rpartition("]")[0]))
-        rank = max([2] + [int(m) for m in indices])
-    return WreathGroup(rank, K)
-
-
-def cmd_qh(args: argparse.Namespace) -> dict:
-    W = _wreath_group_for(args)
-    g = parse_wreath_element(W, args.element)
+    # without --rank the parse takes the largest index in the coordinates, at least 2
+    g = parse_wreath_element(K if args.rank is None else WreathGroup(args.rank, K), args.element)
+    W = g.group
     d = delta(g)
     cert = certify_cw_lower_bound(g)
     l = W.size

@@ -521,8 +521,13 @@ def dihedral(m: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     # doubled id range, the second read backwards
     plus = _cyclic_table(m)
     minus = _windows(np.concatenate((i[1:], i)), m)[:, ::-1]
-    # r^i s^j r^k s^l = r^(i + (-1)^j k) s^(j+l), one block per (j, l)
-    table = np.block([[plus, plus + m], [minus + m, minus]])
+    # r^i s^j r^k s^l = r^(i + (-1)^j k) s^(j+l), one block per (j, l),
+    # each written into one owning array
+    table = np.empty((2 * m, 2 * m), np.int32)
+    table[:m, :m] = plus
+    np.add(plus, m, out=table[:m, m:])
+    np.add(minus, m, out=table[m:, :m])
+    table[m:, m:] = minus
     table.flags.writeable = False  # FiniteGroup keeps it, copying nothing
     seed = ([("r", 1)] if m >= 2 else []) + [("s", m)]
     return FiniteGroup(table, _paired_gens(seed, table), name=f"D{m}")

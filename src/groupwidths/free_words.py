@@ -424,12 +424,40 @@ def _reduce_runs(gens: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, np.nda
     )
 
 
-def _reduce_syllables(gens: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # free reduction of a nonempty syllable sequence: the maximal runs of
-    # one generator, each summed, then their cancellations; exps must be
-    # of a dtype whose sums are exact
-    starts = np.flatnonzero(np.concatenate(([True], gens[1:] != gens[:-1])))
-    return _reduce_runs(gens[starts], np.add.reduceat(exps, starts))
+def _words_of_runs(
+    rank: int, count: int, keys: np.ndarray, gens: np.ndarray, exps: np.ndarray
+) -> list[FreeWord]:
+    """The reduced word at each of the keys 0..count-1, from runs given in
+    order with their keys, generators and exponent sums; exps must be of a
+    dtype whose sums are exact.  The runs are stably sorted by key, and
+    neighbours of one generator at one key are summed by one
+    ``np.add.reduceat``.  One more array pass finds the keys that hold a
+    zero sum.  Any other key is its slice of the sums; in these keys the
+    stretches between zero sums are joined, the reduction taking Python
+    steps only at a zero sum and at each cancellation it sets off
+    (``_reduce_runs``).  Each key's word is then checked by ``FreeWord``
+    with a few array reductions."""
+    order = keys.argsort(kind="stable")
+    keys, gens, exps = keys.take(order), gens.take(order), exps.take(order)
+    # a key starts where the key changes, a run where the key or the
+    # generator does: neighbours of one generator at one key merge
+    new_key = np.empty(len(keys), bool)
+    new_key[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new_key[1:])
+    new_run = new_key.copy()
+    new_run[1:] |= gens[1:] != gens[:-1]
+    starts = new_run.nonzero()[0]
+    run_gens = gens.take(starts).astype(np.int64, copy=False)
+    run_exps = np.add.reduceat(exps, starts)
+    # the merged runs of each nonempty key, and whether one of them sums to zero
+    heads = new_key.take(starts).nonzero()[0]
+    has_zero = np.logical_or.reduceat(run_exps == 0, heads).tolist()
+    bounds = heads.tolist() + [len(starts)]
+    words = [FreeWord.identity(rank)] * count
+    for key, lo, hi, zero in zip(keys.take(starts.take(heads)).tolist(), bounds, bounds[1:], has_zero):
+        syllables = run_gens[lo:hi], run_exps[lo:hi]
+        words[key] = FreeWord.from_arrays(rank, *(_reduce_runs(*syllables) if zero else syllables))
+    return words
 
 
 def ql(w: FreeWord) -> int:
@@ -462,12 +490,23 @@ def format_monoid_word(w: MonoidWord) -> str:
     return " ".join(w.letters) if len(w) else "1"
 
 
+class _Spellings(dict):
+    # syllable (generator, exponent) -> its text, spelled on first lookup
+    def __missing__(self, syllable: tuple[int, int]) -> str:
+        gen, exp = syllable
+        text = self[syllable] = f"x{gen}" if exp == 1 else f"x{gen}^{exp}"
+        return text
+
+
+def _format_words(words: Iterable[FreeWord]) -> list[str]:
+    """The text of each word, with each distinct syllable spelled once for
+    all of them: one dict lookup per syllable, in C, and one join per word."""
+    spell = _Spellings().__getitem__
+    return [" ".join(map(spell, zip(w.gens.tolist(), w.exps.tolist()))) or "1" for w in words]
+
+
 def format_free_word(w: FreeWord) -> str:
-    if not len(w):
-        return "1"
-    return " ".join(
-        f"x{g}" if e == 1 else f"x{g}^{e}" for g, e in zip(w.gens.tolist(), w.exps.tolist())
-    )
+    return _format_words((w,))[0]
 
 
 def _split_commutator(text: str) -> tuple[str, str]:
@@ -494,9 +533,9 @@ def _parse_syllable(atom: str) -> tuple[int, int]:
 
 def _parse_atom(atom: str, rank: int | None) -> tuple[tuple[tuple[int, int], ...], int]:
     # one atom's reduced syllables and the largest generator index written
-    # in it; every index read is checked against the rank, whatever its
-    # exponent and whether or not it cancels.  Commutator arguments are
-    # atoms themselves, so "[[x,y],x]" nests
+    # in it; every index read is checked against the rank, if one is given,
+    # whatever its exponent and whether or not it cancels.  Commutator
+    # arguments are atoms themselves, so "[[x,y],x]" nests
     if atom == "1":
         return (), 1
     if atom.startswith("["):
@@ -505,29 +544,16 @@ def _parse_atom(atom: str, rank: int | None) -> tuple[tuple[tuple[int, int], ...
         top = max(i, j)
         return free_commutator(FreeWord(top, u), FreeWord(top, v)).syllables, top
     gen, exp = _parse_syllable(atom)
-    if not 1 <= gen <= (rank or _MAX_RANK):
+    if not 1 <= gen <= (rank or gen):
         raise ValueError(f"generator index {gen} out of range")
     return ((gen, exp),) if exp else (), gen
 
 
-def parse_free_word(text: str, rank: int | None = None) -> FreeWord:
-    """Parse the syllable text format; "1" is the identity.
-
-    Accepts x/y as aliases for x1/x2 and "[u,v]" commutator atoms, e.g.
-    "[x,y] x1^2".  The rank defaults to the largest generator index written
-    in the text.  A given rank bounds every index written, whatever its
-    exponent and inside commutators too, even where it cancels.  Every
-    atom, plain or commutator, goes through one routine that parses and
-    range-checks it.  Runs in time linear in the text, with one C-level
-    split over it: Python visits each space-separated token once, walks
-    characters only in tokens that hold a bracket, and parses each
-    distinct atom once.  Every atom's syllables are joined in one list,
-    read into arrays and reduced there, so Python takes no step per
-    syllable; one word is built and validated at the end.
-    """
-    text = text.strip()
-    # atoms are the runs of space-separated tokens at bracket depth 0;
-    # the tokens of a commutator atom are rejoined with the spaces they had
+def _atoms(text: str) -> list[str]:
+    # the runs of space-separated tokens at bracket depth 0; the tokens of
+    # a commutator atom are rejoined with the spaces they had
+    if "[" not in text and "]" not in text:
+        return list(filter(None, text.split(" ")))
     atoms: list[str] = []
     pending: list[str] = []
     depth = 0
@@ -550,20 +576,44 @@ def parse_free_word(text: str, rank: int | None = None) -> FreeWord:
             pending.clear()
     if depth:
         raise ValueError(f"unbalanced brackets in {text!r}")
+    return atoms
 
-    pairs: list[tuple[int, int]] = []
-    max_gen = 1
-    # syllables of each distinct atom, parsed once
+
+def _parse_words(texts: Sequence[str], rank: int | None, least: int = 1) -> tuple[int, list[FreeWord]]:
+    """The words of stripped texts in the syllable format, in order, and
+    their rank: ``rank`` if given, else the largest generator index written
+    in any of the texts, and at least ``least``.
+
+    The texts are read in order, each split into atoms and its new atoms
+    parsed in order of first occurrence, so the first fault in the texts
+    is the one raised; a rank past 2**63 - 1 is refused after them.  Each
+    distinct atom is parsed once for all the texts (``_parse_atom``).  A
+    text costs one C-level split, a Python step per token only if it holds
+    a bracket, and a Python step per distinct atom; its atoms' syllables
+    are gathered by C-level passes.  All the syllables are then read into
+    one pair of arrays by one ``np.fromiter`` and every word is reduced at
+    once by ``_words_of_runs``, keyed by its text, so Python takes no step
+    per syllable and the fixed cost of the arrays is paid once.
+    """
+    # the syllables of each distinct atom, parsed once for all the texts
     parsed: dict[str, tuple[tuple[int, int], ...]] = {}
-    for atom in atoms:
-        syllables = parsed.get(atom)
-        if syllables is None:
-            syllables, top = _parse_atom(atom, rank)
-            parsed[atom] = syllables
-            max_gen = max(max_gen, top)
-        pairs += syllables
+    pairs: list[tuple[int, int]] = []
+    counts: list[int] = []  # syllables per text
+    top = least
+    for text in texts:
+        atoms = _atoms(text)
+        for atom in dict.fromkeys(atoms):
+            if atom not in parsed:
+                parsed[atom], index = _parse_atom(atom, rank)
+                top = max(top, index)
+        start = len(pairs)
+        pairs += chain.from_iterable(map(parsed.__getitem__, atoms))
+        counts.append(len(pairs) - start)
+    rank = rank or top
+    # refuses a rank past 2**63 - 1 before any array is built
+    one = FreeWord.identity(rank)
     if not pairs:
-        return FreeWord.identity(rank or max_gen)
+        return rank, [one] * len(texts)
     try:
         flat = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs))
     except OverflowError:
@@ -572,4 +622,22 @@ def parse_free_word(text: str, rank: int | None = None) -> FreeWord:
     # the run sums are exact in int64 while every exponent is below 2**31
     if not (-_SMALL_EXP < _min(exps) and _max(exps) < _SMALL_EXP):
         exps = exps.astype(object)
-    return FreeWord.from_arrays(rank or max_gen, *_reduce_syllables(gens, exps))
+    keys = np.repeat(np.arange(len(texts), dtype=np.min_scalar_type(len(texts) - 1)), counts)
+    return rank, _words_of_runs(rank, len(texts), keys, gens, exps)
+
+
+def parse_free_word(text: str, rank: int | None = None) -> FreeWord:
+    """Parse the syllable text format; "1" is the identity.
+
+    Accepts x/y as aliases for x1/x2 and "[u,v]" commutator atoms, e.g.
+    "[x,y] x1^2".  The rank defaults to the largest generator index written
+    in the text.  A given rank bounds every index written, whatever its
+    exponent and inside commutators too, even where it cancels.  Every
+    atom, plain or commutator, goes through one routine that parses and
+    range-checks it.  The one-text case of the parse of a wreath element's
+    coordinates (``_parse_words``): linear in the text, one C-level split
+    over it, one parse per distinct atom, one ``np.fromiter`` of all the
+    syllables and one array reduction, so Python takes no step per
+    syllable, and no step per token unless the text holds a bracket.
+    """
+    return _parse_words((text.strip(),), rank)[1][0]

@@ -32,11 +32,11 @@ from .free_words import (
     _SMALL_EXP,
     FreeWord,
     MonoidWord,
+    _format_words,
     _join,
-    _reduce_runs,
+    _parse_words,
     _tr_sum,
-    format_free_word,
-    parse_free_word,
+    _words_of_runs,
 )
 from .specs import _json_int
 
@@ -371,37 +371,6 @@ def evaluate_words(
     return values, WreathElement(W, tuple(product_base), int(scan[-1]))
 
 
-def _words_of_runs(
-    rank: int, count: int, keys: np.ndarray, gens: np.ndarray, exps: np.ndarray
-) -> list[FreeWord]:
-    """The reduced word at each of the keys 0..count-1, from letter runs
-    given in order with their keys, generators and exponent sums.  The runs
-    are stably sorted by key, and neighbours of one generator at one key
-    are summed by one ``np.add.reduceat``.  One more array pass finds the
-    keys that hold a zero sum.  Any other key is its slice of the sums; in
-    these keys the stretches between zero sums are joined, the reduction
-    taking Python steps only at a zero sum and at each cancellation it sets
-    off (``_reduce_runs``).  Each key's word is then checked by
-    ``FreeWord`` with a few array reductions."""
-    order = np.argsort(keys, kind="stable")
-    keys, gens, exps = keys[order], gens[order], exps[order]
-    # the runs of one generator at one key merge
-    merges = (keys[1:] == keys[:-1]) & (gens[1:] == gens[:-1])
-    starts = np.flatnonzero(np.concatenate(([True], ~merges)))
-    run_keys = keys[starts]
-    run_gens = gens[starts].astype(np.int64)
-    run_exps = np.add.reduceat(exps, starts)
-    # the merged runs of each nonempty key, and whether one of them sums to zero
-    heads = np.flatnonzero(np.concatenate(([True], run_keys[1:] != run_keys[:-1])))
-    has_zero = np.logical_or.reduceat(run_exps == 0, heads).tolist()
-    bounds = heads.tolist() + [len(run_keys)]
-    words = [FreeWord.identity(rank)] * count
-    for key, lo, hi, zero in zip(run_keys[heads].tolist(), bounds, bounds[1:], has_zero):
-        syllables = run_gens[lo:hi], run_exps[lo:hi]
-        words[key] = FreeWord.from_arrays(rank, *(_reduce_runs(*syllables) if zero else syllables))
-    return words
-
-
 def evaluate_letters(
     W: WreathGroup,
     word: MonoidWord,
@@ -419,31 +388,41 @@ def evaluate_letters(
 # ---------------------------------------------------------------------------
 
 
-def _text_order(K: FiniteGroup) -> list[int]:
-    """The coordinates in the order the text lists them: the identity
-    first, then the other element ids ascending."""
-    return [K.identity] + [g for g in K.elements() if g != K.identity]
-
-
 def format_wreath_element(g: WreathElement) -> str:
-    K = g.group.top
-    body = "; ".join(format_free_word(g.base[c]) for c in _text_order(K))
+    """The text "[w1; ...; wl] k": the identity's coordinate first, then
+    the others by ascending id, each distinct syllable spelled once for
+    the whole element."""
+    K, base = g.group.top, g.base
+    e = K.identity
+    body = "; ".join(_format_words(base[e : e + 1] + base[:e] + base[e + 1 :]))
     return f"[{body}] {K.shortest_label_word(g.top)}"
 
 
-def parse_wreath_element(W: WreathGroup, text: str) -> WreathElement:
+def parse_wreath_element(group: WreathGroup | FiniteGroup, text: str) -> WreathElement:
     """Parse "[w1; ...; wl] k" as written by ``format_wreath_element``.
 
-    The coordinates end at the last ']', since no top label holds one.
-    Runs in time linear in the text: each coordinate costs one
-    ``parse_free_word``.
+    Given a wreath group, its rank bounds every generator index written.
+    Given its top group K, the element lies in F_n wr K, n the largest
+    index written in the coordinates and at least 2; a top label never
+    counts.  The coordinates end at the last ']', since no top label holds
+    one.  All of them are parsed in one pass (``free_words._parse_words``),
+    which names the first fault in text order: linear in the text, one
+    parse per distinct atom of the element, one ``np.fromiter`` of all its
+    syllables and one array reduction of all its coordinates, so the cost
+    per coordinate is a split, a few list operations and one ``FreeWord``.
     """
+    if isinstance(group, WreathGroup):
+        W, K, rank = group, group.top, group.rank
+    else:
+        W, K, rank = None, group, None
     body, _, top_text = text.strip().rpartition("]")
     if not body.startswith("["):  # also when there is no ']'
         raise ValueError("wreath element text must be '[w1; ...; wl] k'")
     parts = body[1:].split(";")
-    if len(parts) != W.size:
-        raise ValueError(f"expected {W.size} base coordinates, got {len(parts)}")
-    words = dict(zip(_text_order(W.top), (parse_free_word(p.strip(), rank=W.rank) for p in parts)))
-    base = tuple(words[g] for g in W.top.elements())
-    return WreathElement(W, base, W.top.element_from_label_word(top_text))
+    if len(parts) != K.order:
+        raise ValueError(f"expected {K.order} base coordinates, got {len(parts)}")
+    rank, words = _parse_words([p.strip() for p in parts], rank, least=2)
+    # the text lists the identity's coordinate first
+    e = K.identity
+    base = tuple(words[1 : e + 1] + words[:1] + words[e + 1 :])
+    return WreathElement(W or WreathGroup(rank, K), base, K.element_from_label_word(top_text))

@@ -203,6 +203,17 @@ class TestQh:
         for text in ("[x1 x2; 1] x5", "[x1 x2; 1] 1"):
             assert report_of(run_cli("qh", text, "--top", spec))["input"]["rank"] == 2
 
+    @pytest.mark.parametrize(
+        "coordinate,rank",
+        [("1", 2), ("x1", 2), ("y^-1 x", 2), ("x5^0", 5), ("x4 x4^-1 x1", 4), ("[x1,[x7,x7]]", 7),
+         ("[x2,x3] x010^0", 10)],
+    )
+    def test_the_inferred_rank_counts_every_index_written(self, coordinate, rank, capsys):
+        # a zero exponent, a cancelled syllable and a commutator argument
+        # count, and the rank is at least 2
+        assert cli.main(["qh", f"[1; 1; {coordinate}; 1; 1; 1] 1"]) == 0
+        assert json.loads(capsys.readouterr().out)["input"]["rank"] == rank
+
 
 class TestDecompose:
     def test_identity(self):
@@ -347,6 +358,50 @@ class TestExitCodes:
         # generator indices are int64, so a rank past it is an input error
         assert cli.main(list(args)) == 2
         assert "is past 2**63 - 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("qh", "[x99999999999999999999; 1; 1; 1; 1; 1] 1"), "rank 99999999999999999999 is past 2**63 - 1"),
+            (("qh", "[x1; [x2,x99999999999999999999]; 1; 1; 1; 1] 1"), "rank 99999999999999999999 is past 2**63 - 1"),
+            (("qh", "--rank", str(2**63), "[x2; 1; 1; 1; 1; 1] 1"), f"rank {2**63} is past 2**63 - 1"),
+            (("qh", "--rank", str(2**63), "[1; 1; 1; 1; 1; 1] 1"), f"rank {2**63} is past 2**63 - 1"),
+        ],
+    )
+    def test_a_rank_past_int64_is_named_in_full(self, args, message, capsys):
+        assert cli.main(list(args)) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[z7; 1; [x1,x2; 1; 1; 1] 1", "not a syllable: 'z7'"),
+            ("[x1; [x1,x2; 1; z7; 1; 1] 1", "unbalanced brackets in '[x1,x2'"),
+            ("[1; x1 [x1 x2]; x0; 1; 1; 1] 1", "malformed commutator expression: '[x1 x2]'"),
+            ("[x0; x1^; 1; 1; 1; 1] 1", "generator index 0 out of range"),
+            ("[x1 x1^; x0; 1; 1; 1; 1] 1", "not a syllable: 'x1^'"),
+            ("[x1; x2 x; 1; 1; 1; x3 y^2] 1", "not a syllable: 'y^2'"),
+        ],
+    )
+    def test_the_first_fault_in_text_order_is_named(self, text, message, capsys):
+        # every coordinate is read before any word is built, and the first
+        # fault in the text is the one reported, with or without a rank
+        for rank in ([], ["--rank", "3"]):
+            assert cli.main(["qh", *rank, text]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_the_inferred_rank_is_checked_after_every_coordinate(self, capsys):
+        # without --rank the rank is the largest index in all coordinates,
+        # so a fault in any coordinate comes first
+        assert cli.main(["qh", "[x99999999999999999999; z7; 1; 1; 1; 1] 1"]) == 2
+        assert capsys.readouterr() == ("", "error: not a syllable: 'z7'\n")
+
+    @pytest.mark.parametrize("rank", [[], ["--rank", "2"]])
+    @pytest.mark.parametrize("text,count", [("[1; 1] 1", 2), ("[x1; 1; 1; 1; 1; 1; z7] 1", 7), ("[] 1", 1)])
+    def test_a_wrong_coordinate_count_is_named(self, rank, text, count, capsys):
+        # the count is checked before any coordinate is read
+        assert cli.main(["qh", *rank, text]) == 2
+        assert capsys.readouterr() == ("", f"error: expected 6 base coordinates, got {count}\n")
 
     def test_bad_generator_label_is_2_and_named(self, tmp_path, capsys):
         from groupwidths import cli
@@ -568,6 +623,33 @@ class TestDirectProductTables:
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and "allocate" in proc.stderr
+
+
+class TestJsonOutput:
+    @pytest.mark.parametrize("pretty", [[], ["--pretty"]])
+    def test_stdout_is_what_the_pure_python_encoder_writes(self, tmp_path, monkeypatch, capsys, pretty):
+        # the report goes out through json.dumps, whose compact output takes
+        # the C encoder; json.JSONEncoder.iterencode is the pure-Python one
+        reports = []
+        emit = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda report, flag: (reports.append(report), emit(report, flag)))
+        top = write_spec(tmp_path, "top.json", {"kind": "table", "name": "Z/2 \u00e9\u2603",
+                                                "table": [[0, 1], [1, 0]], "gens": [["\u00e9", 1]]})
+        d4 = write_spec(tmp_path, "d4.json", {"kind": "dihedral", "n": 4})
+        nil = write_spec(tmp_path, "nil.json", [{"moduli": [2, 2]}, {"moduli": [4]}])
+        commands = [
+            ["pw", d4, "--lengths"],
+            ["pw", top, "--notion", "group"],
+            ["qh", q_text(60, 6)],
+            ["qh", f"[x1^{2**70} x2^-3; [x,y]] \u00e9", "--top", top],
+            ["nilprod", nil],
+            ["decompose", "[ [x,y]; x1 x2^2; 1; 1; 1; 1 ] s1"],
+        ]
+        for argv in commands:
+            assert cli.main(pretty + argv) == 0
+            encoder = json.JSONEncoder(sort_keys=True, indent=2 if pretty else None)
+            assert capsys.readouterr().out == "".join(encoder.iterencode(reports[-1])) + "\n", argv
+        assert len(reports) == len(commands)
 
 
 class TestPretty:

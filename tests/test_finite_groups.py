@@ -92,6 +92,18 @@ class TestConstructors:
         # s r s = r^-1
         assert G.table[G.table[s][r]][s] == G.inverse[r]
 
+    def test_the_dihedral_table_is_kept_as_built(self, monkeypatch):
+        # one frozen, owning, C-contiguous int32 array, which FiniteGroup
+        # keeps without a copy
+        handed = []
+        init = FiniteGroup.__init__
+        monkeypatch.setattr(FiniteGroup, "__init__", lambda self, table, *a, **k: (handed.append(table), init(self, table, *a, **k))[1])
+        for m in (1, 2, 3, 4, 80):
+            T = dihedral(m).table
+            assert T is handed[-1]
+            assert T.dtype == np.int32 and T.shape == (2 * m, 2 * m)
+            assert T.flags.owndata and T.flags.c_contiguous and not T.flags.writeable
+
     def test_abelian_group(self):
         G = abelian_group([2, 3])
         assert G.order == 6 and G.derived_subgroup == {G.identity}

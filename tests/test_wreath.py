@@ -52,6 +52,7 @@ from conftest import (
 from oracle import (
     brute_derived_subgroup,
     reference_evaluate_letters,
+    reference_format,
     reference_reduce,
     reference_word,
     w_commutator,
@@ -354,6 +355,68 @@ class TestTextFormat:
             parse_wreath_element(W, "[1; 1] 1")
         with pytest.raises(ValueError):
             parse_wreath_element(W, "no brackets")
+
+
+def _syllable_text(gen_exp: tuple[int, int]) -> tuple[str, list[tuple[int, int]]]:
+    gen, exp = gen_exp
+    return (f"x{gen}" if exp == 1 else f"x{gen}^{exp}"), [gen_exp]
+
+
+def _commutator_text(u, v) -> tuple[str, list[tuple[int, int]]]:
+    # [u, v] = u^-1 v^-1 u v, on the syllables as written
+    inverse = lambda w: [(g, -e) for g, e in reversed(w)]
+    return f"[{u[0]},{v[0]}]", inverse(u[1]) + inverse(v[1]) + u[1] + v[1]
+
+
+# element-text atoms with their syllables as written, unreduced: indices of
+# 10 or more, zero exponents and exponents past 2**31 and 2**63 among them,
+# the x/y aliases, "1", and commutators of atoms, nested
+syllable_atoms = st.recursive(
+    st.one_of(
+        st.tuples(st.sampled_from([1, 2, 10, 12]), st.sampled_from([1, -1, 2, -3, 0, 2**31, -(2**31), 2**40 + 1, -(2**63)]))
+        .map(_syllable_text),
+        st.sampled_from([("x", [(1, 1)]), ("y", [(2, 1)]), ("x^-1", [(1, -1)]), ("y^-1", [(2, -1)]),
+                         ("x1^0", [(1, 0)]), ("1", [])]),
+    ),
+    lambda inner: st.builds(_commutator_text, inner, inner),
+    max_leaves=4,
+)
+TEXT_TOPS = [sym3_fink(), MOVED_TOPS["D4_moved"]]
+
+
+@st.composite
+def element_texts(draw):
+    """(K, top id, text, syllables as written per coordinate in text order)."""
+    K = draw(st.sampled_from(TEXT_TOPS))
+    coords = draw(st.lists(st.lists(syllable_atoms, max_size=4), min_size=K.order, max_size=K.order))
+    top = draw(st.sampled_from(K.elements()))
+    texts = [" ".join(t for t, _ in atoms) or "1" for atoms in coords]
+    text = f"[{'; '.join(texts)}] {K.shortest_label_word(top)}"
+    return K, top, text, [[s for _, w in atoms for s in w] for atoms in coords]
+
+
+class TestElementTexts:
+    @given(element_texts())
+    def test_parse_and_format_against_the_stack_reduction(self, case):
+        K, top, text, written = case
+        # coordinates in text order: the identity's first, then ascending ids
+        order = [K.identity] + [c for c in K.elements() if c != K.identity]
+        reduced = dict(zip(order, map(reference_reduce, written)))
+        W = WreathGroup(12, K)
+        g = parse_wreath_element(W, text)
+        assert g.base == tuple(FreeWord(12, reduced[c]) for c in K.elements()) and g.top == top
+        assert [w.syllables for w in g.base] == [reduced[c] for c in K.elements()]
+        body = "; ".join(reference_format(reduced[c]) for c in order)
+        assert format_wreath_element(g) == f"[{body}] {K.shortest_label_word(top)}"
+        assert parse_wreath_element(W, format_wreath_element(g)) == g
+        # given its top alone, the parse takes the largest index written, at least 2
+        rank = max([2] + [gen for w in written for gen, _ in w])
+        h = parse_wreath_element(K, text)
+        assert h.group.rank == rank and h.group.top is K and h.top == top
+        assert h.base == tuple(FreeWord(rank, reduced[c]) for c in K.elements())
+        # the printed text may drop indices that cancel, and with them rank
+        again = parse_wreath_element(K, format_wreath_element(h))
+        assert [w.syllables for w in again.base] == [w.syllables for w in h.base]
 
 
 @st.composite
