@@ -88,7 +88,8 @@ def cmd_qh(args: argparse.Namespace) -> dict:
     result = {
         "element": format_wreath_element(g),
         "delta": d,
-        "in_derived_subgroup": in_derived_subgroup(g),
+        # a certificate is only issued to a member
+        "in_derived_subgroup": cert is not None or in_derived_subgroup(g),
         "top_order": l,
         "certificate": None
         if cert is None

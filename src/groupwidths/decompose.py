@@ -18,6 +18,12 @@ most 20 letter palindromes (19 with this construction):
 * at most one palindrome for the top component (every S3 element is a
   palindromic word in these letters).
 
+Each coordinate's word f is first split as x^a y^b times a remainder
+with zero exponent sums (``split_abelian_commutator``): a and b are read
+off its alternating syllables, and the remainder is one product reduced
+at the seam, so the split builds at most one free word per coordinate
+and checks both of its identities on arrays.
+
 Every factor is laid out once, as two arrays: token codes over the
 context's alphabet, from precomputed code blocks, and their repeat counts.
 A power factor is u, z, reverse(u) with counts 1..., |a|, 1...; a derived
@@ -35,7 +41,8 @@ and then an element costs one word scan, one ``evaluate_words`` call.
 Only the derived factors are split at their midpoints: a factor
 w reverse(w) splits into exactly w and reverse(w), so the values of its
 halves are the construction checks of its coordinate, each evaluated on
-its own.  Every other factor goes whole.  The value of all the words
+its own; w's value is compared with its part in place, coordinate by
+coordinate.  Every other factor goes whole.  The value of all the words
 joined end to end is the product of the factors, which the certificate's
 flags compare with the target.  A certificate built by hand is checked
 by the same scan, with every factor whole.
@@ -50,7 +57,15 @@ from functools import lru_cache
 import numpy as np
 
 from .finite_groups import CapExceeded, evaluate, sym3_fink
-from .free_words import _SMALL_EXP, FreeWord, MonoidWord, _halves, format_monoid_word, is_word_palindrome
+from .free_words import (
+    _SMALL_EXP,
+    FreeWord,
+    MonoidWord,
+    _halves,
+    _seam,
+    format_monoid_word,
+    is_word_palindrome,
+)
 from .wreath import WreathElement, WreathGroup, evaluate_letters, evaluate_words
 
 __all__ = [
@@ -170,26 +185,54 @@ def _require_s3_wreath(g: WreathElement, ctx: S3WreathContext) -> None:
 def split_abelian_commutator(
     g: WreathElement, ctx: S3WreathContext | None = None
 ) -> tuple[list[tuple[int, int]], tuple[FreeWord, ...], int]:
-    """Per coordinate, write the word as x^a y^b times a zero-exponent-sum
-    remainder; returns (exponent rows, remainders, top)."""
+    """Per coordinate, write the word f as x^a y^b times a zero-exponent-sum
+    remainder; returns (exponent rows, remainders, top).
+
+    A reduced rank-2 word alternates its generators, so a and b are the
+    sums of its even-indexed and of its odd-indexed exponents, in the
+    order of its first generator.  The remainder y^-b x^-a f is reduced
+    only at the seam, at most two head syllables against the first
+    syllables of f (``_seam``), into one ``FreeWord``.  Both identities are
+    checked for every coordinate, the first failure naming it: the
+    remainder's exponent sums vanish, and x^a y^b times the remainder,
+    reduced at the same kind of seam, is f.
+    """
     ctx = ctx or s3_wreath_context()
     _require_s3_wreath(g, ctx)
     exponents: list[tuple[int, int]] = []
     parts: list[FreeWord] = []
     for c, f in enumerate(g.base):
-        a, b = f.exponent_sum(1), f.exponent_sum(2)
-        prefix_syllables = tuple(s for s in ((1, a), (2, b)) if s[1] != 0)
-        prefix = FreeWord(2, prefix_syllables)
-        rest = prefix.inverse() * f
-        if rest.exponent_sum(1) != 0 or rest.exponent_sum(2) != 0:
+        a, b = _alternating_sums(f)
+        rest = f
+        if a or b:
+            rest = FreeWord.from_arrays(2, *_seam(*_head(((2, -b), (1, -a))), f.gens, f.exps))
+        if any(_alternating_sums(rest)):
             raise InvariantViolation(f"remainder at coordinate {c} has nonzero exponent sums")
-        if prefix * rest != f:
+        gens, exps = _seam(*_head(((1, a), (2, b))), rest.gens, rest.exps)
+        if not (np.array_equal(gens, f.gens) and np.array_equal(exps, f.exps)):
             raise InvariantViolation(
                 f"x^a y^b times the remainder is not the word at coordinate {c}"
             )
         exponents.append((a, b))
         parts.append(rest)
     return exponents, tuple(parts), g.top
+
+
+def _alternating_sums(f: FreeWord) -> tuple[int, int]:
+    # the exponent sums of x and y in a reduced rank-2 word, whose
+    # syllables alternate between the two generators
+    first, second = int(f.exps[0::2].sum()), int(f.exps[1::2].sum())
+    return (second, first) if len(f) and f.gens[0] == 2 else (first, second)
+
+
+def _head(syllables: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
+    # the nonzero syllables as a left operand of _seam, in int64 below 2**31
+    # as FreeWord keeps them, so a merge at the seam cannot overflow, and
+    # in Python ints otherwise
+    values = [v for s in syllables if s[1] for v in s]
+    small = all(abs(e) < _SMALL_EXP for e in values[1::2])
+    flat = np.array(values, np.int64 if small else object)
+    return flat[0::2], flat[1::2]
 
 
 def _power_layout(c: int, letter: str, exponent: int, ctx: S3WreathContext) -> tuple:
@@ -302,7 +345,14 @@ def _verify(
                 f"reversal of the derived-part word at coordinate {c} did not evaluate "
                 f"to the identity; witness word: {format_monoid_word(words[i + k])}"
             )
-        if values[i + k] != ctx.group.from_base_word(part, c):
+        # w evaluates to the part at coordinate c: top identity, c the part,
+        # every other coordinate empty
+        w = values[i + k]
+        if not (
+            w.top == ctx.group.top.identity
+            and w.base[c] == part
+            and not any(len(v) for j, v in enumerate(w.base) if j != c)
+        ):
             raise InvariantViolation(f"derived-part word evaluates off target at coordinate {c}")
     return {
         "factors_palindromic": all(is_word_palindrome(f) for f in cert.factors),

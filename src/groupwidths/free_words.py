@@ -15,8 +15,9 @@ letter sequence as written, so it belongs to this type.
 ``FreeWord`` is the canonical reduced form of a free-group element: its
 syllables (generator, exponent), adjacent ones on distinct generators,
 stored as two arrays ``gens`` and ``exps``.  Construction checks the
-normal form with a few array reductions; a product joins the arrays after
-a Python walk over the syllable pairs that cancel at the seam; inverse,
+normal form with a few array reductions, once for a batch of words
+reduced together; a product joins the arrays after a Python walk over the
+syllable pairs that cancel at the seam (``_seam``); inverse,
 exponent sums and the quasi-length are array operations.  Exponents are
 int64 while below 2**31 in absolute value and Python ints otherwise, so
 every sum stays exact.  A free word comes in as syllables, as arrays or
@@ -241,8 +242,10 @@ class FreeWord:
     int64, and otherwise an object array of Python ints; the dtype follows
     the value, so equality and hashing do too.  ``FreeWord(rank, syllables)``
     reads (generator, exponent) pairs; ``FreeWord.from_arrays`` wraps arrays.
-    Every word is checked on construction, by a few array reductions; the
-    first bad syllable is searched for only when they fail.  ``syllables``
+    Every word is checked when it is built, by its constructor or by the
+    batch that built it (``_words_of_runs`` checks all of its words at
+    once), with a few array reductions; the first bad syllable is searched
+    for only when they fail.  ``syllables``
     is a tuple of pairs built on each access, and ``len`` counts syllables.
     """
 
@@ -303,6 +306,10 @@ class FreeWord:
                 exps = _read_only(exps if exps.dtype == object else exps.astype(object))
         else:
             gens = exps = _EMPTY
+        self._store(rank, gens, exps)
+
+    def _store(self, rank: int, gens: np.ndarray, exps: np.ndarray) -> None:
+        # read-only arrays in normal form and in their dtypes, kept as they are
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "exps", exps)
@@ -345,40 +352,50 @@ class FreeWord:
         return not len(self.gens)
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
-        """Product of reduced words, reduced only at the seam.
-
-        Costs O(c) Python steps for the c syllable pairs that cancel at the
-        seam, plus one concatenation of each array and the check.  A product
-        with the identity returns the other operand as it is.
-        """
+        """Product of reduced words, reduced only at the seam (``_seam``),
+        then checked.  A product with the identity returns the other
+        operand as it is."""
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
         if not len(other):
             return self
         if not len(self):
             return other
-        lg, le, rg, re_ = self.gens, self.exps, other.gens, other.exps
-        # walk inward while the syllables at the seam cancel exactly
-        i, j, n = len(lg), 0, len(rg)
-        while i and j < n and lg[i - 1] == rg[j] and le[i - 1] == -re_[j]:
-            i -= 1
-            j += 1
-        if i and j < n and lg[i - 1] == rg[j]:
-            # same generator, nonzero total: merge the one pair; its outer
-            # neighbours are on other generators since both words are reduced
-            gens = np.concatenate((lg[:i], rg[j + 1 :]))
-            exps = np.concatenate((le[:i], re_[j + 1 :]))
-            exps[i - 1] = int(le[i - 1]) + int(re_[j])
-        else:
-            gens = np.concatenate((lg[:i], rg[j:]))
-            exps = np.concatenate((le[:i], re_[j:]))
-        return FreeWord.from_arrays(self.rank, gens, exps)
+        return FreeWord.from_arrays(self.rank, *_seam(self.gens, self.exps, other.gens, other.exps))
 
     def inverse(self) -> "FreeWord":
         return FreeWord.from_arrays(self.rank, self.gens[::-1], -self.exps[::-1])
 
     def exponent_sum(self, gen: int) -> int:
         return int(self.exps[self.gens == gen].sum())
+
+
+def _seam(lg, le, rg: np.ndarray, re_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The syllables (gens, exps) of the product of two reduced words, the
+    left one (lg, le) and the right one (rg, re_), reduced only at the seam.
+
+    Costs O(c) Python steps for the c syllable pairs that cancel at the
+    seam and one concatenation of each array.  Each side's exponents must
+    be int64 below 2**31 in absolute value, as ``FreeWord`` keeps them, or
+    object, so that a merged sum cannot overflow; they come out in the
+    common dtype of both sides, which ``FreeWord`` then narrows or widens
+    by the value.
+    """
+    # walk inward while the syllables at the seam cancel exactly
+    i, j, n = len(lg), 0, len(rg)
+    while i and j < n and lg[i - 1] == rg[j] and le[i - 1] == -re_[j]:
+        i -= 1
+        j += 1
+    if i and j < n and lg[i - 1] == rg[j]:
+        # same generator, nonzero total: merge the one pair; its outer
+        # neighbours are on other generators since both words are reduced
+        gens = np.concatenate((lg[:i], rg[j + 1 :]))
+        exps = np.concatenate((le[:i], re_[j + 1 :]))
+        exps[i - 1] = int(le[i - 1]) + int(re_[j])
+    else:
+        gens = np.concatenate((lg[:i], rg[j:]))
+        exps = np.concatenate((le[:i], re_[j:]))
+    return gens, exps
 
 
 def _reduce_runs(gens: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -432,11 +449,22 @@ def _words_of_runs(
     dtype whose sums are exact.  The runs are stably sorted by key, and
     neighbours of one generator at one key are summed by one
     ``np.add.reduceat``.  One more array pass finds the keys that hold a
-    zero sum.  Any other key is its slice of the sums; in these keys the
-    stretches between zero sums are joined, the reduction taking Python
-    steps only at a zero sum and at each cancellation it sets off
-    (``_reduce_runs``).  Each key's word is then checked by ``FreeWord``
-    with a few array reductions."""
+    zero sum.
+
+    ``FreeWord``'s check is then made once, over the merged runs of every
+    key: generators in 1..rank and int64 exponents below 2**31 in absolute
+    value; neighbours within a key are on distinct generators by the
+    merge, and a key without a zero sum holds no zero by the pass that
+    found the others.
+    When it holds, each such key's word wraps its read-only slices of the
+    sums as they are, with no step per word but the wrapping.  A key whose
+    merged runs are one zero-sum run is the identity.  Every other key
+    with a zero sum has the stretches between its zero sums joined, the
+    reduction taking Python steps only at a zero sum and at each
+    cancellation it sets off (``_reduce_runs``), and is checked by
+    ``FreeWord.from_arrays``.  When the check fails (an exponent past
+    2**31, say), every key goes through ``FreeWord.from_arrays``, which
+    picks the dtypes and names the first fault of the first bad key."""
     order = keys.argsort(kind="stable")
     keys, gens, exps = keys.take(order), gens.take(order), exps.take(order)
     # a key starts where the key changes, a run where the key or the
@@ -447,16 +475,31 @@ def _words_of_runs(
     new_run = new_key.copy()
     new_run[1:] |= gens[1:] != gens[:-1]
     starts = new_run.nonzero()[0]
-    run_gens = gens.take(starts).astype(np.int64, copy=False)
-    run_exps = np.add.reduceat(exps, starts)
+    run_gens = _read_only(gens.take(starts).astype(np.int64, copy=False))
+    run_exps = _read_only(np.add.reduceat(exps, starts))
     # the merged runs of each nonempty key, and whether one of them sums to zero
     heads = new_key.take(starts).nonzero()[0]
     has_zero = np.logical_or.reduceat(run_exps == 0, heads).tolist()
     bounds = heads.tolist() + [len(starts)]
-    words = [FreeWord.identity(rank)] * count
+    words = [FreeWord.identity(rank)] * count  # refuses a bad rank
+    # neighbours within a key are on distinct generators, as the merge
+    # above starts a run at every change of generator
+    checked = (
+        run_exps.dtype == np.int64
+        and _min(run_gens) >= 1
+        and _max(run_gens) <= rank
+        and -_SMALL_EXP < _min(run_exps)
+        and _max(run_exps) < _SMALL_EXP
+    )
     for key, lo, hi, zero in zip(keys.take(starts.take(heads)).tolist(), bounds, bounds[1:], has_zero):
+        if zero and hi - lo == 1:
+            continue  # one run summing to zero: the identity
         syllables = run_gens[lo:hi], run_exps[lo:hi]
-        words[key] = FreeWord.from_arrays(rank, *(_reduce_runs(*syllables) if zero else syllables))
+        if checked and not zero:
+            word = words[key] = FreeWord.__new__(FreeWord)
+            word._store(rank, *syllables)
+        else:
+            words[key] = FreeWord.from_arrays(rank, *(_reduce_runs(*syllables) if zero else syllables))
     return words
 
 

@@ -198,14 +198,14 @@ def commutator_length_bound(d: int, l: int) -> int | None:
 
 
 def certify_cw_lower_bound(g: WreathElement) -> CommutatorCertificate | None:
-    """Commutator-length lower bound from delta(g); None when g is not in
-    the derived subgroup (it is no product of commutators at all) or the
-    bound carries no information."""
-    if not in_derived_subgroup(g):
-        return None
+    """Commutator-length lower bound from delta(g); None when the bound
+    carries no information or g is not in the derived subgroup (it is no
+    product of commutators at all).  Membership, which sorts every
+    syllable of g, is tested only once the bound is known to say
+    something."""
     d = delta(g)
     m = commutator_length_bound(d, g.group.size)
-    return None if m is None else CommutatorCertificate(g, d, m)
+    return None if m is None or not in_derived_subgroup(g) else CommutatorCertificate(g, d, m)
 
 
 def _prefix_products(flat: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:

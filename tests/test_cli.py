@@ -180,6 +180,37 @@ class TestQh:
         assert report["result"]["in_derived_subgroup"] is False
         assert report["result"]["certificate"] is None
 
+    @pytest.mark.parametrize(
+        "text, member, certified, tests",
+        [
+            ("q60", True, True, 1),
+            ("q1", True, False, 1),  # delta 6 carries no bound
+            ("[x1 x2; 1; 1; 1; 1; 1] 1", False, False, 1),
+            ("[1; 1; 1; 1; 1; 1] s1", False, False, 1),  # the top is off [S3, S3]
+            # delta 140 would certify 2: the certificate tests membership,
+            # and, finding none, leaves the report to test it again
+            ("[" + " ".join(["x1 x2"] * 70) + "; 1; 1; 1; 1; 1] 1", False, False, 2),
+        ],
+    )
+    def test_membership_is_tested_once(self, W, monkeypatch, capsys, text, member, certified, tests):
+        wreath = sys.modules["groupwidths.wreath"]
+        calls = []
+
+        def spy(g):
+            calls.append(g)
+            return real(g)
+
+        real = wreath.in_derived_subgroup
+        monkeypatch.setattr(wreath, "in_derived_subgroup", spy)
+        monkeypatch.setattr(cli, "in_derived_subgroup", spy)
+        if text.startswith("q"):
+            text = format_wreath_element(q_sequence(W, int(text[1:])))
+        assert cli.main(["qh", text]) == cli.EXIT_OK
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["in_derived_subgroup"] is member
+        assert (result["certificate"] is not None) is certified
+        assert len(calls) == tests
+
     def test_identity(self, W):
         report = report_of(run_cli("qh", format_wreath_element(W.identity())))
         assert report["result"]["delta"] == 0

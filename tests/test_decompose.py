@@ -96,46 +96,102 @@ class TestSplit:
         assert parts[0] == parse_free_word("[x,y]", rank=2)
 
     def test_reconstruction_random(self, ctx):
+        # each remainder is prefix^-1 f, computed by FreeWord arithmetic
         rng = random.Random(13)
         for _ in range(100):
             g = random_wreath_element(rng, ctx.group, 10)
             exps, parts, top = split_abelian_commutator(g, ctx)
             for (a, b), part, f in zip(exps, parts, g.base):
                 prefix = FreeWord(2, tuple(s for s in ((1, a), (2, b)) if s[1]))
+                expected = prefix.inverse() * f
+                assert part == expected and part.exps.dtype == expected.exps.dtype
                 assert prefix * part == f
                 assert part.exponent_sum(1) == 0 and part.exponent_sum(2) == 0
 
-    # FreeWord.inverse broken two ways: the identity (the remainder keeps the
-    # exponent sums), or negated in place (sums vanish, the product is off)
-    BROKEN_INVERSES = {
-        "has nonzero exponent sums": lambda w: w,
-        "is not the word at coordinate": lambda w: FreeWord.from_arrays(w.rank, w.gens, -w.exps),
+    BIG = [2**31 - 1, 2**31, 2**63 - 1, 2**63, 10**20]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1",  # an empty coordinate
+            "x1^3 x2^-2",  # x^a y^b exactly: the remainder is the identity
+            "x1^-1",
+            "x2^5",
+            "x2 x1 x2^-1",  # starts with y
+            "x2^-2 x1^3 x2 x1^-3 x2",
+            "x1 x2 x1^-1 x2^-1",  # a commutator: a = b = 0, the remainder is f
+            "x1 x2 x1^-2",  # the head's x^-a merges with f's first syllable
+            *(f"x1^{e} x2^{-e} x1" for e in BIG),
+            *(f"x2^{e} x1 x2^{e}" for e in BIG),
+            *(f"x1^{e} x2^{e}" for e in BIG),
+            *(f"x1^{e} x2 x1^{e} x2^-1" for e in BIG),
+            # a sum within 2**31 of the int64 ends, which merges with the
+            # remainder's first syllable into a value past int64
+            f"x1^{2**63} x2 x1^-1 x2^-1",
+            f"x2^{2**63} x1 x2^-1 x1^-1",
+            f"x1^{2**63 + 2**30} x2 x1^{-(2**30 + 1)} x2^-1",
+            f"x1^{-(2**63 + 1)} x2 x1 x2^-1",
+        ],
+    )
+    def test_a_remainder_is_the_prefix_inverse_times_the_word(self, ctx, text):
+        f = parse_free_word(text, rank=2)
+        g = ctx.group.from_base_word(f, 4)
+        exps, parts, _ = split_abelian_commutator(g, ctx)
+        assert all(p.is_identity() for c, p in enumerate(parts) if c != 4)
+        a, b = exps[4]
+        assert (a, b) == (f.exponent_sum(1), f.exponent_sum(2))
+        assert type(a) is int and type(b) is int
+        prefix = FreeWord(2, tuple(s for s in ((1, a), (2, b)) if s[1]))
+        expected = prefix.inverse() * f
+        assert parts[4] == expected and parts[4].exps.dtype == expected.exps.dtype
+        assert prefix * parts[4] == f
+        if f == prefix:
+            assert parts[4].is_identity()
+
+    # the split's seam broken two ways: the head dropped (the remainder keeps
+    # the exponent sums), or the remainder's head y^-b x^-a joined as
+    # x^-a y^-b (its sums vanish, and x^a y^b times it is off)
+    BROKEN_SEAMS = {
+        "has nonzero exponent sums": "lambda lg, le, rg, re_: (rg, re_)",
+        "is not the word at coordinate": (
+            "lambda lg, le, rg, re_: seam(*((lg[::-1], le[::-1]) if (le < 0).all() else (lg, le)), rg, re_)"
+        ),
     }
 
-    @pytest.mark.parametrize("fault", sorted(BROKEN_INVERSES))
+    @pytest.mark.parametrize("fault", sorted(BROKEN_SEAMS))
     def test_a_broken_identity_names_its_coordinate(self, ctx, monkeypatch, capsys, fault):
         text = "[1; 1; 1; x1 x2; 1; 1] 1"
         g = parse_wreath_element(ctx.group, text)
         (k,) = [c for c, f in enumerate(g.base) if len(f)]
-        monkeypatch.setattr(FreeWord, "inverse", self.BROKEN_INVERSES[fault])
+        broken = eval(self.BROKEN_SEAMS[fault], {"seam": decompose_module._seam})
+        monkeypatch.setattr(decompose_module, "_seam", broken)
         with pytest.raises(InvariantViolation, match=rf"coordinate {k}\b") as caught:
             split_abelian_commutator(g, ctx)
         assert fault in str(caught.value)
         assert cli.main(["decompose", text]) == cli.EXIT_INVARIANT
         assert f"invariant breach: {caught.value}" in capsys.readouterr().err
 
+    def test_a_sum_near_the_int64_end_reaches_the_cap_through_the_cli(self, capsys):
+        # x^a y^b with a = 2**63 - 1 times a remainder starting with x: the
+        # split holds, and the factor letters are over the cap
+        text = f"[x1^{2**63} x2 x1^-1 x2^-1; 1; 1; 1; 1; 1] 1"
+        assert cli.main(["decompose", text]) == cli.EXIT_CAP
+        assert "factor letters, over the cap of" in capsys.readouterr().err
+
     def test_the_checks_hold_under_python_O(self):
         # bare asserts would vanish under -O; the checks must not
-        script = (
-            "from groupwidths import cli\n"
-            "from groupwidths.free_words import FreeWord\n"
-            "assert False, 'unreachable under -O'\n"
-            "FreeWord.inverse = lambda w: w\n"
-            "raise SystemExit(cli.main(['decompose', '[x1; 1; 1; 1; 1; 1] 1']))\n"
-        )
-        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
-        assert proc.returncode == cli.EXIT_INVARIANT, proc.stderr
-        assert "remainder at coordinate 0 has nonzero exponent sums" in proc.stderr
+        for fault, broken in self.BROKEN_SEAMS.items():
+            script = (
+                "from groupwidths import cli\n"
+                "assert False, 'unreachable under -O'\n"
+                "seam = cli.decomposition._seam\n"
+                f"cli.decomposition._seam = {broken}\n"
+                "raise SystemExit(cli.main(['decompose', '[x1 x2; 1; 1; 1; 1; 1] 1']))\n"
+            )
+            proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+            assert proc.returncode == cli.EXIT_INVARIANT, proc.stderr
+            assert re.search(r"invariant breach: .*coordinate 0\b", proc.stderr), proc.stderr
+            assert fault in proc.stderr
 
 
 def power_factor(ctx, coord, letter, exponent):

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from itertools import groupby
 from operator import itemgetter
 
@@ -22,6 +23,7 @@ from groupwidths.free_words import (
     format_free_word,
     free_commutator,
     _reduce_runs,
+    _words_of_runs,
     parse_free_word,
 )
 from groupwidths.wreath import (
@@ -814,12 +816,12 @@ def reduce_run_lists(gens, exps):
 
 
 @st.composite
-def run_lists(draw):
-    """(gens, exps) of one coordinate's runs at rank 2 or 3: neighbours on
-    distinct generators, exponents in -3..3 with zero allowed, and now and
-    then a stretch followed by a zero run and its inverse, cut short, so
-    that a cascade runs deep."""
-    rank = draw(st.integers(2, 3))
+def run_lists(draw, rank=None):
+    """(gens, exps) of one coordinate's runs at the given rank, else at rank
+    2 or 3: neighbours on distinct generators, exponents in -3..3 with zero
+    allowed, and now and then a stretch followed by a zero run and its
+    inverse, cut short, so that a cascade runs deep."""
+    rank = rank or draw(st.integers(2, 3))
     gens, exps = [], []
 
     def push(gen, exp):
@@ -867,6 +869,129 @@ class TestReduceRuns:
         exps = [rng.choice([-2, -1, 1, 2]) for _ in gens[:-1]] + [0]
         assert reduce_run_lists(gens, exps) == tuple(zip(gens[:-1], exps[:-1]))
         assert reduce_run_lists(gens, exps) == stack_reduce_runs(gens, exps)
+
+
+def per_key_words(rank, count, keys, gens, exps):
+    """The words of keyed runs, each key on its own: its runs in order,
+    neighbours of one generator summed, reduced by ``_reduce_runs`` when one
+    sums to zero, and checked by ``FreeWord.from_arrays``."""
+    words = [FreeWord.identity(rank)] * count
+    for key in sorted(set(keys.tolist())):
+        at = np.flatnonzero(keys == key)
+        g, e = gens[at], exps[at]
+        starts = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
+        g, e = g[starts].astype(np.int64), np.add.reduceat(e, starts)
+        words[key] = FreeWord.from_arrays(rank, *(_reduce_runs(g, e) if (e == 0).any() else (g, e)))
+    return words
+
+
+# exponent scales: small, medium (int64 sums past 2**31, as a long letter
+# run gives), past 2**31 and past int64 (object arrays)
+RUN_SCALES = [1, 2**20, 2**30, 2**31, 2**62, 10**20]
+
+
+@st.composite
+def keyed_runs(draw):
+    """(rank, count, keys, gens, exps) as the callers of ``_words_of_runs``
+    pass them: each key's runs from ``run_lists`` (zero sums, lone zero
+    runs, cancellation cascades), its exponents scaled by one of
+    ``RUN_SCALES``, some runs cut into two pieces on one generator (a
+    piece may be zero, or past int64 while the run is small), now and then
+    a generator out of range, and the keys interleaved.  Exponents are int64 while below 2**40 in absolute
+    value, whose sums are exact, and an object array otherwise."""
+    rank = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 4))
+    queues = []
+    for key in range(count):
+        gens, exps = draw(run_lists(rank)) if rank > 1 else ([1], [draw(st.integers(-3, 3))])
+        scale = draw(st.sampled_from(RUN_SCALES))
+        runs = []
+        for gen, exp in zip(gens, exps):
+            exp *= scale
+            if draw(st.integers(0, 3)) == 0:
+                piece = draw(st.sampled_from([0, 1, -1, exp, 10**20]))
+                runs += [(gen, exp - piece), (gen, piece)]
+            else:
+                runs.append((gen, exp))
+        if runs and draw(st.integers(0, 7)) == 0:
+            i = draw(st.integers(0, len(runs) - 1))
+            runs[i] = (draw(st.sampled_from([0, rank + 1])), runs[i][1])
+        queues.append(runs)
+    order = draw(st.permutations([k for k, runs in enumerate(queues) for _ in runs]))
+    if not order:
+        order, queues[0] = [0], [(1, draw(st.integers(-2, 2)))]
+    runs = [(key, *queues[key].pop(0)) for key in order]
+    keys = np.array([key for key, _, _ in runs], np.min_scalar_type(count - 1))
+    gens = np.array([gen for _, gen, _ in runs], draw(st.sampled_from([np.uint8, np.int64])))
+    exps = [exp for _, _, exp in runs]
+    wide = max(map(abs, exps)) >= 2**40
+    return rank, count, keys, gens, np.array(exps, object if wide else np.int64)
+
+
+class TestWordsOfRuns:
+    @given(keyed_runs())
+    def test_matches_the_per_key_path(self, case):
+        rank, count, keys, gens, exps = case
+        try:
+            expected = per_key_words(rank, count, keys, gens, exps)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                _words_of_runs(rank, count, keys, gens, exps)
+            return
+        got = _words_of_runs(rank, count, keys, gens, exps)
+        assert got == expected
+        for w, v in zip(got, expected):
+            assert w.exps.dtype == v.exps.dtype and w.gens.dtype == np.int64
+            assert not w.gens.flags.writeable and not w.exps.flags.writeable
+
+    def test_the_faults_are_named_as_the_per_key_path_names_them(self):
+        keys = np.array([0, 1, 1, 1], np.uint8)
+        for gens, exps, fault in [
+            ([1, 2, 3, 1], [1, 1, 1, 1], "generator index 3 out of range 1..2"),
+            ([1, 0, 1, 2], [1, 1, 1, 1], "generator index 0 out of range 1..2"),
+            ([1, 2, 3, 1], [1, 1, 2**40, 1], "generator index 3 out of range 1..2"),
+        ]:
+            gens, exps = np.array(gens, np.int64), np.array(exps, np.int64)
+            with pytest.raises(ValueError, match=re.escape(fault)):
+                per_key_words(2, 2, keys, gens, exps)
+            with pytest.raises(ValueError, match=re.escape(fault)):
+                _words_of_runs(2, 2, keys, gens, exps)
+
+    @pytest.mark.parametrize(
+        "pieces",
+        [
+            ((3, 0), (-2, 0), (2**31 - 2, 1)),
+            ((3, 0), (-2, 0), (2**31 - 1, 1)),  # an int64 run sum past 2**31
+            ((3, 0), (-(2**31), 0), (1, 0)),
+            ((10**20, 3 - 10**20), (-2, 0), (1, 0)),  # an object array, small sums
+            ((2**63, 3 - 2**63), (-2, 0), (1, 0)),
+            ((10**20, 0), (-2, 0), (1, 0)),
+        ],
+    )
+    def test_the_dtype_follows_the_run_sums(self, pieces):
+        # key 0 is x1^a x2^b, key 1 is x1^c, each exponent given as two
+        # runs on one generator that merge; int64 while every exponent is
+        # below 2**40, as a caller passes them
+        (a, b, c) = (sum(p) for p in pieces)
+        keys = np.array([0, 0, 0, 0, 1, 1], np.uint8)
+        gens = np.array([1, 1, 2, 2, 1, 1], np.int64)
+        raw = [e for p in pieces for e in p]
+        exps = np.array(raw, object if max(map(abs, raw)) >= 2**40 else np.int64)
+        got = _words_of_runs(2, 2, keys, gens, exps)
+        assert got == per_key_words(2, 2, keys, gens, exps)
+        for w, syllables in zip(got, [((1, a), (2, b)), ((1, c),)]):
+            assert w.syllables == syllables
+            assert w.exps.dtype == (np.int64 if all(abs(e) < 2**31 for _, e in syllables) else object)
+
+    def test_a_lone_zero_run_is_the_identity_whatever_its_generator(self):
+        # the per-key path drops a run that sums to zero before any check
+        keys = np.array([0, 0, 1, 2, 2], np.uint8)
+        gens = np.array([1, 1, 7, 2, 1], np.int64)
+        exps = np.array([3, -3, 0, 5, 2**31], np.int64)
+        got = _words_of_runs(2, 3, keys, gens, exps)
+        assert got == per_key_words(2, 3, keys, gens, exps)
+        assert got[0].is_identity() and got[1].is_identity()
+        assert got[2].syllables == ((2, 5), (1, 2**31)) and got[2].exps.dtype == object
 
 
 @pytest.mark.parametrize(
